@@ -24,7 +24,6 @@ from .grouplat import (
     SemigroupSolver,
     graded_key,
     irreducible_decompose,
-    is_commensurable,
     lattice_solve,
     min_multiple_in_group,
     minimal_pushing_set,
@@ -32,7 +31,6 @@ from .grouplat import (
     permissible_decompose,
     semigroup_contains,
     smith_normal_form,
-    solver_for,
 )
 from .jumpseq import (
     Flags,
@@ -44,10 +42,9 @@ from .jumpseq import (
     build_state,
     build_t_chain,
     is_successor,
-    step_t_chain,
     successors,
 )
-from .laurent import LaurentPoly, parse_polynomial, poly_arith, substitute
+from .laurent import LaurentPoly, parse_polynomial
 from .outputs import (
     GeneratorSet,
     GrRelation,
@@ -105,7 +102,6 @@ __all__ = [
     "graded_key",
     "ideal_generators",
     "irreducible_decompose",
-    "is_commensurable",
     "is_successor",
     "lattice_solve",
     "min_multiple_in_group",
@@ -114,15 +110,11 @@ __all__ = [
     "parse_polynomial",
     "parse_value",
     "permissible_decompose",
-    "poly_arith",
     "redundancy_certificate",
     "redundancy_survey",
     "semigroup_contains",
     "semigroup_values_up_to",
     "smith_normal_form",
-    "solver_for",
-    "step_t_chain",
-    "substitute",
     "successors",
     "validate_model",
 ]

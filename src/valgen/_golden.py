@@ -361,7 +361,7 @@ def compare(
         rec = state.p_chain[idx - 1]
         check(f"beta{idx}", rec.beta, parse_value(text, basis))
         check(f"q{idx}", rec.q, g["q"][idx])
-        check(f"q{idx}_infinite", rec.q_is_infinite, idx in g["q_infinite"])
+        check(f"q{idx}_infinite", rec.q is None, idx in g["q_infinite"])
     check("chain_length", len(state.t_chain), g["chain_length"])
     check("skipped", tuple(state.flags.skipped), g["skipped"])
 

@@ -20,10 +20,10 @@ import tempfile
 import time
 from typing import Optional
 
-from ._golden import compare, example_bounds, example_state
+from ._golden import compare, example_state
 from .errors import InternalConsistencyError, ParseError, ValgenError
 from .grouplat import PairVec
-from .jumpseq import JumpState, SearchBounds, build_state
+from .jumpseq import DEFAULT_MAX_VALUE, JumpState, SearchBounds, build_state
 from .laurent import parse_polynomial
 from .outputs import (
     GeneratorSet,
@@ -38,10 +38,10 @@ from .valmodel import ValuationModel, validate_model
 from .values import RadicalBasis, Value, parse_value
 
 _BOUND_DEFAULTS = {
-    "max_t_index": 64,
-    "max_value": "20",
-    "d_layer_cap": 16,
-    "d_coord_cap": 16,
+    "max_t_index": SearchBounds.max_t_index,
+    "max_value": str(DEFAULT_MAX_VALUE),
+    "d_layer_cap": SearchBounds.d_layer_cap,
+    "d_coord_cap": SearchBounds.d_coord_cap,
 }
 _OUTPUT_DEFAULTS = {
     "redundancy_value_slack": "5",
@@ -212,7 +212,7 @@ def report_doc(
                 "index": rec.index,
                 "poly": rec.poly.text(),
                 "value": _value_json(rec.beta),
-                "q": _count_json(rec.q, rec.q_is_infinite),
+                "q": _count_json(rec.q, rec.q is None),
                 "L": list(rec.L_vec) if rec.L_vec is not None else None,
                 "scalar": str(rec.lam) if rec.lam is not None else None,
             }
@@ -437,22 +437,18 @@ def cmd_build(args) -> int:
         return 2
     basis = model.basis
     start = time.monotonic()
-    try:
-        state = build_state(model, bounds=bounds)
-        slack = parse_value(outputs["redundancy_value_slack"], basis)
-        survey = redundancy_survey(
-            state,
-            value_slack=slack,
-            degree_cap=outputs["redundancy_degree_cap"],
-        )
-        detail = generating_sequence_detail(state, survey=survey)
-        relations = gr_presentation(state)
-        semigroup = semigroup_values_up_to(
-            state, parse_value(outputs["semigroup_cap"], basis)
-        )
-    except InternalConsistencyError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
+    state = build_state(model, bounds=bounds)
+    slack = parse_value(outputs["redundancy_value_slack"], basis)
+    survey = redundancy_survey(
+        state,
+        value_slack=slack,
+        degree_cap=outputs["redundancy_degree_cap"],
+    )
+    detail = generating_sequence_detail(state, survey=survey)
+    relations = gr_presentation(state)
+    semigroup = semigroup_values_up_to(
+        state, parse_value(outputs["semigroup_cap"], basis)
+    )
     elapsed = time.monotonic() - start
     doc = report_doc(state, echo, survey, detail, relations, semigroup)
     payload = _dump_json(doc)
@@ -482,12 +478,8 @@ def cmd_ideal(args) -> int:
     except ParseError as e:
         print(f"error: --sigma: {e}", file=sys.stderr)
         return 2
-    try:
-        state = build_state(model, bounds=bounds)
-        gens: GeneratorSet = ideal_generators(state, sigma)
-    except InternalConsistencyError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
+    state = build_state(model, bounds=bounds)
+    gens: GeneratorSet = ideal_generators(state, sigma)
     if args.json:
         doc = {
             "sigma": _value_json(sigma),
@@ -578,6 +570,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalConsistencyError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except ValgenError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,13 +14,12 @@ Several functions take a chain state argument.  They only use a small
 surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
 ``t_chain`` records with ``gamma``/``s``/``m``/``status``, the obstacle
 set ``T_set``, plus the helper methods ``m_at``, ``value_of``,
-``semigroup_solver`` and ``push_witness``.  The concrete class lives in
+``value_of_raw``, ``semigroup_solver`` and ``push_witness``.  The concrete class lives in
 jumpseq; keeping these functions here keeps all lattice reasoning in
 one place.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -299,10 +298,6 @@ def min_multiple_in_group(alpha: Value, gens: Sequence[Value]) -> Optional[int]:
     return q
 
 
-def is_commensurable(alpha: Value, gens: Sequence[Value]) -> bool:
-    return min_multiple_in_group(alpha, gens) is not None
-
-
 def lattice_solve(
     alpha: Value, gens: Sequence[Value]
 ) -> Optional[tuple[int, ...]]:
@@ -342,9 +337,9 @@ def lattice_solve(
 class SemigroupSolver:
     """Decides membership in the semigroup generated by positive values.
 
-    One instance per generator tuple; failed subproblems are memoized, so
-    repeated queries against the same generators get cheaper over time.
-    Instances are shared through ``solver_for`` below.
+    Failed subproblems are memoized, so repeated queries against the same
+    generators get cheaper over time; a chain state keeps one instance per
+    generator tuple for the length of its build.
     """
 
     def __init__(self, gens: Sequence[Value]):
@@ -393,7 +388,6 @@ class SemigroupSolver:
         self.suff_zero = untouched
         self.suff_nonneg = lowered_only
         self._fail: set[tuple[int, tuple[int, ...]]] = set()
-        self._lock = threading.Lock()
 
     def contains(self, alpha: Value) -> Optional[tuple[int, ...]]:
         """A witness exponent tuple over the original generator order, or None."""
@@ -406,8 +400,7 @@ class SemigroupSolver:
                 # every semigroup element has coordinates in (1/scale)Z
                 return None
             vec.append(int(scaled))
-        with self._lock:
-            got = self._search(0, tuple(vec))
+        got = self._search(0, tuple(vec))
         if got is None:
             return None
         out = [0] * self.count
@@ -508,21 +501,6 @@ class SemigroupSolver:
         return rhi // glo
 
 
-_SOLVERS: dict[tuple[Value, ...], SemigroupSolver] = {}
-_SOLVERS_LOCK = threading.Lock()
-
-
-def solver_for(gens: Sequence[Value]) -> SemigroupSolver:
-    key = tuple(gens)
-    with _SOLVERS_LOCK:
-        got = _SOLVERS.get(key)
-    if got is None:
-        got = SemigroupSolver(key)
-        with _SOLVERS_LOCK:
-            got = _SOLVERS.setdefault(key, got)
-    return got
-
-
 def semigroup_contains(
     alpha: Value, gens: Sequence[Value]
 ) -> Optional[tuple[int, ...]]:
@@ -534,7 +512,7 @@ def semigroup_contains(
     gens = tuple(gens)
     if not gens:
         return () if alpha.is_zero() else None
-    wit = solver_for(gens).contains(alpha)
+    wit = SemigroupSolver(gens).contains(alpha)
     if wit is not None and combination(wit, gens, alpha.basis) != alpha:
         raise InternalConsistencyError("semigroup witness failed verification")
     return wit

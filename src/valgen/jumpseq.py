@@ -23,7 +23,6 @@ flags, parent vectors, rewrite vectors, and the matched scalars.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -39,7 +38,6 @@ from .grouplat import (
     minimal_pushing_set,
     irreducible_decompose,
     permissible_decompose,
-    solver_for,
     SemigroupSolver,
 )
 from .laurent import LaurentPoly
@@ -47,6 +45,8 @@ from .valmodel import RING_VARS, ValuationModel, validate_model
 from .values import Value
 
 DEFAULT_P_CAP = 32
+# the processing ceiling SearchBounds.for_basis applies when none is given
+DEFAULT_MAX_VALUE = 20
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class SearchBounds:
     @classmethod
     def for_basis(cls, basis, **overrides) -> "SearchBounds":
         if "max_value" not in overrides:
-            overrides["max_value"] = basis.rational(20)
+            overrides["max_value"] = basis.rational(DEFAULT_MAX_VALUE)
         return cls(**overrides)
 
 
@@ -79,7 +79,6 @@ class PJump:
     poly: LaurentPoly
     beta: Value
     q: Optional[int] = None
-    q_is_infinite: bool = False
     L_vec: Optional[tuple[int, ...]] = None
     lam: Optional[Fraction] = None
 
@@ -128,7 +127,7 @@ class JumpState:
     t_cursor: int = 1
     _push_witnesses: dict = field(default_factory=dict, repr=False)
     _poly_cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _solvers: dict = field(default_factory=dict, repr=False)
 
     @property
     def basis(self):
@@ -147,16 +146,10 @@ class JumpState:
     def value_of(self, vec: PairVec) -> Value:
         if len(vec.p) > len(self.p_chain) or len(vec.t) > len(self.t_chain):
             raise ValueError("vector reaches beyond the constructed chains")
-        total = self.basis.zero()
-        for c, rec in zip(vec.p, self.p_chain):
-            if c:
-                total = total + c * rec.beta
-        for c, rec in zip(vec.t, self.t_chain):
-            if c:
-                total = total + c * rec.gamma
-        return total
+        return self.value_of_raw(vec.p, vec.t)
 
     def value_of_raw(self, p_part, t_part) -> Value:
+        """Value of integer exponents over the chains; entries may be negative."""
         total = self.basis.zero()
         for c, rec in zip(p_part, self.p_chain):
             if c:
@@ -179,13 +172,17 @@ class JumpState:
         for c, rec in zip(vec.t, self.t_chain):
             if c:
                 out = out * rec.poly ** c
-        with self._lock:
-            self._poly_cache[key] = out
+        self._poly_cache[key] = out
         return out
 
     def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
-        gens, _ = _chain_generators(self, k, i)
-        return solver_for(tuple(gens))
+        """The solver for the first k p-values and the nonzero gammas below
+        i+1, shared by every query of this build on the same generators."""
+        gens = tuple(_chain_generators(self, k, i)[0])
+        got = self._solvers.get(gens)
+        if got is None:
+            got = self._solvers[gens] = SemigroupSolver(gens)
+        return got
 
     def push_witness(self, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer rewrite of s_t*gamma_t over depth m_t and positions < t."""
@@ -206,8 +203,7 @@ class JumpState:
         for pos, j in enumerate(tpos):
             t_part[j] = wit[rec.m + pos]
         out = (tuple(p_part), tuple(t_part))
-        with self._lock:
-            self._push_witnesses[t] = out
+        self._push_witnesses[t] = out
         return out
 
 
@@ -234,9 +230,7 @@ def build_p_chain(
     y = LaurentPoly.variable(RING_VARS, "y")
     # the first member never has a finite group multiple: the group below
     # it is trivial, so its slot in rewrites is unrestricted
-    state.p_chain.append(
-        PJump(index=1, poly=x, beta=model.nu(x), q_is_infinite=True)
-    )
+    state.p_chain.append(PJump(index=1, poly=x, beta=model.nu(x)))
     if max_len < 2:
         state.flags.p_truncated = True
         return state
@@ -247,7 +241,6 @@ def build_p_chain(
         below = [state.p_chain[j].beta for j in range(i - 1)]
         q = min_multiple_in_group(rec.beta, below)
         if q is None:
-            rec.q_is_infinite = True
             break
         rec.q = q
         L, _ = permissible_decompose(q * rec.beta, state, i - 1, 0)
@@ -360,28 +353,11 @@ def _process_position(state: JumpState, i: int) -> bool:
     return stop
 
 
-def _seed_t_chain(state: JumpState) -> None:
-    if state.t_chain:
-        return
-    z = LaurentPoly.variable(RING_VARS, "z")
-    state.t_chain.append(TJump(index=1, poly=z, gamma=state.model.nu(z)))
-
-
-def step_t_chain(state: JumpState) -> JumpState:
-    """Process one position of the second chain, growing it as needed."""
-    _seed_t_chain(state)
-    if state.t_cursor > len(state.t_chain):
-        return state
-    stop = _process_position(state, state.t_cursor)
-    state.t_cursor += 1
-    if stop:
-        state.flags.t_truncated = True
-    return state
-
-
 def build_t_chain(state: JumpState) -> JumpState:
     """Process the whole second chain under the state's bounds."""
-    _seed_t_chain(state)
+    if not state.t_chain:
+        z = LaurentPoly.variable(RING_VARS, "z")
+        state.t_chain.append(TJump(index=1, poly=z, gamma=state.model.nu(z)))
     while state.t_cursor <= len(state.t_chain):
         stop = _process_position(state, state.t_cursor)
         state.t_cursor += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import NonInvertibleSubstitution, ParseError
 
@@ -231,30 +231,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()!r})"
-
-
-# -- module-level operation helpers ---------------------------------------
-
-
-def poly_arith(op: str, f: LaurentPoly, g=None) -> LaurentPoly:
-    """Dispatch arithmetic by name: add, sub, mul, pow, negate, scale."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "pow":
-        return f ** g
-    if op == "negate":
-        return -f
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def substitute(f: LaurentPoly, images: Mapping[str, LaurentPoly]) -> LaurentPoly:
-    return f.substitute(images)
 
 
 # -- parser -----------------------------------------------------------------

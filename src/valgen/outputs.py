@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import mul
+from typing import Callable, Optional
 
 from .errors import InternalConsistencyError
 from .grouplat import PairVec, graded_key, minimal_semigroup_generators
@@ -30,15 +31,35 @@ def _coordinates(state: JumpState, skip_t: Optional[int] = None):
     return rows
 
 
-def _vec_of(state: JumpState, counts: dict) -> PairVec:
+def _vec_of(state: JumpState, rows, counts) -> PairVec:
+    """The PairVec with the given counts over the coordinate rows."""
     p = [0] * len(state.p_chain)
     t = [0] * len(state.t_chain)
-    for (kind, idx), c in counts.items():
-        if kind == "p":
-            p[idx - 1] = c
-        else:
-            t[idx - 1] = c
+    for (kind, idx, _), c in zip(rows, counts):
+        if c:
+            (p if kind == "p" else t)[idx - 1] = c
     return PairVec(tuple(p), tuple(t))
+
+
+def _walk(rows, zero: Value, visit: Callable[[list, Value], bool]) -> None:
+    """Visit exponent vectors over the rows, each at most once.
+
+    The walk starts at the zero vector and reaches a vector as its parent
+    plus one unit at its last nonzero coordinate.  ``visit(counts, value)``
+    gets the vector's counts (a list the walk reuses) and its value, and
+    returns whether to descend to the vector's children.
+    """
+    values = [val for _, _, val in rows]
+    counts = [0] * len(values)
+
+    def extend(first: int, value: Value) -> None:
+        if visit(counts, value):
+            for k in range(first, len(values)):
+                counts[k] += 1
+                extend(k, value + values[k])
+                counts[k] -= 1
+
+    extend(0, zero)
 
 
 # -- valuation ideals ---------------------------------------------------------
@@ -66,46 +87,24 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     if sigma.sign() <= 0:
         return GeneratorSet(sigma, (PairVec((), ()),), complete)
     rows = _coordinates(state)
-    found: list[tuple[PairVec, Value]] = []
+    found: list[tuple[tuple[int, ...], Value]] = []
 
-    def walk(k: int, counts: dict, acc: Value) -> None:
-        if acc >= sigma:
-            found.append((_vec_of(state, counts), acc))
-            return
-        if k == len(rows):
-            return
-        kind, idx, val = rows[k]
-        walk(k + 1, counts, acc)
-        c = 0
-        total = acc
-        while True:
-            c += 1
-            total = total + val
-            counts[(kind, idx)] = c
-            if total >= sigma:
-                found.append((_vec_of(state, counts), total))
-                del counts[(kind, idx)]
-                return
-            walk(k + 1, counts, total)
-        # not reached
+    def visit(counts: list, value: Value) -> bool:
+        if value >= sigma:
+            found.append((tuple(counts), value))
+            return False
+        return True
 
-    walk(0, {}, state.basis.zero())
-    values = {("p", r.index): r.beta for r in state.p_chain}
-    values.update({("t", r.index): r.gamma for r in state.t_chain})
-    minimal = []
-    for vec, total in found:
-        keep = True
-        for pos, c in enumerate(vec.p):
-            if c and not total - values[("p", pos + 1)] < sigma:
-                keep = False
-                break
-        if keep:
-            for pos, c in enumerate(vec.t):
-                if c and not total - values[("t", pos + 1)] < sigma:
-                    keep = False
-                    break
-        if keep:
-            minimal.append((vec, total))
+    _walk(rows, state.basis.zero(), visit)
+    minimal = [
+        (_vec_of(state, rows, counts), total)
+        for counts, total in found
+        if all(
+            total - val < sigma
+            for c, (_, _, val) in zip(counts, rows)
+            if c
+        )
+    ]
     minimal.sort(
         key=lambda pair: (
             pair[1],
@@ -140,32 +139,23 @@ def _mine_pool(
     degree_cap: int,
 ) -> dict[Value, PairVec]:
     """Irreducible monomials with value in [lo, hi], cheapest per value."""
-    rows = _coordinates(state, skip_t=skip_t)
-    # a weight-one blocking vector kills its position outright, and with
-    # it every blocking vector that needs that position
-    killed: set[int] = set()
+    # a weight-one blocking vector removes its position from the walk; a
+    # blocking vector that needs a position outside the walk never fires
     supports = []
     for vec in state.T_set.vectors():
-        rows_of = [("p", pos + 1, c) for pos, c in enumerate(vec.p) if c]
-        rows_of += [("t", pos + 1, c) for pos, c in enumerate(vec.t) if c]
-        if len(rows_of) == 1 and rows_of[0][0] == "t" and rows_of[0][2] == 1:
-            killed.add(rows_of[0][1])
-        supports.append(rows_of)
+        sup = [(("p", pos + 1), c) for pos, c in enumerate(vec.p) if c]
+        sup += [(("t", pos + 1), c) for pos, c in enumerate(vec.t) if c]
+        supports.append(sup)
+    killed = {sup[0][0] for sup in supports if len(sup) == 1 and sup[0][1] == 1}
     rows = [
-        r for r in rows if not (r[0] == "t" and r[1] in killed)
+        r for r in _coordinates(state, skip_t=skip_t) if r[:2] not in killed
     ]
+    at = {(kind, idx): k for k, (kind, idx, _) in enumerate(rows)}
     blockers = [
-        tuple(((kind, idx), c) for kind, idx, c in sup)
+        tuple((at[key], c) for key, c in sup)
         for sup in supports
-        if not any(kind == "t" and idx in killed for kind, idx, _ in sup)
+        if all(key in at for key, _ in sup)
     ]
-
-    def reducible(counts: dict) -> bool:
-        for sup in blockers:
-            if all(counts.get(key, 0) >= c for key, c in sup):
-                return True
-        return False
-
     degs = []
     for kind, idx, _ in rows:
         rec = (
@@ -179,37 +169,21 @@ def _mine_pool(
     tlen = len(state.t_chain)
     pool: dict[Value, PairVec] = {}
 
-    def record(counts: dict, val: Value) -> None:
-        if not lo <= val:
-            return
-        vec = _vec_of(state, counts)
-        old = pool.get(val)
-        if old is None or graded_key(vec, plen, tlen) < graded_key(
-            old, plen, tlen
-        ):
-            pool[val] = vec
+    def visit(counts: list, value: Value) -> bool:
+        if value > hi or sum(map(mul, counts, degs)) > degree_cap:
+            return False
+        if any(all(counts[k] >= c for k, c in sup) for sup in blockers):
+            return False
+        if lo <= value:
+            vec = _vec_of(state, rows, counts)
+            old = pool.get(value)
+            if old is None or graded_key(vec, plen, tlen) < graded_key(
+                old, plen, tlen
+            ):
+                pool[value] = vec
+        return True
 
-    def walk(k: int, counts: dict, val: Value, deg: int) -> None:
-        record(counts, val)
-        if k == len(rows):
-            return
-        kind, idx, coordval = rows[k]
-        walk(k + 1, counts, val, deg)
-        c = 0
-        total, dtotal = val, deg
-        while True:
-            c += 1
-            total = total + coordval
-            dtotal += degs[k]
-            if total > hi or dtotal > degree_cap:
-                break
-            counts[(kind, idx)] = c
-            if reducible(counts):
-                break
-            walk(k + 1, counts, total, dtotal)
-        counts.pop((kind, idx), None)
-
-    walk(0, {}, state.basis.zero(), 0)
+    _walk(rows, state.basis.zero(), visit)
     return pool
 
 
@@ -402,15 +376,13 @@ def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
     complete = not (state.flags.t_truncated or state.flags.p_truncated)
     if cap.sign() < 0:
         return SemigroupSlice(cap, (), complete)
-    rows = _coordinates(state)
     seen: set[Value] = set()
 
-    def walk(k: int, acc: Value) -> None:
-        seen.add(acc)
-        for kk in range(k, len(rows)):
-            total = acc + rows[kk][2]
-            if total <= cap:
-                walk(kk, total)
+    def visit(counts: list, value: Value) -> bool:
+        if value > cap:
+            return False
+        seen.add(value)
+        return True
 
-    walk(0, state.basis.zero())
+    _walk(_coordinates(state), state.basis.zero(), visit)
     return SemigroupSlice(cap, tuple(sorted(seen)), complete)

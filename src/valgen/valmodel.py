@@ -11,7 +11,6 @@ the residues the chain construction divides by.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -57,12 +56,9 @@ class ValuationModel:
     ambient_values: tuple[Value, ...]
     images: Mapping[str, LaurentPoly]
 
-    # expansion and valuation caches; idempotent, guarded for shared use
+    # expansion cache, left out of equality and hashing
     _expand_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self) -> None:
@@ -91,12 +87,9 @@ class ValuationModel:
                 f"expected variables {RING_VARS} or {self.ambient_vars}, "
                 f"got {f.vars}"
             )
-        with self._lock:
-            got = self._expand_cache.get(f)
+        got = self._expand_cache.get(f)
         if got is None:
-            got = f.substitute(self.images)
-            with self._lock:
-                self._expand_cache[f] = got
+            got = self._expand_cache[f] = f.substitute(self.images)
         return got
 
     def monomial_value(self, exponents: tuple[int, ...]) -> Value:

@@ -16,10 +16,10 @@ excludes zero.  No floating point is involved anywhere.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
@@ -27,21 +27,10 @@ from .errors import ParseError
 
 Rational = Union[int, Fraction]
 
-# Cache of isqrt(r << 2*bits), i.e. the floor of sqrt(r) scaled by 2^bits.
-# Entries are idempotent, so racing writers are harmless; the lock only
-# keeps the dict itself consistent under mutation.
-_SQRT_CACHE: dict[tuple[int, int], int] = {}
-_SQRT_LOCK = threading.Lock()
-
-
+@cache
 def _sqrt_floor_scaled(radicand: int, bits: int) -> int:
-    key = (radicand, bits)
-    got = _SQRT_CACHE.get(key)
-    if got is None:
-        got = isqrt(radicand << (2 * bits))
-        with _SQRT_LOCK:
-            _SQRT_CACHE[key] = got
-    return got
+    """isqrt(r << 2*bits), i.e. the floor of sqrt(r) scaled by 2^bits."""
+    return isqrt(radicand << (2 * bits))
 
 
 def _is_squarefree(n: int) -> bool:
@@ -312,21 +301,6 @@ class Value:
 
     def __repr__(self) -> str:
         return f"Value({self.exact_str()})"
-
-
-# -- module-level operation aliases -----------------------------------
-
-
-def value_add(a: Value, b: Value) -> Value:
-    return a + b
-
-
-def value_scale(a: Value, scalar: Rational) -> Value:
-    return a * scalar
-
-
-def value_sign(a: Value) -> int:
-    return a.sign()
 
 
 def combination(

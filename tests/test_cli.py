@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from valgen import PairVec
+from valgen import InternalConsistencyError, PairVec
 from valgen._golden import GOLDEN
 from valgen.cli import (
     ConfigError,
@@ -15,6 +15,7 @@ from valgen.cli import (
     vector_symbol,
 )
 
+import valgen
 import valgen._golden
 import valgen.cli
 
@@ -266,3 +267,25 @@ def test_verify_example_catches_value_faults(
     monkeypatch.setattr(valgen._golden, "GOLDEN", bad)
     assert main(["verify-example", "--quiet"]) == 1
     assert "gamma16" in capsys.readouterr().out
+
+
+def test_internal_errors_exit_3_from_every_subcommand(
+    second_config, monkeypatch, capsys
+):
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("injected")
+
+    monkeypatch.setattr(valgen.cli, "example_state", broken)
+    monkeypatch.setattr(valgen.cli, "build_state", broken)
+    for argv in (
+        ["verify-example"],
+        ["build", "--config", second_config],
+        ["ideal", "--config", second_config, "--sigma", "1"],
+    ):
+        assert main(argv) == 3
+        assert "internal error: injected" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in valgen.__all__ if not hasattr(valgen, name)]
+    assert missing == []

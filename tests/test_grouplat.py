@@ -10,20 +10,19 @@ from valgen import (
     ObstacleSet,
     PairVec,
     RadicalBasis,
+    build_state,
     parse_value,
 )
 from valgen.grouplat import (
     SemigroupSolver,
     graded_key,
     irreducible_decompose,
-    is_commensurable,
     lattice_solve,
     min_multiple_in_group,
     minimal_semigroup_generators,
     permissible_decompose,
     semigroup_contains,
     smith_normal_form,
-    solver_for,
 )
 from valgen.values import combination
 
@@ -153,8 +152,7 @@ def test_min_multiple_in_group():
     assert min_multiple_in_group(r2, [one]) is None
     assert min_multiple_in_group(B2.zero(), []) == 1
     assert min_multiple_in_group(one, []) is None
-    assert is_commensurable(r2 * 7, [one, r2])
-    assert not is_commensurable(r2, [one])
+    assert min_multiple_in_group(r2 * 7, [one, r2]) == 1
 
 
 @given(
@@ -245,9 +243,15 @@ def test_semigroup_solver_against_oracle():
             assert combination(got, gens, B2) == target
 
 
-def test_solver_for_caches_per_generator_tuple():
+def test_solvers_are_cached_per_build(second_model, second_state):
+    # within one state a generator tuple keeps one solver
+    first = second_state.semigroup_solver(2, 1)
+    assert second_state.semigroup_solver(2, 1) is first
+    # a second build starts from fresh solvers
+    other = build_state(second_model)
+    assert other.semigroup_solver(2, 1) is not first
+    assert other.semigroup_solver(2, 1).gvecs == first.gvecs
     gens = (B2.rational(2), B2.rational(3))
-    assert solver_for(gens) is solver_for(tuple(gens))
     assert semigroup_contains(B2.rational(7), gens) is not None
     assert semigroup_contains(B2.rational(1), gens) is None
 

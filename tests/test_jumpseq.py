@@ -43,8 +43,7 @@ def test_example_first_chain(state):
     assert not state.flags.p_truncated
     p1, p2 = state.p_chain
     assert p1.poly.text() == "1*x" and p2.poly.text() == "1*y"
-    assert p1.q is None and p1.q_is_infinite
-    assert p2.q is None and p2.q_is_infinite
+    assert p1.q is None and p2.q is None
     assert p1.beta.exact_str() == "1"
     assert p2.beta.exact_str() == "sqrt(2)"
 
@@ -63,7 +62,7 @@ def test_second_model_first_chain(second_state):
     assert chain[1].lam == Fraction(1)
     assert chain[1].L_vec == (1,)
     assert chain[2].beta == second_state.basis.root(2)
-    assert chain[0].q_is_infinite and chain[2].q_is_infinite
+    assert chain[0].q is None and chain[2].q is None
     assert not second_state.flags.p_truncated
 
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valgen import LaurentPoly, NonInvertibleSubstitution, ParseError
-from valgen.laurent import parse_polynomial, poly_arith, substitute
+from valgen.laurent import parse_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -160,16 +160,4 @@ def test_substitution_rules():
         P("x").substitute({})
     with pytest.raises(ValueError):
         parse_polynomial("x*y", XY).substitute({"x": P("x")})
-    assert substitute(P("x + z"), images) == P("y + z")
-
-
-def test_poly_arith_dispatch():
-    f, g = P("x"), P("y")
-    assert poly_arith("add", f, g) == f + g
-    assert poly_arith("sub", f, g) == f - g
-    assert poly_arith("mul", f, g) == f * g
-    assert poly_arith("pow", f, 3) == f ** 3
-    assert poly_arith("negate", f) == -f
-    assert poly_arith("scale", f, Fraction(2, 3)) == f.scale(Fraction(2, 3))
-    with pytest.raises(ValueError):
-        poly_arith("div", f, g)
+    assert P("x + z").substitute(images) == P("y + z")

@@ -58,26 +58,27 @@ def test_generators_form_minimal_antichain(state):
                 assert total - rows[("t", pos + 1)] < sigma
 
 
-def test_generators_match_brute_force(state):
-    basis = state.basis
-    for text in ("1", "sqrt(2)", "2*sqrt(2) - 1", "3"):
-        sigma = parse_value(text, basis)
-        cap = sigma + basis.rational(4)
-        everything = oracles.vectors_up_to(state, cap)
-        reaching = [(v, val) for v, val in everything if val >= sigma]
-        want = sorted(
-            oracles.minimal_vectors(reaching),
-            key=lambda v: (state.value_of(v), v.p, v.t),
-        )
-        got = sorted(
-            [
-                v
-                for v in ideal_generators(state, sigma).members
-                if state.value_of(v) <= cap
-            ],
-            key=lambda v: (state.value_of(v), v.p, v.t),
-        )
-        assert got == want
+def test_generators_match_brute_force(state, second_state):
+    for st in (state, second_state):
+        basis = st.basis
+        for text in ("1", "sqrt(2)", "2*sqrt(2) - 1", "3"):
+            sigma = parse_value(text, basis)
+            cap = sigma + basis.rational(4)
+            everything = oracles.vectors_up_to(st, cap)
+            reaching = [(v, val) for v, val in everything if val >= sigma]
+            want = sorted(
+                oracles.minimal_vectors(reaching),
+                key=lambda v: (st.value_of(v), v.p, v.t),
+            )
+            got = sorted(
+                [
+                    v
+                    for v in ideal_generators(st, sigma).members
+                    if st.value_of(v) <= cap
+                ],
+                key=lambda v: (st.value_of(v), v.p, v.t),
+            )
+            assert got == want
 
 
 def test_truncated_chain_marks_incomplete():
