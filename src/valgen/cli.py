@@ -65,6 +65,30 @@ def _need(cfg: dict, key: str, kind, where: str):
     return got
 
 
+def _parse_text(parse, text, where: str, *args):
+    """parse(text, *args), with a wrong type or a parse error as ConfigError."""
+    if not isinstance(text, str):
+        raise ConfigError(f"{where}: expected a string, got {type(text).__name__}")
+    try:
+        return parse(text, *args)
+    except ParseError as e:
+        raise ConfigError(f"{where}: {e}")
+
+
+def _section(cfg: dict, key: str, defaults: dict, path: str) -> dict:
+    """The defaults updated by the optional object ``cfg[key]``."""
+    got = cfg.get(key, {})
+    if not isinstance(got, dict):
+        raise ConfigError(
+            f"{path}.{key}: expected an object, got {type(got).__name__}"
+        )
+    return {**defaults, **got}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_config(path: str, max_t_index: Optional[int] = None,
                 max_value: Optional[str] = None):
     """Read and check a config file.
@@ -97,21 +121,18 @@ def load_config(path: str, max_t_index: Optional[int] = None,
     raw_values = _need(cfg, "ambient_values", list, path)
     if len(raw_values) != 3:
         raise ConfigError(f"{path}.ambient_values: expected three entries")
-    values = []
-    for pos, t in enumerate(raw_values):
-        try:
-            values.append(parse_value(t, basis))
-        except ParseError as e:
-            raise ConfigError(f"{path}.ambient_values[{pos}]: {e}")
+    values = [
+        _parse_text(parse_value, t, f"{path}.ambient_values[{pos}]", basis)
+        for pos, t in enumerate(raw_values)
+    ]
     raw_images = _need(cfg, "images", dict, path)
     images = {}
     for name in ("x", "y", "z"):
         if name not in raw_images:
             raise ConfigError(f"{path}.images: missing image of {name!r}")
-        try:
-            images[name] = parse_polynomial(raw_images[name], av)
-        except ParseError as e:
-            raise ConfigError(f"{path}.images.{name}: {e}")
+        images[name] = _parse_text(
+            parse_polynomial, raw_images[name], f"{path}.images.{name}", av
+        )
     model = ValuationModel(
         basis=basis,
         ambient_vars=av,
@@ -124,8 +145,7 @@ def load_config(path: str, max_t_index: Optional[int] = None,
             f"{path}: model rejected: " + "; ".join(problems)
         )
 
-    raw_bounds = dict(_BOUND_DEFAULTS)
-    raw_bounds.update(cfg.get("bounds", {}))
+    raw_bounds = _section(cfg, "bounds", _BOUND_DEFAULTS, path)
     if max_t_index is not None:
         raw_bounds["max_t_index"] = max_t_index
     if max_value is not None:
@@ -134,12 +154,12 @@ def load_config(path: str, max_t_index: Optional[int] = None,
     if raw_bounds["max_value"] is None:
         cap = None
     else:
-        try:
-            cap = parse_value(raw_bounds["max_value"], basis)
-        except ParseError as e:
-            raise ConfigError(f"{path}.bounds.max_value: {e}")
+        cap = _parse_text(
+            parse_value, raw_bounds["max_value"], f"{path}.bounds.max_value",
+            basis,
+        )
     for key in ("max_t_index", "d_layer_cap", "d_coord_cap"):
-        if not isinstance(raw_bounds[key], int) or raw_bounds[key] < 1:
+        if not _is_int(raw_bounds[key]) or raw_bounds[key] < 1:
             raise ConfigError(f"{path}.bounds.{key}: expected a positive integer")
     bounds = SearchBounds(
         max_t_index=raw_bounds["max_t_index"],
@@ -148,14 +168,10 @@ def load_config(path: str, max_t_index: Optional[int] = None,
         d_coord_cap=raw_bounds["d_coord_cap"],
     )
 
-    outputs = dict(_OUTPUT_DEFAULTS)
-    outputs.update(cfg.get("outputs", {}))
+    outputs = _section(cfg, "outputs", _OUTPUT_DEFAULTS, path)
     for key in ("redundancy_value_slack", "semigroup_cap"):
-        try:
-            parse_value(outputs[key], basis)
-        except ParseError as e:
-            raise ConfigError(f"{path}.outputs.{key}: {e}")
-    if not isinstance(outputs["redundancy_degree_cap"], int):
+        _parse_text(parse_value, outputs[key], f"{path}.outputs.{key}", basis)
+    if not _is_int(outputs["redundancy_degree_cap"]):
         raise ConfigError(
             f"{path}.outputs.redundancy_degree_cap: expected an integer"
         )

@@ -29,7 +29,7 @@ from .errors import (
     NotInGroupError,
     NotInSemigroupError,
 )
-from .values import Value, combination, _sqrt_floor_scaled
+from .values import Value, combination, int_vec_ratio_bound, int_vec_sign
 
 # -- exponent vector pairs ---------------------------------------------
 
@@ -126,52 +126,6 @@ class ObstacleSet:
         return len(self.entries)
 
 
-# -- integer sign and enclosure helpers --------------------------------
-#
-# The semigroup search works on integer coordinate vectors (coefficients
-# scaled by a common denominator).  Signs and magnitude bounds come from
-# the same enclosure idea as Value.sign, kept in plain integers here to
-# stay cheap inside the search loop.
-
-
-def _int_vec_bounds(
-    vec: Sequence[int], radicands: Sequence[int], bits: int
-) -> tuple[int, int]:
-    """Integer lo/hi with lo <= 2^bits * value(vec) <= hi."""
-    lo = 0
-    hi = 0
-    for c, r in zip(vec, radicands):
-        if c == 0:
-            continue
-        if r == 1:
-            lo += c << bits
-            hi += c << bits
-            continue
-        f = _sqrt_floor_scaled(r, bits)
-        if c > 0:
-            lo += c * f
-            hi += c * (f + 1)
-        else:
-            lo += c * (f + 1)
-            hi += c * f
-    return lo, hi
-
-
-def _int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
-    if not any(vec):
-        return 0
-    if all(c == 0 for c in vec[1:]):
-        return 1 if vec[0] > 0 else -1
-    bits = 64
-    while True:
-        lo, hi = _int_vec_bounds(vec, radicands, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
-
-
 # -- Smith normal form ---------------------------------------------------
 
 
@@ -260,40 +214,34 @@ def smith_normal_form(
     return A, U, V
 
 
-def _scaled_system(
+def _smith_system(
     alpha: Value, gens: Sequence[Value]
-) -> tuple[list[list[int]], list[int]]:
-    """Columns of generator coordinates and the target, scaled integral."""
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """sum(x_k * gens_k) == alpha, scaled integral, in Smith form: the
+    diagonal (zero-padded to one entry per radical), c = U*b and V, so that
+    the solutions are x = V*y with diag[i]*y[i] == c[i]."""
     basis = alpha.basis
     for g in gens:
         if g.basis != basis:
             raise ValueError("generators carry a different radical basis")
-    denoms = [c.denominator for c in alpha.coeffs]
-    for g in gens:
-        denoms.extend(c.denominator for c in g.coeffs)
-    D = lcm(*denoms) if denoms else 1
-    d = basis.dim
-    A = [[int(g.coeffs[r] * D) for g in gens] for r in range(d)]
-    b = [int(alpha.coeffs[r] * D) for r in range(d)]
-    return A, b
+    D = lcm(alpha.den, *(g.den for g in gens))
+    A = [[g.nums[r] * (D // g.den) for g in gens] for r in range(basis.dim)]
+    b = [a * (D // alpha.den) for a in alpha.nums]
+    S, U, V = smith_normal_form(A)
+    d = len(b)
+    diag = [S[i][i] if i < len(gens) else 0 for i in range(d)]
+    c = [sum(U[i][j] * b[j] for j in range(d)) for i in range(d)]
+    return diag, c, V
 
 
 def min_multiple_in_group(alpha: Value, gens: Sequence[Value]) -> Optional[int]:
     """Least q >= 1 with q*alpha in the group generated by gens, else None."""
-    gens = list(gens)
-    if not gens:
-        return 1 if alpha.is_zero() else None
-    A, b = _scaled_system(alpha, gens)
-    S, U, _ = smith_normal_form(A)
-    d = len(b)
-    n = len(gens)
-    c = [sum(U[i][j] * b[j] for j in range(d)) for i in range(d)]
+    diag, c, _ = _smith_system(alpha, gens)
     q = 1
-    for i in range(d):
-        s = S[i][i] if i < min(d, n) else 0
+    for s, ci in zip(diag, c):
         if s:
-            q = lcm(q, s // gcd(s, c[i]))
-        elif c[i]:
+            q = lcm(q, s // gcd(s, ci))
+        elif ci:
             return None
     return q
 
@@ -306,22 +254,15 @@ def lattice_solve(
     Any solution will do; the result is verified exactly before being
     returned.
     """
-    gens = list(gens)
-    if not gens:
-        return () if alpha.is_zero() else None
-    A, b = _scaled_system(alpha, gens)
-    S, U, V = smith_normal_form(A)
-    d = len(b)
+    diag, c, V = _smith_system(alpha, gens)
     n = len(gens)
-    c = [sum(U[i][j] * b[j] for j in range(d)) for i in range(d)]
     y = [0] * n
-    for i in range(d):
-        s = S[i][i] if i < min(d, n) else 0
+    for i, (s, ci) in enumerate(zip(diag, c)):
         if s:
-            if c[i] % s:
+            if ci % s:
                 return None
-            y[i] = c[i] // s
-        elif c[i]:
+            y[i] = ci // s
+        elif ci:
             return None
     x = tuple(
         sum(V[j][i] * y[i] for i in range(n)) for j in range(n)
@@ -355,13 +296,10 @@ class SemigroupSolver:
         self.basis = basis
         self.radicands = basis.radicands
         self.dim = basis.dim
-        denoms = [c.denominator for g in gens for c in g.coeffs]
-        self.scale = lcm(*denoms)
+        self.scale = lcm(*(g.den for g in gens))
         vecs = {
-            k: tuple(
-                int(gens[k].coeffs[r] * self.scale) for r in range(basis.dim)
-            )
-            for k in range(len(gens))
+            k: tuple(a * (self.scale // g.den) for a in g.nums)
+            for k, g in enumerate(gens)
         }
         # spend scarce coordinates first: generators carrying a later
         # radical sort ahead, so their counts are pinned by small integer
@@ -393,14 +331,11 @@ class SemigroupSolver:
         """A witness exponent tuple over the original generator order, or None."""
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
-        vec = []
-        for c in alpha.coeffs:
-            scaled = c * self.scale
-            if scaled.denominator != 1:
-                # every semigroup element has coordinates in (1/scale)Z
-                return None
-            vec.append(int(scaled))
-        got = self._search(0, tuple(vec))
+        if self.scale % alpha.den:
+            # every semigroup element has coordinates in (1/scale)Z
+            return None
+        up = self.scale // alpha.den
+        got = self._search(0, tuple(a * up for a in alpha.nums))
         if got is None:
             return None
         out = [0] * self.count
@@ -428,7 +363,7 @@ class SemigroupSolver:
                 if snonneg[r]:
                     return None
                 has_negative = True
-        if has_negative and _int_vec_sign(rem, self.radicands) < 0:
+        if has_negative and int_vec_sign(rem, self.radicands) < 0:
             return None
         g = self.gvecs[j]
         if j == self.count - 1:
@@ -476,7 +411,7 @@ class SemigroupSolver:
                 top = rem[r] // b
                 hi = top if hi is None else min(hi, top)
         if hi is None:
-            hi = self._max_count(rem, g)
+            hi = int_vec_ratio_bound(rem, g, self.radicands)
         if hi < lo:
             self._fail.add(key)
             return None
@@ -487,18 +422,6 @@ class SemigroupSolver:
                 return (n,) + got
         self._fail.add(key)
         return None
-
-    def _max_count(self, rem: Sequence[int], g: Sequence[int]) -> int:
-        bits = 64
-        while True:
-            glo, _ = _int_vec_bounds(g, self.radicands, bits)
-            if glo > 0:
-                break
-            bits *= 2
-        _, rhi = _int_vec_bounds(rem, self.radicands, bits)
-        if rhi <= 0:
-            return 0
-        return rhi // glo
 
 
 def semigroup_contains(
@@ -801,17 +724,14 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
     caps = (bounds.d_coord_cap,) * n
     solver = state.semigroup_solver(m, i - 1)
     basis = state.basis
-    step_value = s * gamma
+    step_vals = (s * gamma, *vals)
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def member(fvec: tuple[int, ...], layer: int) -> bool:
         key = (fvec, layer)
         got = memo.get(key)
         if got is None:
-            total = layer * step_value
-            for c, v in zip(fvec, vals):
-                if c:
-                    total = total + c * v
+            total = combination((layer, *fvec), step_vals, basis)
             got = solver.contains(total) is not None
             memo[key] = got
         return got

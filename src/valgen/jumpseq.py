@@ -42,7 +42,7 @@ from .grouplat import (
 )
 from .laurent import LaurentPoly
 from .valmodel import RING_VARS, ValuationModel, validate_model
-from .values import Value
+from .values import Value, combination
 
 DEFAULT_P_CAP = 32
 # the processing ceiling SearchBounds.for_basis applies when none is given
@@ -150,14 +150,11 @@ class JumpState:
 
     def value_of_raw(self, p_part, t_part) -> Value:
         """Value of integer exponents over the chains; entries may be negative."""
-        total = self.basis.zero()
-        for c, rec in zip(p_part, self.p_chain):
-            if c:
-                total = total + c * rec.beta
-        for c, rec in zip(t_part, self.t_chain):
-            if c:
-                total = total + c * rec.gamma
-        return total
+        betas = [rec.beta for rec in self.p_chain]
+        gammas = [rec.gamma for rec in self.t_chain]
+        return combination(p_part, betas, self.basis) + combination(
+            t_part, gammas, self.basis
+        )
 
     def poly_of(self, vec: PairVec) -> LaurentPoly:
         """The monomial in chain members that the vector denotes."""

@@ -21,7 +21,7 @@ from .errors import (
     ValuationOfZeroError,
 )
 from .laurent import LaurentPoly
-from .values import RadicalBasis, Value
+from .values import RadicalBasis, Value, combination
 
 RING_VARS = ("x", "y", "z")
 
@@ -93,11 +93,7 @@ class ValuationModel:
         return got
 
     def monomial_value(self, exponents: tuple[int, ...]) -> Value:
-        total = self.basis.zero()
-        for e, v in zip(exponents, self.ambient_values):
-            if e:
-                total = total + e * v
-        return total
+        return combination(exponents, self.ambient_values, self.basis)
 
     # -- the valuation ------------------------------------------------
 

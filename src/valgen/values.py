@@ -2,17 +2,20 @@
 
 Every quantity the engine compares or sorts is a number of the form
 
-    c_1*sqrt(r_1) + c_2*sqrt(r_2) + ... + c_d*sqrt(r_d)
+    (n_1*sqrt(r_1) + n_2*sqrt(r_2) + ... + n_d*sqrt(r_d)) / den
 
-with rational coefficients c_k over a fixed tuple of distinct squarefree
-positive radicands r_k, the first of which is always 1 (the rational
-part).  Square roots of distinct squarefree integers are linearly
-independent over ℚ, so the coefficient tuple determines the number and,
-in particular, a combination is zero exactly when every coefficient is
-zero.  That fact makes equality a syntactic check, while comparisons
-reduce to the sign of a difference, decided by refining integer
-enclosures of each sqrt(r_k) until the interval for the whole sum
-excludes zero.  No floating point is involved anywhere.
+with integer numerators n_k over one positive common denominator den,
+and a fixed tuple of distinct squarefree positive radicands r_k, the
+first of which is always 1 (the rational part).  Square roots of distinct
+squarefree integers are linearly independent over ℚ, so the reduced
+numerators and denominator determine the number and, in particular, a
+combination is zero exactly when every numerator is zero.  That fact
+makes equality a syntactic check, while comparisons reduce to the sign of
+a difference.  One integer routine, ``int_vec_sign``, decides that sign
+for every caller: it refines integer enclosures of each sqrt(r_k)
+(``int_vec_bounds``) until the interval for the whole sum excludes zero.
+The semigroup search in ``grouplat`` calls it on its own integer vectors.
+No floating point is involved anywhere.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError
@@ -31,6 +34,62 @@ Rational = Union[int, Fraction]
 def _sqrt_floor_scaled(radicand: int, bits: int) -> int:
     """isqrt(r << 2*bits), i.e. the floor of sqrt(r) scaled by 2^bits."""
     return isqrt(radicand << (2 * bits))
+
+
+def int_vec_bounds(
+    vec: Sequence[int], radicands: Sequence[int], bits: int
+) -> tuple[int, int]:
+    """Integer lo/hi with lo <= 2^bits * sum(vec_k * sqrt(r_k)) <= hi."""
+    lo = 0
+    hi = 0
+    for c, r in zip(vec, radicands):
+        if c == 0:
+            continue
+        if r == 1:
+            lo += c << bits
+            hi += c << bits
+            continue
+        f = _sqrt_floor_scaled(r, bits)
+        if c > 0:
+            lo += c * f
+            hi += c * (f + 1)
+        else:
+            lo += c * (f + 1)
+            hi += c * f
+    return lo, hi
+
+
+def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
+    """-1, 0, or +1: the sign of sum(vec_k * sqrt(r_k)).  Exact."""
+    if not any(vec):
+        return 0
+    if not any(vec[1:]):
+        return 1 if vec[0] > 0 else -1
+    bits = 64
+    while True:
+        lo, hi = int_vec_bounds(vec, radicands, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        # The sum is nonzero (independence of the radicals), so a fine
+        # enough enclosure must separate it from zero.
+        bits *= 2
+
+
+def int_vec_ratio_bound(
+    vec: Sequence[int], divisor: Sequence[int], radicands: Sequence[int]
+) -> int:
+    """hi(vec) // lo(divisor) at the first precision with lo(divisor) > 0,
+    clipped at 0: an upper bound on floor(vec / divisor) for divisor > 0."""
+    bits = 64
+    while True:
+        lo, _ = int_vec_bounds(divisor, radicands, bits)
+        if lo > 0:
+            break
+        bits *= 2
+    _, hi = int_vec_bounds(vec, radicands, bits)
+    return max(hi, 0) // lo
 
 
 def _is_squarefree(n: int) -> bool:
@@ -80,31 +139,35 @@ class RadicalBasis:
             ) from None
 
     def zero(self) -> "Value":
-        return Value(self, (Fraction(0),) * self.dim)
+        return Value(self, (0,) * self.dim, 1)
 
     def rational(self, q: Rational) -> "Value":
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[0] = Fraction(q)
-        return Value(self, tuple(coeffs))
+        return self.root(1, q)
 
     def root(self, radicand: int, coeff: Rational = 1) -> "Value":
         """The value coeff*sqrt(radicand)."""
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[self.index_of(radicand)] = Fraction(coeff)
-        return Value(self, tuple(coeffs))
+        c = Fraction(coeff)
+        nums = [0] * self.dim
+        nums[self.index_of(radicand)] = c.numerator
+        return Value(self, tuple(nums), c.denominator)
 
     def from_coeffs(self, coeffs: Iterable[Rational]) -> "Value":
         cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} coefficients, got {len(cs)}"
-            )
-        return Value(self, cs)
+        den = lcm(*(c.denominator for c in cs))
+        return Value(
+            self, tuple(c.numerator * (den // c.denominator) for c in cs), den
+        )
 
 
 @dataclass(frozen=True)
 class Value:
     """One exact number: a rational combination of the basis radicals.
+
+    Stored as integer numerators ``nums`` over one denominator ``den``,
+    reduced so that ``den > 0`` and ``gcd(den, *nums) == 1`` (zero is
+    ``(0, ..., 0)/1``); equality and hashing are therefore structural.
+    The sign comes from ``int_vec_sign`` on the numerators.  ``coeffs``
+    gives the coefficients as Fractions, for presentation.
 
     Values are immutable and hashable.  They form an ordered ℚ-vector
     space: addition, subtraction, and scalar multiplication by rationals
@@ -113,13 +176,28 @@ class Value:
     """
 
     basis: RadicalBasis
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        if len(cs) != self.basis.dim:
-            raise ValueError("coefficient count does not match basis")
-        object.__setattr__(self, "coeffs", cs)
+        nums, den = self.nums, self.den
+        if len(nums) != self.basis.dim:
+            raise ValueError(
+                f"expected {self.basis.dim} coefficients, got {len(nums)}"
+            )
+        if den == 0:
+            raise ValueError("zero denominator")
+        if den < 0:
+            nums, den = tuple(-a for a in nums), -den
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(a // g for a in nums), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- vector space structure ------------------------------------
 
@@ -131,88 +209,61 @@ class Value:
         if not isinstance(other, Value):
             return NotImplemented
         self._check_basis(other)
+        if self.den == other.den:
+            return Value(
+                self.basis,
+                tuple(a + b for a, b in zip(self.nums, other.nums)),
+                self.den,
+            )
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
         return Value(
             self.basis,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            tuple(a * sa + b * sb for a, b in zip(self.nums, other.nums)),
+            den,
         )
 
     def __sub__(self, other: "Value") -> "Value":
         if not isinstance(other, Value):
             return NotImplemented
-        self._check_basis(other)
-        return Value(
-            self.basis,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self + -other
 
     def __neg__(self) -> "Value":
-        return Value(self.basis, tuple(-a for a in self.coeffs))
+        return Value(self.basis, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, scalar: Rational) -> "Value":
         if isinstance(scalar, Value):
             raise TypeError("Value*Value is not defined; scale by a rational")
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return Value(self.basis, tuple(a * scalar for a in self.coeffs))
+        # an int is its own numerator over denominator 1
+        return Value(
+            self.basis,
+            tuple(a * scalar.numerator for a in self.nums),
+            self.den * scalar.denominator,
+        )
 
     __rmul__ = __mul__
 
     # -- order -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
-    def _enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """A rational interval containing the value, width shrinking in bits."""
-        lo = Fraction(0)
-        hi = Fraction(0)
-        scale = 1 << bits
-        for c, r in zip(self.coeffs, self.basis.radicands):
-            if c == 0:
-                continue
-            if r == 1:
-                lo += c
-                hi += c
-                continue
-            f = _sqrt_floor_scaled(r, bits)
-            root_lo = Fraction(f, scale)
-            root_hi = Fraction(f + 1, scale)
-            if c > 0:
-                lo += c * root_lo
-                hi += c * root_hi
-            else:
-                lo += c * root_hi
-                hi += c * root_lo
-        return lo, hi
+        return Fraction(self.nums[0], self.den)
 
     def sign(self) -> int:
         """-1, 0, or +1.  Exact: zero is decided symbolically."""
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            c = self.coeffs[0]
-            return -1 if c < 0 else 1
-        bits = 64
-        while True:
-            lo, hi = self._enclosure(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            # The value is nonzero (independence of the radicals), so a
-            # fine enough enclosure must separate it from zero.
-            bits *= 2
+        return int_vec_sign(self.nums, self.basis.radicands)
 
     def __lt__(self, other: "Value") -> bool:
         if not isinstance(other, Value):
@@ -241,15 +292,13 @@ class Value:
             raise ValueError("floor_ratio requires a positive divisor")
         if self.sign() < 0:
             raise ValueError("floor_ratio requires a nonnegative dividend")
-        # Start from an enclosure-based guess, then correct exactly.
-        bits = 64
-        while True:
-            slo, shi = self._enclosure(bits)
-            olo, ohi = other._enclosure(bits)
-            if olo > 0:
-                break
-            bits *= 2
-        n = int(shi / olo)
+        # Start from an enclosure-based guess over a common denominator,
+        # then correct exactly.
+        n = int_vec_ratio_bound(
+            [a * other.den for a in self.nums],
+            [b * self.den for b in other.nums],
+            self.basis.radicands,
+        )
         while n * other > self:
             n -= 1
         while (n + 1) * other <= self:
@@ -260,8 +309,9 @@ class Value:
 
     def exact_str(self) -> str:
         """Canonical text, e.g. ``2*sqrt(2) - 1`` or ``5/3``."""
+        coeffs = self.coeffs
         parts: list[tuple[int, str]] = []  # (sign, magnitude text)
-        for c, r in zip(self.coeffs[1:], self.basis.radicands[1:]):
+        for c, r in zip(coeffs[1:], self.basis.radicands[1:]):
             if c == 0:
                 continue
             mag = abs(c)
@@ -270,7 +320,7 @@ class Value:
             else:
                 text = f"{mag}*sqrt({r})"
             parts.append((1 if c > 0 else -1, text))
-        c0 = self.coeffs[0]
+        c0 = coeffs[0]
         if c0 != 0 or not parts:
             parts.append((1 if c0 >= 0 else -1, str(abs(c0))))
         first_sign, first_text = parts[0]
@@ -283,17 +333,18 @@ class Value:
         """Deterministic decimal approximation to ``digits`` significant digits."""
         if self.is_zero():
             return "0"
+        # the value lies in [lo, hi] / (den << bits); refine until the
+        # width is below 10^-(digits+4) of the midpoint (lo + hi) / 2
         bits = 64
-        target = Fraction(1, 10 ** (digits + 4))
+        tolerance = 2 * 10 ** (digits + 4)
         while True:
-            lo, hi = self._enclosure(bits)
-            mid = (lo + hi) / 2
-            if hi - lo < abs(mid) * target:
+            lo, hi = int_vec_bounds(self.nums, self.basis.radicands, bits)
+            if (hi - lo) * tolerance < abs(lo + hi):
                 break
             bits *= 2
         with localcontext() as ctx:
             ctx.prec = digits
-            d = Decimal(mid.numerator) / Decimal(mid.denominator)
+            d = Decimal(lo + hi) / Decimal(2 * self.den << bits)
         return str(d)
 
     def __str__(self) -> str:
@@ -366,7 +417,8 @@ def parse_value(text: str, basis: RadicalBasis) -> Value:
             sign_ = 1 if text[pos] == "+" else -1
             pos = _skip_ws(text, pos + 1)
         first = False
-        # term: sqrt(r) | rational [* sqrt(r)]
+        # term: sqrt(r) | rational [* sqrt(r)]; a bare rational is over sqrt(1)
+        rad = 1
         if text.startswith("sqrt", pos):
             coeff = Fraction(1)
         else:
@@ -392,17 +444,9 @@ def parse_value(text: str, basis: RadicalBasis) -> Value:
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError("expected ')'", pos)
             pos += 1
-            try:
-                idx = basis.index_of(rad)
-            except ValueError:
-                raise ParseError(
-                    f"radicand {rad} is not in the basis", rad_pos
-                ) from None
-            term = [Fraction(0)] * basis.dim
-            term[idx] = coeff * sign_
-            total = total + Value(basis, tuple(term))
-        else:
-            total = total + basis.rational(coeff * sign_)
+            if rad not in basis.radicands:
+                raise ParseError(f"radicand {rad} is not in the basis", rad_pos)
+        total = total + basis.root(rad, coeff * sign_)
         pos = _skip_ws(text, pos)
         if pos == len(text):
             return total

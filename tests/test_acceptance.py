@@ -5,6 +5,7 @@ checklist; the hard-coded expectations here are deliberately spelled out
 rather than shared with the package's own golden data.
 """
 
+import hashlib
 import importlib.resources
 import itertools
 import json
@@ -12,6 +13,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -25,6 +27,8 @@ from valgen.outputs import ideal_generators
 from valgen.valmodel import RING_VARS
 
 import oracles
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -368,6 +372,10 @@ def test_reports_are_byte_identical(example_config, tmp_path, announce):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    expected = json.loads(
+        (ROOT / "perfbench" / "expected.json").read_text()
+    )
+    assert hashlib.sha256(outs[0]).hexdigest() == expected["example"]["sha256"]
 
     schema = json.loads(
         importlib.resources.files("valgen")

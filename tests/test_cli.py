@@ -1,5 +1,7 @@
 import copy
 import json
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -120,6 +122,38 @@ def test_build_reports_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid JSON at position" in err
     assert main(["build", "--config", str(tmp_path / "gone.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "mutate,key",
+    [
+        (lambda c: c.update(bounds=[1]), "bounds"),
+        (lambda c: c.update(outputs="x"), "outputs"),
+        (lambda c: c.update(bounds={"max_value": 20}), "bounds.max_value"),
+        (lambda c: c.update(outputs={"redundancy_value_slack": 5}),
+         "outputs.redundancy_value_slack"),
+        (lambda c: c.update(ambient_values=["1", "sqrt(2)", 3]),
+         "ambient_values[2]"),
+        (lambda c: c["images"].update(y=1), "images.y"),
+        (lambda c: c.update(bounds={"max_t_index": True}), "bounds.max_t_index"),
+        (lambda c: c.update(bounds={"d_layer_cap": True}), "bounds.d_layer_cap"),
+        (lambda c: c.update(bounds={"d_coord_cap": True}), "bounds.d_coord_cap"),
+        (lambda c: c.update(outputs={"redundancy_degree_cap": False}),
+         "outputs.redundancy_degree_cap"),
+    ],
+)
+def test_malformed_config_types_exit_2(tmp_path, mutate, key):
+    cfg = copy.deepcopy(GOOD)
+    mutate(cfg)
+    path = write_config(tmp_path, cfg)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valgen.cli", "build", "--config", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert f"{path}.{key}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ideal_reports_sigma_errors(second_config, capsys):

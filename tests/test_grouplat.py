@@ -205,6 +205,14 @@ def test_semigroup_solver_known_cases():
     assert sol2.contains(B2.zero()) == (0, 0)
 
 
+def test_semigroup_solver_rejects_finer_denominators():
+    half = B2.rational(Fraction(1, 2))
+    sol = SemigroupSolver([half, B2.root(2)])
+    assert sol.contains(B2.rational(Fraction(1, 3))) is None
+    assert sol.contains(B2.rational(Fraction(3, 2))) == (3, 0)
+    assert sol.contains(B2.root(2, Fraction(1, 2))) is None
+
+
 def test_semigroup_solver_counts_follow_input_order():
     gens = [B2.rational(5), B2.rational(3), B2.root(2)]
     target = B2.rational(11) + B2.root(2) * 2

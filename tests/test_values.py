@@ -1,6 +1,7 @@
 import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -70,6 +71,38 @@ def test_arithmetic():
     other = RadicalBasis((1, 2))
     with pytest.raises(ValueError):
         a + other.rational(1)
+
+
+def test_canonical_form():
+    a = B.from_coeffs((Fraction(2, 4), 1, 0))
+    b = B.from_coeffs((Fraction(1, 2), Fraction(3, 3), 0))
+    assert a == b
+    assert hash(a) == hash(b)
+    for v in (a, -a, a * Fraction(-4, 6), a - a, B.root(51, Fraction(-3, 9))):
+        assert v.den > 0
+        assert gcd(v.den, *v.nums) == 1
+    assert B.zero().den == 1
+    assert (a - b).den == 1
+    assert Value(B, (2, -4, 6), -4) == B.from_coeffs(
+        (Fraction(-1, 2), 1, Fraction(-3, 2))
+    )
+    with pytest.raises(ValueError):
+        Value(B, (1, 2, 3), 0)
+    with pytest.raises(ValueError):
+        Value(B, (1, 2), 1)
+
+
+@given(coeff_vectors, coeff_vectors, small_fraction)
+def test_arithmetic_matches_fractions(ca, cb, q):
+    a = B.from_coeffs(ca)
+    b = B.from_coeffs(cb)
+    fa, fb = a.coeffs, b.coeffs
+    assert fa == tuple(map(Fraction, ca))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(fa, fb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(fa, fb))
+    assert (a * q).coeffs == tuple(x * q for x in fa)
+    n = q.numerator
+    assert (a * n).coeffs == tuple(x * n for x in fa)
 
 
 def test_sign_known_cases():
@@ -167,6 +200,9 @@ def test_text_forms():
     assert parse_value("2*sqrt(2) - 1", B).approx_str() == "1.82842712475"
     assert parse_value("2*sqrt(2) - 1", B).approx_str(4) == "1.828"
     assert str(B.rational(Fraction(1, 3))) == "1/3"
+    v = B.from_coeffs((Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9)))
+    assert v.approx_str() == "0.910164884013"
+    assert v.exact_str() == "-5/7*sqrt(2) + 2/9*sqrt(51) + 1/3"
 
 
 def test_parse_accepts_flexible_forms():
