@@ -397,7 +397,7 @@ def compare(
             diffs.append(f"{tag}: polynomial differs from its recipe")
         want_init = g["initial_terms"].get(j)
         if want_init is not None and not rec.poly.is_zero():
-            got_init = state.model.initial_term(rec.poly)
+            got_init = state.model.initial_term(rec.image)
             want_poly = parse_polynomial(want_init, state.model.ambient_vars)
             check(f"{tag}_initial", got_init, want_poly)
 

@@ -110,6 +110,12 @@ def load_config(path: str, max_t_index: Optional[int] = None,
         raise ConfigError(f"{path}: top level must be an object")
 
     raw_basis = _need(cfg, "basis", list, path)
+    for pos, entry in enumerate(raw_basis):
+        if not _is_int(entry):
+            raise ConfigError(
+                f"{path}.basis[{pos}]: expected an integer, "
+                f"got {type(entry).__name__}"
+            )
     try:
         basis = RadicalBasis(tuple(raw_basis))
     except (TypeError, ValueError) as e:

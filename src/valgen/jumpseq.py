@@ -18,13 +18,19 @@ vectors.  Members whose value exceeds the configured ceiling are left
 unprocessed and marked skipped.
 
 All bookkeeping needed to replay or audit the run is kept on the chain
-records: group multiples, depths, minimal vector sets with completeness
-flags, parent vectors, rewrite vectors, and the matched scalars.
+records: the member's image in the ambient coordinates, group multiples,
+depths, minimal vector sets with completeness flags, parent vectors,
+rewrite vectors, and the matched scalars.  Values and residues are read
+off the images; the ring forms are built for the report and for the
+zero tests, and never substituted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import mul
 from typing import Optional
 
 from .errors import InternalConsistencyError
@@ -73,10 +79,13 @@ class SearchBounds:
 
 @dataclass
 class PJump:
-    """One member of the first chain and the jump data leading out of it."""
+    """One member of the first chain and the jump data leading out of it.
+
+    image is poly in the ambient coordinates."""
 
     index: int
     poly: LaurentPoly
+    image: LaurentPoly
     beta: Value
     q: Optional[int] = None
     L_vec: Optional[tuple[int, ...]] = None
@@ -90,11 +99,13 @@ class TJump:
     status is "pending" until the construction reaches the member, then
     "ok" or "skipped".  parent identifies the creating step and vector
     for members beyond the first.  D records the minimal vector search
-    at this position, when one ran.
+    at this position, when one ran.  image is poly in the ambient
+    coordinates.
     """
 
     index: int
     poly: LaurentPoly
+    image: LaurentPoly
     gamma: Value
     status: str = "pending"
     s: Optional[int] = None
@@ -126,7 +137,7 @@ class JumpState:
     flags: Flags = field(default_factory=Flags)
     t_cursor: int = 1
     _push_witnesses: dict = field(default_factory=dict, repr=False)
-    _poly_cache: dict = field(default_factory=dict, repr=False)
+    _products: dict = field(default_factory=dict, repr=False)
     _solvers: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -158,18 +169,25 @@ class JumpState:
 
     def poly_of(self, vec: PairVec) -> LaurentPoly:
         """The monomial in chain members that the vector denotes."""
-        key = (vec.p, vec.t)
-        got = self._poly_cache.get(key)
+        return self._product(vec, "poly", RING_VARS)
+
+    def image_of(self, vec: PairVec) -> LaurentPoly:
+        """The ambient image of poly_of(vec): the product of member images."""
+        return self._product(vec, "image", self.model.ambient_vars)
+
+    def _product(self, vec: PairVec, form: str, vars_) -> LaurentPoly:
+        """The product of the members' ``form`` fields raised to vec."""
+        key = (form, vec.p, vec.t)
+        got = self._products.get(key)
         if got is not None:
             return got
-        out = LaurentPoly.constant(RING_VARS, 1)
-        for c, rec in zip(vec.p, self.p_chain):
-            if c:
-                out = out * rec.poly ** c
-        for c, rec in zip(vec.t, self.t_chain):
-            if c:
-                out = out * rec.poly ** c
-        self._poly_cache[key] = out
+        factors = [
+            getattr(rec, form) ** c
+            for c, rec in chain(zip(vec.p, self.p_chain), zip(vec.t, self.t_chain))
+            if c
+        ]
+        out = reduce(mul, factors) if factors else LaurentPoly.constant(vars_, 1)
+        self._products[key] = out
         return out
 
     def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
@@ -207,6 +225,12 @@ class JumpState:
 # -- first chain ------------------------------------------------------------
 
 
+def _seed(model: ValuationModel, name: str):
+    """A ring variable's poly, image and value, the fields of its record."""
+    image = model.images[name]
+    return LaurentPoly.variable(RING_VARS, name), image, model.nu(image)
+
+
 def build_p_chain(
     model: ValuationModel,
     max_len: Optional[int] = None,
@@ -223,15 +247,13 @@ def build_p_chain(
     if bounds is None:
         bounds = SearchBounds.for_basis(model.basis)
     state = JumpState(model=model, bounds=bounds)
-    x = LaurentPoly.variable(RING_VARS, "x")
-    y = LaurentPoly.variable(RING_VARS, "y")
     # the first member never has a finite group multiple: the group below
     # it is trivial, so its slot in rewrites is unrestricted
-    state.p_chain.append(PJump(index=1, poly=x, beta=model.nu(x)))
+    state.p_chain.append(PJump(1, *_seed(model, "x")))
     if max_len < 2:
         state.flags.p_truncated = True
         return state
-    state.p_chain.append(PJump(index=2, poly=y, beta=model.nu(y)))
+    state.p_chain.append(PJump(2, *_seed(model, "y")))
     while True:
         rec = state.p_chain[-1]
         i = rec.index
@@ -247,22 +269,26 @@ def build_p_chain(
             )
         rec.L_vec = L
         state.T_set.add(0, PairVec((0,) * (i - 1) + (q,), ()))
-        power = rec.poly ** q
-        monomial = state.poly_of(PairVec(L, ()))
-        lam = model.residue_ratio(power, monomial)
+        monomial = PairVec(L, ())
+        power_img = rec.image ** q
+        monomial_img = state.image_of(monomial)
+        lam = model.residue_ratio(power_img, monomial_img)
         rec.lam = lam
         if len(state.p_chain) >= max_len:
             state.flags.p_truncated = True
             break
-        nxt = power - monomial.scale(lam)
+        nxt = rec.poly ** q - state.poly_of(monomial).scale(lam)
         if nxt.is_zero():
             raise InternalConsistencyError(
                 "chain member vanished; the value data is degenerate"
             )
-        beta = model.nu(nxt)
+        image = power_img - monomial_img.scale(lam)
+        beta = model.nu(image)
         if not beta > q * rec.beta:
             raise InternalConsistencyError("chain value failed to increase")
-        state.p_chain.append(PJump(index=i + 1, poly=nxt, beta=beta))
+        state.p_chain.append(
+            PJump(index=i + 1, poly=nxt, image=image, beta=beta)
+        )
     return state
 
 
@@ -278,20 +304,24 @@ def _create_member(state: JumpState, i: int, vec: PairVec) -> bool:
     value = state.value_of(vec)
     rec = state.t_chain[i - 1]
     LN = irreducible_decompose(value, state, rec.m, i - 1)
-    lhs = state.poly_of(vec)
-    rhs = state.poly_of(LN)
-    mu = state.model.residue_ratio(lhs, rhs)
-    poly = lhs - rhs.scale(mu)
+    lhs_img = state.image_of(vec)
+    rhs_img = state.image_of(LN)
+    mu = state.model.residue_ratio(lhs_img, rhs_img)
+    # the ring form is for the zero test and the report; values come from
+    # the image
+    poly = state.poly_of(vec) - state.poly_of(LN).scale(mu)
+    image = lhs_img - rhs_img.scale(mu)
     if poly.is_zero():
         gamma = state.basis.zero()
     else:
-        gamma = state.model.nu(poly)
+        gamma = state.model.nu(image)
         if not gamma > value:
             raise InternalConsistencyError("creation failed to raise the value")
     state.t_chain.append(
         TJump(
             index=index,
             poly=poly,
+            image=image,
             gamma=gamma,
             parent=(i, vec),
             mu=mu,
@@ -353,8 +383,7 @@ def _process_position(state: JumpState, i: int) -> bool:
 def build_t_chain(state: JumpState) -> JumpState:
     """Process the whole second chain under the state's bounds."""
     if not state.t_chain:
-        z = LaurentPoly.variable(RING_VARS, "z")
-        state.t_chain.append(TJump(index=1, poly=z, gamma=state.model.nu(z)))
+        state.t_chain.append(TJump(1, *_seed(state.model, "z")))
     while state.t_cursor <= len(state.t_chain):
         stop = _process_position(state, state.t_cursor)
         state.t_cursor += 1

@@ -156,14 +156,19 @@ class LaurentPoly:
                 self.vars,
                 ((tuple(n * e for e in exp), Fraction(1) / (c ** (-n))),),
             )
-        result = LaurentPoly.constant(self.vars, 1)
+        if n == 0:
+            return LaurentPoly.constant(self.vars, 1)
+        # square and multiply, with no product by the constant 1 and no
+        # square past the top bit
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- substitution ----------------------------------------------------
 
@@ -183,23 +188,31 @@ class LaurentPoly:
         for img in images.values():
             if img.vars != target_vars:
                 raise ValueError("images live over different variables")
-        out = LaurentPoly.zero(target_vars)
+        # each image power is built once per call, and the terms' images
+        # are summed into one dict instead of one rebuilt sum per term
+        powers: dict[tuple[str, int], LaurentPoly] = {}
+        one = (((0,) * len(target_vars), Fraction(1)),)
+        raw: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self.terms:
-            term = LaurentPoly.constant(target_vars, c)
+            term = None
             for name, e in zip(self.vars, exp):
                 if e == 0:
                     continue
-                if name not in images:
-                    raise ValueError(f"no image for variable {name}")
-                img = images[name]
-                if e < 0 and not img.is_monomial():
-                    raise NonInvertibleSubstitution(
-                        f"variable {name} occurs with exponent {e} but its "
-                        "image is not a monomial"
-                    )
-                term = term * (img ** e)
-            out = out + term
-        return out
+                power = powers.get((name, e))
+                if power is None:
+                    if name not in images:
+                        raise ValueError(f"no image for variable {name}")
+                    img = images[name]
+                    if e < 0 and not img.is_monomial():
+                        raise NonInvertibleSubstitution(
+                            f"variable {name} occurs with exponent {e} but "
+                            "its image is not a monomial"
+                        )
+                    power = powers[(name, e)] = img ** e
+                term = power if term is None else term * power
+            for e, k in one if term is None else term.terms:
+                raw[e] = raw.get(e, Fraction(0)) + c * k
+        return LaurentPoly(target_vars, tuple(raw.items()))
 
     # -- text form ---------------------------------------------------------
 

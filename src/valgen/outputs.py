@@ -60,6 +60,9 @@ def _walk(rows, zero: Value, visit: Callable[[list, Value], bool]) -> None:
                 counts[k] -= 1
 
     extend(0, zero)
+    # extend refers to itself; dropping the name frees the walk's data now
+    # rather than at the next cyclic collection
+    del extend
 
 
 # -- valuation ideals ---------------------------------------------------------
@@ -213,10 +216,11 @@ def redundancy_certificate(
     hi = rec.gamma + value_slack
     pool = _mine_pool(state, target, lo, hi, degree_cap)
     combo: list[tuple[Fraction, PairVec]] = []
-    f = rec.poly
+    # the remainder in ring form, for the zero test, and in ambient form
+    f, g = rec.poly, rec.image
     prev = None
     while not f.is_zero():
-        val = state.model.nu(f)
+        val = state.model.nu(g)
         if prev is not None and not val > prev:
             raise InternalConsistencyError("rewrite failed to raise the value")
         prev = val
@@ -225,8 +229,10 @@ def redundancy_certificate(
         pick = pool.get(val)
         if pick is None:
             return RedundancyCertificate(target, "undecided")
-        mu = state.model.residue_ratio(f, state.poly_of(pick))
+        pick_img = state.image_of(pick)
+        mu = state.model.residue_ratio(g, pick_img)
         f = f - state.poly_of(pick).scale(mu)
+        g = g - pick_img.scale(mu)
         combo.append((mu, pick))
     return RedundancyCertificate(target, "certified", tuple(combo))
 

@@ -8,10 +8,15 @@ value, so the value of a nonzero polynomial is the minimum over its
 monomials and is attained exactly once.  That unique smallest monomial
 is the polynomial's initial term, and ratios of initial coefficients are
 the residues the chain construction divides by.
+
+Substitution is a ring homomorphism, so a build never expands a chain
+member: each chain record keeps its ambient image next to its ring form,
+and the image of a product of members is the product of their images.
+``expand`` itself keeps no cache.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -56,11 +61,6 @@ class ValuationModel:
     ambient_values: tuple[Value, ...]
     images: Mapping[str, LaurentPoly]
 
-    # expansion cache, left out of equality and hashing
-    _expand_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "ambient_vars", tuple(self.ambient_vars))
         object.__setattr__(self, "ambient_values", tuple(self.ambient_values))
@@ -79,7 +79,12 @@ class ValuationModel:
         return parse_polynomial(text, RING_VARS)
 
     def expand(self, f: LaurentPoly) -> LaurentPoly:
-        """Rewrite a polynomial in x, y, z as ambient coordinates."""
+        """Rewrite a polynomial in x, y, z as ambient coordinates.
+
+        An ambient polynomial is returned unchanged.  Nothing is cached:
+        builds pass the images kept on the chain records, so only ring
+        forms from outside a build are substituted here.
+        """
         if f.vars == self.ambient_vars:
             return f
         if f.vars != RING_VARS:
@@ -87,10 +92,7 @@ class ValuationModel:
                 f"expected variables {RING_VARS} or {self.ambient_vars}, "
                 f"got {f.vars}"
             )
-        got = self._expand_cache.get(f)
-        if got is None:
-            got = self._expand_cache[f] = f.substitute(self.images)
-        return got
+        return f.substitute(self.images)
 
     def monomial_value(self, exponents: tuple[int, ...]) -> Value:
         return combination(exponents, self.ambient_values, self.basis)

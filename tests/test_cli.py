@@ -140,6 +140,8 @@ def test_build_reports_config_errors(tmp_path, capsys):
         (lambda c: c.update(bounds={"d_coord_cap": True}), "bounds.d_coord_cap"),
         (lambda c: c.update(outputs={"redundancy_degree_cap": False}),
          "outputs.redundancy_degree_cap"),
+        (lambda c: c.update(basis=[1, 2.9, 3]), "basis[1]"),
+        (lambda c: c.update(basis=[True, 2, 3]), "basis[0]"),
     ],
 )
 def test_malformed_config_types_exit_2(tmp_path, mutate, key):

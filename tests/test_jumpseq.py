@@ -13,6 +13,8 @@ from valgen.jumpseq import (
     successors,
 )
 from valgen._golden import example_model
+from valgen.outputs import redundancy_survey
+from valgen.valmodel import RING_VARS
 
 from conftest import SECOND_CONFIG, make_second_model
 from test_valmodel import model_from
@@ -176,6 +178,33 @@ def test_polynomials_realize_their_values(state):
         assert state.model.nu(state.poly_of(vec)) == state.value_of(vec)
     v = PairVec((1, 2), (3,))
     assert state.poly_of(v) == state.model.ring_poly("x*y^2*z^3")
+
+
+@pytest.mark.parametrize("which", ["state", "second_state"])
+def test_images_are_expansions(request, which):
+    # substitution is a ring homomorphism, so every cached image must equal
+    # the expansion of the ring form it stands for
+    st = request.getfixturevalue(which)
+    model = st.model
+    for rec in st.p_chain + st.t_chain:
+        assert rec.poly.vars == RING_VARS
+        assert rec.image == model.expand(rec.poly)
+    vecs = {v for rec in st.t_chain if rec.D for v in rec.D.members}
+    vecs |= {rec.LN for rec in st.t_chain if rec.LN is not None}
+    survey = (
+        request.getfixturevalue("survey")
+        if which == "state"
+        else redundancy_survey(st)
+    )
+    for cert in survey.values():
+        if cert.status == "certified":
+            vecs |= {pick for _, pick in cert.combo}
+    if which == "state":
+        assert vecs
+    for v in vecs:
+        ring = st.poly_of(v)
+        assert ring.vars == RING_VARS
+        assert st.image_of(v) == model.expand(ring)
 
 
 def test_push_witnesses(state):
