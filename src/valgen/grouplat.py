@@ -21,7 +21,9 @@ one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     NotInGroupError,
     NotInSemigroupError,
 )
-from .values import Value, combination, int_vec_ratio_bound, int_vec_sign
+from .values import Value, combination
 
 # -- exponent vector pairs ---------------------------------------------
 
@@ -278,9 +280,17 @@ def lattice_solve(
 class SemigroupSolver:
     """Decides membership in the semigroup generated by positive values.
 
-    Failed subproblems are memoized, so repeated queries against the same
-    generators get cheaper over time; a chain state keeps one instance per
-    generator tuple for the length of its build.
+    A query is an integer program: nonnegative counts of the (integer
+    scaled) generator vectors summing to the target.  The search fixes the
+    counts one generator at a time.  Its one pruning rule is exact: what
+    is left must lie in the real cone of the generators not yet used.
+    For each suffix of the ordered generators ``normals`` holds integer
+    vectors h with h.g >= 0 on that suffix, enough to cut out its cone,
+    so a generator's count ranges exactly over the n that keep the rest
+    inside the next suffix's cone.  Failed subproblems are memoized; a
+    chain state keeps one instance per generator tuple for the length of
+    its build.  ``queries`` and ``nodes`` count calls of ``contains`` and
+    search nodes.
     """
 
     def __init__(self, gens: Sequence[Value]):
@@ -294,48 +304,77 @@ class SemigroupSolver:
             if g.sign() <= 0:
                 raise ValueError("semigroup generators must be positive")
         self.basis = basis
-        self.radicands = basis.radicands
-        self.dim = basis.dim
+        self.dim = dim = basis.dim
         self.scale = lcm(*(g.den for g in gens))
         vecs = {
             k: tuple(a * (self.scale // g.den) for a in g.nums)
             for k, g in enumerate(gens)
         }
         # spend scarce coordinates first: generators carrying a later
-        # radical sort ahead, so their counts are pinned by small integer
-        # budgets instead of loose value estimates
+        # radical sort ahead, so the suffix cones that bound the later
+        # counts span few radicals and pin them tightly
         self.order = sorted(
             range(len(gens)),
             key=lambda k: (tuple(reversed(vecs[k])), gens[k]),
             reverse=True,
         )
-        self.gvecs = [vecs[k] for k in self.order]
-        self.count = len(gens)
-        # suffix profiles: from each position on, is a coordinate left
-        # untouched by all remaining generators, or only ever lowered
-        untouched = [(True,) * self.dim] * (self.count + 1)
-        lowered_only = [(True,) * self.dim] * (self.count + 1)
-        for j in range(self.count - 1, -1, -1):
-            g = self.gvecs[j]
-            untouched[j] = tuple(
-                untouched[j + 1][r] and g[r] == 0 for r in range(self.dim)
-            )
-            lowered_only[j] = tuple(
-                lowered_only[j + 1][r] and g[r] >= 0 for r in range(self.dim)
-            )
-        self.suff_zero = untouched
-        self.suff_nonneg = lowered_only
+        self.gvecs = gvecs = [vecs[k] for k in self.order]
+        self.count = count = len(gens)
+        # normals[j]: the cofactor normals of every (dim-1)-subset of
+        # gvecs[j:] plus the unit vectors, each sign kept when it is >= 0
+        # on all of gvecs[j:].  With the unit vectors among the subsets the
+        # normals cut out the suffix's cone exactly, also when the cone is
+        # not full-dimensional.
+        units = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
+        valid: set[tuple[int, ...]] = set()
+        for sub in combinations(units, dim - 1):
+            h = _cofactor_normal(sub, dim)
+            valid |= {h, tuple(-x for x in h)}
+        # each normal is tested once: one rejected on a suffix fails on
+        # every longer suffix, one accepted stays in valid until rejected
+        tried = set(valid)
+        normals = [tuple(valid)]
+        for j in range(count - 1, -1, -1):
+            g = gvecs[j]
+            valid = {h for h in valid if _dot(h, g) >= 0}
+            rest = units + gvecs[j + 1 :]
+            subs = combinations(rest, dim - 2) if dim > 1 else ()
+            for sub in subs:
+                h = _cofactor_normal((g, *sub), dim)
+                if h is None or h in tried:
+                    continue
+                for cand in (h, tuple(-x for x in h)):
+                    tried.add(cand)
+                    if all(_dot(cand, x) >= 0 for x in gvecs[j:]):
+                        valid.add(cand)
+            normals.append(tuple(valid))
+        normals.reverse()
+        self.normals = normals
+        # per generator j, the next suffix's normals that see it: h.g > 0
+        # caps its count, h.g < 0 floors it.  A normal with h.g == 0 needs
+        # no check: it holds on rem - n*g whenever rem is in the cone of
+        # gvecs[j:], and the search only visits such rem.
+        self._steps = []
+        for j, g in enumerate(gvecs):
+            dots = [(h, _dot(h, g)) for h in normals[j + 1]]
+            self._steps.append([(h, d) for h, d in dots if d])
         self._fail: set[tuple[int, tuple[int, ...]]] = set()
+        self.queries = 0
+        self.nodes = 0
 
     def contains(self, alpha: Value) -> Optional[tuple[int, ...]]:
         """A witness exponent tuple over the original generator order, or None."""
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
+        self.queries += 1
         if self.scale % alpha.den:
             # every semigroup element has coordinates in (1/scale)Z
             return None
         up = self.scale // alpha.den
-        got = self._search(0, tuple(a * up for a in alpha.nums))
+        rem = tuple(a * up for a in alpha.nums)
+        if any(_dot(h, rem) < 0 for h in self.normals[0]):
+            return None
+        got = self._search(0, rem)
         if got is None:
             return None
         out = [0] * self.count
@@ -346,82 +385,60 @@ class SemigroupSolver:
     def _search(
         self, j: int, rem: tuple[int, ...]
     ) -> Optional[tuple[int, ...]]:
+        """Counts of gvecs[j:] summing to rem, which lies in their cone."""
+        self.nodes += 1
         if not any(rem):
             return (0,) * (self.count - j)
-        if j >= self.count:
-            return None
-        has_negative = False
-        szero = self.suff_zero[j]
-        snonneg = self.suff_nonneg[j]
-        for r in range(self.dim):
-            c = rem[r]
-            if c == 0:
-                continue
-            if szero[r]:
-                return None
-            if c < 0:
-                if snonneg[r]:
-                    return None
-                has_negative = True
-        if has_negative and int_vec_sign(rem, self.radicands) < 0:
-            return None
-        g = self.gvecs[j]
-        if j == self.count - 1:
-            # rem must be an exact nonnegative multiple of the last generator
-            n = None
-            for a, b in zip(rem, g):
-                if b == 0:
-                    if a != 0:
-                        return None
-                elif a % b:
-                    return None
-                else:
-                    k = a // b
-                    if n is None:
-                        n = k
-                    elif k != n:
-                        return None
-            if n is None or n < 0:
-                return None
-            return (n,)
         key = (j, rem)
         if key in self._fail:
             return None
-        nxt_zero = self.suff_zero[j + 1]
-        nxt_nonneg = self.suff_nonneg[j + 1]
         lo = 0
         hi: Optional[int] = None
-        for r in range(self.dim):
-            b = g[r]
-            if b == 0:
-                continue
-            if nxt_zero[r]:
-                # the last generator to touch this coordinate, so its
-                # count is forced exactly
-                if rem[r] % b:
-                    self._fail.add(key)
-                    return None
-                n = rem[r] // b
-                if n < 0:
-                    self._fail.add(key)
-                    return None
-                lo = hi = n
-                break
-            if b > 0 and nxt_nonneg[r]:
-                top = rem[r] // b
-                hi = top if hi is None else min(hi, top)
+        for h, d in self._steps[j]:
+            a = _dot(h, rem)
+            if d > 0:
+                if hi is None or a // d < hi:
+                    hi = a // d
+            elif -(-a // d) > lo:
+                lo = -(-a // d)
         if hi is None:
-            hi = int_vec_ratio_bound(rem, g, self.radicands)
-        if hi < lo:
-            self._fail.add(key)
-            return None
+            # the cone of gvecs[j+1:] holds no negative value, so some
+            # normal must cap the count of the positive generator j
+            raise InternalConsistencyError("no cone inequality caps a count")
+        g = self.gvecs[j]
         for n in range(hi, lo - 1, -1):
-            nxt = tuple(a - n * b for a, b in zip(rem, g))
-            got = self._search(j + 1, nxt)
+            got = self._search(j + 1, tuple(a - n * b for a, b in zip(rem, g)))
             if got is not None:
                 return (n,) + got
         self._fail.add(key)
         return None
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    return sum(
+        (-1) ** c * x * _det([r[:c] + r[c + 1 :] for r in rows[1:]])
+        for c, x in enumerate(rows[0])
+        if x
+    )
+
+
+def _cofactor_normal(
+    vecs: Sequence[tuple[int, ...]], dim: int
+) -> Optional[tuple[int, ...]]:
+    """The primitive h with h.x == det(x, *vecs) up to a positive factor,
+    a normal to the dim-1 given vectors; None when they are dependent."""
+    h = [
+        (-1) ** c * _det([v[:c] + v[c + 1 :] for v in vecs])
+        for c in range(dim)
+    ]
+    g = gcd(*h)
+    return tuple(x // g for x in h) if g else None
 
 
 def semigroup_contains(
@@ -697,11 +714,12 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
     a multiple t*s of the least group multiple s).  Within one layer
     (fixed t) the solution set is upward closed, so the layer's minimal
     points are mined by splitting the box into faces, testing each face
-    at its top corner with one membership query, and binary-searching a
-    hit down to a minimal point.  Layers are processed in increasing t;
-    a minimal point whose free part is all zero closes every later
-    layer.  The result is flagged incomplete unless every layer was
-    provably closed within the exploration caps.
+    at its top corner with one membership query, and lowering a hit to a
+    minimal point one coordinate at a time: a probe at 0 first, then a
+    binary search from 1 when the probe misses.  Layers are processed in
+    increasing t; a minimal point whose free part is all zero closes
+    every later layer.  The result is flagged incomplete unless every
+    layer was provably closed within the exploration caps.
     """
     rec = state.t_chain[i - 1]
     s, m = rec.s, rec.m
@@ -740,6 +758,14 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
         cur = list(corner)
         for j in range(n):
             lo, hi = 0, cur[j]
+            if hi:
+                # the layer's solutions are upward closed, so a hit at 0
+                # ends this coordinate and a miss moves the floor to 1
+                cur[j] = 0
+                if member(tuple(cur), layer):
+                    hi = 0
+                else:
+                    lo = 1
             while lo < hi:
                 mid = (lo + hi) // 2
                 cur[j] = mid

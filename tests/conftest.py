@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
@@ -11,7 +12,7 @@ from valgen import (
     parse_polynomial,
     redundancy_survey,
 )
-from valgen._golden import CONFIG, example_state
+from valgen._golden import CONFIG, example_bounds, example_model, example_state
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -21,6 +22,15 @@ settings.load_profile("suite")
 def state():
     """The fully built bundled worked example; shared, treat as read-only."""
     return example_state()
+
+
+@pytest.fixture(scope="session")
+def state_30():
+    """The worked example built with the value ceiling raised to 30."""
+    model = example_model()
+    ceiling = model.basis.rational(30)
+    bounds = replace(example_bounds(model.basis), max_value=ceiling)
+    return build_state(model, bounds=bounds)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from valgen import (
 )
 from valgen.grouplat import (
     SemigroupSolver,
+    _chain_generators,
     graded_key,
     irreducible_decompose,
     lattice_solve,
@@ -28,7 +30,23 @@ from valgen.values import combination
 
 import oracles
 
+B1 = RadicalBasis((1,))
 B2 = RadicalBasis((1, 2))
+B3 = RadicalBasis((1, 2, 51))
+# integer coordinates over (1, sqrt(2), sqrt(51)) of second-chain values of
+# the worked example; most have a negative rational part
+CHAIN_SHAPED = [
+    (-15, 0, 6),
+    (-5, 0, 2),
+    (-2, 0, 1),
+    (-3, 1, 1),
+    (-4, 3, 1),
+    (-6, 9, 0),
+    (-4, 5, 0),
+    (-1, 2, 0),
+    (0, 1, 0),
+    (1, 0, 0),
+]
 
 
 # -- vectors -----------------------------------------------------------------
@@ -249,6 +267,142 @@ def test_semigroup_solver_against_oracle():
             assert not naive_contains(target, gens)
         else:
             assert combination(got, gens, B2) == target
+
+
+def check_against_oracle(rng, pool, random_target, cap, rounds):
+    basis = cap.basis
+    hits = misses = 0
+    for _ in range(rounds):
+        gens = rng.sample(pool, rng.randint(1, min(5, len(pool))))
+        if rng.random() < 0.5:
+            counts = [rng.randint(0, 2) for _ in gens]
+            target = combination(counts, gens, basis)
+        else:
+            target = random_target()
+        if target.sign() < 0 or target > cap:
+            continue
+        got = SemigroupSolver(gens).contains(target)
+        if got is None:
+            assert not naive_contains(target, gens)
+            misses += 1
+        else:
+            assert combination(got, gens, basis) == target
+            hits += 1
+    assert hits >= rounds // 10 and misses >= rounds // 10
+
+
+def test_semigroup_solver_against_oracle_in_dim_1():
+    rng = random.Random(1)
+    pool = [
+        B1.rational(q) for q in (4, 5, 9, Fraction(7, 2), Fraction(3, 2), 6)
+    ]
+
+    def target():
+        return B1.rational(Fraction(rng.randint(0, 60), 2))
+
+    check_against_oracle(rng, pool, target, B1.rational(30), 300)
+
+
+def test_semigroup_solver_against_oracle_in_dim_3():
+    rng = random.Random(3)
+    pool = [B3.from_coeffs(v) for v in CHAIN_SHAPED]
+
+    def target():
+        return B3.from_coeffs(
+            (rng.randint(-12, 12), rng.randint(-4, 8), rng.randint(0, 2))
+        )
+
+    check_against_oracle(rng, pool, target, B3.rational(24), 300)
+
+
+def dot(h, g):
+    return sum(a * b for a, b in zip(h, g))
+
+
+def in_real_cone(p, gens):
+    """Caratheodory: p is a nonnegative combination of independent gens."""
+    if not any(p):
+        return True
+    dim = len(p)
+    for k in range(1, dim + 1):
+        for sub in combinations(gens, k):
+            for rows in combinations(range(dim), k):
+                m = [[g[r] for g in sub] for r in rows]
+                d = det(m)
+                if not d:
+                    continue
+                # Cramer's rule on the chosen rows
+                rhs = [p[r] for r in rows]
+                c = []
+                for i in range(k):
+                    mi = [row[:i] + [b] + row[i + 1 :] for row, b in zip(m, rhs)]
+                    c.append(Fraction(det(mi), d))
+                if min(c) >= 0 and all(
+                    sum(x * g[r] for x, g in zip(c, sub)) == p[r]
+                    for r in range(dim)
+                ):
+                    return True
+                break
+    return False
+
+
+def test_cone_normals_hold_on_their_suffix(state_30):
+    solvers = list(state_30._solvers.values()) + [
+        SemigroupSolver([B1.rational(3), B1.rational(Fraction(5, 2))]),
+        SemigroupSolver([B2.root(2), B2.rational(3) - B2.root(2)]),
+        SemigroupSolver([B3.from_coeffs(v) for v in CHAIN_SHAPED]),
+    ]
+    for sol in solvers:
+        assert len(sol.normals) == sol.count + 1
+        for j, normals in enumerate(sol.normals):
+            assert normals
+            for h in normals:
+                assert all(dot(h, g) >= 0 for g in sol.gvecs[j:])
+        # the empty suffix's cone is the origin
+        dim = sol.dim
+        units = {tuple(int(r == c) for c in range(dim)) for r in range(dim)}
+        negated = {tuple(-x for x in u) for u in units}
+        assert set(sol.normals[-1]) == units | negated
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        CHAIN_SHAPED[3:],
+        [(-6, 9, 0), (-1, 2, 0), (1, 0, 0)],  # a flat cone
+        [(-4, 3, 1)],  # a ray
+    ],
+)
+def test_cone_normals_cut_out_the_suffix_cone(vecs):
+    sol = SemigroupSolver([B3.from_coeffs(v) for v in vecs])
+    steps = list(product((-1, 0, 1), repeat=3))
+    near = [tuple(a + b for a, b in zip(g, e)) for g in vecs for e in steps]
+    points = set(product(range(-2, 3), repeat=3)) | set(near)
+    for j in range(sol.count + 1):
+        for p in points:
+            inside = all(dot(h, p) >= 0 for h in sol.normals[j])
+            assert inside == in_real_cone(p, sol.gvecs[j:]), (j, p)
+
+
+def test_semigroup_solver_finds_deep_witnesses(state_30):
+    # a face corner from the search at position 31: a hit far out in the
+    # semigroup of 25 generators, found within a small node budget
+    sol = state_30.semigroup_solver(2, 30)
+    assert sol.count == 25
+    gens = _chain_generators(state_30, 2, 30)[0]
+    target = parse_value("3442*sqrt(2) + 289*sqrt(51) - 3139", state_30.basis)
+    before = sol.nodes
+    got = sol.contains(target)
+    assert got is not None
+    assert combination(got, gens, state_30.basis) == target
+    assert sol.nodes - before <= 1000
+
+
+def test_example_build_search_stays_small(state):
+    solvers = state._solvers.values()
+    assert sum(s.nodes for s in solvers) <= 100_000
+    # the build alone makes 697 queries; other tests may add some
+    assert sum(s.queries for s in solvers) >= 697
 
 
 def test_solvers_are_cached_per_build(second_model, second_state):

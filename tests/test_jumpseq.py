@@ -241,3 +241,28 @@ def test_build_t_chain_is_idempotent(state):
     before = len(state.t_chain)
     build_t_chain(state)
     assert len(state.t_chain) == before
+
+
+def test_raising_the_value_ceiling_keeps_the_rows_below_it(state, state_30):
+    # (gamma, s, m, sorted D-member values, D.complete), compared as sets:
+    # the higher ceiling processes more positions, so it also creates more
+    # zero members, and in another order
+    def rows(st, cap):
+        return set(
+            (
+                rec.gamma,
+                rec.s,
+                rec.m,
+                tuple(sorted(st.value_of(v) for v in rec.D.members)),
+                rec.D.complete,
+            )
+            for rec in st.t_chain
+            if rec.status == "ok" and rec.gamma <= cap
+        )
+
+    cap = state.bounds.max_value
+    assert cap == state.basis.rational(20)
+    assert not state_30.flags.skipped
+    low = rows(state, cap)
+    assert len(low) == 19
+    assert rows(state_30, cap) == low
