@@ -13,8 +13,9 @@ semigroup they generate:
 Several functions take a chain state argument.  They only use a small
 surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
 ``t_chain`` records with ``gamma``/``s``/``m``/``status``, the obstacle
-set ``T_set``, plus the helper methods ``m_at``, ``value_of``,
-``value_of_raw``, ``semigroup_solver`` and ``push_witness``.  The concrete class lives in
+set ``T_set``, the radical ``basis``, the search ``bounds``, plus the
+helper methods ``m_at``, ``value_of``, ``value_of_raw``,
+``semigroup_solver`` and ``push_witness``.  The concrete class lives in
 jumpseq; keeping these functions here keeps all lattice reasoning in
 one place.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     InternalConsistencyError,
@@ -282,15 +283,18 @@ class SemigroupSolver:
 
     A query is an integer program: nonnegative counts of the (integer
     scaled) generator vectors summing to the target.  The search fixes the
-    counts one generator at a time.  Its one pruning rule is exact: what
-    is left must lie in the real cone of the generators not yet used.
-    For each suffix of the ordered generators ``normals`` holds integer
-    vectors h with h.g >= 0 on that suffix, enough to cut out its cone,
-    so a generator's count ranges exactly over the n that keep the rest
-    inside the next suffix's cone.  Failed subproblems are memoized; a
-    chain state keeps one instance per generator tuple for the length of
-    its build.  ``queries`` and ``nodes`` count calls of ``contains`` and
-    search nodes.
+    counts one generator at a time, each from its largest feasible value
+    down.  Its one pruning rule is exact: what is left must lie in the
+    real cone of the generators not yet used.  For each suffix of the
+    ordered generators ``normals`` holds integer vectors h with h.g >= 0
+    on that suffix, enough to cut out its cone, so a generator's count
+    ranges exactly over the n that keep the rest inside the next suffix's
+    cone.  ``solutions`` enumerates every solution in that order and
+    ``contains`` takes the first.  A subproblem searched to the end
+    without a solution is memoized as failed; a chain state keeps one
+    instance per generator tuple for the length of its build.
+    ``queries`` and ``nodes`` count calls of ``contains`` and search
+    nodes.
     """
 
     def __init__(self, gens: Sequence[Value]):
@@ -364,34 +368,42 @@ class SemigroupSolver:
 
     def contains(self, alpha: Value) -> Optional[tuple[int, ...]]:
         """A witness exponent tuple over the original generator order, or None."""
+        self.queries += 1
+        return next(self.solutions(alpha), None)
+
+    def solutions(self, alpha: Value) -> Iterator[tuple[int, ...]]:
+        """Every nonnegative solution, over the original generator order.
+
+        They come in search order, so the first is the witness of
+        ``contains``; each is yielded once.
+        """
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
-        self.queries += 1
         if self.scale % alpha.den:
             # every semigroup element has coordinates in (1/scale)Z
-            return None
+            return
         up = self.scale // alpha.den
         rem = tuple(a * up for a in alpha.nums)
         if any(_dot(h, rem) < 0 for h in self.normals[0]):
-            return None
-        got = self._search(0, rem)
-        if got is None:
-            return None
-        out = [0] * self.count
-        for pos, k in enumerate(self.order):
-            out[k] = got[pos]
-        return tuple(out)
+            return
+        for got in self._counts(0, rem):
+            out = [0] * self.count
+            for pos, k in enumerate(self.order):
+                out[k] = got[pos]
+            yield tuple(out)
 
-    def _search(
+    def _counts(
         self, j: int, rem: tuple[int, ...]
-    ) -> Optional[tuple[int, ...]]:
+    ) -> Iterator[tuple[int, ...]]:
         """Counts of gvecs[j:] summing to rem, which lies in their cone."""
         self.nodes += 1
         if not any(rem):
-            return (0,) * (self.count - j)
+            # positive generators: only the zero counts sum to zero
+            yield (0,) * (self.count - j)
+            return
         key = (j, rem)
         if key in self._fail:
-            return None
+            return
         lo = 0
         hi: Optional[int] = None
         for h, d in self._steps[j]:
@@ -406,12 +418,16 @@ class SemigroupSolver:
             # normal must cap the count of the positive generator j
             raise InternalConsistencyError("no cone inequality caps a count")
         g = self.gvecs[j]
+        found = False
         for n in range(hi, lo - 1, -1):
-            got = self._search(j + 1, tuple(a - n * b for a, b in zip(rem, g)))
-            if got is not None:
-                return (n,) + got
-        self._fail.add(key)
-        return None
+            sub = tuple(a - n * b for a, b in zip(rem, g))
+            for got in self._counts(j + 1, sub):
+                found = True
+                yield (n,) + got
+        # only a subtree searched to the end without a solution is a
+        # failure; a caller that stops early never reaches this line
+        if not found:
+            self._fail.add(key)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -13,7 +13,12 @@ from operator import mul
 from typing import Callable, Optional
 
 from .errors import InternalConsistencyError
-from .grouplat import PairVec, graded_key, minimal_semigroup_generators
+from .grouplat import (
+    PairVec,
+    SemigroupSolver,
+    graded_key,
+    minimal_semigroup_generators,
+)
 from .jumpseq import JumpState
 from .laurent import LaurentPoly
 from .values import Value
@@ -134,62 +139,6 @@ class RedundancyCertificate:
     combo: Optional[tuple[tuple[Fraction, PairVec], ...]] = None
 
 
-def _mine_pool(
-    state: JumpState,
-    skip_t: int,
-    lo: Value,
-    hi: Value,
-    degree_cap: int,
-) -> dict[Value, PairVec]:
-    """Irreducible monomials with value in [lo, hi], cheapest per value."""
-    # a weight-one blocking vector removes its position from the walk; a
-    # blocking vector that needs a position outside the walk never fires
-    supports = []
-    for vec in state.T_set.vectors():
-        sup = [(("p", pos + 1), c) for pos, c in enumerate(vec.p) if c]
-        sup += [(("t", pos + 1), c) for pos, c in enumerate(vec.t) if c]
-        supports.append(sup)
-    killed = {sup[0][0] for sup in supports if len(sup) == 1 and sup[0][1] == 1}
-    rows = [
-        r for r in _coordinates(state, skip_t=skip_t) if r[:2] not in killed
-    ]
-    at = {(kind, idx): k for k, (kind, idx, _) in enumerate(rows)}
-    blockers = [
-        tuple((at[key], c) for key, c in sup)
-        for sup in supports
-        if all(key in at for key, _ in sup)
-    ]
-    degs = []
-    for kind, idx, _ in rows:
-        rec = (
-            state.p_chain[idx - 1] if kind == "p" else state.t_chain[idx - 1]
-        )
-        d = rec.poly.total_degree()
-        if d is None:
-            raise InternalConsistencyError("zero member in coordinate rows")
-        degs.append(d)
-    plen = len(state.p_chain)
-    tlen = len(state.t_chain)
-    pool: dict[Value, PairVec] = {}
-
-    def visit(counts: list, value: Value) -> bool:
-        if value > hi or sum(map(mul, counts, degs)) > degree_cap:
-            return False
-        if any(all(counts[k] >= c for k, c in sup) for sup in blockers):
-            return False
-        if lo <= value:
-            vec = _vec_of(state, rows, counts)
-            old = pool.get(value)
-            if old is None or graded_key(vec, plen, tlen) < graded_key(
-                old, plen, tlen
-            ):
-                pool[value] = vec
-        return True
-
-    _walk(rows, state.basis.zero(), visit)
-    return pool
-
-
 def redundancy_certificate(
     state: JumpState,
     target: int,
@@ -212,9 +161,33 @@ def redundancy_certificate(
         return RedundancyCertificate(target, "not_eligible")
     if value_slack is None:
         value_slack = 5 * state.p_chain[0].beta
-    lo = rec.gamma
     hi = rec.gamma + value_slack
-    pool = _mine_pool(state, target, lo, hi, degree_cap)
+    rows = _coordinates(state, skip_t=target)
+    degs = []
+    for kind, idx, _ in rows:
+        chain = state.p_chain if kind == "p" else state.t_chain
+        d = chain[idx - 1].poly.total_degree()
+        if d is None:
+            raise InternalConsistencyError("zero member in coordinate rows")
+        degs.append(d)
+    lookup = SemigroupSolver([val for _, _, val in rows])
+    plen = len(state.p_chain)
+    tlen = len(state.t_chain)
+
+    def cheapest(val: Value) -> Optional[PairVec]:
+        """The graded-least irreducible monomial of value val and degree
+        at most degree_cap, or None."""
+        vecs = (
+            _vec_of(state, rows, counts)
+            for counts in lookup.solutions(val)
+            if sum(map(mul, counts, degs)) <= degree_cap
+        )
+        return min(
+            (vec for vec in vecs if state.T_set.irreducible(vec)),
+            key=lambda vec: graded_key(vec, plen, tlen),
+            default=None,
+        )
+
     combo: list[tuple[Fraction, PairVec]] = []
     # the remainder in ring form, for the zero test, and in ambient form
     f, g = rec.poly, rec.image
@@ -226,7 +199,7 @@ def redundancy_certificate(
         prev = val
         if val > hi:
             return RedundancyCertificate(target, "undecided")
-        pick = pool.get(val)
+        pick = cheapest(val)
         if pick is None:
             return RedundancyCertificate(target, "undecided")
         pick_img = state.image_of(pick)

@@ -14,7 +14,6 @@ makes equality a syntactic check, while comparisons reduce to the sign of
 a difference.  One integer routine, ``int_vec_sign``, decides that sign
 for every caller: it refines integer enclosures of each sqrt(r_k)
 (``int_vec_bounds``) until the interval for the whole sum excludes zero.
-The semigroup search in ``grouplat`` calls it on its own integer vectors.
 No floating point is involved anywhere.
 """
 from __future__ import annotations
@@ -358,11 +357,16 @@ def combination(
     coeffs: Sequence[int], values: Sequence[Value], basis: RadicalBasis
 ) -> Value:
     """Integer combination sum(c_k * v_k), empty sum giving zero."""
-    acc = basis.zero()
-    for c, v in zip(coeffs, values):
-        if c:
-            acc = acc + c * v
-    return acc
+    terms = [(c, v) for c, v in zip(coeffs, values) if c]
+    if any(v.basis != basis for _, v in terms):
+        raise ValueError("values carry different radical bases")
+    den = lcm(*(v.den for _, v in terms))
+    nums = [0] * basis.dim
+    for c, v in terms:
+        c *= den // v.den
+        for k, a in enumerate(v.nums):
+            nums[k] += c * a
+    return Value(basis, tuple(nums), den)
 
 
 # -- parsing -----------------------------------------------------------

@@ -39,6 +39,11 @@ def survey(state):
 
 
 @pytest.fixture(scope="session")
+def survey_30(state_30):
+    return redundancy_survey(state_30)
+
+
+@pytest.fixture(scope="session")
 def detail(state, survey):
     return generating_sequence_detail(state, survey=survey)
 

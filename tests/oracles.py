@@ -54,6 +54,59 @@ def vectors_up_to(state, cap):
     return out
 
 
+def survey_pick(pairs, state, skip_t, val, degree_cap):
+    """The monomial a redundancy rewrite of member skip_t uses at value val.
+
+    pairs is a vectors_up_to(state, cap) enumeration with cap >= val.
+    Among its vectors of value val that leave out member skip_t, have
+    polynomial degree at most degree_cap and sit above no vector of
+    state.T_set, the least by total weight and then by the exponents
+    padded to full chain length; None when there is none.
+    """
+    n_p = len(state.p_chain)
+    n_t = len(state.t_chain)
+
+    def degree(vec):
+        recs = [*zip(vec.p, state.p_chain), *zip(vec.t, state.t_chain)]
+        return sum(c * r.poly.total_degree() for c, r in recs if c)
+
+    def key(vec):
+        padded = [vec.p_at(j) for j in range(1, n_p + 1)]
+        padded += [vec.t_at(j) for j in range(1, n_t + 1)]
+        return (sum(padded), padded)
+
+    fits = [
+        vec
+        for vec, total in pairs
+        if total == val
+        and vec.t_at(skip_t) == 0
+        and degree(vec) <= degree_cap
+        and state.T_set.irreducible(vec)
+    ]
+    return min(fits, key=key, default=None)
+
+
+def naive_solutions(target, gens):
+    """Every count tuple c >= 0 with sum(c_k*gens_k) == target, by plain
+    nested counting over the positive generators."""
+    out = []
+
+    def rec(k, counts, acc):
+        if k == len(gens):
+            if acc == target:
+                out.append(tuple(counts))
+            return
+        c = 0
+        total = acc
+        while total <= target:
+            rec(k + 1, counts + [c], total)
+            c += 1
+            total = total + gens[k]
+
+    rec(0, [], target.basis.zero())
+    return out
+
+
 def minimal_vectors(pairs):
     """The domination-minimal PairVecs among (vec, value) pairs."""
     vecs = [vec for vec, _ in pairs]

@@ -281,13 +281,19 @@ def check_against_oracle(rng, pool, random_target, cap, rounds):
             target = random_target()
         if target.sign() < 0 or target > cap:
             continue
-        got = SemigroupSolver(gens).contains(target)
+        solver = SemigroupSolver(gens)
+        got = solver.contains(target)
         if got is None:
             assert not naive_contains(target, gens)
             misses += 1
         else:
             assert combination(got, gens, basis) == target
             hits += 1
+        # enumeration on the same solver also runs against its failure memo
+        every = list(solver.solutions(target))
+        assert len(set(every)) == len(every)
+        assert sorted(every) == sorted(oracles.naive_solutions(target, gens))
+        assert got == (every[0] if every else None)
     assert hits >= rounds // 10 and misses >= rounds // 10
 
 

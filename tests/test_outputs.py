@@ -106,8 +106,17 @@ def test_certificate_statuses(survey):
     }
 
 
-def test_certificates_reverify_as_identities(state, survey):
+BUILDS = pytest.mark.parametrize(
+    "which",
+    [("state", "survey"), ("state_30", "survey_30")],
+    ids=["state", "state_30"],
+)
+
+
+@BUILDS
+def test_certificates_reverify_as_identities(request, which):
     # each combination literally rebuilds the member polynomial
+    state, survey = map(request.getfixturevalue, which)
     for j, cert in survey.items():
         if cert.status != "certified":
             continue
@@ -119,7 +128,9 @@ def test_certificates_reverify_as_identities(state, survey):
         assert total == rec.poly, f"member {j}"
 
 
-def test_certificate_combos_are_triangular(state, survey):
+@BUILDS
+def test_certificate_combos_are_triangular(request, which):
+    state, survey = map(request.getfixturevalue, which)
     for j, cert in survey.items():
         if cert.status != "certified":
             continue
@@ -141,6 +152,36 @@ def test_single_certificates_match_survey(state, survey):
     assert redundancy_certificate(state, 3).status == "not_eligible"
     with pytest.raises(ValueError):
         redundancy_certificate(state, 99)
+
+
+@pytest.fixture(scope="module")
+def up_to_17(state):
+    return oracles.vectors_up_to(state, state.basis.rational(17))
+
+
+@pytest.mark.parametrize(
+    "degree_cap, certified",
+    [(40, [5, 6, 7, 10, 13, 14, 15, 20, 21]), (6, [5, 6, 7, 10, 13])],
+    ids=["40", "6"],
+)
+def test_survey_picks_match_brute_force(
+    state, up_to_17, degree_cap, certified
+):
+    ceiling = state.basis.rational(17)
+    slack = 5 * state.p_chain[0].beta
+    checked = []
+    for j, rec in enumerate(state.t_chain, 1):
+        if rec.gamma + slack >= ceiling:
+            continue
+        cert = redundancy_certificate(state, j, degree_cap=degree_cap)
+        if cert.status != "certified":
+            continue
+        checked.append(j)
+        for _, vec in cert.combo:
+            val = state.value_of(vec)
+            want = oracles.survey_pick(up_to_17, state, j, val, degree_cap)
+            assert vec == want, f"member {j} at {val}"
+    assert checked == certified
 
 
 def test_tight_window_reports_undecided(state):

@@ -92,8 +92,14 @@ def test_canonical_form():
         Value(B, (1, 2), 1)
 
 
-@given(coeff_vectors, coeff_vectors, small_fraction)
-def test_arithmetic_matches_fractions(ca, cb, q):
+small_counts = st.tuples(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+)
+
+
+@given(coeff_vectors, coeff_vectors, small_fraction, small_counts)
+def test_arithmetic_matches_fractions(ca, cb, q, counts):
     a = B.from_coeffs(ca)
     b = B.from_coeffs(cb)
     fa, fb = a.coeffs, b.coeffs
@@ -103,6 +109,10 @@ def test_arithmetic_matches_fractions(ca, cb, q):
     assert (a * q).coeffs == tuple(x * q for x in fa)
     n = q.numerator
     assert (a * n).coeffs == tuple(x * n for x in fa)
+    m, k = counts
+    assert combination(counts, [a, b], B).coeffs == tuple(
+        m * x + k * y for x, y in zip(fa, fb)
+    )
 
 
 def test_sign_known_cases():
@@ -239,3 +249,5 @@ def test_module_level_helpers():
     b = B.root(2)
     assert combination((2, 1), [a, b], B) == B.rational(2) + b
     assert combination((), [], B).is_zero()
+    with pytest.raises(ValueError):
+        combination((1, 1), [a, RadicalBasis((1, 2)).root(2)], B)
