@@ -6,6 +6,13 @@ may be negative; coefficients are nonzero Fractions.  The term order is
 descending lexicographic on the exponent vector, which fixes a canonical
 form, so equality and hashing are structural.
 
+The public constructor checks and normalizes what it is given.  The
+arithmetic operators start from canonical operands, so they build their
+results through ``_from_raw``, which only drops zero terms and sorts.  A
+product runs on plain integers: each operand's coefficients become integer
+numerators over that operand's common denominator, and one Fraction is
+made per result term.
+
 Variable names follow the usual identifier rules but may also contain
 apostrophes after the first character, so a primed coordinate like z'
 is a single variable.
@@ -14,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import NonInvertibleSubstitution, ParseError
@@ -22,15 +31,24 @@ Rational = Union[int, Fraction]
 Term = tuple[tuple[int, ...], Fraction]
 
 
-def _canonical(
-    vars_: tuple[str, ...], raw: Mapping[tuple[int, ...], Fraction]
-) -> tuple[Term, ...]:
-    terms = [(exp, c) for exp, c in raw.items() if c != 0]
-    for exp, _ in terms:
-        if len(exp) != len(vars_):
-            raise ValueError("exponent length does not match variables")
-    terms.sort(key=lambda t: t[0], reverse=True)
+_EXPONENTS = itemgetter(0)
+
+
+def _sorted_terms(raw: Mapping[tuple[int, ...], Fraction]) -> tuple[Term, ...]:
+    """The nonzero entries of raw in descending exponent order."""
+    terms = [(exp, c) for exp, c in raw.items() if c]
+    terms.sort(key=_EXPONENTS, reverse=True)
     return tuple(terms)
+
+
+def _numerators(
+    terms: tuple[Term, ...]
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """The terms' common denominator and their integer numerators over it."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, [
+        (exp, c.numerator * (den // c.denominator)) for exp, c in terms
+    ]
 
 
 @dataclass(frozen=True)
@@ -39,17 +57,38 @@ class LaurentPoly:
     terms: tuple[Term, ...]
 
     # Construction goes through the classmethods below; __post_init__
-    # only normalizes what it is given.
+    # checks and normalizes what it is given.
     def __post_init__(self) -> None:
         vars_ = tuple(self.vars)
         if len(set(vars_)) != len(vars_):
             raise ValueError("duplicate variable names")
         raw: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self.terms:
-            e = tuple(int(x) for x in exp)
+            e = tuple(exp)
+            if len(e) != len(vars_):
+                raise ValueError("exponent length does not match variables")
+            # a float would be truncated or turned into a binary fraction
+            if not all(type(x) is not bool and isinstance(x, int) for x in e):
+                raise TypeError(f"exponents must be integers, got {e!r}")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"coefficients must be int or Fraction, got {c!r}"
+                )
             raw[e] = raw.get(e, Fraction(0)) + Fraction(c)
         object.__setattr__(self, "vars", vars_)
-        object.__setattr__(self, "terms", _canonical(vars_, raw))
+        object.__setattr__(self, "terms", _sorted_terms(raw))
+
+    @classmethod
+    def _from_raw(
+        cls, vars_: tuple[str, ...], raw: Mapping[tuple[int, ...], Fraction]
+    ) -> "LaurentPoly":
+        """A polynomial from checked exponent tuples and Fraction
+        coefficients, as the operators make them from canonical operands:
+        zero terms are dropped and the rest sorted, nothing is re-checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "vars", vars_)
+        object.__setattr__(out, "terms", _sorted_terms(raw))
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -60,7 +99,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, vars_: Sequence[str], c: Rational) -> "LaurentPoly":
         v = tuple(vars_)
-        return cls(v, (((0,) * len(v), Fraction(c)),))
+        return cls(v, (((0,) * len(v), c),))
 
     @classmethod
     def monomial(
@@ -69,8 +108,7 @@ class LaurentPoly:
         exponents: Sequence[int],
         coeff: Rational = 1,
     ) -> "LaurentPoly":
-        v = tuple(vars_)
-        return cls(v, ((tuple(int(e) for e in exponents), Fraction(coeff)),))
+        return cls(tuple(vars_), ((tuple(exponents), coeff),))
 
     @classmethod
     def variable(cls, vars_: Sequence[str], name: str) -> "LaurentPoly":
@@ -113,35 +151,46 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_vars(other)
-        raw = {exp: c for exp, c in self.terms}
+        raw = dict(self.terms)
         for exp, c in other.terms:
-            raw[exp] = raw.get(exp, Fraction(0)) + c
-        return LaurentPoly(self.vars, tuple(raw.items()))
+            raw[exp] = raw.get(exp, 0) + c
+        return self._from_raw(self.vars, raw)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        self._check_vars(other)
+        raw = dict(self.terms)
+        for exp, c in other.terms:
+            raw[exp] = raw.get(exp, 0) - c
+        return self._from_raw(self.vars, raw)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, tuple((e, -c) for e, c in self.terms))
+        return self._from_raw(self.vars, {e: -c for e, c in self.terms})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_vars(other)
-        raw: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                raw[key] = raw.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.vars, tuple(raw.items()))
+        d1, t1 = _numerators(self.terms)
+        d2, t2 = _numerators(other.terms)
+        raw: dict[tuple[int, ...], int] = {}
+        get = raw.get
+        for e1, n1 in t1:
+            for e2, n2 in t2:
+                key = tuple(map(add, e1, e2))
+                raw[key] = get(key, 0) + n1 * n2
+        den = d1 * d2
+        return self._from_raw(
+            self.vars, {e: Fraction(n, den) for e, n in raw.items() if n}
+        )
 
     def scale(self, c: Rational) -> "LaurentPoly":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"scalars must be int or Fraction, got {c!r}")
         if c == 0:
             return LaurentPoly.zero(self.vars)
-        return LaurentPoly(self.vars, tuple((e, k * c) for e, k in self.terms))
+        return self._from_raw(self.vars, {e: k * c for e, k in self.terms})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
@@ -211,8 +260,8 @@ class LaurentPoly:
                     power = powers[(name, e)] = img ** e
                 term = power if term is None else term * power
             for e, k in one if term is None else term.terms:
-                raw[e] = raw.get(e, Fraction(0)) + c * k
-        return LaurentPoly(target_vars, tuple(raw.items()))
+                raw[e] = raw.get(e, 0) + c * k
+        return self._from_raw(target_vars, raw)
 
     # -- text form ---------------------------------------------------------
 

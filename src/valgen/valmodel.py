@@ -9,6 +9,12 @@ monomials and is attained exactly once.  That unique smallest monomial
 is the polynomial's initial term, and ratios of initial coefficients are
 the residues the chain construction divides by.
 
+The model keeps its ambient values once more, as integer numerator
+columns over one common denominator.  The value of a monomial is then a
+few integer dot products, and ``nu`` and ``initial_term`` share one scan
+that keeps the running minimum as integer numerators, compares with
+``int_vec_sign`` and builds a single Value, for the result.
+
 Substitution is a ring homomorphism, so a build never expands a chain
 member: each chain record keeps its ambient image next to its ring form,
 and the image of a product of members is the product of their images.
@@ -16,8 +22,10 @@ and the image of a product of members is the product of their images.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul, sub
 from typing import Mapping
 
 from .errors import (
@@ -26,7 +34,7 @@ from .errors import (
     ValuationOfZeroError,
 )
 from .laurent import LaurentPoly
-from .values import RadicalBasis, Value, combination
+from .values import RadicalBasis, Value, int_vec_sign
 
 RING_VARS = ("x", "y", "z")
 
@@ -60,6 +68,13 @@ class ValuationModel:
     ambient_vars: tuple[str, ...]
     ambient_values: tuple[Value, ...]
     images: Mapping[str, LaurentPoly]
+    # the ambient values as integer numerators over _den, one tuple per
+    # basis radical with one entry per ambient variable; None when some
+    # value carries another basis (validate_model reports that)
+    _den: int = field(init=False, repr=False, compare=False)
+    _columns: tuple[tuple[int, ...], ...] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ambient_vars", tuple(self.ambient_vars))
@@ -67,6 +82,15 @@ class ValuationModel:
         object.__setattr__(self, "images", dict(self.images))
         if len(self.ambient_vars) != len(self.ambient_values):
             raise ValueError("one value per ambient variable, please")
+        values = self.ambient_values
+        den = lcm(*(v.den for v in values))
+        columns = None
+        if all(v.basis == self.basis for v in values):
+            columns = tuple(zip(*(
+                tuple(a * (den // v.den) for a in v.nums) for v in values
+            )))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_columns", columns)
 
     def __hash__(self) -> int:
         return hash((self.basis, self.ambient_vars, self.ambient_values))
@@ -94,45 +118,52 @@ class ValuationModel:
             )
         return f.substitute(self.images)
 
+    def _numerators(self, exponents: tuple[int, ...]) -> tuple[int, ...]:
+        """The value of an ambient monomial as integer numerators over _den."""
+        if self._columns is None:
+            raise ValueError("values carry different radical bases")
+        return tuple(sum(map(mul, exponents, col)) for col in self._columns)
+
     def monomial_value(self, exponents: tuple[int, ...]) -> Value:
-        return combination(exponents, self.ambient_values, self.basis)
+        return Value(self.basis, self._numerators(exponents), self._den)
 
     # -- the valuation ------------------------------------------------
+
+    def _scan(self, g: LaurentPoly) -> tuple[int, tuple[int, ...], bool]:
+        """Position of the smallest-value term of a nonzero ambient g, the
+        numerators of its value over _den, and whether another term ties
+        with it."""
+        radicands = self.basis.radicands
+        at, best, tied = 0, self._numerators(g.terms[0][0]), False
+        for i, (exp, _) in enumerate(g.terms[1:], 1):
+            nums = self._numerators(exp)
+            s = int_vec_sign(tuple(map(sub, nums, best)), radicands)
+            if s < 0:
+                at, best, tied = i, nums, False
+            elif s == 0:
+                tied = True
+        return at, best, tied
 
     def nu(self, f: LaurentPoly) -> Value:
         """The value of a nonzero polynomial: min over its ambient monomials."""
         g = self.expand(f)
         if g.is_zero():
             raise ValuationOfZeroError("the zero polynomial has no value")
-        best = None
-        for exp, _ in g.terms:
-            v = self.monomial_value(exp)
-            if best is None or v < best:
-                best = v
-        return best
+        _, nums, _ = self._scan(g)
+        return Value(self.basis, nums, self._den)
 
     def initial_term(self, f: LaurentPoly) -> LaurentPoly:
         """The unique smallest-value ambient monomial of f, with coefficient."""
         g = self.expand(f)
         if g.is_zero():
             raise ValuationOfZeroError("the zero polynomial has no initial term")
-        best = None
-        best_term = None
-        tied = False
-        for exp, c in g.terms:
-            v = self.monomial_value(exp)
-            if best is None or v < best:
-                best = v
-                best_term = (exp, c)
-                tied = False
-            elif v == best:
-                tied = True
+        at, _, tied = self._scan(g)
         if tied:
             # impossible when ambient values are linearly independent
             raise InternalConsistencyError(
                 "two ambient monomials share the minimal value"
             )
-        return LaurentPoly(self.ambient_vars, (best_term,))
+        return LaurentPoly(self.ambient_vars, (g.terms[at],))
 
     def residue_ratio(self, f: LaurentPoly, g: LaurentPoly) -> Fraction:
         """Ratio of initial coefficients of two polynomials of equal value."""

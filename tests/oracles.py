@@ -5,7 +5,33 @@ the package beyond exact value arithmetic, so it can serve as an
 independent oracle for the search code.
 """
 
+from fractions import Fraction
+
 from valgen import PairVec
+
+
+def naive_poly_mul(terms1, terms2):
+    """The product of two polynomials given as (exponents, coefficient)
+    pairs: a dict of its nonzero coefficients, summed as Fractions."""
+    out = {}
+    for e1, c1 in terms1:
+        for e2, c2 in terms2:
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
+def least_terms(terms, values, zero):
+    """The least value of sum(e_k * values_k) over the exponents of terms,
+    by Value sums and compares, and every term that attains it."""
+    scored = []
+    for exp, c in terms:
+        v = zero
+        for e, val in zip(exp, values):
+            v = v + val * e
+        scored.append((v, (exp, c)))
+    least = min(v for v, _ in scored)
+    return least, [t for v, t in scored if v == least]
 
 
 def chain_rows(state):

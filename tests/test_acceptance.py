@@ -386,6 +386,31 @@ def test_reports_are_byte_identical(example_config, tmp_path, announce):
     announce("two full builds emit byte-identical, schema-valid reports")
 
 
+def test_complete_construction_report_is_pinned(announce):
+    # at ceiling 30 the second chain ends by itself, at 35 members, and its
+    # residue scalars include 3 and -2, so the report covers products
+    # scaled by non-unit scalars
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "valgen.cli",
+            "build",
+            "--config",
+            str(ROOT / "perfbench" / "configs" / "example.json"),
+            "--max-value",
+            "30",
+            "--json",
+        ],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "abaafb915b766edcc8829fb68178afc2cde42e3e7bd5fb911adbd6973bbfde61"
+    )
+    announce("the complete construction at ceiling 30 prints the pinned report")
+
+
 # -- 7: a model with a longer first chain -------------------------------------------
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from valgen import LaurentPoly, NonInvertibleSubstitution, ParseError
 from valgen.laurent import parse_polynomial
 
+import oracles
+
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
@@ -16,7 +18,7 @@ def P(text, vars_=XYZ):
 
 
 @st.composite
-def polys(draw, vars_=XY, max_terms=4):
+def polys(draw, vars_=XY, max_terms=4, max_denominator=3):
     n = draw(st.integers(min_value=0, max_value=max_terms))
     terms = []
     for _ in range(n):
@@ -24,7 +26,9 @@ def polys(draw, vars_=XY, max_terms=4):
             draw(st.integers(min_value=-3, max_value=3)) for _ in vars_
         )
         c = draw(
-            st.fractions(min_value=-5, max_value=5, max_denominator=3)
+            st.fractions(
+                min_value=-5, max_value=5, max_denominator=max_denominator
+            )
         )
         terms.append((exp, c))
     return LaurentPoly(vars_, tuple(terms))
@@ -38,6 +42,36 @@ def test_canonical_form():
     g = LaurentPoly(XY, (((0, 1), Fraction(1)), ((0, 1), Fraction(2))))
     assert g == LaurentPoly.monomial(XY, (0, 1), 3)
     assert LaurentPoly.zero(XY).total_degree() is None
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (((1.5, 0), 1),),
+        (((True, 0), 1),),
+        (((1, 0), 0.1),),
+        (((1, 0), "1/2"),),
+    ],
+)
+def test_constructor_rejects_non_integer_exponents_and_float_coefficients(
+    terms,
+):
+    # accepted, a float exponent 1.5 would be truncated to x and 0.1 turned
+    # into the binary fraction 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        LaurentPoly(XY, terms)
+
+
+def test_public_constructors_check_their_input():
+    with pytest.raises(TypeError):
+        LaurentPoly.monomial(XY, (1.0, 0))
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(XY, 0.5)
+    with pytest.raises(TypeError):
+        LaurentPoly.variable(XY, "x").scale(0.5)
+    f = LaurentPoly(XY, (((1, 0), 2), ((0, -1), Fraction(1, 3))))
+    assert [type(c) for _, c in f.terms] == [Fraction, Fraction]
+    assert f.text() == "2*x + 1/3*y^-1"
 
 
 def test_constructors_and_accessors():
@@ -133,6 +167,36 @@ def test_ring_axioms(f, g, h):
     assert f * (g + h) == f * g + f * h
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
+
+
+def assert_canonical(r):
+    """r has exactly the terms the public constructor gives: Fraction
+    coefficients, no zeros, descending exponents."""
+    again = LaurentPoly(r.vars, r.terms)
+    assert r == again
+    assert r.terms == again.terms
+    assert all(type(c) is Fraction and c != 0 for _, c in r.terms)
+    exps = [e for e, _ in r.terms]
+    assert exps == sorted(set(exps), reverse=True)
+
+
+@given(
+    polys(max_denominator=7),
+    polys(max_denominator=7),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.integers(min_value=0, max_value=3),
+)
+def test_arithmetic_matches_fraction_oracle(f, g, q, n):
+    product = f * g
+    assert dict(product.terms) == oracles.naive_poly_mul(f.terms, g.terms)
+    power = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        power = oracles.naive_poly_mul(power.items(), f.terms)
+    assert dict((f**n).terms) == power
+    # f - f and f*g - g*f cancel every term
+    for r in (product, f + g, f - g, f - f, product - g * f, -f,
+              f.scale(q), f**n):
+        assert_canonical(r)
 
 
 @given(polys(max_terms=3), polys(max_terms=3))

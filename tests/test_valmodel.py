@@ -1,26 +1,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valgen import (
+    InternalConsistencyError,
     LaurentPoly,
     RadicalBasis,
     UnequalValuesError,
     ValuationModel,
     ValuationOfZeroError,
+    parse_value,
     validate_model,
 )
+from valgen._golden import example_model
 from valgen.laurent import parse_polynomial
 from valgen.valmodel import RING_VARS
 
+import oracles
 from conftest import SECOND_CONFIG, make_second_model
 
 
 def model_from(config):
     basis = RadicalBasis(tuple(config["basis"]))
     names = tuple(config["ambient_vars"])
-    from valgen import parse_value
-
     values = tuple(parse_value(t, basis) for t in config["ambient_values"])
     images = {
         k: parse_polynomial(v, names) for k, v in config["images"].items()
@@ -138,3 +142,79 @@ def test_second_model_shape():
     assert model.nu(model.ring_poly("y")) == model.basis.rational(1)
     assert model.nu(model.ring_poly("y - x")) == model.basis.root(2)
     assert model.initial_term(model.ring_poly("y")).text() == "1*u1"
+
+
+def with_values(model, texts):
+    """model over the same ambient variables and images, with new values."""
+    return ValuationModel(
+        basis=model.basis,
+        ambient_vars=model.ambient_vars,
+        ambient_values=tuple(parse_value(t, model.basis) for t in texts),
+        images=model.images,
+    )
+
+
+EXAMPLE = example_model()
+# unequal, non-unit denominators: the scan works over their lcm, 15
+FRACTIONAL = with_values(EXAMPLE, ["1/2", "1/3*sqrt(2)", "1/5*sqrt(51) - 1"])
+# 2*value(x) == value(y), so x^2 and y tie
+DEPENDENT = with_values(EXAMPLE, ["1", "2", "sqrt(2)"])
+
+
+@st.composite
+def ambient_polys(draw, vars_=EXAMPLE.ambient_vars):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*(st.integers(-3, 3) for _ in vars_)),
+            st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+                bool
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return LaurentPoly(vars_, tuple(terms.items()))
+
+
+@pytest.mark.parametrize(
+    "model", [EXAMPLE, FRACTIONAL, DEPENDENT],
+    ids=["example", "fractional", "dependent"],
+)
+@given(ambient_polys())
+def test_scan_matches_brute_force_minimum(model, f):
+    least, attained = oracles.least_terms(
+        f.terms, model.ambient_values, model.basis.zero()
+    )
+    for exp, _ in f.terms:
+        assert model.monomial_value(exp) == oracles.least_terms(
+            [(exp, 1)], model.ambient_values, model.basis.zero()
+        )[0]
+    assert model.nu(f) == least
+    if len(attained) > 1:
+        with pytest.raises(InternalConsistencyError):
+            model.initial_term(f)
+    else:
+        assert model.initial_term(f).terms == tuple(attained)
+
+
+def test_scan_ties_raise():
+    tied = parse_polynomial("x^2 + 3*y", DEPENDENT.ambient_vars)
+    assert DEPENDENT.nu(tied) == DEPENDENT.basis.rational(2)
+    with pytest.raises(InternalConsistencyError):
+        DEPENDENT.initial_term(tied)
+    # a smaller third term breaks the tie
+    untied = tied + parse_polynomial("z'", tied.vars)
+    assert DEPENDENT.initial_term(untied).text() == "1*z'"
+
+
+def test_values_of_another_basis_construct_but_do_not_scan():
+    other = RadicalBasis((1, 3))
+    model = ValuationModel(
+        basis=EXAMPLE.basis,
+        ambient_vars=EXAMPLE.ambient_vars,
+        ambient_values=(other.rational(1), other.root(3), other.rational(2)),
+        images=EXAMPLE.images,
+    )
+    assert any("different radical basis" in p for p in validate_model(model))
+    with pytest.raises(ValueError):
+        model.nu(model.images["x"])
