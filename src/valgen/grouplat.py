@@ -14,14 +14,15 @@ Several functions take a chain state argument.  They only use a small
 surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
 ``t_chain`` records with ``gamma``/``s``/``m``/``status``, the obstacle
 set ``T_set``, the radical ``basis``, the search ``bounds``, plus the
-helper methods ``m_at``, ``value_of``, ``value_of_raw``,
-``semigroup_solver`` and ``push_witness``.  The concrete class lives in
-jumpseq; keeping these functions here keeps all lattice reasoning in
-one place.
+helper methods ``m_at``, ``value_of``, ``coordinates`` and
+``semigroup_solver``.  ``coordinates`` owns the flat exponent layout
+over the two chains and ``vec_over`` reads it back.  The concrete class
+lives in jumpseq; keeping these functions here keeps all lattice
+reasoning in one place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -103,18 +104,10 @@ class ObstacleSet:
     (``before``); by default the whole set is used.
     """
 
-    entries: list[tuple[int, PairVec]]
-
-    def __init__(self, entries: Optional[list[tuple[int, PairVec]]] = None):
-        self.entries = list(entries) if entries else []
+    entries: list[tuple[int, PairVec]] = field(default_factory=list)
 
     def add(self, source: int, vec: PairVec) -> None:
         self.entries.append((source, vec))
-
-    def vectors(self, before: Optional[int] = None) -> list[PairVec]:
-        if before is None:
-            return [v for _, v in self.entries]
-        return [v for s, v in self.entries if s < before]
 
     def irreducible(self, vec: PairVec, before: Optional[int] = None) -> bool:
         """True when no recorded obstacle sits componentwise below vec."""
@@ -496,78 +489,41 @@ def minimal_semigroup_generators(values: Sequence[Value]) -> tuple[Value, ...]:
 # -- canonical decompositions against a chain state -----------------------
 
 
-def _chain_generators(state, k: int, i: int) -> tuple[list[Value], list[int]]:
-    """Values of the first k p-members plus the nonzero gammas among t_1..t_i.
-
-    Returns (values, t_positions) where t_positions maps the trailing
-    entries of values back to 0-based t-chain indices.
-    """
-    vals = [state.p_chain[j].beta for j in range(k)]
-    tpos = []
-    for j in range(i):
-        g = state.t_chain[j].gamma
-        if not g.is_zero():
-            vals.append(g)
-            tpos.append(j)
-    return vals, tpos
+def vec_over(rows, counts: Sequence[int]) -> PairVec:
+    """The PairVec with the given counts on (kind, index, value) rows laid
+    out as ``coordinates`` lays them out."""
+    p: list[int] = []
+    t: list[int] = []
+    for (kind, idx, _), c in zip(rows, counts, strict=True):
+        if c:
+            part = p if kind == "p" else t
+            part.extend([0] * (idx - len(part)))
+            part[idx - 1] = c
+    return PairVec(tuple(p), tuple(t))
 
 
-def permissible_decompose(
-    alpha: Value, state, k: int, i: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Write alpha over the chain values with all bounded slots in range.
+def permissible_decompose(alpha: Value, state, k: int) -> tuple[int, ...]:
+    """Write alpha over the first k first-chain values, bounded slots in range.
 
-    Returns integer vectors (L, N) with
-
-        alpha == sum L_j * beta_j + sum N_t * gamma_t,
-
-    where 0 <= L_j < q_j whenever q_j is finite (j >= 2), 0 <= N_t < s_t
-    whenever s_t is finite, N_t == 0 at zero gammas, and the remaining
+    Returns integers L with alpha == sum L_j * beta_j, where
+    0 <= L_j < q_j whenever q_j is finite (j >= 2) and the remaining
     slots are unrestricted integers (they may be negative).  Such a
     rewrite exists exactly when alpha lies in the group generated by the
     values; otherwise NotInGroupError is raised.
     """
     if k < 1 or k > len(state.p_chain):
         raise ValueError(f"p-index {k} out of range")
-    if i < 0 or i > len(state.t_chain):
-        raise ValueError(f"t-index {i} out of range")
-    p = state.p_chain
-    t = state.t_chain
-    m = max(k, state.m_at(i))
-    gens, tpos = _chain_generators(state, m, i)
-    wit = lattice_solve(alpha, gens)
+    p = state.p_chain[:k]
+    betas = [rec.beta for rec in p]
+    wit = lattice_solve(alpha, betas)
     if wit is None:
         raise NotInGroupError(
             f"{alpha} is not in the group generated by the chain values"
         )
-    L = list(wit[:m])
-    N = [0] * i
-    for pos, j in enumerate(tpos):
-        N[j] = wit[m + pos]
-    # fold t-slots into range, top index first; each fold only touches
+    L = list(wit)
+    # fold slots into range, top index first; each fold only touches
     # strictly lower positions, so one pass suffices
-    for j in range(i, 0, -1):
-        rec = t[j - 1]
-        if rec.gamma.is_zero():
-            if N[j - 1]:
-                raise InternalConsistencyError(
-                    "weight appeared at a zero chain position"
-                )
-            continue
-        s = rec.s
-        if s is None:
-            continue  # no finite multiple: the slot is unrestricted
-        r = N[j - 1] % s
-        c = (N[j - 1] - r) // s
-        N[j - 1] = r
-        if c:
-            wp, wt = state.push_witness(j)
-            for a, v in enumerate(wp):
-                L[a] += c * v
-            for a, v in enumerate(wt):
-                N[a] += c * v
-    # fold p-slots, top index first
-    for j in range(m, 1, -1):
+    for j in range(k, 1, -1):
         q = p[j - 1].q
         if q is None:
             continue
@@ -577,18 +533,13 @@ def permissible_decompose(
         if c:
             for a, v in enumerate(p[j - 1].L_vec):
                 L[a] += c * v
-    got = state.value_of_raw(L, N)
-    if got != alpha:
+    if combination(L, betas, state.basis) != alpha:
         raise InternalConsistencyError("permissible rewrite changed the value")
-    for j in range(2, m + 1):
+    for j in range(2, k + 1):
         q = p[j - 1].q
         if q is not None and not 0 <= L[j - 1] < q:
             raise InternalConsistencyError("bounded p-slot out of range")
-    for j in range(1, i + 1):
-        s = t[j - 1].s
-        if s is not None and not 0 <= N[j - 1] < s:
-            raise InternalConsistencyError("bounded t-slot out of range")
-    return tuple(L), tuple(N)
+    return tuple(L)
 
 
 def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
@@ -745,16 +696,15 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
     if gamma.is_zero():
         raise ValueError(f"position {i} is a zero position")
     bounds = state.bounds
-    coords: list[tuple[str, int]] = [("p", j) for j in range(m)]
-    for j in range(i - 1):
-        tr = state.t_chain[j]
-        if tr.status == "ok" and not tr.gamma.is_zero():
-            coords.append(("t", j))
-    vals = [
-        state.p_chain[j].beta if kind == "p" else state.t_chain[j].gamma
-        for kind, j in coords
+    # skipped positions get no coordinate, though their values stay among
+    # the solver's generators
+    rows = [
+        row
+        for row in state.coordinates(m, i - 1)
+        if row[0] == "p" or state.t_chain[row[1] - 1].status == "ok"
     ]
-    n = len(coords)
+    vals = [val for *_, val in rows]
+    n = len(rows)
     caps = (bounds.d_coord_cap,) * n
     solver = state.semigroup_solver(m, i - 1)
     basis = state.basis
@@ -821,16 +771,9 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
         complete = False
 
     members = []
+    at_i = [*rows, ("t", i, gamma)]
     for f, layer in found:
-        p_part = [0] * m
-        t_part = [0] * i
-        for (kind, j), c in zip(coords, f):
-            if kind == "p":
-                p_part[j] = c
-            else:
-                t_part[j] = c
-        t_part[i - 1] = layer * s
-        pv = PairVec(tuple(p_part), tuple(t_part))
+        pv = vec_over(at_i, (*f, layer * s))
         if state.T_set.irreducible(pv, before=i):
             members.append(pv)
     members.sort(key=lambda pv: graded_key(pv, m, i))

@@ -38,7 +38,6 @@ from .grouplat import (
     ObstacleSet,
     PairVec,
     PushingSearch,
-    _chain_generators,
     lattice_solve,
     min_multiple_in_group,
     minimal_pushing_set,
@@ -136,7 +135,6 @@ class JumpState:
     T_set: ObstacleSet = field(default_factory=ObstacleSet)
     flags: Flags = field(default_factory=Flags)
     t_cursor: int = 1
-    _push_witnesses: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, repr=False)
     _solvers: dict = field(default_factory=dict, repr=False)
 
@@ -157,15 +155,9 @@ class JumpState:
     def value_of(self, vec: PairVec) -> Value:
         if len(vec.p) > len(self.p_chain) or len(vec.t) > len(self.t_chain):
             raise ValueError("vector reaches beyond the constructed chains")
-        return self.value_of_raw(vec.p, vec.t)
-
-    def value_of_raw(self, p_part, t_part) -> Value:
-        """Value of integer exponents over the chains; entries may be negative."""
-        betas = [rec.beta for rec in self.p_chain]
-        gammas = [rec.gamma for rec in self.t_chain]
-        return combination(p_part, betas, self.basis) + combination(
-            t_part, gammas, self.basis
-        )
+        values = [rec.beta for rec in self.p_chain[: len(vec.p)]]
+        values += [rec.gamma for rec in self.t_chain[: len(vec.t)]]
+        return combination(vec.p + vec.t, values, self.basis)
 
     def poly_of(self, vec: PairVec) -> LaurentPoly:
         """The monomial in chain members that the vector denotes."""
@@ -190,36 +182,27 @@ class JumpState:
         self._products[key] = out
         return out
 
+    def coordinates(self, k: int, i: int) -> list[tuple[str, int, Value]]:
+        """The exponent layout every search over the chains uses: p_1..p_k,
+        then each t_j with j <= i and nonzero value, as (kind, 1-based
+        index, value) rows.  grouplat.vec_over turns counts over the rows
+        back into a PairVec."""
+        rows = [("p", rec.index, rec.beta) for rec in self.p_chain[:k]]
+        rows += [
+            ("t", rec.index, rec.gamma)
+            for rec in self.t_chain[:i]
+            if not rec.gamma.is_zero()
+        ]
+        return rows
+
     def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
-        """The solver for the first k p-values and the nonzero gammas below
-        i+1, shared by every query of this build on the same generators."""
-        gens = tuple(_chain_generators(self, k, i)[0])
+        """The solver over the values of coordinates(k, i), shared by every
+        query of this build on the same generators."""
+        gens = tuple(val for *_, val in self.coordinates(k, i))
         got = self._solvers.get(gens)
         if got is None:
             got = self._solvers[gens] = SemigroupSolver(gens)
         return got
-
-    def push_witness(self, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Integer rewrite of s_t*gamma_t over depth m_t and positions < t."""
-        got = self._push_witnesses.get(t)
-        if got is not None:
-            return got
-        rec = self.t_chain[t - 1]
-        if rec.s is None or rec.m is None:
-            raise ValueError(f"position {t} has no finite group multiple")
-        gens, tpos = _chain_generators(self, rec.m, t - 1)
-        wit = lattice_solve(rec.s * rec.gamma, gens)
-        if wit is None:
-            raise InternalConsistencyError(
-                "group multiple lost its witness on replay"
-            )
-        p_part = wit[: rec.m]
-        t_part = [0] * (t - 1)
-        for pos, j in enumerate(tpos):
-            t_part[j] = wit[rec.m + pos]
-        out = (tuple(p_part), tuple(t_part))
-        self._push_witnesses[t] = out
-        return out
 
 
 # -- first chain ------------------------------------------------------------
@@ -262,7 +245,7 @@ def build_p_chain(
         if q is None:
             break
         rec.q = q
-        L, _ = permissible_decompose(q * rec.beta, state, i - 1, 0)
+        L = permissible_decompose(q * rec.beta, state, i - 1)
         if L[0] < 0:
             raise InternalConsistencyError(
                 "rewrite of a group multiple went negative in the first slot"
@@ -345,8 +328,8 @@ def _process_position(state: JumpState, i: int) -> bool:
         rec.status = "skipped"
         state.flags.skipped.append(i)
         return False
-    all_gens, _ = _chain_generators(state, len(state.p_chain), i - 1)
-    s = min_multiple_in_group(rec.gamma, all_gens)
+    rows = state.coordinates(len(state.p_chain), i - 1)
+    s = min_multiple_in_group(rec.gamma, [val for *_, val in rows])
     if s is None:
         rec.status = "ok"
         rec.s_is_infinite = True
@@ -357,7 +340,7 @@ def _process_position(state: JumpState, i: int) -> bool:
     target = s * rec.gamma
     depth = None
     for j in range(1, len(state.p_chain) + 1):
-        gens_j, _ = _chain_generators(state, j, i - 1)
+        gens_j = [val for kind, idx, val in rows if kind == "t" or idx <= j]
         if lattice_solve(target, gens_j) is not None:
             depth = j
             break

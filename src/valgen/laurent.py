@@ -41,6 +41,12 @@ def _sorted_terms(raw: Mapping[tuple[int, ...], Fraction]) -> tuple[Term, ...]:
     return tuple(terms)
 
 
+def _check_exponents(e: tuple) -> None:
+    # a float would be truncated or turned into a binary fraction
+    if not all(type(x) is not bool and isinstance(x, int) for x in e):
+        raise TypeError(f"exponents must be integers, got {e!r}")
+
+
 def _numerators(
     terms: tuple[Term, ...]
 ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
@@ -67,9 +73,7 @@ class LaurentPoly:
             e = tuple(exp)
             if len(e) != len(vars_):
                 raise ValueError("exponent length does not match variables")
-            # a float would be truncated or turned into a binary fraction
-            if not all(type(x) is not bool and isinstance(x, int) for x in e):
-                raise TypeError(f"exponents must be integers, got {e!r}")
+            _check_exponents(e)
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(
                     f"coefficients must be int or Fraction, got {c!r}"
@@ -135,7 +139,8 @@ class LaurentPoly:
         return max(sum(exp) for exp, _ in self.terms)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        key = tuple(int(e) for e in exponents)
+        key = tuple(exponents)
+        _check_exponents(key)
         for exp, c in self.terms:
             if exp == key:
                 return c

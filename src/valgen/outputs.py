@@ -15,35 +15,13 @@ from typing import Callable, Optional
 from .errors import InternalConsistencyError
 from .grouplat import (
     PairVec,
-    SemigroupSolver,
     graded_key,
     minimal_semigroup_generators,
+    vec_over,
 )
 from .jumpseq import JumpState
 from .laurent import LaurentPoly
 from .values import Value
-
-
-def _coordinates(state: JumpState, skip_t: Optional[int] = None):
-    """Usable exponent positions: every first-chain member plus every
-    second-chain member of nonzero value, as (kind, index, value) rows."""
-    rows = []
-    for rec in state.p_chain:
-        rows.append(("p", rec.index, rec.beta))
-    for rec in state.t_chain:
-        if rec.index != skip_t and not rec.gamma.is_zero():
-            rows.append(("t", rec.index, rec.gamma))
-    return rows
-
-
-def _vec_of(state: JumpState, rows, counts) -> PairVec:
-    """The PairVec with the given counts over the coordinate rows."""
-    p = [0] * len(state.p_chain)
-    t = [0] * len(state.t_chain)
-    for (kind, idx, _), c in zip(rows, counts):
-        if c:
-            (p if kind == "p" else t)[idx - 1] = c
-    return PairVec(tuple(p), tuple(t))
 
 
 def _walk(rows, zero: Value, visit: Callable[[list, Value], bool]) -> None:
@@ -94,7 +72,7 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     complete = not (state.flags.t_truncated or state.flags.p_truncated)
     if sigma.sign() <= 0:
         return GeneratorSet(sigma, (PairVec((), ()),), complete)
-    rows = _coordinates(state)
+    rows = state.coordinates(len(state.p_chain), len(state.t_chain))
     found: list[tuple[tuple[int, ...], Value]] = []
 
     def visit(counts: list, value: Value) -> bool:
@@ -105,7 +83,7 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
 
     _walk(rows, state.basis.zero(), visit)
     minimal = [
-        (_vec_of(state, rows, counts), total)
+        (vec_over(rows, counts), total)
         for counts, total in found
         if all(
             total - val < sigma
@@ -162,7 +140,11 @@ def redundancy_certificate(
     if value_slack is None:
         value_slack = 5 * state.p_chain[0].beta
     hi = rec.gamma + value_slack
-    rows = _coordinates(state, skip_t=target)
+    plen = len(state.p_chain)
+    tlen = len(state.t_chain)
+    rows = state.coordinates(plen, tlen)
+    # the target's own row: a rewrite must not use the member itself
+    own = rows.index(("t", target, rec.gamma))
     degs = []
     for kind, idx, _ in rows:
         chain = state.p_chain if kind == "p" else state.t_chain
@@ -170,17 +152,15 @@ def redundancy_certificate(
         if d is None:
             raise InternalConsistencyError("zero member in coordinate rows")
         degs.append(d)
-    lookup = SemigroupSolver([val for _, _, val in rows])
-    plen = len(state.p_chain)
-    tlen = len(state.t_chain)
+    lookup = state.semigroup_solver(plen, tlen)
 
     def cheapest(val: Value) -> Optional[PairVec]:
         """The graded-least irreducible monomial of value val and degree
         at most degree_cap, or None."""
         vecs = (
-            _vec_of(state, rows, counts)
+            vec_over(rows, counts)
             for counts in lookup.solutions(val)
-            if sum(map(mul, counts, degs)) <= degree_cap
+            if not counts[own] and sum(map(mul, counts, degs)) <= degree_cap
         )
         return min(
             (vec for vec in vecs if state.T_set.irreducible(vec)),
@@ -363,5 +343,6 @@ def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
         seen.add(value)
         return True
 
-    _walk(_coordinates(state), state.basis.zero(), visit)
+    rows = state.coordinates(len(state.p_chain), len(state.t_chain))
+    _walk(rows, state.basis.zero(), visit)
     return SemigroupSlice(cap, tuple(sorted(seen)), complete)

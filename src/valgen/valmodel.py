@@ -97,11 +97,6 @@ class ValuationModel:
 
     # -- expansion ----------------------------------------------------
 
-    def ring_poly(self, text: str) -> LaurentPoly:
-        from .laurent import parse_polynomial
-
-        return parse_polynomial(text, RING_VARS)
-
     def expand(self, f: LaurentPoly) -> LaurentPoly:
         """Rewrite a polynomial in x, y, z as ambient coordinates.
 

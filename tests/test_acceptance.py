@@ -128,9 +128,9 @@ IDENTITIES = {
 def test_member_identities(state, announce):
     names = list(RING_VARS) + [f"T{k}" for k in range(2, 17)]
     images = {
-        "x": state.model.ring_poly("x"),
-        "y": state.model.ring_poly("y"),
-        "z": state.model.ring_poly("z"),
+        "x": parse_polynomial("x", RING_VARS),
+        "y": parse_polynomial("y", RING_VARS),
+        "z": parse_polynomial("z", RING_VARS),
     }
     for k in range(2, 17):
         images[f"T{k}"] = state.t_chain[k - 1].poly
@@ -214,7 +214,7 @@ def test_construction_invariants(state, second_state, announce):
             if rec.q is None:
                 continue
             jump = rec.beta * rec.q
-            assert st.value_of_raw(rec.L_vec, ()) == jump
+            assert st.value_of(PairVec(rec.L_vec, ())) == jump
             assert rec.lam != 0
             assert st.p_chain[rec.index].beta > jump
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valgen import PairVec, RadicalBasis, ValuationModel
+from valgen.grouplat import vec_over
 from valgen.jumpseq import (
     SearchBounds,
     build_p_chain,
@@ -13,8 +14,10 @@ from valgen.jumpseq import (
     successors,
 )
 from valgen._golden import example_model
+from valgen.laurent import parse_polynomial
 from valgen.outputs import redundancy_survey
 from valgen.valmodel import RING_VARS
+from valgen.values import combination
 
 from conftest import SECOND_CONFIG, make_second_model
 from test_valmodel import model_from
@@ -161,8 +164,29 @@ def test_value_bookkeeping(state):
         for c, rec in zip(t, state.t_chain):
             direct = direct + rec.gamma * c
         assert state.value_of(vec) == direct
-        assert state.value_of_raw(p, t) == direct
     assert state.value_of(PairVec((), ())).is_zero()
+
+
+@pytest.mark.parametrize("which", ["state", "state_30"])
+def test_coordinate_rows_round_trip(request, which):
+    # past the zero positions 11, 12 and 18 a row's place in the layout and
+    # its member index differ
+    st = request.getfixturevalue(which)
+    rng = random.Random(5)
+    for k, i in ((1, 0), (2, 10), (1, 13), (2, 19), (2, 25)):
+        rows = st.coordinates(k, i)
+        assert [idx for kind, idx, _ in rows if kind == "p"] == list(
+            range(1, k + 1)
+        )
+        zero = {rec.index for rec in st.t_chain[:i] if rec.gamma.is_zero()}
+        t_rows = [idx for kind, idx, _ in rows if kind == "t"]
+        assert t_rows == [j for j in range(1, i + 1) if j not in zero]
+        vals = [val for *_, val in rows]
+        for _ in range(10):
+            counts = [rng.randint(0, 3) for _ in rows]
+            assert st.value_of(vec_over(rows, counts)) == combination(
+                counts, vals, st.basis
+            )
 
 
 def test_polynomials_realize_their_values(state):
@@ -177,7 +201,7 @@ def test_polynomials_realize_their_values(state):
             continue
         assert state.model.nu(state.poly_of(vec)) == state.value_of(vec)
     v = PairVec((1, 2), (3,))
-    assert state.poly_of(v) == state.model.ring_poly("x*y^2*z^3")
+    assert state.poly_of(v) == parse_polynomial("x*y^2*z^3", RING_VARS)
 
 
 @pytest.mark.parametrize("which", ["state", "second_state"])
@@ -205,15 +229,6 @@ def test_images_are_expansions(request, which):
         ring = st.poly_of(v)
         assert ring.vars == RING_VARS
         assert st.image_of(v) == model.expand(ring)
-
-
-def test_push_witnesses(state):
-    for t in (1, 2, 4, 8):
-        rec = state.t_chain[t - 1]
-        p_part, t_part = state.push_witness(t)
-        assert len(t_part) <= t - 1 or all(c == 0 for c in t_part[t - 1 :])
-        total = state.value_of_raw(p_part, t_part)
-        assert total == rec.gamma * rec.s
 
 
 def test_successor_queries(state):

@@ -74,6 +74,15 @@ def test_public_constructors_check_their_input():
     assert f.text() == "2*x + 1/3*y^-1"
 
 
+@pytest.mark.parametrize("exponents", [(1.5, 0), (True, 0)])
+def test_coefficient_rejects_non_integer_exponents(exponents):
+    # read through int(), both keys would find the coefficient of x
+    f = parse_polynomial("x + 2*y", XY)
+    assert f.coefficient((1, 0)) == 1
+    with pytest.raises(TypeError):
+        f.coefficient(exponents)
+
+
 def test_constructors_and_accessors():
     x = LaurentPoly.variable(XYZ, "x")
     assert x.is_monomial()

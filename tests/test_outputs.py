@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valgen import PairVec, parse_value
+from valgen.grouplat import SemigroupSolver
 from valgen.jumpseq import SearchBounds, build_state
 from valgen.outputs import (
     generating_sequence,
@@ -11,9 +12,10 @@ from valgen.outputs import (
     gr_presentation,
     ideal_generators,
     redundancy_certificate,
+    redundancy_survey,
     semigroup_values_up_to,
 )
-from valgen._golden import GOLDEN, example_model
+from valgen._golden import GOLDEN, example_model, example_state
 
 import oracles
 
@@ -182,6 +184,27 @@ def test_survey_picks_match_brute_force(
             want = oracles.survey_pick(up_to_17, state, j, val, degree_cap)
             assert vec == want, f"member {j} at {val}"
     assert checked == certified
+
+
+def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
+    # a fresh build: the shared fixture's cache may already hold the solver
+    st = example_state()
+    before = set(st._solvers)
+    built = []
+    init = SemigroupSolver.__init__
+
+    def counting_init(self, gens):
+        built.append(self)
+        init(self, gens)
+
+    monkeypatch.setattr(SemigroupSolver, "__init__", counting_init)
+    redundancy_survey(st)
+    added = set(st._solvers) - before
+    full = tuple(
+        val for *_, val in st.coordinates(len(st.p_chain), len(st.t_chain))
+    )
+    assert added == {full}
+    assert built == [st._solvers[full]]
 
 
 def test_tight_window_reports_undecided(state):

@@ -76,12 +76,12 @@ def test_validate_flags_nonpositive_values():
 
 def test_expansion_and_values(state):
     model = state.model
-    x, y, z = (model.ring_poly(v) for v in RING_VARS)
+    x, y, z = (parse_polynomial(v, RING_VARS) for v in RING_VARS)
     assert model.expand(x) == model.images["x"]
     assert model.nu(x).exact_str() == "1"
     assert model.nu(y).exact_str() == "sqrt(2)"
     assert model.nu(z).exact_str() == "2*sqrt(2) - 1"
-    t2 = model.ring_poly("x*z - y^2")
+    t2 = parse_polynomial("x*z - y^2", RING_VARS)
     assert model.nu(t2).exact_str() == "5*sqrt(2) - 4"
     assert model.expand(t2).text() == "1*x*z' + 1*x^-4*y^5"
     with pytest.raises(ValuationOfZeroError):
@@ -90,20 +90,20 @@ def test_expansion_and_values(state):
 
 def test_expansion_is_multiplicative(state):
     model = state.model
-    f = model.ring_poly("x*z - y^2")
-    g = model.ring_poly("x^2 + y*z")
+    f = parse_polynomial("x*z - y^2", RING_VARS)
+    g = parse_polynomial("x^2 + y*z", RING_VARS)
     assert model.expand(f * g) == model.expand(f) * model.expand(g)
     assert model.nu(f * g) == model.nu(f) + model.nu(g)
 
 
 def test_initial_term(state):
     model = state.model
-    z = model.ring_poly("z")
+    z = parse_polynomial("z", RING_VARS)
     assert model.initial_term(z).text() == "1*x^-1*y^2"
-    t2 = model.ring_poly("x*z - y^2")
+    t2 = parse_polynomial("x*z - y^2", RING_VARS)
     assert model.initial_term(t2).text() == "1*x^-4*y^5"
     # a sum where the smaller value wins outright
-    f = model.ring_poly("y + x^3")
+    f = parse_polynomial("y + x^3", RING_VARS)
     assert model.initial_term(f).text() == "1*y"
 
 
@@ -114,21 +114,22 @@ def test_monomial_value(second_model):
 
 def test_residue_ratio(state):
     model = state.model
-    y2 = model.ring_poly("y^2")
-    xz = model.ring_poly("x*z")
+    y2 = parse_polynomial("y^2", RING_VARS)
+    xz = parse_polynomial("x*z", RING_VARS)
     assert model.residue_ratio(y2, xz) == 1
     assert model.residue_ratio(y2.scale(3), xz) == 3
     assert model.residue_ratio(y2, xz.scale(2)) == Fraction(1, 2)
     with pytest.raises(UnequalValuesError):
-        model.residue_ratio(model.ring_poly("x"), model.ring_poly("y"))
+        model.residue_ratio(
+            parse_polynomial("x", RING_VARS), parse_polynomial("y", RING_VARS)
+        )
 
 
 def test_residue_ratio_is_multiplicative(state):
     model = state.model
     pairs = [
-        (model.ring_poly("y^2"), model.ring_poly("x*z")),
-        (model.ring_poly("3*y^2"), model.ring_poly("2*x*z")),
-        (model.ring_poly("x^2"), model.ring_poly("x^2")),
+        tuple(parse_polynomial(text, RING_VARS) for text in pair)
+        for pair in (("y^2", "x*z"), ("3*y^2", "2*x*z"), ("x^2", "x^2"))
     ]
     for f1, g1 in pairs:
         for f2, g2 in pairs:
@@ -139,9 +140,10 @@ def test_residue_ratio_is_multiplicative(state):
 
 def test_second_model_shape():
     model = make_second_model()
-    assert model.nu(model.ring_poly("y")) == model.basis.rational(1)
-    assert model.nu(model.ring_poly("y - x")) == model.basis.root(2)
-    assert model.initial_term(model.ring_poly("y")).text() == "1*u1"
+    y = parse_polynomial("y", RING_VARS)
+    assert model.nu(y) == model.basis.rational(1)
+    assert model.nu(parse_polynomial("y - x", RING_VARS)) == model.basis.root(2)
+    assert model.initial_term(y).text() == "1*u1"
 
 
 def with_values(model, texts):
