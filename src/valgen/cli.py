@@ -20,7 +20,6 @@ import tempfile
 import time
 from typing import Optional
 
-from ._golden import compare, example_state
 from .errors import InternalConsistencyError, ParseError, ValgenError
 from .grouplat import PairVec
 from .jumpseq import DEFAULT_MAX_VALUE, JumpState, SearchBounds, build_state
@@ -522,6 +521,10 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_verify_example(args) -> int:
+    # the golden data is only needed here; importing it lazily keeps it
+    # out of every other subcommand's start-up
+    from ._golden import compare, example_state
+
     state = example_state()
     survey = redundancy_survey(state)
     detail = generating_sequence_detail(state, survey=survey)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import add, mul, sub
 from typing import Callable, Optional
 
 from .errors import InternalConsistencyError
@@ -21,28 +22,44 @@ from .grouplat import (
 )
 from .jumpseq import JumpState
 from .laurent import LaurentPoly
-from .values import Value
+from .values import Value, int_vec_sign
 
 
-def _walk(rows, zero: Value, visit: Callable[[list, Value], bool]) -> None:
-    """Visit exponent vectors over the rows, each at most once.
+def _over_common_den(rows, threshold: Value):
+    """(den, steps, top): den is the common denominator of the rows'
+    values and the threshold; steps and top are their numerators over it."""
+    den = lcm(threshold.den, *(val.den for *_, val in rows))
 
-    The walk starts at the zero vector and reaches a vector as its parent
-    plus one unit at its last nonzero coordinate.  ``visit(counts, value)``
-    gets the vector's counts (a list the walk reuses) and its value, and
-    returns whether to descend to the vector's children.
+    def scaled(value: Value) -> tuple[int, ...]:
+        up = den // value.den
+        return tuple(a * up for a in value.nums)
+
+    return den, [scaled(val) for *_, val in rows], scaled(threshold)
+
+
+def _walk(steps, top, visit: Callable[[list, tuple], bool]) -> None:
+    """Visit exponent vectors over the chain rows, each at most once.
+
+    ``steps`` and ``top`` are the numerators of the row values and of a
+    threshold over one common denominator (``_over_common_den``).  Each
+    vector carries its value minus the threshold as such a tuple, so its
+    sign (``int_vec_sign``) places the vector against the threshold and
+    no Value is built.  The walk starts at the zero vector and reaches a
+    vector as its parent plus one unit at its last nonzero coordinate.
+    ``visit(counts, diff)`` gets the vector's counts (a list the walk
+    reuses) and that difference, and returns whether to descend to the
+    vector's children.
     """
-    values = [val for _, _, val in rows]
-    counts = [0] * len(values)
+    counts = [0] * len(steps)
 
-    def extend(first: int, value: Value) -> None:
-        if visit(counts, value):
-            for k in range(first, len(values)):
+    def extend(first: int, diff: tuple) -> None:
+        if visit(counts, diff):
+            for k in range(first, len(steps)):
                 counts[k] += 1
-                extend(k, value + values[k])
+                extend(k, tuple(map(add, diff, steps[k])))
                 counts[k] -= 1
 
-    extend(0, zero)
+    extend(0, tuple(-a for a in top))
     # extend refers to itself; dropping the name frees the walk's data now
     # rather than at the next cyclic collection
     del extend
@@ -73,21 +90,28 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     if sigma.sign() <= 0:
         return GeneratorSet(sigma, (PairVec((), ()),), complete)
     rows = state.coordinates(len(state.p_chain), len(state.t_chain))
-    found: list[tuple[tuple[int, ...], Value]] = []
+    den, steps, sig = _over_common_den(rows, sigma)
+    rads = state.basis.radicands
+    # (counts, value - sigma) of every vector reaching sigma first
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def visit(counts: list, value: Value) -> bool:
-        if value >= sigma:
-            found.append((tuple(counts), value))
+    def visit(counts: list, diff: tuple) -> bool:
+        if int_vec_sign(diff, rads) >= 0:
+            found.append((tuple(counts), diff))
             return False
         return True
 
-    _walk(rows, state.basis.zero(), visit)
+    _walk(steps, sig, visit)
+    # minimal: removing any one factor drops the value below sigma
     minimal = [
-        (vec_over(rows, counts), total)
-        for counts, total in found
+        (
+            vec_over(rows, counts),
+            Value(state.basis, tuple(map(add, diff, sig)), den),
+        )
+        for counts, diff in found
         if all(
-            total - val < sigma
-            for c, (_, _, val) in zip(counts, rows)
+            int_vec_sign(tuple(map(sub, diff, step)), rads) < 0
+            for c, step in zip(counts, steps)
             if c
         )
     ]
@@ -335,14 +359,18 @@ def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
     complete = not (state.flags.t_truncated or state.flags.p_truncated)
     if cap.sign() < 0:
         return SemigroupSlice(cap, (), complete)
-    seen: set[Value] = set()
+    rows = state.coordinates(len(state.p_chain), len(state.t_chain))
+    den, steps, top = _over_common_den(rows, cap)
+    rads = state.basis.radicands
+    # value - cap of every value reached; distinct tuples, distinct values
+    seen: set[tuple[int, ...]] = set()
 
-    def visit(counts: list, value: Value) -> bool:
-        if value > cap:
+    def visit(counts: list, diff: tuple) -> bool:
+        if int_vec_sign(diff, rads) > 0:
             return False
-        seen.add(value)
+        seen.add(diff)
         return True
 
-    rows = state.coordinates(len(state.p_chain), len(state.t_chain))
-    _walk(rows, state.basis.zero(), visit)
-    return SemigroupSlice(cap, tuple(sorted(seen)), complete)
+    _walk(steps, top, visit)
+    values = [Value(state.basis, tuple(map(add, d, top)), den) for d in seen]
+    return SemigroupSlice(cap, tuple(sorted(values)), complete)

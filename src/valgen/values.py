@@ -15,6 +15,12 @@ a difference.  One integer routine, ``int_vec_sign``, decides that sign
 for every caller: it refines integer enclosures of each sqrt(r_k)
 (``int_vec_bounds``) until the interval for the whole sum excludes zero.
 No floating point is involved anywhere.
+
+Comparing two Values builds no intermediate Value: the order operators
+hand the numerator difference (cross-multiplied when the denominators
+differ) straight to ``int_vec_sign``.  Hot loops that only need signs,
+such as the enumerators in ``outputs``, work on integer numerator tuples
+over one common denominator the same way.
 """
 from __future__ import annotations
 
@@ -264,25 +270,36 @@ class Value:
         """-1, 0, or +1.  Exact: zero is decided symbolically."""
         return int_vec_sign(self.nums, self.basis.radicands)
 
+    def _cmp(self, other: "Value") -> int:
+        """The sign of self - other, read off the numerators: both
+        denominators are positive, so cross-multiplying keeps the sign."""
+        self._check_basis(other)
+        if self.den == other.den:
+            diff = [a - b for a, b in zip(self.nums, other.nums)]
+        else:
+            da, db = other.den, self.den
+            diff = [a * da - b * db for a, b in zip(self.nums, other.nums)]
+        return int_vec_sign(diff, self.basis.radicands)
+
     def __lt__(self, other: "Value") -> bool:
         if not isinstance(other, Value):
             return NotImplemented
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other: "Value") -> bool:
         if not isinstance(other, Value):
             return NotImplemented
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: "Value") -> bool:
         if not isinstance(other, Value):
             return NotImplemented
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: "Value") -> bool:
         if not isinstance(other, Value):
             return NotImplemented
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def floor_ratio(self, other: "Value") -> int:
         """Largest integer n with n*other <= self; other must be positive."""

@@ -10,6 +10,7 @@ from valgen import (
     build_state,
     generating_sequence_detail,
     parse_polynomial,
+    parse_value,
     redundancy_survey,
 )
 from valgen._golden import CONFIG, example_bounds, example_model, example_state
@@ -48,10 +49,10 @@ def detail(state, survey):
     return generating_sequence_detail(state, survey=survey)
 
 
-def make_second_model():
+def make_second_model(values=("1", "sqrt(2)", "sqrt(3)")):
     basis = RadicalBasis((1, 2, 3))
     names = ("u1", "u2", "u3")
-    values = (basis.rational(1), basis.root(2), basis.root(3))
+    values = tuple(parse_value(text, basis) for text in values)
     images = {
         "x": parse_polynomial("u1", names),
         "y": parse_polynomial("u1 + u2", names),
@@ -78,6 +79,13 @@ def second_model():
 @pytest.fixture(scope="session")
 def second_state(second_model):
     return build_state(second_model)
+
+
+@pytest.fixture(scope="session")
+def fractional_state():
+    """The second model's shape with ambient values 1/3, sqrt(2)/2 and
+    sqrt(3): chain values over denominators 3, 2 and 1."""
+    return build_state(make_second_model(("1/3", "1/2*sqrt(2)", "sqrt(3)")))
 
 
 @pytest.fixture(scope="session")

@@ -266,7 +266,7 @@ def test_build_respects_bound_overrides(second_config, capsys):
 @pytest.fixture()
 def fast_verify(monkeypatch, state, survey, detail):
     """Run the verify subcommand against the session state, skipping the rebuild."""
-    monkeypatch.setattr(valgen.cli, "example_state", lambda: state)
+    monkeypatch.setattr(valgen._golden, "example_state", lambda: state)
     monkeypatch.setattr(valgen.cli, "redundancy_survey", lambda s: survey)
     monkeypatch.setattr(
         valgen.cli,
@@ -311,7 +311,7 @@ def test_internal_errors_exit_3_from_every_subcommand(
     def broken(*args, **kwargs):
         raise InternalConsistencyError("injected")
 
-    monkeypatch.setattr(valgen.cli, "example_state", broken)
+    monkeypatch.setattr(valgen._golden, "example_state", broken)
     monkeypatch.setattr(valgen.cli, "build_state", broken)
     for argv in (
         ["verify-example"],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import combinations, product
 
 import pytest
@@ -16,10 +17,13 @@ from valgen import (
 )
 from valgen.grouplat import (
     SemigroupSolver,
+    _cofactor_normal,
+    _det,
     graded_key,
     irreducible_decompose,
     lattice_solve,
     min_multiple_in_group,
+    minimal_pushing_set,
     minimal_semigroup_generators,
     permissible_decompose,
     semigroup_contains,
@@ -368,6 +372,34 @@ def test_cone_normals_hold_on_their_suffix(state_30):
         assert set(sol.normals[-1]) == units | negated
 
 
+square_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(square_matrices)
+def test_det_matches_cofactor_expansion(rows):
+    # small entries make zero pivots and singular matrices common
+    assert _det(rows) == oracles.laplace_det(rows)
+
+
+@given(square_matrices.filter(lambda rows: rows))
+def test_cofactor_normal_matches_cofactor_expansion(rows):
+    # the last dim-1 rows of a dim x dim matrix as the given vectors
+    vecs, dim = [tuple(r) for r in rows[1:]], len(rows)
+    h = [
+        (-1) ** c * oracles.laplace_det([v[:c] + v[c + 1:] for v in vecs])
+        for c in range(dim)
+    ]
+    g = gcd(*h)
+    want = tuple(x // g for x in h) if g else None
+    assert _cofactor_normal(vecs, dim) == want
+
+
 @pytest.mark.parametrize(
     "vecs",
     [
@@ -406,6 +438,21 @@ def test_example_build_search_stays_small(state):
     assert sum(s.nodes for s in solvers) <= 100_000
     # the build alone makes 697 queries; other tests may add some
     assert sum(s.queries for s in solvers) >= 697
+
+
+def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
+    # No bundled model shows the filter: where a value ceiling skips a
+    # member, no later D set would have used it.  So member 1 of the worked
+    # example is marked skipped by hand, as the ceiling would mark it.
+    rec = state.t_chain[3]
+    with_t1 = (PairVec((), (2, 0, 0, 1)), PairVec((), (1, 0, 0, 3)))
+    assert set(with_t1) <= set(rec.D.members)
+    monkeypatch.setattr(state.t_chain[0], "status", "skipped")
+    got = minimal_pushing_set(state, 4)
+    # its value stays among the solver's generators, but t1 gets no
+    # coordinate, so the two members that raise t1 drop out
+    assert got.members == tuple(v for v in rec.D.members if v not in with_t1)
+    assert all(v.t_at(1) == 0 for v in got.members)
 
 
 def test_solvers_are_cached_per_build(second_model, second_state):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valgen import PairVec, parse_value
+from valgen import PairVec, Value, outputs, parse_value
 from valgen.grouplat import SemigroupSolver
 from valgen.jumpseq import SearchBounds, build_state
 from valgen.outputs import (
@@ -81,6 +81,67 @@ def test_generators_match_brute_force(state, second_state):
                 key=lambda v: (st.value_of(v), v.p, v.t),
             )
             assert got == want
+
+
+def test_queries_match_brute_force_off_unit_denominators(fractional_state):
+    st = fractional_state
+    basis = st.basis
+    gens = [val for _, _, val in oracles.chain_rows(st)]
+    assert {val.den for val in gens} == {1, 2, 3}
+    for text in ("5/4 + 1/5*sqrt(3)", "2", "3/7*sqrt(2) + 1/2"):
+        sigma = parse_value(text, basis)
+        # a minimal generator exceeds sigma by less than one row value
+        cap = sigma + max(gens)
+        reaching = [
+            (v, val)
+            for v, val in oracles.vectors_up_to(st, cap)
+            if val >= sigma
+        ]
+        want = sorted(
+            oracles.minimal_vectors(reaching),
+            key=lambda v: (st.value_of(v), v.p, v.t),
+        )
+        members = ideal_generators(st, sigma).members
+        assert sorted(
+            members, key=lambda v: (st.value_of(v), v.p, v.t)
+        ) == want
+        assert [st.value_of(v) for v in members] == sorted(
+            st.value_of(v) for v in members
+        )
+        sl = semigroup_values_up_to(st, sigma)
+        assert list(sl.values) == oracles.sums_up_to(gens, sigma, basis.zero())
+
+
+def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
+    sigma = parse_value("2 + 2*sqrt(2) + 2*sqrt(3)", second_state.basis)
+    built = visits = 0
+    post_init = Value.__post_init__
+    walk = outputs._walk
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    def counting_walk(*args):
+        *head, visit = args
+
+        def counted(*seen):
+            nonlocal visits
+            visits += 1
+            return visit(*seen)
+
+        walk(*head, counted)
+
+    monkeypatch.setattr(Value, "__post_init__", counting_post_init)
+    monkeypatch.setattr(outputs, "_walk", counting_walk)
+    gens = ideal_generators(second_state, sigma)
+    sl = semigroup_values_up_to(second_state, sigma)
+    answers = len(gens.members) + len(sl.values)
+    # the walks visit several vectors per answer, yet a Value is built only
+    # for what is returned: one per generator (its sort key) and per value
+    assert visits >= 3 * answers
+    assert built <= 2 * answers
 
 
 def test_truncated_chain_marks_incomplete():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from valgen import ParseError, RadicalBasis, Value, parse_value
@@ -71,6 +71,8 @@ def test_arithmetic():
     other = RadicalBasis((1, 2))
     with pytest.raises(ValueError):
         a + other.rational(1)
+    with pytest.raises(ValueError):
+        a < other.rational(1)
 
 
 def test_canonical_form():
@@ -172,6 +174,15 @@ def test_order_is_total_and_transitive(ca, cb, cc):
         assert a < c
     assert (a <= b) == (a < b or a == b)
     assert (a > b) == (b < a)
+
+
+@given(coeff_vectors, coeff_vectors)
+def test_order_agrees_with_the_difference_sign(ca, cb):
+    a, b = B.from_coeffs(ca), B.from_coeffs(cb)
+    # the operators cross-multiply numerators only when denominators differ
+    assume(a.den != b.den)
+    d = (a - b).sign()
+    assert (a < b, a <= b, a > b, a >= b) == (d < 0, d <= 0, d > 0, d >= 0)
 
 
 @given(coeff_vectors, coeff_vectors)
