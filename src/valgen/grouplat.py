@@ -428,27 +428,13 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
-    """The determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination: every division is exact."""
-    n = len(rows)
-    if n < 2:
+    if len(rows) < 2:
         return rows[0][0] if rows else 1
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top, piv = m[k], m[k][k]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * piv - lead * top[j]) // prev
-        prev = piv
-    return sign * m[-1][-1]
+    return sum(
+        (-1) ** c * x * _det([r[:c] + r[c + 1 :] for r in rows[1:]])
+        for c, x in enumerate(rows[0])
+        if x
+    )
 
 
 def _cofactor_normal(

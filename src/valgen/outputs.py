@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add, mul, sub
 from typing import Callable, Optional
 
@@ -22,26 +21,14 @@ from .grouplat import (
 )
 from .jumpseq import JumpState
 from .laurent import LaurentPoly
-from .values import Value, int_vec_sign
-
-
-def _over_common_den(rows, threshold: Value):
-    """(den, steps, top): den is the common denominator of the rows'
-    values and the threshold; steps and top are their numerators over it."""
-    den = lcm(threshold.den, *(val.den for *_, val in rows))
-
-    def scaled(value: Value) -> tuple[int, ...]:
-        up = den // value.den
-        return tuple(a * up for a in value.nums)
-
-    return den, [scaled(val) for *_, val in rows], scaled(threshold)
+from .values import Value, int_vec_sign, over_common_den
 
 
 def _walk(steps, top, visit: Callable[[list, tuple], bool]) -> None:
     """Visit exponent vectors over the chain rows, each at most once.
 
     ``steps`` and ``top`` are the numerators of the row values and of a
-    threshold over one common denominator (``_over_common_den``).  Each
+    threshold over one common denominator (``over_common_den``).  Each
     vector carries its value minus the threshold as such a tuple, so its
     sign (``int_vec_sign``) places the vector against the threshold and
     no Value is built.  The walk starts at the zero vector and reaches a
@@ -90,7 +77,10 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     if sigma.sign() <= 0:
         return GeneratorSet(sigma, (PairVec((), ()),), complete)
     rows = state.coordinates(len(state.p_chain), len(state.t_chain))
-    den, steps, sig = _over_common_den(rows, sigma)
+    den, steps = over_common_den(
+        [*(val for *_, val in rows), sigma], state.basis
+    )
+    sig = steps.pop()
     rads = state.basis.radicands
     # (counts, value - sigma) of every vector reaching sigma first
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -360,7 +350,10 @@ def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
     if cap.sign() < 0:
         return SemigroupSlice(cap, (), complete)
     rows = state.coordinates(len(state.p_chain), len(state.t_chain))
-    den, steps, top = _over_common_den(rows, cap)
+    den, steps = over_common_den(
+        [*(val for *_, val in rows), cap], state.basis
+    )
+    top = steps.pop()
     rads = state.basis.radicands
     # value - cap of every value reached; distinct tuples, distinct values
     seen: set[tuple[int, ...]] = set()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul, sub
 from typing import Mapping
 
@@ -34,7 +33,7 @@ from .errors import (
     ValuationOfZeroError,
 )
 from .laurent import LaurentPoly
-from .values import RadicalBasis, Value, int_vec_sign
+from .values import RadicalBasis, Value, int_vec_sign, over_common_den
 
 RING_VARS = ("x", "y", "z")
 
@@ -82,13 +81,11 @@ class ValuationModel:
         object.__setattr__(self, "images", dict(self.images))
         if len(self.ambient_vars) != len(self.ambient_values):
             raise ValueError("one value per ambient variable, please")
-        values = self.ambient_values
-        den = lcm(*(v.den for v in values))
-        columns = None
-        if all(v.basis == self.basis for v in values):
-            columns = tuple(zip(*(
-                tuple(a * (den // v.den) for a in v.nums) for v in values
-            )))
+        try:
+            den, scaled = over_common_den(self.ambient_values, self.basis)
+            columns = tuple(zip(*scaled))
+        except ValueError:
+            den, columns = 1, None
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_columns", columns)
 

@@ -19,8 +19,8 @@ No floating point is involved anywhere.
 Comparing two Values builds no intermediate Value: the order operators
 hand the numerator difference (cross-multiplied when the denominators
 differ) straight to ``int_vec_sign``.  Hot loops that only need signs,
-such as the enumerators in ``outputs``, work on integer numerator tuples
-over one common denominator the same way.
+such as the enumerators in ``outputs``, work the same way on integer
+numerator tuples over one common denominator (``over_common_den``).
 """
 from __future__ import annotations
 
@@ -368,6 +368,18 @@ class Value:
 
     def __repr__(self) -> str:
         return f"Value({self.exact_str()})"
+
+
+def over_common_den(
+    values: Sequence[Value], basis: RadicalBasis
+) -> tuple[int, list[tuple[int, ...]]]:
+    """(den, numerators): den is the lcm of the values' denominators (1
+    for none) and numerators holds each value's numerators over it.
+    Raises ValueError when a value carries another basis."""
+    if any(v.basis != basis for v in values):
+        raise ValueError("values carry different radical bases")
+    den = lcm(*(v.den for v in values))
+    return den, [tuple(a * (den // v.den) for a in v.nums) for v in values]
 
 
 def combination(

@@ -176,14 +176,3 @@ def sums_up_to(values, cap, zero):
                     nxt.append(s)
         frontier = nxt
     return sorted(found)
-
-
-def laplace_det(rows):
-    """The determinant of a square matrix by cofactor expansion along
-    the first row."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** c * x * laplace_det([r[:c] + r[c + 1:] for r in rows[1:]])
-        for c, x in enumerate(rows[0])
-    )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valgen import PairVec, Value, outputs, parse_value
+from valgen import PairVec, RadicalBasis, Value, outputs, parse_value
 from valgen.grouplat import SemigroupSolver
 from valgen.jumpseq import SearchBounds, build_state
 from valgen.outputs import (
@@ -142,6 +142,20 @@ def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
     # for what is returned: one per generator (its sort key) and per value
     assert visits >= 3 * answers
     assert built <= 2 * answers
+
+
+@pytest.mark.parametrize("radicands", [(1, 2), (1, 2, 5)])
+def test_queries_reject_a_threshold_over_another_basis(
+    second_state, radicands
+):
+    # a shorter basis would stall the walk, one of the same length would
+    # judge signs under the wrong radicands; both must raise instead
+    other = RadicalBasis(radicands)
+    threshold = parse_value("2 + sqrt(2)", other)
+    with pytest.raises(ValueError):
+        ideal_generators(second_state, threshold)
+    with pytest.raises(ValueError):
+        semigroup_values_up_to(second_state, threshold)
 
 
 def test_truncated_chain_marks_incomplete():
