@@ -41,8 +41,6 @@ from .jumpseq import (
     build_p_chain,
     build_state,
     build_t_chain,
-    is_successor,
-    successors,
 )
 from .laurent import LaurentPoly, parse_polynomial
 from .outputs import (
@@ -51,7 +49,6 @@ from .outputs import (
     RedundancyCertificate,
     SemigroupSlice,
     SequenceReport,
-    generating_sequence,
     generating_sequence_detail,
     gr_presentation,
     ideal_generators,
@@ -96,13 +93,11 @@ __all__ = [
     "build_state",
     "build_t_chain",
     "combination",
-    "generating_sequence",
     "generating_sequence_detail",
     "gr_presentation",
     "graded_key",
     "ideal_generators",
     "irreducible_decompose",
-    "is_successor",
     "lattice_solve",
     "min_multiple_in_group",
     "minimal_pushing_set",
@@ -115,6 +110,5 @@ __all__ = [
     "semigroup_contains",
     "semigroup_values_up_to",
     "smith_normal_form",
-    "successors",
     "validate_model",
 ]

@@ -12,11 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .grouplat import PairVec
-from .jumpseq import JumpState, SearchBounds, build_state
+from .cli import parse_config
+from .jumpseq import JumpState, build_state
 from .laurent import LaurentPoly, parse_polynomial
-from .valmodel import RING_VARS, ValuationModel
-from .values import RadicalBasis, parse_value
+from .outputs import RedundancyCertificate, SequenceReport
+from .valmodel import RING_VARS
+from .values import parse_value
 
 CONFIG = {
     "basis": [1, 2, 51],
@@ -80,7 +81,6 @@ GOLDEN = {
     "skipped": (16,),
     "betas": {1: "1", 2: "sqrt(2)"},
     "q": {1: None, 2: None},
-    "q_infinite": (1, 2),
     "gammas": {
         1: "2*sqrt(2) - 1",
         2: "5*sqrt(2) - 4",
@@ -284,32 +284,15 @@ GOLDEN = {
 }
 
 
-def example_model() -> ValuationModel:
-    basis = RadicalBasis(tuple(CONFIG["basis"]))
-    av = tuple(CONFIG["ambient_vars"])
-    values = tuple(parse_value(t, basis) for t in CONFIG["ambient_values"])
-    images = {
-        name: parse_polynomial(text, av)
-        for name, text in CONFIG["images"].items()
-    }
-    return ValuationModel(
-        basis=basis, ambient_vars=av, ambient_values=values, images=images
-    )
-
-
-def example_bounds(basis: RadicalBasis) -> SearchBounds:
-    b = CONFIG["bounds"]
-    return SearchBounds(
-        max_t_index=b["max_t_index"],
-        max_value=parse_value(b["max_value"], basis),
-        d_layer_cap=b["d_layer_cap"],
-        d_coord_cap=b["d_coord_cap"],
-    )
+def parsed_example(max_value: Optional[str] = None):
+    """(model, bounds, outputs, echo) of CONFIG, as ``valgen build`` reads
+    a config file; max_value replaces the ceiling."""
+    return parse_config(CONFIG, "_golden.CONFIG", max_value=max_value)
 
 
 def example_state() -> JumpState:
-    model = example_model()
-    return build_state(model, bounds=example_bounds(model.basis))
+    model, bounds, _, _ = parsed_example()
+    return build_state(model, bounds=bounds)
 
 
 def golden_polys() -> dict[int, LaurentPoly]:
@@ -327,26 +310,18 @@ def golden_polys() -> dict[int, LaurentPoly]:
     return out
 
 
-def _pv(pair) -> PairVec:
-    return PairVec(tuple(pair[0]), tuple(pair[1]))
-
-
 def compare(
     state: JumpState,
-    survey=None,
-    detail=None,
-    golden: Optional[dict] = None,
+    survey: dict[int, RedundancyCertificate],
+    detail: SequenceReport,
 ) -> list[str]:
-    """Diff a finished state against the frozen expectations.
+    """Diff a finished state, its redundancy survey and its sequence
+    report against the frozen expectations.
 
-    survey and detail are the redundancy survey and sequence report for
-    the same state; pass them in when already computed, otherwise they
-    are derived here.  Returns one line per mismatch, empty when the
-    state reproduces the example exactly.
+    Returns one line per mismatch, empty when the state reproduces the
+    example exactly.
     """
-    from .outputs import generating_sequence_detail, redundancy_survey
-
-    g = GOLDEN if golden is None else golden
+    g = GOLDEN
     basis = state.basis
     diffs: list[str] = []
 
@@ -361,7 +336,6 @@ def compare(
         rec = state.p_chain[idx - 1]
         check(f"beta{idx}", rec.beta, parse_value(text, basis))
         check(f"q{idx}", rec.q, g["q"][idx])
-        check(f"q{idx}_infinite", rec.q is None, idx in g["q_infinite"])
     check("chain_length", len(state.t_chain), g["chain_length"])
     check("skipped", tuple(state.flags.skipped), g["skipped"])
 
@@ -401,8 +375,6 @@ def compare(
             want_poly = parse_polynomial(want_init, state.model.ambient_vars)
             check(f"{tag}_initial", got_init, want_poly)
 
-    if survey is None:
-        survey = redundancy_survey(state)
     for j, (status, combo) in g["redundancy"].items():
         cert = survey.get(j)
         if cert is None:
@@ -414,8 +386,6 @@ def compare(
             want = tuple((mu, vec) for mu, vec in combo)
             check(f"cert{j}_combo", got, want)
 
-    if detail is None:
-        detail = generating_sequence_detail(state, survey=survey)
     check("kept_p", detail.kept_p, g["kept_p"])
     check("kept_t", detail.kept_t, g["kept_t"])
     check("minimality_certified", detail.certified, g["certified"])

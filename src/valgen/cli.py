@@ -25,6 +25,8 @@ from .grouplat import PairVec
 from .jumpseq import DEFAULT_MAX_VALUE, JumpState, SearchBounds, build_state
 from .laurent import parse_polynomial
 from .outputs import (
+    DEFAULT_DEGREE_CAP,
+    DEFAULT_VALUE_SLACK,
     GeneratorSet,
     SequenceReport,
     gr_presentation,
@@ -43,14 +45,15 @@ _BOUND_DEFAULTS = {
     "d_coord_cap": SearchBounds.d_coord_cap,
 }
 _OUTPUT_DEFAULTS = {
-    "redundancy_value_slack": "5",
-    "redundancy_degree_cap": 40,
+    "redundancy_value_slack": str(DEFAULT_VALUE_SLACK),
+    "redundancy_degree_cap": DEFAULT_DEGREE_CAP,
     "semigroup_cap": "2",
 }
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValgenError):
+    """Unusable input, named by the config file or object and key, or by
+    the command-line option, it came from."""
 
 
 def _need(cfg: dict, key: str, kind, where: str):
@@ -90,12 +93,7 @@ def _is_int(x) -> bool:
 
 def load_config(path: str, max_t_index: Optional[int] = None,
                 max_value: Optional[str] = None):
-    """Read and check a config file.
-
-    Returns (model, bounds, outputs, echo) where echo is the normalized
-    config dictionary embedded in reports.  Raises ConfigError with a
-    human-readable diagnostic on any problem.
-    """
+    """Read a config file and check it with parse_config."""
     try:
         with open(path) as f:
             text = f.read()
@@ -105,38 +103,49 @@ def load_config(path: str, max_t_index: Optional[int] = None,
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at position {e.pos}: {e.msg}")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+    return parse_config(cfg, path, max_t_index, max_value)
 
-    raw_basis = _need(cfg, "basis", list, path)
+
+def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
+                 max_value: Optional[str] = None):
+    """Check a decoded config; the overrides replace its bounds.
+
+    Returns (model, bounds, outputs, echo) where echo is the normalized
+    config dictionary embedded in reports.  Raises ConfigError with a
+    human-readable diagnostic, prefixed by ``where``, on any problem.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: top level must be an object")
+
+    raw_basis = _need(cfg, "basis", list, where)
     for pos, entry in enumerate(raw_basis):
         if not _is_int(entry):
             raise ConfigError(
-                f"{path}.basis[{pos}]: expected an integer, "
+                f"{where}.basis[{pos}]: expected an integer, "
                 f"got {type(entry).__name__}"
             )
     try:
         basis = RadicalBasis(tuple(raw_basis))
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}.basis: {e}")
-    names = _need(cfg, "ambient_vars", list, path)
+        raise ConfigError(f"{where}.basis: {e}")
+    names = _need(cfg, "ambient_vars", list, where)
     if len(names) != 3 or not all(isinstance(n, str) for n in names):
-        raise ConfigError(f"{path}.ambient_vars: expected three names")
+        raise ConfigError(f"{where}.ambient_vars: expected three names")
     av = tuple(names)
-    raw_values = _need(cfg, "ambient_values", list, path)
+    raw_values = _need(cfg, "ambient_values", list, where)
     if len(raw_values) != 3:
-        raise ConfigError(f"{path}.ambient_values: expected three entries")
+        raise ConfigError(f"{where}.ambient_values: expected three entries")
     values = [
-        _parse_text(parse_value, t, f"{path}.ambient_values[{pos}]", basis)
+        _parse_text(parse_value, t, f"{where}.ambient_values[{pos}]", basis)
         for pos, t in enumerate(raw_values)
     ]
-    raw_images = _need(cfg, "images", dict, path)
+    raw_images = _need(cfg, "images", dict, where)
     images = {}
     for name in ("x", "y", "z"):
         if name not in raw_images:
-            raise ConfigError(f"{path}.images: missing image of {name!r}")
+            raise ConfigError(f"{where}.images: missing image of {name!r}")
         images[name] = _parse_text(
-            parse_polynomial, raw_images[name], f"{path}.images.{name}", av
+            parse_polynomial, raw_images[name], f"{where}.images.{name}", av
         )
     model = ValuationModel(
         basis=basis,
@@ -147,10 +156,10 @@ def load_config(path: str, max_t_index: Optional[int] = None,
     problems = validate_model(model)
     if problems:
         raise ConfigError(
-            f"{path}: model rejected: " + "; ".join(problems)
+            f"{where}: model rejected: " + "; ".join(problems)
         )
 
-    raw_bounds = _section(cfg, "bounds", _BOUND_DEFAULTS, path)
+    raw_bounds = _section(cfg, "bounds", _BOUND_DEFAULTS, where)
     if max_t_index is not None:
         raw_bounds["max_t_index"] = max_t_index
     if max_value is not None:
@@ -160,12 +169,12 @@ def load_config(path: str, max_t_index: Optional[int] = None,
         cap = None
     else:
         cap = _parse_text(
-            parse_value, raw_bounds["max_value"], f"{path}.bounds.max_value",
+            parse_value, raw_bounds["max_value"], f"{where}.bounds.max_value",
             basis,
         )
     for key in ("max_t_index", "d_layer_cap", "d_coord_cap"):
         if not _is_int(raw_bounds[key]) or raw_bounds[key] < 1:
-            raise ConfigError(f"{path}.bounds.{key}: expected a positive integer")
+            raise ConfigError(f"{where}.bounds.{key}: expected a positive integer")
     bounds = SearchBounds(
         max_t_index=raw_bounds["max_t_index"],
         max_value=cap,
@@ -173,12 +182,12 @@ def load_config(path: str, max_t_index: Optional[int] = None,
         d_coord_cap=raw_bounds["d_coord_cap"],
     )
 
-    outputs = _section(cfg, "outputs", _OUTPUT_DEFAULTS, path)
+    outputs = _section(cfg, "outputs", _OUTPUT_DEFAULTS, where)
     for key in ("redundancy_value_slack", "semigroup_cap"):
-        _parse_text(parse_value, outputs[key], f"{path}.outputs.{key}", basis)
+        _parse_text(parse_value, outputs[key], f"{where}.outputs.{key}", basis)
     if not _is_int(outputs["redundancy_degree_cap"]):
         raise ConfigError(
-            f"{path}.outputs.redundancy_degree_cap: expected an integer"
+            f"{where}.outputs.redundancy_degree_cap: expected an integer"
         )
 
     echo = {
@@ -186,15 +195,32 @@ def load_config(path: str, max_t_index: Optional[int] = None,
         "ambient_vars": list(av),
         "ambient_values": list(raw_values),
         "images": {k: raw_images[k] for k in ("x", "y", "z")},
-        "bounds": {
-            "max_t_index": raw_bounds["max_t_index"],
-            "max_value": raw_bounds["max_value"],
-            "d_layer_cap": raw_bounds["d_layer_cap"],
-            "d_coord_cap": raw_bounds["d_coord_cap"],
-        },
+        "bounds": {key: raw_bounds[key] for key in _BOUND_DEFAULTS},
         "outputs": outputs,
     }
     return model, bounds, outputs, echo
+
+
+# -- outputs ------------------------------------------------------------------
+
+
+def derive_outputs(state: JumpState, outputs: dict):
+    """(survey, detail, relations, semigroup) of a report, under the
+    ``outputs`` section parse_config returned."""
+    basis = state.basis
+    survey = redundancy_survey(
+        state,
+        value_slack=parse_value(outputs["redundancy_value_slack"], basis),
+        degree_cap=outputs["redundancy_degree_cap"],
+    )
+    return (
+        survey,
+        generating_sequence_detail(state, survey),
+        gr_presentation(state),
+        semigroup_values_up_to(
+            state, parse_value(outputs["semigroup_cap"], basis)
+        ),
+    )
 
 
 # -- serialization ------------------------------------------------------------
@@ -331,6 +357,11 @@ def vector_symbol(vec: PairVec) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _doc_symbol(vec: dict) -> str:
+    """vector_symbol of a vector as report_doc writes it."""
+    return vector_symbol(PairVec(tuple(vec["p"]), tuple(vec["t"])))
+
+
 def render_text(doc: dict, elapsed: Optional[float] = None) -> str:
     lines = []
     lines.append("first chain")
@@ -352,21 +383,14 @@ def render_text(doc: dict, elapsed: Optional[float] = None) -> str:
         )
         lines.append(head)
         if row["D"] is not None:
-            shown = ", ".join(
-                vector_symbol(PairVec(tuple(v["p"]), tuple(v["t"])))
-                for v in row["D"]["members"]
-            )
+            shown = ", ".join(_doc_symbol(v) for v in row["D"]["members"])
             mark = "" if row["D"]["complete"] else "  (maybe incomplete)"
             lines.append(f"      new vectors: [{shown}]{mark}")
         if row["created_at"] is not None:
-            vec = row["created_at"]["vector"]
-            src = row["created_at"]["step"]
-            rew = row["rewrite"]
+            made = row["created_at"]
             lines.append(
-                f"      from step {src}: "
-                f"{vector_symbol(PairVec(tuple(vec['p']), tuple(vec['t'])))}"
-                f" - ({row['scalar']}) * "
-                f"{vector_symbol(PairVec(tuple(rew['p']), tuple(rew['t'])))}"
+                f"      from step {made['step']}: {_doc_symbol(made['vector'])}"
+                f" - ({row['scalar']}) * {_doc_symbol(row['rewrite'])}"
             )
     lines.append("")
     lines.append("redundancy")
@@ -375,9 +399,7 @@ def render_text(doc: dict, elapsed: Optional[float] = None) -> str:
             lines.append(f"  T{row['target']}: {row['status']}")
         else:
             combo = " + ".join(
-                f"({e['coeff']})*"
-                f"{vector_symbol(PairVec(tuple(e['vector']['p']), tuple(e['vector']['t'])))}"
-                for e in row["combo"]
+                f"({e['coeff']})*{_doc_symbol(e['vector'])}" for e in row["combo"]
             )
             lines.append(f"  T{row['target']}: {row['status']}  = {combo}")
     lines.append("")
@@ -389,9 +411,10 @@ def render_text(doc: dict, elapsed: Optional[float] = None) -> str:
     lines.append("")
     lines.append("graded ring relations")
     for row in doc["relations"]:
-        lhs = vector_symbol(PairVec(tuple(row["lhs"]["p"]), tuple(row["lhs"]["t"])))
-        rhs = vector_symbol(PairVec(tuple(row["rhs"]["p"]), tuple(row["rhs"]["t"])))
-        lines.append(f"  {lhs} = ({row['scalar']}) * {rhs}")
+        lines.append(
+            f"  {_doc_symbol(row['lhs'])} = ({row['scalar']})"
+            f" * {_doc_symbol(row['rhs'])}"
+        )
     lines.append("")
     semi = doc["semigroup"]
     lines.append(
@@ -449,29 +472,14 @@ def _dump_json(doc: dict) -> str:
 
 
 def cmd_build(args) -> int:
-    try:
-        model, bounds, outputs, echo = load_config(
-            args.config, args.max_t_index, args.max_value
-        )
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    basis = model.basis
+    model, bounds, outputs, echo = load_config(
+        args.config, args.max_t_index, args.max_value
+    )
     start = time.monotonic()
     state = build_state(model, bounds=bounds)
-    slack = parse_value(outputs["redundancy_value_slack"], basis)
-    survey = redundancy_survey(
-        state,
-        value_slack=slack,
-        degree_cap=outputs["redundancy_degree_cap"],
-    )
-    detail = generating_sequence_detail(state, survey=survey)
-    relations = gr_presentation(state)
-    semigroup = semigroup_values_up_to(
-        state, parse_value(outputs["semigroup_cap"], basis)
-    )
+    derived = derive_outputs(state, outputs)
     elapsed = time.monotonic() - start
-    doc = report_doc(state, echo, survey, detail, relations, semigroup)
+    doc = report_doc(state, echo, *derived)
     payload = _dump_json(doc)
     text = render_text(doc, elapsed=elapsed)
     if args.out:
@@ -487,18 +495,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    try:
-        model, bounds, _, _ = load_config(
-            args.config, args.max_t_index, args.max_value
-        )
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        sigma = parse_value(args.sigma, model.basis)
-    except ParseError as e:
-        print(f"error: --sigma: {e}", file=sys.stderr)
-        return 2
+    model, bounds, _, _ = load_config(
+        args.config, args.max_t_index, args.max_value
+    )
+    sigma = _parse_text(parse_value, args.sigma, "--sigma", model.basis)
     state = build_state(model, bounds=bounds)
     gens: GeneratorSet = ideal_generators(state, sigma)
     if args.json:
@@ -523,12 +523,13 @@ def cmd_ideal(args) -> int:
 def cmd_verify_example(args) -> int:
     # the golden data is only needed here; importing it lazily keeps it
     # out of every other subcommand's start-up
-    from ._golden import compare, example_state
+    from ._golden import compare, parsed_example
 
-    state = example_state()
-    survey = redundancy_survey(state)
-    detail = generating_sequence_detail(state, survey=survey)
-    diffs = compare(state, survey=survey, detail=detail)
+    # the same path as a build of the example's config
+    model, bounds, outputs, _ = parsed_example()
+    state = build_state(model, bounds=bounds)
+    survey, detail, _, _ = derive_outputs(state, outputs)
+    diffs = compare(state, survey, detail)
     if args.json:
         sys.stdout.write(
             _dump_json({"ok": not diffs, "differences": diffs})

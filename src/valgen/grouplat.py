@@ -575,12 +575,12 @@ def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
     rem = alpha
     while True:
         if ii == 0 and kk == 1:
-            n = rem.floor_ratio(p[0].beta)
-            if n * p[0].beta != rem:
+            sol = lattice_solve(rem, [p[0].beta])
+            if sol is None or sol[0] < 0:
                 raise NotInSemigroupError(
                     f"{alpha} has no nonnegative rewrite over the chain values"
                 )
-            L[0] = n
+            L[0] = sol[0]
             break
         m_ii = state.m_at(ii)
         if kk > m_ii:

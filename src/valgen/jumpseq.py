@@ -182,6 +182,19 @@ class JumpState:
         self._products[key] = out
         return out
 
+    def binomial(
+        self, lhs: PairVec, rhs: PairVec
+    ) -> tuple[Fraction, LaurentPoly, LaurentPoly]:
+        """(scalar, ring form, image) of lhs - scalar*rhs, the scalar the
+        residue ratio of the two monomials, which cancels their initial
+        terms.  Values come from the image; the ring form is for the zero
+        test and the report."""
+        lhs_img = self.image_of(lhs)
+        rhs_img = self.image_of(rhs)
+        scalar = self.model.residue_ratio(lhs_img, rhs_img)
+        poly = self.poly_of(lhs) - self.poly_of(rhs).scale(scalar)
+        return scalar, poly, lhs_img - rhs_img.scale(scalar)
+
     def coordinates(self, k: int, i: int) -> list[tuple[str, int, Value]]:
         """The exponent layout every search over the chains uses: p_1..p_k,
         then each t_j with j <= i and nonzero value, as (kind, 1-based
@@ -251,21 +264,16 @@ def build_p_chain(
                 "rewrite of a group multiple went negative in the first slot"
             )
         rec.L_vec = L
-        state.T_set.add(0, PairVec((0,) * (i - 1) + (q,), ()))
-        monomial = PairVec(L, ())
-        power_img = rec.image ** q
-        monomial_img = state.image_of(monomial)
-        lam = model.residue_ratio(power_img, monomial_img)
-        rec.lam = lam
+        power = PairVec((0,) * (i - 1) + (q,), ())
+        state.T_set.add(0, power)
+        rec.lam, nxt, image = state.binomial(power, PairVec(L, ()))
         if len(state.p_chain) >= max_len:
             state.flags.p_truncated = True
             break
-        nxt = rec.poly ** q - state.poly_of(monomial).scale(lam)
         if nxt.is_zero():
             raise InternalConsistencyError(
                 "chain member vanished; the value data is degenerate"
             )
-        image = power_img - monomial_img.scale(lam)
         beta = model.nu(image)
         if not beta > q * rec.beta:
             raise InternalConsistencyError("chain value failed to increase")
@@ -287,13 +295,7 @@ def _create_member(state: JumpState, i: int, vec: PairVec) -> bool:
     value = state.value_of(vec)
     rec = state.t_chain[i - 1]
     LN = irreducible_decompose(value, state, rec.m, i - 1)
-    lhs_img = state.image_of(vec)
-    rhs_img = state.image_of(LN)
-    mu = state.model.residue_ratio(lhs_img, rhs_img)
-    # the ring form is for the zero test and the report; values come from
-    # the image
-    poly = state.poly_of(vec) - state.poly_of(LN).scale(mu)
-    image = lhs_img - rhs_img.scale(mu)
+    mu, poly, image = state.binomial(vec, LN)
     if poly.is_zero():
         gamma = state.basis.zero()
     else:
@@ -383,29 +385,3 @@ def build_state(
 ) -> JumpState:
     """Run both constructions and return the finished state."""
     return build_t_chain(build_p_chain(model, max_len=max_len, bounds=bounds))
-
-
-# -- ancestry ---------------------------------------------------------------
-
-
-def successors(state: JumpState, i: int) -> list[int]:
-    """Indices of second-chain members created while processing position i."""
-    return [
-        rec.index
-        for rec in state.t_chain
-        if rec.parent is not None and rec.parent[0] == i
-    ]
-
-
-def is_successor(state: JumpState, i: int, j: int) -> bool:
-    """True when member j descends from member i through creating steps."""
-    cur = j
-    while True:
-        if cur < 1 or cur > len(state.t_chain):
-            return False
-        parent = state.t_chain[cur - 1].parent
-        if parent is None:
-            return False
-        if parent[0] == i:
-            return True
-        cur = parent[0]

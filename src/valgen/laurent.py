@@ -383,6 +383,8 @@ class _Parser:
             out = out * self.parse_factor()
 
     def parse_factor(self) -> LaurentPoly:
+        self.skip_ws()
+        at = self.pos
         base = self.parse_atom()
         self.skip_ws()
         if self.peek() != "^":
@@ -394,6 +396,9 @@ class _Parser:
             neg = True
             self.pos += 1
         n = self.read_int()
+        if neg and not base.is_monomial():
+            self.pos = at
+            raise self.error("negative power of a non-monomial")
         return base ** (-n if neg else n)
 
     def parse_atom(self) -> LaurentPoly:
@@ -433,8 +438,8 @@ class _Parser:
 def parse_polynomial(text: str, vars_: Sequence[str]) -> LaurentPoly:
     """Parse text like ``x*z - y^2`` over the given variables.
 
-    Raises ParseError with a character position on malformed input or
-    unknown variable names.
+    Raises ParseError with a character position on malformed input,
+    unknown variable names or a negative power of a non-monomial.
     """
     p = _Parser(text, tuple(vars_))
     out = p.parse_expr()

@@ -23,6 +23,11 @@ from .jumpseq import JumpState
 from .laurent import LaurentPoly
 from .values import Value, int_vec_sign, over_common_den
 
+# the redundancy search window when none is given: how far above a
+# member's value a rewrite may climb, and the largest degree it may use
+DEFAULT_VALUE_SLACK = 5
+DEFAULT_DEGREE_CAP = 40
+
 
 def _walk(steps, top, visit: Callable[[list, tuple], bool]) -> None:
     """Visit exponent vectors over the chain rows, each at most once.
@@ -135,13 +140,13 @@ def redundancy_certificate(
     state: JumpState,
     target: int,
     value_slack: Optional[Value] = None,
-    degree_cap: int = 40,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> RedundancyCertificate:
     """Try to express second-chain member `target` through the others.
 
     The search window reaches value_slack above the member's own value
-    (five times the first chain value when not given) and ignores
-    rewrite monomials of larger polynomial degree than degree_cap.
+    (DEFAULT_VALUE_SLACK when not given) and ignores rewrite monomials
+    of larger polynomial degree than degree_cap.
     """
     if not 1 <= target <= len(state.t_chain):
         raise ValueError(f"no second-chain member {target}")
@@ -152,7 +157,7 @@ def redundancy_certificate(
     if solver.contains(rec.gamma) is None:
         return RedundancyCertificate(target, "not_eligible")
     if value_slack is None:
-        value_slack = 5 * state.p_chain[0].beta
+        value_slack = state.basis.rational(DEFAULT_VALUE_SLACK)
     hi = rec.gamma + value_slack
     plen = len(state.p_chain)
     tlen = len(state.t_chain)
@@ -207,7 +212,7 @@ def redundancy_certificate(
 def redundancy_survey(
     state: JumpState,
     value_slack: Optional[Value] = None,
-    degree_cap: int = 40,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> dict[int, RedundancyCertificate]:
     """One certificate per second-chain member, in chain order."""
     return {
@@ -242,23 +247,18 @@ class SequenceReport:
 
 
 def generating_sequence_detail(
-    state: JumpState,
-    value_slack: Optional[Value] = None,
-    degree_cap: int = 40,
-    survey: Optional[dict[int, RedundancyCertificate]] = None,
+    state: JumpState, survey: dict[int, RedundancyCertificate]
 ) -> SequenceReport:
-    """Drop provably redundant members and certify minimality if possible."""
-    certs = survey if survey is not None else redundancy_survey(
-        state, value_slack=value_slack, degree_cap=degree_cap
-    )
+    """Drop the members the survey proved redundant and certify minimality
+    if possible."""
     kept_p = tuple(r.index for r in state.p_chain)
     kept_t = tuple(
         j
-        for j, cert in certs.items()
+        for j, cert in survey.items()
         if cert.status in ("not_eligible", "undecided")
     )
     certified = not (state.flags.t_truncated or state.flags.p_truncated)
-    if any(cert.status == "undecided" for cert in certs.values()):
+    if any(cert.status == "undecided" for cert in survey.values()):
         certified = False
     kept_values = [state.p_chain[i - 1].beta for i in kept_p]
     kept_values.extend(state.t_chain[j - 1].gamma for j in kept_t)
@@ -270,25 +270,14 @@ def generating_sequence_detail(
         # a rewrite leaning on a dropped member would leave the kept set
         # short of generating, so insist every combination stays inside it
         kept = set(kept_t)
-        for cert in certs.values():
+        for cert in survey.values():
             if cert.status != "certified":
                 continue
             for _, vec in cert.combo:
                 for pos, c in enumerate(vec.t):
                     if c and pos + 1 not in kept:
                         certified = False
-    return SequenceReport(kept_p, kept_t, certs, certified)
-
-
-def generating_sequence(
-    state: JumpState, minimal: bool = True
-) -> tuple[LaurentPoly, ...]:
-    """The chain members as polynomials, trimmed when minimal is True."""
-    if not minimal:
-        polys = [r.poly for r in state.p_chain]
-        polys.extend(r.poly for r in state.t_chain if not r.poly.is_zero())
-        return tuple(polys)
-    return generating_sequence_detail(state).polynomials(state)
+    return SequenceReport(kept_p, kept_t, survey, certified)
 
 
 # -- associated graded ring ---------------------------------------------------

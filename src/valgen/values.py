@@ -82,21 +82,6 @@ def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
         bits *= 2
 
 
-def int_vec_ratio_bound(
-    vec: Sequence[int], divisor: Sequence[int], radicands: Sequence[int]
-) -> int:
-    """hi(vec) // lo(divisor) at the first precision with lo(divisor) > 0,
-    clipped at 0: an upper bound on floor(vec / divisor) for divisor > 0."""
-    bits = 64
-    while True:
-        lo, _ = int_vec_bounds(divisor, radicands, bits)
-        if lo > 0:
-            break
-        bits *= 2
-    _, hi = int_vec_bounds(vec, radicands, bits)
-    return max(hi, 0) // lo
-
-
 def _is_squarefree(n: int) -> bool:
     if n < 1:
         return False
@@ -300,26 +285,6 @@ class Value:
         if not isinstance(other, Value):
             return NotImplemented
         return self._cmp(other) >= 0
-
-    def floor_ratio(self, other: "Value") -> int:
-        """Largest integer n with n*other <= self; other must be positive."""
-        self._check_basis(other)
-        if other.sign() <= 0:
-            raise ValueError("floor_ratio requires a positive divisor")
-        if self.sign() < 0:
-            raise ValueError("floor_ratio requires a nonnegative dividend")
-        # Start from an enclosure-based guess over a common denominator,
-        # then correct exactly.
-        n = int_vec_ratio_bound(
-            [a * other.den for a in self.nums],
-            [b * self.den for b in other.nums],
-            self.basis.radicands,
-        )
-        while n * other > self:
-            n -= 1
-        while (n + 1) * other <= self:
-            n += 1
-        return n
 
     # -- presentation -------------------------------------------------
 

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import settings
@@ -13,7 +12,7 @@ from valgen import (
     parse_value,
     redundancy_survey,
 )
-from valgen._golden import CONFIG, example_bounds, example_model, example_state
+from valgen._golden import CONFIG, example_state, parsed_example
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -28,9 +27,7 @@ def state():
 @pytest.fixture(scope="session")
 def state_30():
     """The worked example built with the value ceiling raised to 30."""
-    model = example_model()
-    ceiling = model.basis.rational(30)
-    bounds = replace(example_bounds(model.basis), max_value=ceiling)
+    model, bounds, _, _ = parsed_example(max_value="30")
     return build_state(model, bounds=bounds)
 
 
@@ -46,7 +43,7 @@ def survey_30(state_30):
 
 @pytest.fixture(scope="session")
 def detail(state, survey):
-    return generating_sequence_detail(state, survey=survey)
+    return generating_sequence_detail(state, survey)
 
 
 def make_second_model(values=("1", "sqrt(2)", "sqrt(3)")):

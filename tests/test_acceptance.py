@@ -22,7 +22,6 @@ from valgen import LaurentPoly, PairVec, parse_value
 from valgen.cli import main
 from valgen.grouplat import lattice_solve, min_multiple_in_group
 from valgen.laurent import parse_polynomial
-from valgen.jumpseq import successors
 from valgen.outputs import ideal_generators
 from valgen.valmodel import RING_VARS
 
@@ -223,7 +222,11 @@ def test_construction_invariants(state, second_state, announce):
             rec = st.t_chain[i - 1]
             if rec.D is None:
                 continue
-            made = successors(st, i)
+            made = [
+                r.index
+                for r in st.t_chain
+                if r.parent is not None and r.parent[0] == i
+            ]
             assert made == list(
                 range(next_index, next_index + len(rec.D.members))
             )

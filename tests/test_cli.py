@@ -7,12 +7,13 @@ import jsonschema
 import pytest
 
 from valgen import InternalConsistencyError, PairVec
-from valgen._golden import GOLDEN
+from valgen._golden import CONFIG, GOLDEN, parsed_example
 from valgen.cli import (
     ConfigError,
     build_parser,
     load_config,
     main,
+    parse_config,
     render_text,
     vector_symbol,
 )
@@ -69,6 +70,14 @@ def test_load_config_round_trip(second_config):
         __import__("fractions").Fraction(9, 2)
     )
     assert echo2["bounds"]["max_t_index"] == 7
+
+
+def test_parse_config_matches_load_config(example_config):
+    assert parse_config(CONFIG, "here") == load_config(example_config)
+    assert parse_config(CONFIG, "here", 7, "30") == load_config(
+        example_config, 7, "30"
+    )
+    assert parsed_example("30") == load_config(example_config, None, "30")
 
 
 def test_load_config_missing_file():
@@ -156,6 +165,17 @@ def test_malformed_config_types_exit_2(tmp_path, mutate, key):
     assert proc.returncode == 2
     assert f"{path}.{key}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_non_invertible_power_names_its_key(tmp_path, capsys):
+    cfg = copy.deepcopy(GOOD)
+    cfg["images"]["z"] = "u3 * (u1 + u3)^-1"
+    path = write_config(tmp_path, cfg)
+    assert main(["build", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.images.z: negative power of a non-monomial"
+        " (at position 5)\n"
+    )
 
 
 def test_ideal_reports_sigma_errors(second_config, capsys):
@@ -265,18 +285,29 @@ def test_build_respects_bound_overrides(second_config, capsys):
 
 @pytest.fixture()
 def fast_verify(monkeypatch, state, survey, detail):
-    """Run the verify subcommand against the session state, skipping the rebuild."""
-    monkeypatch.setattr(valgen._golden, "example_state", lambda: state)
-    monkeypatch.setattr(valgen.cli, "redundancy_survey", lambda s: survey)
-    monkeypatch.setattr(
-        valgen.cli,
-        "generating_sequence_detail",
-        lambda s, survey=None: detail,
-    )
+    """Run the verify subcommand on the session state and survey, skipping
+    the rebuild; returns the arguments of the build and outputs calls."""
+    calls = []
+
+    def build(model, bounds):
+        calls.append((model, bounds))
+        return state
+
+    def derive(st, outputs):
+        calls.append((st, outputs))
+        return survey, detail, None, None
+
+    monkeypatch.setattr(valgen.cli, "build_state", build)
+    monkeypatch.setattr(valgen.cli, "derive_outputs", derive)
+    return calls
 
 
-def test_verify_example_passes(fast_verify, capsys):
+def test_verify_example_passes(fast_verify, state, capsys):
     assert main(["verify-example"]) == 0
+    # the command builds and derives what a build of the example's config
+    # does
+    model, bounds, outputs, _ = parsed_example()
+    assert fast_verify == [(model, bounds), (state, outputs)]
     assert "example verified" in capsys.readouterr().out
     assert main(["verify-example", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -311,7 +342,6 @@ def test_internal_errors_exit_3_from_every_subcommand(
     def broken(*args, **kwargs):
         raise InternalConsistencyError("injected")
 
-    monkeypatch.setattr(valgen._golden, "example_state", broken)
     monkeypatch.setattr(valgen.cli, "build_state", broken)
     for argv in (
         ["verify-example"],

@@ -10,10 +10,8 @@ from valgen.jumpseq import (
     build_p_chain,
     build_state,
     build_t_chain,
-    is_successor,
-    successors,
 )
-from valgen._golden import example_model
+from valgen._golden import parsed_example
 from valgen.laurent import parse_polynomial
 from valgen.outputs import redundancy_survey
 from valgen.valmodel import RING_VARS
@@ -54,7 +52,7 @@ def test_example_first_chain(state):
 
 
 def test_first_chain_truncation():
-    st = build_p_chain(example_model(), max_len=1)
+    st = build_p_chain(parsed_example()[0], max_len=1)
     assert len(st.p_chain) == 1
     assert st.flags.p_truncated
     assert st.p_chain[0].poly.text() == "1*x"
@@ -114,7 +112,7 @@ def test_example_second_chain_shape(state):
 
 def test_chain_length_cap():
     st = build_state(
-        example_model(),
+        parsed_example()[0],
         bounds=SearchBounds.for_basis(
             RadicalBasis((1, 2, 51)), max_t_index=3
         ),
@@ -126,7 +124,7 @@ def test_chain_length_cap():
 def test_value_ceiling_skips_expensive_rows():
     basis = RadicalBasis((1, 2, 51))
     st = build_state(
-        example_model(),
+        parsed_example()[0],
         bounds=SearchBounds.for_basis(basis, max_value=basis.rational(4)),
     )
     assert not st.flags.t_truncated
@@ -229,16 +227,6 @@ def test_images_are_expansions(request, which):
         ring = st.poly_of(v)
         assert ring.vars == RING_VARS
         assert st.image_of(v) == model.expand(ring)
-
-
-def test_successor_queries(state):
-    assert successors(state, 4) == [6, 7, 8, 9]
-    assert successors(state, 8) == [13, 14, 15, 16]
-    assert successors(state, 26) == []
-    assert is_successor(state, 2, 16)
-    assert is_successor(state, 8, 16)
-    assert not is_successor(state, 3, 16)
-    assert not is_successor(state, 16, 16)
 
 
 def test_creation_indices_are_sequential(state):

@@ -117,6 +117,8 @@ def test_negative_powers():
     assert inv.coefficient((-1, -2, 0)) == Fraction(1, 2)
     with pytest.raises(NonInvertibleSubstitution):
         P("x + y") ** -1
+    # the parser inverts a bracketed monomial
+    assert parse_polynomial("(2*x)^-2 + (y)^-1", XY) == P("1/4*x^-2 + y^-1", XY)
 
 
 def test_text_is_descending_lex():
@@ -163,6 +165,16 @@ def test_parse_errors_have_positions(text):
         parse_polynomial(text, XY)
     assert 0 <= exc.value.pos <= len(text)
     assert "position" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, pos", [("(x + y)^-1", 0), ("x * (x - x)^-2", 4), ("y*(2)^2*0^-1", 8)]
+)
+def test_negative_power_of_a_non_monomial_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, XY)
+    assert exc.value.bare_message == "negative power of a non-monomial"
+    assert exc.value.pos == pos
 
 
 @given(polys())

@@ -7,7 +7,7 @@ from valgen import PairVec, RadicalBasis, Value, outputs, parse_value
 from valgen.grouplat import SemigroupSolver
 from valgen.jumpseq import SearchBounds, build_state
 from valgen.outputs import (
-    generating_sequence,
+    DEFAULT_VALUE_SLACK,
     generating_sequence_detail,
     gr_presentation,
     ideal_generators,
@@ -15,9 +15,10 @@ from valgen.outputs import (
     redundancy_survey,
     semigroup_values_up_to,
 )
-from valgen._golden import GOLDEN, example_model, example_state
+from valgen._golden import GOLDEN, example_state, parsed_example
 
 import oracles
+from test_valmodel import with_values
 
 
 # -- valuation ideals ----------------------------------------------------------
@@ -159,9 +160,10 @@ def test_queries_reject_a_threshold_over_another_basis(
 
 
 def test_truncated_chain_marks_incomplete():
-    basis = example_model().basis
+    model = parsed_example()[0]
+    basis = model.basis
     st = build_state(
-        example_model(),
+        model,
         bounds=SearchBounds.for_basis(basis, max_t_index=3),
     )
     gens = ideal_generators(st, basis.rational(1))
@@ -288,6 +290,26 @@ def test_tight_window_reports_undecided(state):
     assert cert.status == "undecided"
 
 
+def test_default_window_is_an_absolute_slack():
+    # the worked example with every value scaled by 20, so beta_1 = 20: the
+    # default window reaches 5 above a member's value, not 5 * beta_1
+    model, bounds, _, _ = parsed_example(max_value="400")
+    scaled = with_values(model, ["20", "20*sqrt(2)", "20*sqrt(51) - 100"])
+    st = build_state(scaled, bounds=bounds)
+    assert st.p_chain[0].beta == st.basis.rational(20)
+    default = redundancy_survey(st)
+    assert default == redundancy_survey(
+        st, value_slack=st.basis.rational(DEFAULT_VALUE_SLACK)
+    )
+    wide = redundancy_survey(st, value_slack=5 * st.p_chain[0].beta)
+    moved = {
+        j: (default[j].status, wide[j].status)
+        for j in default
+        if default[j] != wide[j]
+    }
+    assert moved == {j: ("undecided", "certified") for j in (9, 16, 17)}
+
+
 # -- the trimmed sequence --------------------------------------------------------
 
 
@@ -300,21 +322,15 @@ def test_sequence_detail(state, detail):
     assert [p.text() for p in polys] == list(GOLDEN["minimal_polys"])
 
 
-def test_generating_sequence_variants(state, detail):
-    trimmed = generating_sequence(state)
-    assert trimmed == detail.polynomials(state)
-    full = generating_sequence(state, minimal=False)
-    nonzero = [r for r in state.t_chain if not r.poly.is_zero()]
-    assert len(full) == len(state.p_chain) + len(nonzero)
-
-
 def test_detail_reuses_a_provided_survey(state, survey, detail):
-    again = generating_sequence_detail(state, survey=survey)
+    again = generating_sequence_detail(state, survey)
     assert again == detail
 
 
 def test_second_state_sequence(second_state):
-    det = generating_sequence_detail(second_state)
+    det = generating_sequence_detail(
+        second_state, redundancy_survey(second_state)
+    )
     assert det.kept_p == (1, 2, 3)
     assert det.kept_t == (1,)
     # the two equal first-chain values make the kept set provably

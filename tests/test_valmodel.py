@@ -14,7 +14,7 @@ from valgen import (
     parse_value,
     validate_model,
 )
-from valgen._golden import example_model
+from valgen._golden import parsed_example
 from valgen.laurent import parse_polynomial
 from valgen.valmodel import RING_VARS
 
@@ -156,7 +156,7 @@ def with_values(model, texts):
     )
 
 
-EXAMPLE = example_model()
+EXAMPLE = parsed_example()[0]
 # unequal, non-unit denominators: the scan works over their lcm, 15
 FRACTIONAL = with_values(EXAMPLE, ["1/2", "1/3*sqrt(2)", "1/5*sqrt(51) - 1"])
 # 2*value(x) == value(y), so x^2 and y tie

@@ -185,29 +185,6 @@ def test_order_agrees_with_the_difference_sign(ca, cb):
     assert (a < b, a <= b, a > b, a >= b) == (d < 0, d <= 0, d > 0, d >= 0)
 
 
-@given(coeff_vectors, coeff_vectors)
-def test_floor_ratio_bounds(ca, cb):
-    a = B.from_coeffs(ca)
-    b = B.from_coeffs(cb)
-    if b.sign() <= 0 or a.sign() < 0:
-        return
-    q = a.floor_ratio(b)
-    assert q >= 0
-    assert b * q <= a
-    assert a < b * (q + 1)
-
-
-def test_floor_ratio_known():
-    assert B.rational(7).floor_ratio(B.rational(2)) == 3
-    assert B.root(51).floor_ratio(B.root(2)) == 5
-    assert (B.root(2) * 2).floor_ratio(B.root(2)) == 2
-    assert B.rational(0).floor_ratio(B.root(51)) == 0
-    with pytest.raises(ValueError):
-        B.rational(-1).floor_ratio(B.rational(2))
-    with pytest.raises(ValueError):
-        B.rational(1).floor_ratio(B.zero())
-
-
 @given(coeff_vectors)
 def test_exact_text_round_trip(coeffs):
     v = B.from_coeffs(coeffs)
