@@ -18,7 +18,6 @@ from .errors import (
     ValuationOfZeroError,
 )
 from .grouplat import (
-    ObstacleSet,
     PairVec,
     PushingSearch,
     SemigroupSolver,
@@ -71,7 +70,6 @@ __all__ = [
     "NonInvertibleSubstitution",
     "NotInGroupError",
     "NotInSemigroupError",
-    "ObstacleSet",
     "PJump",
     "PairVec",
     "ParseError",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cli import parse_config
-from .jumpseq import JumpState, build_state
+from .jumpseq import JumpState
 from .laurent import LaurentPoly, parse_polynomial
 from .outputs import RedundancyCertificate, SequenceReport
 from .valmodel import RING_VARS
@@ -288,11 +288,6 @@ def parsed_example(max_value: Optional[str] = None):
     """(model, bounds, outputs, echo) of CONFIG, as ``valgen build`` reads
     a config file; max_value replaces the ceiling."""
     return parse_config(CONFIG, "_golden.CONFIG", max_value=max_value)
-
-
-def example_state() -> JumpState:
-    model, bounds, _, _ = parsed_example()
-    return build_state(model, bounds=bounds)
 
 
 def golden_polys() -> dict[int, LaurentPoly]:

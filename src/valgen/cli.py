@@ -49,6 +49,8 @@ _OUTPUT_DEFAULTS = {
     "redundancy_degree_cap": DEFAULT_DEGREE_CAP,
     "semigroup_cap": "2",
 }
+_TOP_KEYS = ("basis", "ambient_vars", "ambient_values", "images", "bounds",
+             "outputs")
 
 
 class ConfigError(ValgenError):
@@ -77,6 +79,12 @@ def _parse_text(parse, text, where: str, *args):
         raise ConfigError(f"{where}: {e}")
 
 
+def _known_keys(cfg: dict, known, where: str) -> None:
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def _section(cfg: dict, key: str, defaults: dict, path: str) -> dict:
     """The defaults updated by the optional object ``cfg[key]``."""
     got = cfg.get(key, {})
@@ -84,6 +92,7 @@ def _section(cfg: dict, key: str, defaults: dict, path: str) -> dict:
         raise ConfigError(
             f"{path}.{key}: expected an object, got {type(got).__name__}"
         )
+    _known_keys(got, defaults, f"{path}.{key}")
     return {**defaults, **got}
 
 
@@ -116,6 +125,7 @@ def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: top level must be an object")
+    _known_keys(cfg, _TOP_KEYS, where)
 
     raw_basis = _need(cfg, "basis", list, where)
     for pos, entry in enumerate(raw_basis):
@@ -140,6 +150,7 @@ def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
         for pos, t in enumerate(raw_values)
     ]
     raw_images = _need(cfg, "images", dict, where)
+    _known_keys(raw_images, ("x", "y", "z"), f"{where}.images")
     images = {}
     for name in ("x", "y", "z"):
         if name not in raw_images:
@@ -238,12 +249,6 @@ def _vec_json(v: PairVec) -> dict:
     return {"p": list(v.p), "t": list(v.t)}
 
 
-def _count_json(n: Optional[int], infinite: bool):
-    if infinite:
-        return "inf"
-    return n
-
-
 def report_doc(
     state: JumpState,
     echo: dict,
@@ -259,7 +264,7 @@ def report_doc(
                 "index": rec.index,
                 "poly": rec.poly.text(),
                 "value": _value_json(rec.beta),
-                "q": _count_json(rec.q, rec.q is None),
+                "q": "inf" if rec.q is None else rec.q,
                 "L": list(rec.L_vec) if rec.L_vec is not None else None,
                 "scalar": str(rec.lam) if rec.lam is not None else None,
             }
@@ -272,7 +277,7 @@ def report_doc(
                 "poly": rec.poly.text(),
                 "value": _value_json(rec.gamma),
                 "status": rec.status,
-                "s": _count_json(rec.s, rec.s_is_infinite),
+                "s": "inf" if rec.s is None and rec.status == "ok" else rec.s,
                 "m": rec.m,
                 "D": None
                 if rec.D is None
@@ -546,18 +551,23 @@ def cmd_verify_example(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
-        "--max-t-index", type=int, default=None,
-        help="override the chain length cap from the config",
-    )
-    shared.add_argument(
-        "--max-value", default=None,
-        help="override the processing value ceiling from the config",
-    )
-    shared.add_argument(
         "--json", action="store_true", help="emit JSON on stdout"
     )
     shared.add_argument(
         "--quiet", action="store_true", help="suppress informational output"
+    )
+    # the subcommands that read a config file
+    configured = argparse.ArgumentParser(add_help=False, parents=[shared])
+    configured.add_argument(
+        "--config", required=True, help="path to a config file"
+    )
+    configured.add_argument(
+        "--max-t-index", type=int, default=None,
+        help="override the chain length cap from the config",
+    )
+    configured.add_argument(
+        "--max-value", default=None,
+        help="override the processing value ceiling from the config",
     )
     parser = argparse.ArgumentParser(
         prog="valgen",
@@ -565,20 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     b = sub.add_parser(
-        "build", parents=[shared],
+        "build", parents=[configured],
         help="run the construction and emit a full report",
     )
-    b.add_argument("--config", required=True, help="path to a config file")
     b.add_argument(
         "--out", default=None,
         help="write the JSON report here and a text rendering alongside",
     )
     b.set_defaults(func=cmd_build)
     i = sub.add_parser(
-        "ideal", parents=[shared],
+        "ideal", parents=[configured],
         help="print generators of the valuation ideal at a threshold",
     )
-    i.add_argument("--config", required=True, help="path to a config file")
     i.add_argument(
         "--sigma", required=True, help="value threshold, e.g. '2*sqrt(2) - 1'"
     )

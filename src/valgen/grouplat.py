@@ -12,17 +12,16 @@ semigroup they generate:
 
 Several functions take a chain state argument.  They only use a small
 surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
-``t_chain`` records with ``gamma``/``s``/``m``/``status``, the obstacle
-set ``T_set``, the radical ``basis``, the search ``bounds``, plus the
-helper methods ``m_at``, ``value_of``, ``coordinates`` and
-``semigroup_solver``.  ``coordinates`` owns the flat exponent layout
-over the two chains and ``vec_over`` reads it back.  The concrete class
-lives in jumpseq; keeping these functions here keeps all lattice
-reasoning in one place.
+``t_chain`` records with ``gamma``/``s``/``m``/``status``, the radical
+``basis``, the search ``bounds``, plus the helper methods ``m_at``,
+``value_of``, ``irreducible``, ``coordinates`` and ``semigroup_solver``.
+``coordinates`` owns the flat exponent layout over the two chains and
+``vec_over`` reads it back.  The concrete class lives in jumpseq;
+keeping these functions here keeps all lattice reasoning in one place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -93,33 +92,6 @@ def graded_key(pv: PairVec, p_len: int, t_len: int) -> tuple:
         pv.t_at(j) for j in range(1, t_len + 1)
     )
     return (pv.weight(), padded)
-
-
-@dataclass
-class ObstacleSet:
-    """Vectors that disqualify anything componentwise above them.
-
-    Each entry remembers the chain step that contributed it, so checks
-    can be made against the set as it existed before a given step
-    (``before``); by default the whole set is used.
-    """
-
-    entries: list[tuple[int, PairVec]] = field(default_factory=list)
-
-    def add(self, source: int, vec: PairVec) -> None:
-        self.entries.append((source, vec))
-
-    def irreducible(self, vec: PairVec, before: Optional[int] = None) -> bool:
-        """True when no recorded obstacle sits componentwise below vec."""
-        for source, obs in self.entries:
-            if before is not None and source >= before:
-                continue
-            if vec.dominates(obs):
-                return False
-        return True
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # -- Smith normal form ---------------------------------------------------
@@ -554,7 +526,7 @@ def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
     t-depth the exponent is the bounded residue of any semigroup witness,
     at a t-position it is the least shift that keeps the remainder
     representable.  The result is independent of witness choices and is
-    irreducible against the obstacle set; both facts are asserted.
+    irreducible against the chain's relations; both facts are asserted.
     Raises NotInSemigroupError when alpha has no nonnegative rewrite.
     """
     sgn = alpha.sign()
@@ -618,7 +590,7 @@ def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
     pv = PairVec(tuple(L), tuple(N))
     if state.value_of(pv) != alpha:
         raise InternalConsistencyError("canonical rewrite changed the value")
-    if not state.T_set.irreducible(pv):
+    if not state.irreducible(pv):
         raise InternalConsistencyError("canonical rewrite is reducible")
     return pv
 
@@ -779,7 +751,7 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
     at_i = [*rows, ("t", i, gamma)]
     for f, layer in found:
         pv = vec_over(at_i, (*f, layer * s))
-        if state.T_set.irreducible(pv, before=i):
+        if state.irreducible(pv, before=i):
             members.append(pv)
     members.sort(key=lambda pv: graded_key(pv, m, i))
     members.sort(key=state.value_of)

@@ -35,7 +35,6 @@ from typing import Optional
 
 from .errors import InternalConsistencyError
 from .grouplat import (
-    ObstacleSet,
     PairVec,
     PushingSearch,
     lattice_solve,
@@ -96,7 +95,8 @@ class TJump:
     """One member of the second chain with its processing record.
 
     status is "pending" until the construction reaches the member, then
-    "ok" or "skipped".  parent identifies the creating step and vector
+    "ok" or "skipped".  An "ok" member with s None has no finite multiple
+    in the group below it.  parent identifies the creating step and vector
     for members beyond the first.  D records the minimal vector search
     at this position, when one ran.  image is poly in the ambient
     coordinates.
@@ -108,7 +108,6 @@ class TJump:
     gamma: Value
     status: str = "pending"
     s: Optional[int] = None
-    s_is_infinite: bool = False
     m: Optional[int] = None
     D: Optional[PushingSearch] = None
     parent: Optional[tuple[int, PairVec]] = None
@@ -123,6 +122,12 @@ class Flags:
     skipped: list[int] = field(default_factory=list)
     d_incomplete: list[int] = field(default_factory=list)
 
+    @property
+    def truncated(self) -> bool:
+        """True when a chain hit its length cap, so later members, and
+        anything read off them, may be missing."""
+        return self.p_truncated or self.t_truncated
+
 
 @dataclass
 class JumpState:
@@ -132,9 +137,7 @@ class JumpState:
     bounds: SearchBounds
     p_chain: list[PJump] = field(default_factory=list)
     t_chain: list[TJump] = field(default_factory=list)
-    T_set: ObstacleSet = field(default_factory=ObstacleSet)
     flags: Flags = field(default_factory=Flags)
-    t_cursor: int = 1
     _products: dict = field(default_factory=dict, repr=False)
     _solvers: dict = field(default_factory=dict, repr=False)
 
@@ -151,6 +154,26 @@ class JumpState:
             if m is not None:
                 return m
         return 1
+
+    def irreducible(self, vec: PairVec, before: Optional[int] = None) -> bool:
+        """True when vec dominates the leading vector of no recorded
+        relation: a power q*e_j of the first chain, a vanished member of
+        the second, or a minimal vector of a processed position.  With
+        before, only second-chain positions below it count."""
+        for rec in self.p_chain:
+            if rec.q is not None and vec.p_at(rec.index) >= rec.q:
+                return False
+        for rec in self.t_chain:
+            if before is not None and rec.index >= before:
+                break
+            if rec.status != "ok":
+                continue
+            if rec.poly.is_zero():
+                if vec.t_at(rec.index) >= 1:
+                    return False
+            elif any(vec.dominates(d) for d in rec.D.members):
+                return False
+        return True
 
     def value_of(self, vec: PairVec) -> Value:
         if len(vec.p) > len(self.p_chain) or len(vec.t) > len(self.t_chain):
@@ -265,7 +288,6 @@ def build_p_chain(
             )
         rec.L_vec = L
         power = PairVec((0,) * (i - 1) + (q,), ())
-        state.T_set.add(0, power)
         rec.lam, nxt, image = state.binomial(power, PairVec(L, ()))
         if len(state.p_chain) >= max_len:
             state.flags.p_truncated = True
@@ -324,7 +346,6 @@ def _process_position(state: JumpState, i: int) -> bool:
         rec.s = 1
         rec.m = state.m_at(i - 1)
         rec.D = PushingSearch((), True)
-        state.T_set.add(i, PairVec((), (0,) * (i - 1) + (1,)))
         return False
     if state.bounds.max_value is not None and rec.gamma > state.bounds.max_value:
         rec.status = "skipped"
@@ -334,7 +355,6 @@ def _process_position(state: JumpState, i: int) -> bool:
     s = min_multiple_in_group(rec.gamma, [val for *_, val in rows])
     if s is None:
         rec.status = "ok"
-        rec.s_is_infinite = True
         rec.m = state.m_at(i - 1)
         # provably nothing pushes at this position, so the empty set is exact
         rec.D = PushingSearch((), True)
@@ -355,24 +375,20 @@ def _process_position(state: JumpState, i: int) -> bool:
     rec.D = search
     if not search.complete:
         state.flags.d_incomplete.append(i)
-    stop = False
-    for vec in search.members:
-        if _create_member(state, i, vec):
-            stop = True
-            break
-    for vec in search.members:
-        state.T_set.add(i, vec)
-    return stop
+    return any(_create_member(state, i, vec) for vec in search.members)
 
 
 def build_t_chain(state: JumpState) -> JumpState:
-    """Process the whole second chain under the state's bounds."""
+    """Process every pending member of the second chain under the state's
+    bounds; members already processed are left alone."""
     if not state.t_chain:
         state.t_chain.append(TJump(1, *_seed(state.model, "z")))
-    while state.t_cursor <= len(state.t_chain):
-        stop = _process_position(state, state.t_cursor)
-        state.t_cursor += 1
-        if stop:
+    # members created while the loop runs are appended to the list it
+    # walks, so they are reached in turn
+    for rec in state.t_chain:
+        if rec.status != "pending":
+            continue
+        if _process_position(state, rec.index):
             state.flags.t_truncated = True
             break
     return state

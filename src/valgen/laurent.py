@@ -224,6 +224,17 @@ class LaurentPoly:
                 return result
             base = base * base
 
+    def derivative(self, var: str) -> "LaurentPoly":
+        """The partial derivative in the variable named var."""
+        k = self.vars.index(var)
+        raw = {}
+        for exp, c in self.terms:
+            if exp[k]:
+                lowered = list(exp)
+                lowered[k] -= 1
+                raw[tuple(lowered)] = c * exp[k]
+        return self._from_raw(self.vars, raw)
+
     # -- substitution ----------------------------------------------------
 
     def substitute(

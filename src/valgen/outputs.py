@@ -66,7 +66,6 @@ class GeneratorSet:
 
     complete is False when a truncated chain may hide further members."""
 
-    threshold: Value
     members: tuple[PairVec, ...]
     complete: bool
 
@@ -78,9 +77,9 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     divisible by one of these.  For sigma <= 0 the unit monomial alone
     qualifies.
     """
-    complete = not (state.flags.t_truncated or state.flags.p_truncated)
+    complete = not state.flags.truncated
     if sigma.sign() <= 0:
-        return GeneratorSet(sigma, (PairVec((), ()),), complete)
+        return GeneratorSet((PairVec((), ()),), complete)
     rows = state.coordinates(len(state.p_chain), len(state.t_chain))
     den, steps = over_common_den(
         [*(val for *_, val in rows), sigma], state.basis
@@ -116,7 +115,7 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
             graded_key(pair[0], len(state.p_chain), len(state.t_chain)),
         )
     )
-    return GeneratorSet(sigma, tuple(vec for vec, _ in minimal), complete)
+    return GeneratorSet(tuple(vec for vec, _ in minimal), complete)
 
 
 # -- redundancy ---------------------------------------------------------------
@@ -182,7 +181,7 @@ def redundancy_certificate(
             if not counts[own] and sum(map(mul, counts, degs)) <= degree_cap
         )
         return min(
-            (vec for vec in vecs if state.T_set.irreducible(vec)),
+            (vec for vec in vecs if state.irreducible(vec)),
             key=lambda vec: graded_key(vec, plen, tlen),
             default=None,
         )
@@ -230,14 +229,13 @@ def redundancy_survey(
 class SequenceReport:
     """The trimmed generating sequence with its audit trail.
 
-    kept_p and kept_t list the surviving chain indices; certificates
-    holds the per-member outcomes that justified each removal; certified
-    is True only when the kept set is provably minimal.
+    kept_p and kept_t list the surviving chain indices; certified is
+    True only when the kept set is provably minimal.  The certificates
+    that justified each removal are the survey's.
     """
 
     kept_p: tuple[int, ...]
     kept_t: tuple[int, ...]
-    certificates: dict[int, RedundancyCertificate]
     certified: bool
 
     def polynomials(self, state: JumpState) -> tuple[LaurentPoly, ...]:
@@ -257,7 +255,7 @@ def generating_sequence_detail(
         for j, cert in survey.items()
         if cert.status in ("not_eligible", "undecided")
     )
-    certified = not (state.flags.t_truncated or state.flags.p_truncated)
+    certified = not state.flags.truncated
     if any(cert.status == "undecided" for cert in survey.values()):
         certified = False
     kept_values = [state.p_chain[i - 1].beta for i in kept_p]
@@ -277,7 +275,7 @@ def generating_sequence_detail(
                 for pos, c in enumerate(vec.t):
                     if c and pos + 1 not in kept:
                         certified = False
-    return SequenceReport(kept_p, kept_t, survey, certified)
+    return SequenceReport(kept_p, kept_t, certified)
 
 
 # -- associated graded ring ---------------------------------------------------
@@ -335,7 +333,7 @@ class SemigroupSlice:
 
 def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
     """Every value of the semigroup of chain values that is at most cap."""
-    complete = not (state.flags.t_truncated or state.flags.p_truncated)
+    complete = not state.flags.truncated
     if cap.sign() < 0:
         return SemigroupSlice(cap, (), complete)
     rows = state.coordinates(len(state.p_chain), len(state.t_chain))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import mul, sub
 from typing import Mapping
 
@@ -32,33 +33,16 @@ from .errors import (
     UnequalValuesError,
     ValuationOfZeroError,
 )
+from .grouplat import smith_normal_form
 from .laurent import LaurentPoly
 from .values import RadicalBasis, Value, int_vec_sign, over_common_den
 
 RING_VARS = ("x", "y", "z")
 
 
-def _rank_over_q(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _det3(m: list[list[LaurentPoly]]) -> LaurentPoly:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True)
@@ -184,8 +168,11 @@ def validate_model(model: ValuationModel) -> list[str]:
             return problems
         if v.sign() <= 0:
             problems.append(f"ambient variable {name} must have positive value")
-    rows = [list(v.coeffs) for v in model.ambient_values]
-    if rows and _rank_over_q(rows) < len(rows):
+    # the rank over Q of the values' numerators: one radical per row, one
+    # ambient variable per column
+    snf, _, _ = smith_normal_form(model._columns)
+    rank = sum(1 for k, row in enumerate(snf) if k < len(row) and row[k])
+    if rank < len(model.ambient_vars):
         problems.append(
             "ambient values are linearly dependent over the rationals; "
             "monomial values would collide"
@@ -209,6 +196,18 @@ def validate_model(model: ValuationModel) -> list[str]:
             problems.append(f"image of {v} is zero")
     if problems:
         return problems
+    # Jacobian criterion (characteristic 0): the images are algebraically
+    # independent exactly when some 3x3 minor of their Jacobian matrix is
+    # a nonzero polynomial
+    jac = [
+        [model.images[v].derivative(u) for u in model.ambient_vars]
+        for v in RING_VARS
+    ]
+    if all(
+        _det3([[row[k] for k in cols] for row in jac]).is_zero()
+        for cols in combinations(range(len(model.ambient_vars)), 3)
+    ):
+        problems.append("images of x, y, z are algebraically dependent")
     vx, vy, vz = (model.nu(model.images[v]) for v in RING_VARS)
     if not vx.sign() > 0:
         problems.append("x must have positive value")

@@ -243,14 +243,6 @@ class Value:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
-
     def sign(self) -> int:
         """-1, 0, or +1.  Exact: zero is decided symbolically."""
         return int_vec_sign(self.nums, self.basis.radicands)

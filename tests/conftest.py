@@ -12,23 +12,29 @@ from valgen import (
     parse_value,
     redundancy_survey,
 )
-from valgen._golden import CONFIG, example_state, parsed_example
+from valgen._golden import CONFIG, parsed_example
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 
+def build_example(max_value=None):
+    """A fresh build of the bundled worked example; max_value replaces its
+    value ceiling."""
+    model, bounds, _, _ = parsed_example(max_value=max_value)
+    return build_state(model, bounds=bounds)
+
+
 @pytest.fixture(scope="session")
 def state():
     """The fully built bundled worked example; shared, treat as read-only."""
-    return example_state()
+    return build_example()
 
 
 @pytest.fixture(scope="session")
 def state_30():
     """The worked example built with the value ceiling raised to 30."""
-    model, bounds, _, _ = parsed_example(max_value="30")
-    return build_state(model, bounds=bounds)
+    return build_example("30")
 
 
 @pytest.fixture(scope="session")

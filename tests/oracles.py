@@ -86,7 +86,7 @@ def survey_pick(pairs, state, skip_t, val, degree_cap):
     pairs is a vectors_up_to(state, cap) enumeration with cap >= val.
     Among its vectors of value val that leave out member skip_t, have
     polynomial degree at most degree_cap and sit above no vector of
-    state.T_set, the least by total weight and then by the exponents
+    state.irreducible, the least by total weight and then by the exponents
     padded to full chain length; None when there is none.
     """
     n_p = len(state.p_chain)
@@ -107,7 +107,7 @@ def survey_pick(pairs, state, skip_t, val, degree_cap):
         if total == val
         and vec.t_at(skip_t) == 0
         and degree(vec) <= degree_cap
-        and state.T_set.irreducible(vec)
+        and state.irreducible(vec)
     ]
     return min(fits, key=key, default=None)
 

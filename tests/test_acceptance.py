@@ -86,7 +86,7 @@ def test_pushing_sets_match(state, announce):
         PairVec((0, 3), (0, 1)),
     }
     assert members(3) == set()
-    assert state.t_chain[2].s is None and state.t_chain[2].s_is_infinite
+    assert state.t_chain[2].s is None and state.t_chain[2].status == "ok"
     assert members(4) == {
         PairVec((1, 0), (0, 0, 0, 1)),
         PairVec((0, 1), (0, 0, 0, 1)),
@@ -173,7 +173,7 @@ def test_irreducible_vectors_have_distinct_values(state, announce):
 
     def extend(k, p, t, acc):
         vec = PairVec(tuple(p), tuple(t))
-        if not state.T_set.irreducible(vec):
+        if not state.irreducible(vec):
             return
         if k == len(rows):
             found.append((vec, acc))
@@ -191,7 +191,7 @@ def test_irreducible_vectors_have_distinct_values(state, announce):
             else:
                 probe_t[idx - 1] = count
             probe = PairVec(tuple(probe_p), tuple(probe_t))
-            if count and not state.T_set.irreducible(probe):
+            if count and not state.irreducible(probe):
                 break
             extend(k + 1, probe_p, probe_t, total)
             count += 1
@@ -241,8 +241,8 @@ def test_construction_invariants(state, second_state, announce):
             step, vec = rec.parent
             assert step < rec.index
             value = st.value_of(vec)
-            assert st.T_set.irreducible(vec, before=step)
-            assert st.T_set.irreducible(rec.LN, before=step)
+            assert st.irreducible(vec, before=step)
+            assert st.irreducible(rec.LN, before=step)
             assert st.value_of(rec.LN) == value
             assert rec.mu != 0
             assert st.model.nu(st.poly_of(vec)) == value
@@ -283,7 +283,7 @@ def test_pushing_sets_are_minimal_antichains(state, announce):
                 assert a == b or not a.dominates(b)
         for v in members:
             assert v.t_at(i) >= 1
-            assert state.T_set.irreducible(v, before=i)
+            assert state.irreducible(v, before=i)
             assert solver.contains(state.value_of(v)) is not None
             # nothing strictly below the member may push
             axes = [range(c + 1) for c in v.p] + [range(c + 1) for c in v.t]
@@ -389,29 +389,45 @@ def test_reports_are_byte_identical(example_config, tmp_path, announce):
     announce("two full builds emit byte-identical, schema-valid reports")
 
 
-def test_complete_construction_report_is_pinned(announce):
-    # at ceiling 30 the second chain ends by itself, at 35 members, and its
-    # residue scalars include 3 and -2, so the report covers products
-    # scaled by non-unit scalars
+@pytest.mark.parametrize(
+    "config,argv,digest",
+    [
+        pytest.param(
+            "example.json", ["build"],
+            "166781bf0271ad3412dec2f90a024d7b2e8e8c2cc15f6c792d50834793e6f2a2",
+            id="example",
+        ),
+        # at ceiling 30 the second chain ends by itself, at 35 members, and
+        # its residue scalars include 3 and -2, so the report covers
+        # products scaled by non-unit scalars
+        pytest.param(
+            "example.json", ["build", "--max-value", "30"],
+            "abaafb915b766edcc8829fb68178afc2cde42e3e7bd5fb911adbd6973bbfde61",
+            id="example-ceiling-30",
+        ),
+        pytest.param(
+            "second.json", ["build"],
+            "f99e4d14d1739c3fcb36862cb5ca6ec53ccaa62b2ef684d9c928b99c0030931b",
+            id="second",
+        ),
+        pytest.param(
+            "example.json", ["ideal", "--max-value", "113/4", "--sigma", "5"],
+            "fbc0fa34eaeb1e9add942bae8553788cd367a23f564fbecb419a392685abf865",
+            id="example-ideal-sigma-5",
+        ),
+    ],
+)
+def test_bundled_reports_are_pinned(announce, config, argv, digest):
     proc = subprocess.run(
         [
-            sys.executable,
-            "-m",
-            "valgen.cli",
-            "build",
-            "--config",
-            str(ROOT / "perfbench" / "configs" / "example.json"),
-            "--max-value",
-            "30",
-            "--json",
+            sys.executable, "-m", "valgen.cli", *argv, "--json",
+            "--config", str(ROOT / "perfbench" / "configs" / config),
         ],
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
-        "abaafb915b766edcc8829fb68178afc2cde42e3e7bd5fb911adbd6973bbfde61"
-    )
-    announce("the complete construction at ceiling 30 prints the pinned report")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    announce(f"valgen {' '.join(argv)} on {config} prints the pinned report")
 
 
 # -- 7: a model with a longer first chain -------------------------------------------

@@ -102,6 +102,14 @@ def test_load_config_missing_file():
          "bounds.max_value"),
         (lambda c: c.update(outputs={"semigroup_cap": "x"}),
          "outputs.semigroup_cap"),
+        (lambda c: c.update(bound={"max_value": "30"}),
+         "cfg.json: unknown key 'bound'"),
+        (lambda c: c.update(bounds={"max_vaule": "30"}),
+         "cfg.json.bounds: unknown key 'max_vaule'"),
+        (lambda c: c.update(outputs={"semigroup_cpa": "3"}),
+         "cfg.json.outputs: unknown key 'semigroup_cpa'"),
+        (lambda c: c["images"].update(w="u1"),
+         "cfg.json.images: unknown key 'w'"),
     ],
 )
 def test_load_config_diagnostics(tmp_path, mutate, needle):
@@ -167,6 +175,17 @@ def test_malformed_config_types_exit_2(tmp_path, mutate, key):
     assert "Traceback" not in proc.stderr
 
 
+def test_dependent_images_name_the_config(tmp_path, capsys):
+    cfg = copy.deepcopy(GOOD)
+    cfg["images"] = {"x": "u1", "y": "u2", "z": "u1*u2"}
+    path = write_config(tmp_path, cfg)
+    assert main(["build", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: model rejected: images of x, y, z are"
+        " algebraically dependent\n"
+    )
+
+
 def test_non_invertible_power_names_its_key(tmp_path, capsys):
     cfg = copy.deepcopy(GOOD)
     cfg["images"]["z"] = "u3 * (u1 + u3)^-1"
@@ -187,6 +206,16 @@ def test_ideal_reports_sigma_errors(second_config, capsys):
 def test_parser_requires_a_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-value", "30"], ["--max-t-index", "3"]]
+)
+def test_verify_example_takes_no_bound_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-example", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- ideal subcommand ------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from valgen import (
     NotInGroupError,
-    ObstacleSet,
     PairVec,
     RadicalBasis,
     build_state,
@@ -83,17 +82,6 @@ def test_graded_key_orders_by_weight_then_lex():
         key=lambda v: graded_key(v, 2, 1),
     )
     assert [str(v) for v in order] == ["(0,2|)", "(1|1)", "(3|)"]
-
-
-def test_obstacle_set_irreducibility():
-    obs = ObstacleSet()
-    obs.add(1, PairVec((1,), (1,)))
-    obs.add(2, PairVec((0, 3), ()))
-    assert len(obs) == 2
-    assert not obs.irreducible(PairVec((2, 3), (1,)))
-    assert obs.irreducible(PairVec((0, 3), ()), before=2)
-    assert not obs.irreducible(PairVec((0, 3), ()), before=3)
-    assert obs.irreducible(PairVec((0, 2), (5,)))
 
 
 # -- integer matrices ----------------------------------------------------------
@@ -512,14 +500,14 @@ def test_irreducible_decompose_matches_recorded_rewrites(state):
         )
         assert out == rec.LN
         assert state.value_of(out) == state.value_of(vec)
-        assert state.T_set.irreducible(out, before=src)
+        assert state.irreducible(out, before=src)
 
 
 def test_irreducible_decompose_fixes_reducible_input(state):
     # x*z dominates the first recorded obstacle, y^2 carries the same value
     reducible = PairVec((1,), (1,))
-    assert not state.T_set.irreducible(reducible, before=2)
+    assert not state.irreducible(reducible, before=2)
     out = irreducible_decompose(state.value_of(reducible), state, 2, 1)
     assert state.value_of(out) == state.value_of(reducible)
-    assert state.T_set.irreducible(out, before=2)
+    assert state.irreducible(out, before=2)
     assert out == PairVec((0, 2), ())

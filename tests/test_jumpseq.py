@@ -87,7 +87,7 @@ def test_second_model_second_chain(second_state):
     rec = second_state.t_chain[0]
     assert rec.status == "ok"
     assert rec.gamma == second_state.basis.root(3)
-    assert rec.s is None and rec.s_is_infinite
+    assert rec.s is None
     assert rec.m == 1
     assert rec.D.members == () and rec.D.complete
     assert rec.parent is None
@@ -144,6 +144,32 @@ def test_m_at_walks_past_unprocessed_rows(state, second_state):
     assert state.m_at(16) == 2  # row 16 is skipped, fall back to row 15
     assert state.m_at(26) == 2
     assert second_state.m_at(1) == 1
+
+
+def test_irreducible_reads_the_chain_records(state, second_state):
+    # a power of the first chain: y - x has q = 1 in the second model, and
+    # first-chain relations count at every before, 0 included
+    assert second_state.p_chain[1].q == 1
+    for before in (None, 0, 1):
+        assert not second_state.irreducible(PairVec((0, 1), ()), before=before)
+    assert second_state.irreducible(PairVec((5,), (3,)))
+    # a vanished member: position 11 of the worked example
+    assert state.t_chain[10].poly.is_zero()
+    t11 = PairVec((), (0,) * 10 + (1,))
+    assert not state.irreducible(t11)
+    assert not state.irreducible(t11, before=12)
+    assert state.irreducible(t11, before=11)
+    # a minimal vector of a processed position: x*z at position 1
+    assert state.t_chain[0].D.members == (PairVec((1,), (1,)),)
+    above = PairVec((2, 3), (1,))
+    assert not state.irreducible(above)
+    assert not state.irreducible(above, before=2)
+    assert state.irreducible(above, before=1)
+    assert state.irreducible(above, before=0)
+    assert state.irreducible(PairVec((0, 2), (5,)))
+    # a skipped position records no relation
+    assert state.t_chain[15].status == "skipped"
+    assert state.irreducible(PairVec((), (0,) * 15 + (7,)))
 
 
 def test_value_bookkeeping(state):
@@ -240,7 +266,7 @@ def test_creation_indices_are_sequential(state):
 
 
 def test_build_t_chain_is_idempotent(state):
-    # the cursor sits past the last position, so another pass is a no-op
+    # no member is pending any more, so another pass is a no-op
     before = len(state.t_chain)
     build_t_chain(state)
     assert len(state.t_chain) == before

@@ -190,6 +190,23 @@ def test_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
 
 
+def test_derivative():
+    f = P("x^-1*y^2 + 3*x^2*z - 5")
+    assert f.derivative("x") == P("-1*x^-2*y^2 + 6*x*z")
+    assert f.derivative("y") == P("2*x^-1*y")
+    assert f.derivative("z") == P("3*x^2")
+    assert P("7").derivative("x").is_zero()
+
+
+@given(polys(), polys())
+def test_derivative_is_a_derivation(f, g):
+    df, dg = f.derivative("x"), g.derivative("x")
+    dfg = (f * g).derivative("x")
+    assert_canonical(dfg)
+    assert dfg == df * g + f * dg
+    assert (f + g).derivative("x") == df + dg
+
+
 def assert_canonical(r):
     """r has exactly the terms the public constructor gives: Fraction
     coefficients, no zeros, descending exponents."""

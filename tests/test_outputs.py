@@ -15,9 +15,10 @@ from valgen.outputs import (
     redundancy_survey,
     semigroup_values_up_to,
 )
-from valgen._golden import GOLDEN, example_state, parsed_example
+from valgen._golden import GOLDEN, parsed_example
 
 import oracles
+from conftest import build_example
 from test_valmodel import with_values
 
 
@@ -219,7 +220,7 @@ def test_certificate_combos_are_triangular(request, which):
         assert len(set(values)) == len(values)
         assert min(values) == state.t_chain[j - 1].gamma
         for v in vecs:
-            assert state.T_set.irreducible(v)
+            assert state.irreducible(v)
         for mu, _ in cert.combo:
             assert mu != 0
 
@@ -265,7 +266,7 @@ def test_survey_picks_match_brute_force(
 
 def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
     # a fresh build: the shared fixture's cache may already hold the solver
-    st = example_state()
+    st = build_example()
     before = set(st._solvers)
     built = []
     init = SemigroupSolver.__init__

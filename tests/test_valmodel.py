@@ -49,6 +49,20 @@ def test_validate_flags_dependent_values():
     assert any("dependent" in p for p in problems)
 
 
+def test_validate_flags_dependent_images():
+    # z = x*y, though the ambient values are independent
+    cfg = dict(SECOND_CONFIG, images={"x": "u1", "y": "u2", "z": "u1*u2"})
+    problems = validate_model(model_from(cfg))
+    assert problems == ["images of x, y, z are algebraically dependent"]
+    # a ramified model with independent images passes
+    cfg = dict(
+        SECOND_CONFIG,
+        ambient_values=["1", "sqrt(2)", "2*sqrt(3) - 1"],
+        images={"x": "u1^2", "y": "u2^2", "z": "u1*u2^2 + u3^2"},
+    )
+    assert validate_model(model_from(cfg)) == []
+
+
 def test_validate_flags_bad_images():
     cfg = dict(SECOND_CONFIG, images={"x": "u1", "y": "u2"})
     problems = validate_model(model_from(cfg))

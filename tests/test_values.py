@@ -47,7 +47,7 @@ def test_basis_validation():
 def test_constructors():
     assert B.zero().is_zero()
     assert not B.zero()
-    assert B.rational(Fraction(3, 2)).as_fraction() == Fraction(3, 2)
+    assert B.rational(Fraction(3, 2)).coeffs == (Fraction(3, 2), 0, 0)
     r = B.root(2, Fraction(5))
     assert r.coeffs == (Fraction(0), Fraction(5), Fraction(0))
     with pytest.raises(ValueError):
@@ -139,13 +139,6 @@ def test_sign_near_cancellation():
     for value, expected in cases:
         assert int(decimal_eval(value).compare(Decimal(0))) == expected
         assert value.sign() == expected
-
-
-def test_rationality():
-    assert B.rational(7).is_rational()
-    assert not B.root(2).is_rational()
-    with pytest.raises(ValueError):
-        B.root(2).as_fraction()
 
 
 @given(coeff_vectors)
