@@ -21,6 +21,7 @@ from .grouplat import (
     PairVec,
     PushingSearch,
     SemigroupSolver,
+    column_echelon,
     graded_key,
     irreducible_decompose,
     lattice_solve,
@@ -28,8 +29,6 @@ from .grouplat import (
     minimal_pushing_set,
     minimal_semigroup_generators,
     permissible_decompose,
-    semigroup_contains,
-    smith_normal_form,
 )
 from .jumpseq import (
     Flags,
@@ -90,6 +89,7 @@ __all__ = [
     "build_p_chain",
     "build_state",
     "build_t_chain",
+    "column_echelon",
     "combination",
     "generating_sequence_detail",
     "gr_presentation",
@@ -105,8 +105,6 @@ __all__ = [
     "permissible_decompose",
     "redundancy_certificate",
     "redundancy_survey",
-    "semigroup_contains",
     "semigroup_values_up_to",
-    "smith_normal_form",
     "validate_model",
 ]

@@ -488,8 +488,11 @@ def cmd_build(args) -> int:
     payload = _dump_json(doc)
     text = render_text(doc, elapsed=elapsed)
     if args.out:
-        _write_atomic(args.out, payload)
-        _write_atomic(args.out + ".txt", text)
+        try:
+            _write_atomic(args.out, payload)
+            _write_atomic(args.out + ".txt", text)
+        except OSError as e:
+            raise ConfigError(f"--out: {e.strerror or e}")
         if not args.quiet:
             print(f"wrote {args.out} and {args.out}.txt", file=sys.stderr)
     elif args.json:

@@ -10,6 +10,11 @@ semigroup they generate:
   * canonical decompositions of a value into bounded exponent vectors,
   * the minimal vectors whose value pushes into a smaller semigroup.
 
+Both group questions are answered by one column echelon form of the
+generators' integer coordinates (``column_echelon``) and a forward
+substitution; semigroup questions go to one ``SemigroupSolver`` per
+generator tuple.
+
 Several functions take a chain state argument.  They only use a small
 surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
 ``t_chain`` records with ``gamma``/``s``/``m``/``status``, the radical
@@ -51,8 +56,11 @@ class PairVec:
     t: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = tuple(int(a) for a in self.p)
-        t = tuple(int(a) for a in self.t)
+        p = tuple(self.p)
+        t = tuple(self.t)
+        # int() would pass True as 1 and truncate 2.7 to 2
+        if not all(type(a) is int for a in p + t):
+            raise TypeError(f"PairVec entries must be integers, got {p}, {t}")
         if any(a < 0 for a in p) or any(a < 0 for a in t):
             raise ValueError("PairVec entries must be nonnegative")
         while p and p[-1] == 0:
@@ -94,100 +102,62 @@ def graded_key(pv: PairVec, p_len: int, t_len: int) -> tuple:
     return (pv.weight(), padded)
 
 
-# -- Smith normal form ---------------------------------------------------
+# -- column echelon form ---------------------------------------------------
 
 
-def smith_normal_form(
+def column_echelon(
     matrix: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix: returns (S, U, V) with U*A*V = S.
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """Column operations only: returns (H, V, rank) with A*V == H.
 
-    S is diagonal with nonnegative entries, each dividing the next; U and
-    V are unimodular.  Plain elementary-operation elimination, fine for
-    the small matrices that show up here (rows = radical count, columns =
-    generator count).
+    V is unimodular.  The first ``rank`` columns of H have their leading
+    entries on strictly increasing rows and the remaining columns are
+    zero.  Each row in turn runs Euclid across the columns not yet
+    fixed, so a pivot is the gcd of that row's free entries up to sign.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    A = [[int(x) for x in row] for row in matrix]
-    for row in A:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i: int, j: int) -> None:
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def row_sub(i: int, j: int, c: int) -> None:  # row_i -= c * row_j
-        A[i] = [x - c * y for x, y in zip(A[i], A[j])]
-        U[i] = [x - c * y for x, y in zip(U[i], U[j])]
-
-    def col_sub(i: int, j: int, c: int) -> None:  # col_i -= c * col_j
-        for r in range(m):
-            A[r][i] -= c * A[r][j]
-        for r in range(n):
-            V[r][i] -= c * V[r][j]
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < best):
-                    piv = (i, j)
-                    best = abs(A[i][j])
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    c = A[i][t] // A[t][t]
-                    row_sub(i, t, c)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    c = A[t][j] // A[t][t]
-                    col_sub(j, t, c)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # divisibility: the pivot must divide the rest of the submatrix
-        offender = None
-        for i in range(t + 1, m):
-            if any(A[i][j] % A[t][t] for j in range(t + 1, n)):
-                offender = i
+    if any(len(row) != n for row in matrix):
+        raise ValueError("ragged matrix")
+    # column k of A stacked on column k of V, so that one list operation
+    # moves both
+    cols = [
+        [row[k] for row in matrix] + [int(i == k) for i in range(n)]
+        for k in range(n)
+    ]
+    rank = 0
+    for r in range(m):
+        while rank < n:
+            live = [k for k in range(rank, n) if cols[k][r]]
+            if not live:
                 break
-        if offender is not None:
-            row_sub(t, offender, -1)
-            continue
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return A, U, V
+            j = min(live, key=lambda k: abs(cols[k][r]))
+            cols[rank], cols[j] = cols[j], cols[rank]
+            if len(live) == 1:
+                rank += 1
+                break
+            piv = cols[rank]
+            for j in range(rank + 1, n):
+                c = cols[j][r] // piv[r]
+                if c:
+                    cols[j] = [a - c * b for a, b in zip(cols[j], piv)]
+    H = [[col[i] for col in cols] for i in range(m)]
+    V = [[col[i] for col in cols] for i in range(m, m + n)]
+    return H, V, rank
 
 
-def _smith_system(
+def _least_multiple(
     alpha: Value, gens: Sequence[Value]
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """sum(x_k * gens_k) == alpha, scaled integral, in Smith form: the
-    diagonal (zero-padded to one entry per radical), c = U*b and V, so that
-    the solutions are x = V*y with diag[i]*y[i] == c[i]."""
+) -> tuple[Optional[int], list[int], list[list[int]]]:
+    """(q, y, V): the least q >= 1 with q*alpha in the group of gens.
+
+    The system sum(x_k * gens_k) == q*alpha, scaled integral, reads
+    H*y == q*b in the column echelon form A*V == H, with x = V*y.  Forward
+    substitution down the rows raises q at each pivot by just enough to
+    keep y integral, scaling the earlier entries along; a nonzero
+    remainder on a row without a pivot puts alpha off the rational span
+    of gens, and then q is None.
+    """
     basis = alpha.basis
     for g in gens:
         if g.basis != basis:
@@ -195,23 +165,26 @@ def _smith_system(
     D = lcm(alpha.den, *(g.den for g in gens))
     A = [[g.nums[r] * (D // g.den) for g in gens] for r in range(basis.dim)]
     b = [a * (D // alpha.den) for a in alpha.nums]
-    S, U, V = smith_normal_form(A)
-    d = len(b)
-    diag = [S[i][i] if i < len(gens) else 0 for i in range(d)]
-    c = [sum(U[i][j] * b[j] for j in range(d)) for i in range(d)]
-    return diag, c, V
+    H, V, rank = column_echelon(A)
+    q = 1
+    y = [0] * len(gens)
+    k = 0
+    for row, c in zip(H, b):
+        rest = q * c - _dot(row, y)
+        if k < rank and row[k]:
+            f = abs(row[k]) // gcd(row[k], rest)
+            q *= f
+            y = [x * f for x in y]
+            y[k] = rest * f // row[k]
+            k += 1
+        elif rest:
+            return None, y, V
+    return q, y, V
 
 
 def min_multiple_in_group(alpha: Value, gens: Sequence[Value]) -> Optional[int]:
     """Least q >= 1 with q*alpha in the group generated by gens, else None."""
-    diag, c, _ = _smith_system(alpha, gens)
-    q = 1
-    for s, ci in zip(diag, c):
-        if s:
-            q = lcm(q, s // gcd(s, ci))
-        elif ci:
-            return None
-    return q
+    return _least_multiple(alpha, gens)[0]
 
 
 def lattice_solve(
@@ -222,19 +195,10 @@ def lattice_solve(
     Any solution will do; the result is verified exactly before being
     returned.
     """
-    diag, c, V = _smith_system(alpha, gens)
-    n = len(gens)
-    y = [0] * n
-    for i, (s, ci) in enumerate(zip(diag, c)):
-        if s:
-            if ci % s:
-                return None
-            y[i] = ci // s
-        elif ci:
-            return None
-    x = tuple(
-        sum(V[j][i] * y[i] for i in range(n)) for j in range(n)
-    )
+    q, y, V = _least_multiple(alpha, gens)
+    if q != 1:
+        return None
+    x = tuple(_dot(row, y) for row in V)
     if combination(x, gens, alpha.basis) != alpha:
         raise InternalConsistencyError("lattice solution failed verification")
     return x
@@ -427,40 +391,25 @@ def _cofactor_normal(
     return tuple(x // g for x in h) if g else None
 
 
-def semigroup_contains(
-    alpha: Value, gens: Sequence[Value]
-) -> Optional[tuple[int, ...]]:
-    """Nonnegative integers x with sum(x_k*gens_k) == alpha, or None.
-
-    Raises ValueError when a generator is not strictly positive.  The
-    witness, when one exists, is verified exactly.
-    """
-    gens = tuple(gens)
-    if not gens:
-        return () if alpha.is_zero() else None
-    wit = SemigroupSolver(gens).contains(alpha)
-    if wit is not None and combination(wit, gens, alpha.basis) != alpha:
-        raise InternalConsistencyError("semigroup witness failed verification")
-    return wit
-
-
 def minimal_semigroup_generators(values: Sequence[Value]) -> tuple[Value, ...]:
     """The unique minimal generating set of the semigroup the values generate.
 
     A value is dropped exactly when the others already produce it.  Every
     representation of a value uses strictly smaller values, so dropping
-    works independently of order.
+    works independently of order.  One solver over all the values
+    answers every question: the generators are positive, so the only
+    solution that uses g itself is g, and g is dropped when some
+    solution for it leaves its own count at zero.
     """
     vals = sorted(set(values))
-    for v in vals:
-        if v.sign() <= 0:
-            raise ValueError("semigroup values must be positive")
-    keep = []
-    for idx, g in enumerate(vals):
-        others = vals[:idx] + vals[idx + 1 :]
-        if not others or semigroup_contains(g, others) is None:
-            keep.append(g)
-    return tuple(keep)
+    if not vals:
+        return ()
+    solver = SemigroupSolver(vals)
+    return tuple(
+        g
+        for k, g in enumerate(vals)
+        if all(counts[k] for counts in solver.solutions(g))
+    )
 
 
 # -- canonical decompositions against a chain state -----------------------

@@ -187,10 +187,13 @@ def redundancy_certificate(
         )
 
     combo: list[tuple[Fraction, PairVec]] = []
-    # the remainder in ring form, for the zero test, and in ambient form
-    f, g = rec.poly, rec.image
+    # the remainder, kept in ambient form only: validate_model's Jacobian
+    # check makes the images algebraically independent, so substitution
+    # is injective and the ring remainder vanishes exactly when its image
+    # does
+    g = rec.image
     prev = None
-    while not f.is_zero():
+    while not g.is_zero():
         val = state.model.nu(g)
         if prev is not None and not val > prev:
             raise InternalConsistencyError("rewrite failed to raise the value")
@@ -202,7 +205,6 @@ def redundancy_certificate(
             return RedundancyCertificate(target, "undecided")
         pick_img = state.image_of(pick)
         mu = state.model.residue_ratio(g, pick_img)
-        f = f - state.poly_of(pick).scale(mu)
         g = g - pick_img.scale(mu)
         combo.append((mu, pick))
     return RedundancyCertificate(target, "certified", tuple(combo))

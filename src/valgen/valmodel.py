@@ -33,7 +33,7 @@ from .errors import (
     UnequalValuesError,
     ValuationOfZeroError,
 )
-from .grouplat import smith_normal_form
+from .grouplat import column_echelon
 from .laurent import LaurentPoly
 from .values import RadicalBasis, Value, int_vec_sign, over_common_den
 
@@ -170,9 +170,7 @@ def validate_model(model: ValuationModel) -> list[str]:
             problems.append(f"ambient variable {name} must have positive value")
     # the rank over Q of the values' numerators: one radical per row, one
     # ambient variable per column
-    snf, _, _ = smith_normal_form(model._columns)
-    rank = sum(1 for k, row in enumerate(snf) if k < len(row) and row[k])
-    if rank < len(model.ambient_vars):
+    if column_echelon(model._columns)[2] < len(model.ambient_vars):
         problems.append(
             "ambient values are linearly dependent over the rationals; "
             "monomial values would collide"

@@ -105,7 +105,10 @@ class RadicalBasis:
     radicands: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rads = tuple(int(r) for r in self.radicands)
+        rads = tuple(self.radicands)
+        # int() would pass True as 1 and truncate 2.5 to 2
+        if not all(type(r) is int for r in rads):
+            raise TypeError(f"radicands must be integers, got {rads}")
         object.__setattr__(self, "radicands", rads)
         if not rads or rads[0] != 1:
             raise ValueError("radicands must start with 1")

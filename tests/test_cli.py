@@ -141,6 +141,16 @@ def test_build_reports_config_errors(tmp_path, capsys):
     assert main(["build", "--config", str(tmp_path / "gone.json")]) == 2
 
 
+def test_build_reports_unwritable_out(second_config, tmp_path, capsys):
+    # exit 1 means verify-example found differences; a path that cannot
+    # be written is a usage error
+    out = tmp_path / "missing" / "dir" / "r.json"
+    assert main(["build", "--config", second_config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --out: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize(
     "mutate,key",
     [

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from itertools import combinations, product
 
 import pytest
@@ -18,6 +18,7 @@ from valgen.grouplat import (
     SemigroupSolver,
     _cofactor_normal,
     _det,
+    column_echelon,
     graded_key,
     irreducible_decompose,
     lattice_solve,
@@ -25,8 +26,6 @@ from valgen.grouplat import (
     minimal_pushing_set,
     minimal_semigroup_generators,
     permissible_decompose,
-    semigroup_contains,
-    smith_normal_form,
 )
 from valgen.values import combination
 
@@ -65,6 +64,11 @@ def test_pairvec_normalization():
     assert PairVec((), ()).is_zero()
     with pytest.raises(ValueError):
         PairVec((-1,), ())
+    # no silent int(): (True, 2.7) would print as (1,2|)
+    with pytest.raises(TypeError):
+        PairVec((True, 2.7), ())
+    with pytest.raises(TypeError):
+        PairVec((), (1.0,))
 
 
 def test_pairvec_domination():
@@ -119,31 +123,42 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def leading_rows(h, cols):
+    """The first nonzero row of each column, None for a zero column."""
+    return [
+        next((i for i, row in enumerate(h) if row[j]), None)
+        for j in range(cols)
+    ]
+
+
 @given(small_matrices)
-def test_smith_normal_form_properties(a):
+def test_column_echelon_properties(a):
     rows, cols = len(a), len(a[0])
-    s, u, v = smith_normal_form(a)
-    assert mat_mul(mat_mul(u, a), v) == s
-    assert abs(det(u)) == 1
+    h, v, rank = column_echelon(a)
+    assert mat_mul(a, v) == h
     assert abs(det(v)) == 1
-    diag = [s[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert s[i][j] == 0
-    for d, e in zip(diag, diag[1:]):
-        if d:
-            assert e % d == 0
-        else:
-            assert e == 0
-    assert all(d >= 0 for d in diag)
+    lead = leading_rows(h, cols)
+    # the first rank columns lead on strictly increasing rows, the rest
+    # are zero
+    assert None not in lead[:rank]
+    assert lead[:rank] == sorted(set(lead[:rank]))
+    assert lead[rank:] == [None] * (cols - rank)
+    assert rank <= min(rows, cols)
 
 
-def test_smith_normal_form_known():
-    s, _, _ = smith_normal_form([[2, 4], [6, 8]])
-    assert [s[0][0], s[1][1]] == [2, 4]
-    s, _, _ = smith_normal_form([[0, 0], [0, 0]])
-    assert [s[0][0], s[1][1]] == [0, 0]
+def test_column_echelon_known():
+    h, v, rank = column_echelon([[2, 4], [6, 8]])
+    assert rank == 2
+    assert h[0][1] == 0 and abs(h[0][0]) == 2
+    assert abs(h[0][0] * h[1][1]) == 8  # |det| of the matrix
+    assert column_echelon([[0, 0], [0, 0]])[2] == 0
+    assert column_echelon([[1, 2, 3], [2, 4, 6]])[2] == 1
+    assert column_echelon([[0, 3], [5, 0], [1, 1]])[2] == 2
+    h, v, rank = column_echelon([[0, 0, 4, 6]])
+    assert rank == 1 and abs(h[0][0]) == 2 and h[0][1:] == [0, 0, 0]
+    assert column_echelon([[], []]) == ([[], []], [], 0)
+    with pytest.raises(ValueError):
+        column_echelon([[1, 2], [3]])
 
 
 # -- group membership ----------------------------------------------------------
@@ -189,6 +204,45 @@ def test_lattice_solve():
     assert lattice_solve(B2.root(2) * Fraction(1, 2), gens) is None
     assert lattice_solve(B2.zero(), []) == ()
     assert lattice_solve(B2.rational(1), []) is None
+
+
+B23 = RadicalBasis((1, 2, 3))
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+steps = st.fractions(
+    min_value=Fraction(1, 4), max_value=4, max_denominator=4
+)
+
+
+@given(
+    steps,
+    steps,
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=4
+    ),
+    st.integers(min_value=0, max_value=4),
+    small_fractions,
+    small_fractions,
+    st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-3)]),
+)
+def test_group_questions_match_a_known_lattice(d1, d2, combos, at, a1, a2, a3):
+    # every generator is an integer combination of d1 and d2*sqrt(2), and
+    # both are among them, so the group is d1*Z + d2*sqrt(2)*Z: a value
+    # a1 + a2*sqrt(2) lies in it exactly when d1 | a1 and d2 | a2, and any
+    # sqrt(3) part puts it off the rational span
+    e1, e2 = B23.rational(d1), B23.root(2) * d2
+    gens = [combination(uv, (e1, e2), B23) for uv in combos]
+    gens.insert(min(at, len(gens)), e1)
+    gens.insert(min(at + 1, len(gens)), e2)
+    alpha = B23.rational(a1) + B23.root(2) * a2 + B23.root(3) * a3
+    if a3:
+        want = None
+    else:
+        want = lcm((a1 / d1).denominator, (a2 / d2).denominator)
+    assert min_multiple_in_group(alpha, gens) == want
+    x = lattice_solve(alpha, gens)
+    assert (x is not None) == (want == 1)
+    if x is not None:
+        assert combination(x, gens, B23) == alpha
 
 
 # -- semigroup membership -------------------------------------------------------
@@ -446,9 +500,9 @@ def test_solvers_are_cached_per_build(second_model, second_state):
     other = build_state(second_model)
     assert other.semigroup_solver(2, 1) is not first
     assert other.semigroup_solver(2, 1).gvecs == first.gvecs
-    gens = (B2.rational(2), B2.rational(3))
-    assert semigroup_contains(B2.rational(7), gens) is not None
-    assert semigroup_contains(B2.rational(1), gens) is None
+    solver = SemigroupSolver((B2.rational(2), B2.rational(3)))
+    assert solver.contains(B2.rational(7)) is not None
+    assert solver.contains(B2.rational(1)) is None
 
 
 def test_minimal_semigroup_generators():

@@ -38,7 +38,13 @@ def test_basis_validation():
         RadicalBasis((1, 12))
     with pytest.raises(ValueError):
         RadicalBasis(())
+    # no silent int(): 2.5 would become 2 and True would become 1
+    with pytest.raises(TypeError):
+        RadicalBasis((1, 2.5, 3.9))
+    with pytest.raises(TypeError):
+        RadicalBasis((True, 2))
     assert RadicalBasis((1,)).dim == 1
+    assert RadicalBasis([1, 2]).radicands == (1, 2)
     assert B.index_of(51) == 2
     with pytest.raises(ValueError):
         B.index_of(7)
