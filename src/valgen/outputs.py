@@ -21,7 +21,13 @@ from .grouplat import (
 )
 from .jumpseq import JumpState
 from .laurent import LaurentPoly
-from .values import Value, int_vec_sign, over_common_den
+from .values import (
+    FIXED_BITS,
+    Value,
+    int_vec_bounds,
+    over_common_den,
+    sign_within,
+)
 
 # the redundancy search window when none is given: how far above a
 # member's value a rewrite may climb, and the largest degree it may use
@@ -29,32 +35,60 @@ DEFAULT_VALUE_SLACK = 5
 DEFAULT_DEGREE_CAP = 40
 
 
-def _walk(steps, top, visit: Callable[[list, tuple], bool]) -> None:
+def _walk(
+    steps, top, radicands, visit: Callable[[list, tuple, int, int, int], bool]
+) -> None:
     """Visit exponent vectors over the chain rows, each at most once.
 
     ``steps`` and ``top`` are the numerators of the row values and of a
     threshold over one common denominator (``over_common_den``).  Each
-    vector carries its value minus the threshold as such a tuple, so its
-    sign (``int_vec_sign``) places the vector against the threshold and
-    no Value is built.  The walk starts at the zero vector and reaches a
-    vector as its parent plus one unit at its last nonzero coordinate.
-    ``visit(counts, diff)`` gets the vector's counts (a list the walk
-    reuses) and that difference, and returns whether to descend to the
-    vector's children.
+    vector carries its value minus the threshold as such a tuple, with
+    that tuple's 64-bit bounds (``int_vec_bounds``), so its sign
+    (``sign_within``) places the vector against the threshold and no
+    Value is built.  Bounds add, so a step adds the row's precomputed
+    bounds and the exact sign is refined only when they straddle zero.
+    The walk starts at the zero vector and reaches a vector as its parent
+    plus one unit at its last nonzero coordinate.  ``visit(counts, diff,
+    sign, lo, hi)`` gets the vector's counts (a list the walk reuses),
+    that difference, its sign and its bounds, and returns whether to
+    descend to the vector's children.
     """
     counts = [0] * len(steps)
+    bounds = [int_vec_bounds(step, radicands, FIXED_BITS) for step in steps]
 
-    def extend(first: int, diff: tuple) -> None:
-        if visit(counts, diff):
+    def extend(first: int, diff: tuple, lo: int, hi: int) -> None:
+        if visit(counts, diff, sign_within(diff, lo, hi, radicands), lo, hi):
             for k in range(first, len(steps)):
+                step_lo, step_hi = bounds[k]
                 counts[k] += 1
-                extend(k, tuple(map(add, diff, steps[k])))
+                extend(
+                    k,
+                    tuple(map(add, diff, steps[k])),
+                    lo + step_lo,
+                    hi + step_hi,
+                )
                 counts[k] -= 1
 
-    extend(0, tuple(-a for a in top))
+    start = tuple(-a for a in top)
+    extend(0, start, *int_vec_bounds(start, radicands, FIXED_BITS))
     # extend refers to itself; dropping the name frees the walk's data now
     # rather than at the next cyclic collection
     del extend
+
+
+def _drops_below(
+    diff: tuple, lo: int, hi: int, step: tuple, step_bounds: tuple, radicands
+) -> bool:
+    """Whether diff - step < 0, for diff with 64-bit bounds lo/hi and step
+    with ``step_bounds``: the difference lies within lo - step_hi and
+    hi - step_lo, and ``sign_within`` refines only when those straddle 0."""
+    step_lo, step_hi = step_bounds
+    return (
+        sign_within(
+            tuple(map(sub, diff, step)), lo - step_hi, hi - step_lo, radicands
+        )
+        < 0
+    )
 
 
 # -- valuation ideals ---------------------------------------------------------
@@ -86,28 +120,30 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     )
     sig = steps.pop()
     rads = state.basis.radicands
-    # (counts, value - sigma) of every vector reaching sigma first
+    bounds = [int_vec_bounds(step, rads, FIXED_BITS) for step in steps]
+    # (counts, value - sigma) of every minimal vector
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def visit(counts: list, diff: tuple) -> bool:
-        if int_vec_sign(diff, rads) >= 0:
+    def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
+        if sign < 0:
+            return True
+        # reaching sigma first; minimal when removing any one factor
+        # drops the value below sigma
+        if all(
+            _drops_below(diff, lo, hi, step, step_bounds, rads)
+            for c, step, step_bounds in zip(counts, steps, bounds)
+            if c
+        ):
             found.append((tuple(counts), diff))
-            return False
-        return True
+        return False
 
-    _walk(steps, sig, visit)
-    # minimal: removing any one factor drops the value below sigma
+    _walk(steps, sig, rads, visit)
     minimal = [
         (
             vec_over(rows, counts),
             Value(state.basis, tuple(map(add, diff, sig)), den),
         )
         for counts, diff in found
-        if all(
-            int_vec_sign(tuple(map(sub, diff, step)), rads) < 0
-            for c, step in zip(counts, steps)
-            if c
-        )
     ]
     minimal.sort(
         key=lambda pair: (
@@ -343,16 +379,15 @@ def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
         [*(val for *_, val in rows), cap], state.basis
     )
     top = steps.pop()
-    rads = state.basis.radicands
     # value - cap of every value reached; distinct tuples, distinct values
     seen: set[tuple[int, ...]] = set()
 
-    def visit(counts: list, diff: tuple) -> bool:
-        if int_vec_sign(diff, rads) > 0:
+    def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
+        if sign > 0:
             return False
         seen.add(diff)
         return True
 
-    _walk(steps, top, visit)
+    _walk(steps, top, state.basis.radicands, visit)
     values = [Value(state.basis, tuple(map(add, d, top)), den) for d in seen]
     return SemigroupSlice(cap, tuple(sorted(values)), complete)

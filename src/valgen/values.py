@@ -11,15 +11,29 @@ squarefree integers are linearly independent over ℚ, so the reduced
 numerators and denominator determine the number and, in particular, a
 combination is zero exactly when every numerator is zero.  That fact
 makes equality a syntactic check, while comparisons reduce to the sign of
-a difference.  One integer routine, ``int_vec_sign``, decides that sign
-for every caller: it refines integer enclosures of each sqrt(r_k)
-(``int_vec_bounds``) until the interval for the whole sum excludes zero.
-No floating point is involved anywhere.
+a difference.  No floating point is involved anywhere.
 
-Comparing two Values builds no intermediate Value: the order operators
-hand the numerator difference (cross-multiplied when the denominators
-differ) straight to ``int_vec_sign``.  Hot loops that only need signs,
-such as the enumerators in ``outputs``, work the same way on integer
+Signs are decided by a filter over integer enclosures.  For a numerator
+vector v, ``int_vec_bounds`` at FIXED_BITS (64) gives integers lo <= hi
+around the fixed-point sum A = dot(v, F), where F_k = floor(2^64*sqrt(r_k))
+(exactly 2^64 for r_k = 1) is cached per radicand tuple.  Each irrational
+coordinate loses less than one unit to the floor, so hi - lo is at most
+the sum of |v_k| over those coordinates, and
+
+    lo <= 2^64 * sum(v_k * sqrt(r_k)) <= hi.
+
+Bounds add, so a caller that builds vectors by adding steps carries lo/hi
+along with two integer additions.  ``sign_within`` reads the sign off
+lo > 0 or hi < 0 and only when the enclosure straddles zero (a near-tie
+or an exact zero) falls back to ``int_vec_sign``, which catches zero
+symbolically and otherwise doubles the precision from 64 bits until the
+enclosure excludes zero; a nonzero combination always gets there.
+
+Comparing two Values builds no intermediate Value.  Each Value keeps its
+own 64-bit bounds once computed; disjoint intervals (after
+cross-multiplying by the other denominator) decide the order, and
+overlapping ones hand the numerator difference to ``int_vec_sign``.  The
+enumerators in ``outputs`` carry lo/hi along their walk over integer
 numerator tuples over one common denominator (``over_common_den``).
 """
 from __future__ import annotations
@@ -29,39 +43,56 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError
 
 Rational = Union[int, Fraction]
 
+# the precision of the enclosure every sign decision tries first
+FIXED_BITS = 64
+
+
 @cache
-def _sqrt_floor_scaled(radicand: int, bits: int) -> int:
-    """isqrt(r << 2*bits), i.e. the floor of sqrt(r) scaled by 2^bits."""
-    return isqrt(radicand << (2 * bits))
+def _sqrt_table(radicands: tuple[int, ...], bits: int) -> tuple[int, ...]:
+    """floor(2^bits * sqrt(r)) for each radicand r: exactly 1 << bits for
+    r == 1, less than one unit below the true product otherwise."""
+    return tuple(isqrt(r << (2 * bits)) for r in radicands)
 
 
 def int_vec_bounds(
     vec: Sequence[int], radicands: Sequence[int], bits: int
 ) -> tuple[int, int]:
-    """Integer lo/hi with lo <= 2^bits * sum(vec_k * sqrt(r_k)) <= hi."""
-    lo = 0
-    hi = 0
+    """Integer lo/hi with lo <= 2^bits * sum(vec_k * sqrt(r_k)) <= hi.
+
+    Both start from the fixed-point sum dot(vec, _sqrt_table): an
+    irrational sqrt(r_k) loses less than one unit to the floor, so its
+    coefficient c raises hi by c when positive and lowers lo by |c| when
+    negative.  Bounds of vectors add: the bounds of a sum are the sums of
+    the bounds."""
+    lo = hi = sum(map(mul, vec, _sqrt_table(tuple(radicands), bits)))
     for c, r in zip(vec, radicands):
-        if c == 0:
-            continue
-        if r == 1:
-            lo += c << bits
-            hi += c << bits
-            continue
-        f = _sqrt_floor_scaled(r, bits)
-        if c > 0:
-            lo += c * f
-            hi += c * (f + 1)
-        else:
-            lo += c * (f + 1)
-            hi += c * f
+        if r != 1:
+            if c > 0:
+                hi += c
+            else:
+                lo += c
     return lo, hi
+
+
+def sign_within(
+    vec: Sequence[int], lo: int, hi: int, radicands: Sequence[int]
+) -> int:
+    """The sign of sum(vec_k * sqrt(r_k)), given bounds lo/hi on 2^FIXED_BITS
+    times it (``int_vec_bounds`` at FIXED_BITS, or sums and differences of
+    such bounds).  Read off the bounds when they exclude zero; exact
+    (``int_vec_sign``) when they straddle it."""
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return int_vec_sign(vec, radicands)
 
 
 def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
@@ -70,7 +101,7 @@ def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
         return 0
     if not any(vec[1:]):
         return 1 if vec[0] > 0 else -1
-    bits = 64
+    bits = FIXED_BITS
     while True:
         lo, hi = int_vec_bounds(vec, radicands, bits)
         if lo > 0:
@@ -159,8 +190,10 @@ class Value:
     Stored as integer numerators ``nums`` over one denominator ``den``,
     reduced so that ``den > 0`` and ``gcd(den, *nums) == 1`` (zero is
     ``(0, ..., 0)/1``); equality and hashing are therefore structural.
-    The sign comes from ``int_vec_sign`` on the numerators.  ``coeffs``
-    gives the coefficients as Fractions, for presentation.
+    Numerators and denominator must be ``int``: a ``bool`` or a float is
+    refused with TypeError.  The sign comes from ``int_vec_sign`` on the
+    numerators.  ``coeffs`` gives the coefficients as Fractions, for
+    presentation.
 
     Values are immutable and hashable.  They form an ordered ℚ-vector
     space: addition, subtraction, and scalar multiplication by rationals
@@ -172,8 +205,19 @@ class Value:
     nums: tuple[int, ...]
     den: int
 
+    # int_vec_bounds of nums at FIXED_BITS, stored on the instance by
+    # _fixed the first time the Value is compared; a class attribute
+    # rather than a field, so equality, hashing and repr do not see it
+    _bounds = None
+
     def __post_init__(self) -> None:
         nums, den = self.nums, self.den
+        # gcd would accept True as 1 and fail on 2.0 with no argument named
+        if type(den) is not int:
+            raise TypeError(f"den must be an integer, got {den!r}")
+        for a in nums:  # a plain loop: all() over a generator costs 3x more
+            if type(a) is not int:
+                raise TypeError(f"nums must be integers, got {nums!r}")
         if len(nums) != self.basis.dim:
             raise ValueError(
                 f"expected {self.basis.dim} coefficients, got {len(nums)}"
@@ -195,7 +239,7 @@ class Value:
     # -- vector space structure ------------------------------------
 
     def _check_basis(self, other: "Value") -> None:
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise ValueError("values carry different radical bases")
 
     def __add__(self, other: "Value") -> "Value":
@@ -250,14 +294,31 @@ class Value:
         """-1, 0, or +1.  Exact: zero is decided symbolically."""
         return int_vec_sign(self.nums, self.basis.radicands)
 
+    def _fixed(self) -> tuple[int, int]:
+        """Compute and store ``_bounds``."""
+        bounds = int_vec_bounds(self.nums, self.basis.radicands, FIXED_BITS)
+        object.__setattr__(self, "_bounds", bounds)
+        return bounds
+
     def _cmp(self, other: "Value") -> int:
-        """The sign of self - other, read off the numerators: both
-        denominators are positive, so cross-multiplying keeps the sign."""
+        """The sign of self - other.
+
+        self lies in [lo, hi] / (den * 2^FIXED_BITS) by its ``_fixed``
+        bounds; when the two intervals are disjoint, comparing their
+        cross-multiplied ends decides.  Otherwise the sign of the
+        numerator difference decides exactly: both denominators are
+        positive, so cross-multiplying keeps the sign."""
         self._check_basis(other)
-        if self.den == other.den:
+        lo1, hi1 = self._bounds or self._fixed()
+        lo2, hi2 = other._bounds or other._fixed()
+        da, db = other.den, self.den
+        if lo1 * da > hi2 * db:
+            return 1
+        if hi1 * da < lo2 * db:
+            return -1
+        if da == db:
             diff = [a - b for a, b in zip(self.nums, other.nums)]
         else:
-            da, db = other.den, self.den
             diff = [a * da - b * db for a, b in zip(self.nums, other.nums)]
         return int_vec_sign(diff, self.basis.radicands)
 

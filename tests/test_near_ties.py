@@ -1,0 +1,242 @@
+"""Sign decisions the 64-bit enclosure cannot make must reach the exact path.
+
+The walk's sign rule, the ideal minimality test and the Value order all
+read signs off integer bounds on 2^64 times a combination of square
+roots, and refine with ``int_vec_sign`` only when those bounds straddle
+zero.  The vectors below are built to straddle: Pell pairs p - q*sqrt(2)
+with q between 2^40 and 2^80, a convergent of sqrt(2) + sqrt(3), and
+exact zeros.  Each decision is checked against ``int_vec_sign``, the
+fallbacks are counted, and a mutant that trusts the fixed-point sum alone
+is shown to fail the same checks.
+"""
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+
+from valgen import RadicalBasis, Value, outputs, values
+from valgen.outputs import (
+    _drops_below,
+    _walk,
+    ideal_generators,
+    semigroup_values_up_to,
+)
+from valgen.values import FIXED_BITS, int_vec_bounds, int_vec_sign
+
+import oracles
+
+RADS = (1, 2, 3)
+
+
+def pell_pairs(lo_bits=40, hi_bits=80):
+    """(p, q) with p^2 - 2*q^2 = +-1 and 2^lo_bits <= q < 2^hi_bits; the
+    signs of p - q*sqrt(2) alternate."""
+    p, q = 1, 1
+    out = []
+    while q < 1 << hi_bits:
+        if q >= 1 << lo_bits:
+            out.append((p, q))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+def sqrt2_plus_sqrt3_tie(min_bits=40):
+    """(a, c) with c*(sqrt(2) + sqrt(3)) - a within 1/c of zero and
+    c >= 2^min_bits: a continued-fraction convergent, computed from a
+    400-bit fixed-point value of the root."""
+    bits = 400
+    num = isqrt(2 << 2 * bits) + isqrt(3 << 2 * bits)
+    den = 1 << bits
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while k1 < 1 << min_bits:
+        a, rem = divmod(num, den)
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        num, den = den, rem
+    return h1, k1
+
+
+PELL = pell_pairs()
+TIE_A, TIE_C = sqrt2_plus_sqrt3_tie()
+# numerator vectors over RADS whose 64-bit enclosure straddles zero
+NEAR_TIES = [(p, -q, 0) for p, q in PELL] + [(-TIE_A, TIE_C, TIE_C)]
+ZEROS = [(0, 0, 0)]
+# a step whose value dwarfs every enclosure error above
+FAR = (1 << 100, 0, 0)
+
+
+def trusts_a(vec, *_):
+    """Mutant sign rule, in place of ``sign_within`` or ``int_vec_sign``:
+    the sign of A = sum(vec_k * floor(2^64 * sqrt(r_k))) alone."""
+    a = sum(c * isqrt(r << 2 * FIXED_BITS) for c, r in zip(vec, RADS))
+    return (a > 0) - (a < 0)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The vectors that reach the exact path, recorded as it runs."""
+    seen = []
+
+    def counting(vec, radicands):
+        seen.append(tuple(vec))
+        return int_vec_sign(vec, radicands)
+
+    monkeypatch.setattr(values, "int_vec_sign", counting)
+    return seen
+
+
+def test_the_vectors_are_near_ties():
+    assert len(PELL) >= 20
+    assert {int_vec_sign(v, RADS) for v in NEAR_TIES} == {-1, 1}
+    for vec in NEAR_TIES + ZEROS:
+        lo, hi = int_vec_bounds(vec, RADS, FIXED_BITS)
+        assert lo <= 0 <= hi
+    # the fixed-point sum alone gets some of them wrong
+    assert any(trusts_a(v) != int_vec_sign(v, RADS) for v in NEAR_TIES)
+
+
+def walk_signs(steps):
+    """(diff, sign) for the zero vector, every step and every sum of two
+    steps, as _walk decides them against a zero threshold."""
+    seen = []
+
+    def visit(counts, diff, sign, lo, hi):
+        seen.append((diff, sign))
+        return sum(counts) < 2
+
+    _walk(steps, (0,) * len(RADS), RADS, visit)
+    return seen
+
+
+def test_walk_signs_on_near_ties(fallbacks):
+    steps = NEAR_TIES + [FAR]
+    seen = walk_signs(steps)
+    n = len(steps)
+    assert len(seen) == 1 + n + n * (n + 1) // 2
+    for diff, sign in seen:
+        assert sign == int_vec_sign(diff, RADS)
+    # the exact path ran for the vectors without FAR and only for them
+    exact = [diff for diff, _ in seen if diff[0] < 1 << 90]
+    assert sorted(fallbacks) == sorted(exact)
+    assert len(exact) == 1 + (n - 1) + (n - 1) * n // 2
+
+
+def test_walk_signs_fail_under_a_mutant(monkeypatch):
+    monkeypatch.setattr(outputs, "sign_within", trusts_a)
+    seen = walk_signs(NEAR_TIES)
+    assert any(sign != int_vec_sign(diff, RADS) for diff, sign in seen)
+
+
+def drop_cases():
+    """(diff, step) with diff - step a near tie or zero, step near or far."""
+    out = []
+    for tie in NEAR_TIES + ZEROS:
+        for step in (NEAR_TIES[0], NEAR_TIES[-1], FAR):
+            out.append((tuple(map(sum, zip(tie, step))), step))
+    return out
+
+
+def drops(diff, step):
+    return _drops_below(
+        diff,
+        *int_vec_bounds(diff, RADS, FIXED_BITS),
+        step,
+        int_vec_bounds(step, RADS, FIXED_BITS),
+        RADS,
+    )
+
+
+def test_minimality_test_on_near_ties(fallbacks):
+    cases = drop_cases()
+    for diff, step in cases:
+        below = int_vec_sign(tuple(d - s for d, s in zip(diff, step)), RADS) < 0
+        assert drops(diff, step) == below
+    assert len(fallbacks) == len(cases)
+
+
+def test_minimality_test_fails_under_a_mutant(monkeypatch):
+    monkeypatch.setattr(outputs, "sign_within", trusts_a)
+    assert any(
+        drops(diff, step)
+        != (int_vec_sign(tuple(d - s for d, s in zip(diff, step)), RADS) < 0)
+        for diff, step in drop_cases()
+    )
+
+
+def value_pairs():
+    """Near-tied Values p/d and q*sqrt(2)/d whose reduced denominators
+    differ, and one Value paired with itself."""
+    basis = RadicalBasis(RADS)
+    pairs = []
+    for d in (2, 6, 35):
+        for p, q in PELL:
+            a, b = Value(basis, (p, 0, 0), d), Value(basis, (0, q, 0), d)
+            if a.den != b.den:
+                pairs.append((a, b))
+    d = next(
+        d for d in range(2, 100) if (TIE_A % d == 0) != (TIE_C % d == 0)
+    )
+    pairs.append(
+        (Value(basis, (TIE_A, 0, 0), d), Value(basis, (0, TIE_C, TIE_C), d))
+    )
+    pairs.append((pairs[0][0], pairs[0][0]))
+    return pairs
+
+
+def exact_order(a, b):
+    """int_vec_sign of the cross-multiplied numerator difference a - b."""
+    diff = [x * b.den - y * a.den for x, y in zip(a.nums, b.nums)]
+    return int_vec_sign(diff, RADS)
+
+
+def test_value_order_on_near_ties(fallbacks):
+    pairs = value_pairs()
+    assert len(pairs) >= 30
+    assert {exact_order(a, b) for a, b in pairs} == {-1, 0, 1}
+    expected = [exact_order(a, b) for a, b in pairs]
+    fallbacks.clear()
+    for (a, b), s in zip(pairs, expected):
+        assert (a < b, a <= b, b < a, b <= a) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert len(fallbacks) == 4 * len(pairs)
+
+
+def test_value_order_fails_under_a_mutant(monkeypatch):
+    pairs = value_pairs()
+    expected = [exact_order(a, b) for a, b in pairs]
+    monkeypatch.setattr(values, "int_vec_sign", trusts_a)
+    assert any((a < b) != (s < 0) for (a, b), s in zip(pairs, expected))
+
+
+# -- the queries at the >= boundary ------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["state", "second_state"])
+def test_queries_at_and_beside_a_semigroup_value(request, which):
+    st = request.getfixturevalue(which)
+    basis = st.basis
+    gens = [val for _, _, val in oracles.chain_rows(st)]
+    slack = basis.rational(2)
+    members = oracles.sums_up_to(gens, basis.rational(3), basis.zero())
+    shift = basis.rational(Fraction(1, 64))
+
+    def key(vec):
+        return st.value_of(vec), vec.p, vec.t
+
+    for v in (members[3], members[-1]):
+        for sigma in (v - shift, v, v + shift):
+            got = semigroup_values_up_to(st, sigma).values
+            assert list(got) == oracles.sums_up_to(gens, sigma, basis.zero())
+            assert (v in got) == (sigma >= v)
+            cap = sigma + slack
+            reaching = [
+                (vec, val)
+                for vec, val in oracles.vectors_up_to(st, cap)
+                if val >= sigma
+            ]
+            want = oracles.minimal_vectors(reaching)
+            gens_at = ideal_generators(st, sigma).members
+            assert sorted(
+                (vec for vec in gens_at if st.value_of(vec) <= cap), key=key
+            ) == sorted(want, key=key)
+            # the boundary: a generator of value exactly v exists iff sigma <= v
+            assert any(st.value_of(vec) == v for vec in gens_at) == (sigma <= v)

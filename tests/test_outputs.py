@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valgen import PairVec, RadicalBasis, Value, outputs, parse_value
+from valgen import PairVec, RadicalBasis, Value, outputs, parse_value, values
 from valgen.grouplat import SemigroupSolver
 from valgen.jumpseq import SearchBounds, build_state
 from valgen.outputs import (
@@ -116,27 +116,34 @@ def test_queries_match_brute_force_off_unit_denominators(fractional_state):
 
 def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
     sigma = parse_value("2 + 2*sqrt(2) + 2*sqrt(3)", second_state.basis)
-    built = visits = 0
+    built = visits = exact = 0
     post_init = Value.__post_init__
     walk = outputs._walk
+    int_vec_sign = values.int_vec_sign
 
     def counting_post_init(self):
         nonlocal built
         built += 1
         post_init(self)
 
-    def counting_walk(*args):
-        *head, visit = args
-
-        def counted(*seen):
+    def counting_walk(steps, top, radicands, visit):
+        def counted(counts, diff, sign, lo, hi):
             nonlocal visits
             visits += 1
-            return visit(*seen)
+            return visit(counts, diff, sign, lo, hi)
 
-        walk(*head, counted)
+        walk(steps, top, radicands, counted)
+
+    def counting_sign(vec, radicands):
+        nonlocal exact
+        exact += 1
+        return int_vec_sign(vec, radicands)
 
     monkeypatch.setattr(Value, "__post_init__", counting_post_init)
     monkeypatch.setattr(outputs, "_walk", counting_walk)
+    # outputs too, should it call the exact routine directly again
+    for module in (values, outputs):
+        monkeypatch.setattr(module, "int_vec_sign", counting_sign, raising=False)
     gens = ideal_generators(second_state, sigma)
     sl = semigroup_values_up_to(second_state, sigma)
     answers = len(gens.members) + len(sl.values)
@@ -144,6 +151,9 @@ def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
     # for what is returned: one per generator (its sort key) and per value
     assert visits >= 3 * answers
     assert built <= 2 * answers
+    # the 64-bit enclosures decide nearly every sign: the exact path runs
+    # for the two threshold signs and the few ties (one per vector before)
+    assert exact <= 20 < visits
 
 
 @pytest.mark.parametrize("radicands", [(1, 2), (1, 2, 5)])

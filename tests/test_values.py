@@ -50,6 +50,22 @@ def test_basis_validation():
         B.index_of(7)
 
 
+def test_value_validation():
+    # no silent bool or float: gcd would take True as 1, and fail on 2.0
+    # with a message that names no argument
+    with pytest.raises(TypeError, match="nums"):
+        Value(RadicalBasis((1, 2)), (True, 2), 1)
+    with pytest.raises(TypeError, match="nums"):
+        Value(RadicalBasis((1, 2)), (1, 2.0), 1)
+    with pytest.raises(TypeError, match="den"):
+        Value(RadicalBasis((1, 2)), (1, 2), 2.0)
+    with pytest.raises(TypeError, match="den"):
+        Value(RadicalBasis((1, 2)), (1, 2), True)
+    with pytest.raises(ValueError):
+        Value(RadicalBasis((1, 2)), (1, 2), 0)
+    assert Value(RadicalBasis((1, 2)), (2, -4), -6).nums == (-1, 2)
+
+
 def test_constructors():
     assert B.zero().is_zero()
     assert not B.zero()
