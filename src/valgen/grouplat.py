@@ -220,8 +220,9 @@ class SemigroupSolver:
     ranges exactly over the n that keep the rest inside the next suffix's
     cone.  ``solutions`` enumerates every solution in that order and
     ``contains`` takes the first.  A subproblem searched to the end
-    without a solution is memoized as failed; a chain state keeps one
-    instance per generator tuple for the length of its build.
+    without a solution is memoized as failed; a search cut by leads or a
+    degree cap reads that memo but never adds to it.  A chain state keeps
+    one instance per generator tuple for the length of its build.
     ``queries`` and ``nodes`` count calls of ``contains`` and search
     nodes.
     """
@@ -300,11 +301,22 @@ class SemigroupSolver:
         self.queries += 1
         return next(self.solutions(alpha), None)
 
-    def solutions(self, alpha: Value) -> Iterator[tuple[int, ...]]:
+    def solutions(
+        self,
+        alpha: Value,
+        leads: Sequence[Sequence[int]] = (),
+        degrees: Sequence[int] = (),
+        cap: Optional[int] = None,
+    ) -> Iterator[tuple[int, ...]]:
         """Every nonnegative solution, over the original generator order.
 
         They come in search order, so the first is the witness of
-        ``contains``; each is yielded once.
+        ``contains``; each is yielded once.  Given leads (nonzero count
+        vectors over the same order) or a cap on the degree
+        sum(counts[k] * degrees[k]) with nonnegative degrees, only the
+        solutions that dominate no lead componentwise and stay within the
+        cap come out.  Both are down-sets, so the search cuts every prefix
+        of counts that already breaks one, with its whole subtree.
         """
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
@@ -315,16 +327,49 @@ class SemigroupSolver:
         rem = tuple(a * up for a in alpha.nums)
         if any(_dot(h, rem) < 0 for h in self.normals[0]):
             return
-        for got in self._counts(0, rem):
+        cut = None
+        if leads or cap is not None:
+            if cap is not None and min(cap, *degrees) < 0:
+                raise ValueError("a degree cap and degrees must be nonnegative")
+            cut = self._cut(leads, degrees, cap)
+        for got in self._counts(0, rem, cut):
             out = [0] * self.count
             for pos, k in enumerate(self.order):
                 out[k] = got[pos]
             yield tuple(out)
 
+    def _cut(self, leads, degrees, cap):
+        """(prefix, limit) for a search cut by leads and a degree cap:
+        ``_counts`` stores the count it fixes at search position j in
+        prefix[j], and limit(j, hi) lowers hi, the largest count position j
+        may take, so that prefix[:j] plus that count stays within the cap
+        and dominates no lead that ends at j."""
+        pos = {k: j for j, k in enumerate(self.order)}
+        # per search position, the leads whose last nonzero entry sits
+        # there: their earlier entries as (position, count), and that count
+        ends: list[list] = [[] for _ in self.order]
+        for lead in leads:
+            *head, (j, c) = sorted((pos[k], c) for k, c in enumerate(lead) if c)
+            ends[j].append((head, c))
+        degs = [degrees[k] for k in self.order] if cap is not None else ()
+        prefix = [0] * self.count
+
+        def limit(j: int, hi: int) -> int:
+            if degs and degs[j]:
+                used = sum(map(mul, prefix[:j], degs))
+                hi = min(hi, (cap - used) // degs[j])
+            for head, c in ends[j]:
+                if c <= hi and all(prefix[i] >= h for i, h in head):
+                    hi = c - 1
+            return hi
+
+        return prefix, limit
+
     def _counts(
-        self, j: int, rem: tuple[int, ...]
+        self, j: int, rem: tuple[int, ...], cut=None
     ) -> Iterator[tuple[int, ...]]:
-        """Counts of gvecs[j:] summing to rem, which lies in their cone."""
+        """Counts of gvecs[j:] summing to rem, which lies in their cone;
+        with cut (``_cut``), only those its limit lets through."""
         self.nodes += 1
         if not any(rem):
             # positive generators: only the zero counts sum to zero
@@ -346,16 +391,22 @@ class SemigroupSolver:
             # the cone of gvecs[j+1:] holds no negative value, so some
             # normal must cap the count of the positive generator j
             raise InternalConsistencyError("no cone inequality caps a count")
+        if cut is not None:
+            prefix, limit = cut
+            hi = limit(j, hi)
         g = self.gvecs[j]
         found = False
         for n in range(hi, lo - 1, -1):
+            if cut is not None:
+                prefix[j] = n
             sub = tuple(a - n * b for a, b in zip(rem, g))
-            for got in self._counts(j + 1, sub):
+            for got in self._counts(j + 1, sub, cut):
                 found = True
                 yield (n,) + got
         # only a subtree searched to the end without a solution is a
-        # failure; a caller that stops early never reaches this line
-        if not found:
+        # failure; a caller that stops early never reaches this line, and
+        # a cut search says nothing about the solutions it cut
+        if not found and cut is None:
             self._fail.add(key)
 
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Callable, Optional
 
 from .errors import InternalConsistencyError
 from .grouplat import (
     PairVec,
-    graded_key,
     minimal_semigroup_generators,
     vec_over,
 )
@@ -27,6 +26,7 @@ from .values import (
     int_vec_bounds,
     over_common_den,
     sign_within,
+    value_order,
 )
 
 # the redundancy search window when none is given: how far above a
@@ -91,6 +91,13 @@ def _drops_below(
     )
 
 
+def _graded(counts: tuple) -> tuple:
+    """``graded_key`` of the vector with these counts over the rows of
+    ``coordinates``: the rows follow its padded layout and leave out only
+    positions that are always zero."""
+    return sum(counts), counts
+
+
 # -- valuation ideals ---------------------------------------------------------
 
 
@@ -121,37 +128,32 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     sig = steps.pop()
     rads = state.basis.radicands
     bounds = [int_vec_bounds(step, rads, FIXED_BITS) for step in steps]
-    # (counts, value - sigma) of every minimal vector
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # the rows from the least value up: a vector reaching sigma is minimal
+    # when removing one unit of its least-valued row drops it below sigma,
+    # for removing any other unit lowers the value at least as much
+    rank = sorted(range(len(rows)), key=lambda k: rows[k][2])
+    # (counts, value - sigma, its bounds) of every minimal vector
+    found: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]] = []
 
     def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
         if sign < 0:
             return True
-        # reaching sigma first; minimal when removing any one factor
-        # drops the value below sigma
-        if all(
-            _drops_below(diff, lo, hi, step, step_bounds, rads)
-            for c, step, step_bounds in zip(counts, steps, bounds)
-            if c
-        ):
-            found.append((tuple(counts), diff))
+        for k in rank:
+            if counts[k]:
+                break
+        if _drops_below(diff, lo, hi, steps[k], bounds[k], rads):
+            found.append((tuple(counts), diff, (lo, hi)))
         return False
 
     _walk(steps, sig, rads, visit)
-    minimal = [
-        (
-            vec_over(rows, counts),
-            Value(state.basis, tuple(map(add, diff, sig)), den),
-        )
-        for counts, diff in found
-    ]
-    minimal.sort(
-        key=lambda pair: (
-            pair[1],
-            graded_key(pair[0], len(state.p_chain), len(state.t_chain)),
-        )
+    # graded, then stably by value
+    found.sort(key=lambda item: _graded(item[0]))
+    order = value_order(
+        [diff for _, diff, _ in found], [b for *_, b in found], rads
     )
-    return GeneratorSet(tuple(vec for vec, _ in minimal), complete)
+    return GeneratorSet(
+        tuple(vec_over(rows, found[k][0]) for k in order), complete
+    )
 
 
 # -- redundancy ---------------------------------------------------------------
@@ -207,20 +209,34 @@ def redundancy_certificate(
             raise InternalConsistencyError("zero member in coordinate rows")
         degs.append(d)
     lookup = state.semigroup_solver(plen, tlen)
+    # what a rewrite monomial must not dominate, as counts over the rows:
+    # the target's own row, and the leading vectors JumpState.irreducible
+    # tests that lie on the rows (a vanished member carries no row): the
+    # powers q*e_j of the first chain, whose rows come first, and the D
+    # members of processed positions
+    units = [(own, 1)] + [
+        (p.index - 1, p.q) for p in state.p_chain if p.q is not None
+    ]
+    leads = [tuple(c * (k == at) for k in range(len(rows))) for at, c in units]
+    for t in state.t_chain:
+        if t.status == "ok" and not t.poly.is_zero():
+            for vec in t.D.members:
+                counts = tuple(
+                    vec.p_at(idx) if kind == "p" else vec.t_at(idx)
+                    for kind, idx, _ in rows
+                )
+                if sum(counts) == vec.weight():
+                    leads.append(counts)
 
     def cheapest(val: Value) -> Optional[PairVec]:
         """The graded-least irreducible monomial of value val and degree
         at most degree_cap, or None."""
-        vecs = (
-            vec_over(rows, counts)
-            for counts in lookup.solutions(val)
-            if not counts[own] and sum(map(mul, counts, degs)) <= degree_cap
-        )
-        return min(
-            (vec for vec in vecs if state.irreducible(vec)),
-            key=lambda vec: graded_key(vec, plen, tlen),
+        best = min(
+            lookup.solutions(val, leads, degs, degree_cap),
+            key=_graded,
             default=None,
         )
+        return None if best is None else vec_over(rows, best)
 
     combo: list[tuple[Fraction, PairVec]] = []
     # the remainder, kept in ambient form only: validate_model's Jacobian
@@ -379,15 +395,21 @@ def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
         [*(val for *_, val in rows), cap], state.basis
     )
     top = steps.pop()
-    # value - cap of every value reached; distinct tuples, distinct values
-    seen: set[tuple[int, ...]] = set()
+    # value - cap of every value reached, with its bounds; distinct
+    # tuples, distinct values
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
         if sign > 0:
             return False
-        seen.add(diff)
+        seen[diff] = lo, hi
         return True
 
-    _walk(steps, top, state.basis.radicands, visit)
-    values = [Value(state.basis, tuple(map(add, d, top)), den) for d in seen]
-    return SemigroupSlice(cap, tuple(sorted(values)), complete)
+    rads = state.basis.radicands
+    _walk(steps, top, rads, visit)
+    diffs = list(seen)
+    values = tuple(
+        Value(state.basis, tuple(map(add, diffs[k], top)), den)
+        for k in value_order(diffs, list(seen.values()), rads)
+    )
+    return SemigroupSlice(cap, values, complete)

@@ -12,8 +12,10 @@ the residues the chain construction divides by.
 The model keeps its ambient values once more, as integer numerator
 columns over one common denominator.  The value of a monomial is then a
 few integer dot products, and ``nu`` and ``initial_term`` share one scan
-that keeps the running minimum as integer numerators, compares with
-``int_vec_sign`` and builds a single Value, for the result.
+that keeps the running minimum as integer numerators and builds a single
+Value, for the result.  The scan places each term by a 64-bit enclosure
+summed from per-variable enclosures and compares numerators exactly only
+when two enclosures overlap.
 
 Substitution is a ring homomorphism, so a build never expands a chain
 member: each chain record keeps its ambient image next to its ring form,
@@ -35,7 +37,14 @@ from .errors import (
 )
 from .grouplat import column_echelon
 from .laurent import LaurentPoly
-from .values import RadicalBasis, Value, int_vec_sign, over_common_den
+from .values import (
+    FIXED_BITS,
+    RadicalBasis,
+    Value,
+    int_vec_bounds,
+    over_common_den,
+    sign_within,
+)
 
 RING_VARS = ("x", "y", "z")
 
@@ -58,6 +67,9 @@ class ValuationModel:
     _columns: tuple[tuple[int, ...], ...] | None = field(
         init=False, repr=False, compare=False
     )
+    # per ambient variable, the lower end lo and width hi - lo of its
+    # numerators' int_vec_bounds at FIXED_BITS; () with _columns None
+    _enclosures: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ambient_vars", tuple(self.ambient_vars))
@@ -69,9 +81,16 @@ class ValuationModel:
             den, scaled = over_common_den(self.ambient_values, self.basis)
             columns = tuple(zip(*scaled))
         except ValueError:
-            den, columns = 1, None
+            den, scaled, columns = 1, (), None
+        rads = self.basis.radicands
+        bounds = [int_vec_bounds(v, rads, FIXED_BITS) for v in scaled]
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_columns", columns)
+        object.__setattr__(
+            self,
+            "_enclosures",
+            (tuple(lo for lo, _ in bounds), tuple(hi - lo for lo, hi in bounds)),
+        )
 
     def __hash__(self) -> int:
         return hash((self.basis, self.ambient_vars, self.ambient_values))
@@ -108,14 +127,31 @@ class ValuationModel:
     def _scan(self, g: LaurentPoly) -> tuple[int, tuple[int, ...], bool]:
         """Position of the smallest-value term of a nonzero ambient g, the
         numerators of its value over _den, and whether another term ties
-        with it."""
+        with it.
+
+        A term with exponents e lies within W of sum(e_a * lo_a), where W
+        is sum(|e_a| * width_a) over the ambient enclosures, so most terms
+        are placed against the running minimum by their bounds alone, and
+        ``sign_within`` refines only when the bounds overlap."""
         radicands = self.basis.radicands
+        los, widths = self._enclosures
         at, best, tied = 0, self._numerators(g.terms[0][0]), False
+        best_lo, best_hi = int_vec_bounds(best, radicands, FIXED_BITS)
         for i, (exp, _) in enumerate(g.terms[1:], 1):
+            mid = sum(map(mul, exp, los))
+            w = sum(map(mul, map(abs, exp), widths))
+            if mid - w > best_hi:
+                continue
             nums = self._numerators(exp)
-            s = int_vec_sign(tuple(map(sub, nums, best)), radicands)
+            s = sign_within(
+                tuple(map(sub, nums, best)),
+                mid - w - best_hi,
+                mid + w - best_lo,
+                radicands,
+            )
             if s < 0:
                 at, best, tied = i, nums, False
+                best_lo, best_hi = mid - w, mid + w
             elif s == 0:
                 tied = True
         return at, best, tied

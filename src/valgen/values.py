@@ -34,16 +34,18 @@ own 64-bit bounds once computed; disjoint intervals (after
 cross-multiplying by the other denominator) decide the order, and
 overlapping ones hand the numerator difference to ``int_vec_sign``.  The
 enumerators in ``outputs`` carry lo/hi along their walk over integer
-numerator tuples over one common denominator (``over_common_den``).
+numerator tuples over one common denominator (``over_common_den``), and
+order what they return with ``value_order``, which compares two tuples
+exactly only when their enclosures overlap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError
@@ -93,6 +95,43 @@ def sign_within(
     if hi < 0:
         return -1
     return int_vec_sign(vec, radicands)
+
+
+def value_order(
+    vecs: Sequence[tuple[int, ...]],
+    bounds: Sequence[tuple[int, int]],
+    radicands: Sequence[int],
+) -> list[int]:
+    """The positions of vecs, numerator tuples over one common denominator,
+    in ascending order of value; equal tuples keep their order.
+
+    bounds holds lo/hi for each tuple as ``sign_within`` takes them
+    (``int_vec_bounds`` at FIXED_BITS, or sums of such bounds).  The
+    positions are sorted by lo and split into runs whose bounds overlap.
+    A run lies wholly below the next one, so only within a run are two
+    tuples compared, by ``sign_within`` on their difference, and equal
+    tuples are never handed to it."""
+
+    def cmp(i: int, j: int) -> int:
+        if vecs[i] == vecs[j]:
+            return 0
+        (lo_i, hi_i), (lo_j, hi_j) = bounds[i], bounds[j]
+        diff = tuple(map(sub, vecs[i], vecs[j]))
+        return sign_within(diff, lo_i - hi_j, hi_i - lo_j, radicands)
+
+    runs: list[list[int]] = []
+    top = None
+    for k in sorted(range(len(vecs)), key=lambda k: bounds[k][0]):
+        lo, hi = bounds[k]
+        if top is None or lo > top:
+            runs.append([])
+            top = hi
+        runs[-1].append(k)
+        top = max(top, hi)
+    out: list[int] = []
+    for run in runs:
+        out += sorted(run, key=cmp_to_key(cmp)) if len(run) > 1 else run
+    return out
 
 
 def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:

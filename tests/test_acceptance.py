@@ -6,6 +6,7 @@ rather than shared with the package's own golden data.
 """
 
 import hashlib
+import importlib
 import importlib.resources
 import itertools
 import json
@@ -428,6 +429,23 @@ def test_bundled_reports_are_pinned(announce, config, argv, digest):
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
     announce(f"valgen {' '.join(argv)} on {config} prints the pinned report")
+
+
+def test_query_answers_are_pinned(announce, monkeypatch):
+    # the ideal-sweep workload's default-seed answers, in-process: the
+    # benchmark's session module is imported, not changed, and writes no
+    # bytecode next to itself
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    session = importlib.import_module("session")
+    state = session.set_up()
+    answers = [
+        session.query(state, text)
+        for text in session.thresholds(session.DEFAULT_SEED)
+    ]
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    assert session.digest(answers) == expected["ideal-sweep"]["sha256"]
+    announce("threshold queries on second.json give the pinned answers")
 
 
 # -- 7: a model with a longer first chain -------------------------------------------

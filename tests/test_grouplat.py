@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -362,6 +363,78 @@ def test_semigroup_solver_against_oracle_in_dim_3():
         )
 
     check_against_oracle(rng, pool, target, B3.rational(24), 300)
+
+
+def dominates_none(counts, leads):
+    return not any(all(map(int.__ge__, counts, lead)) for lead in leads)
+
+
+def chain_gens(which, second_state):
+    """Generators for the cut tests: chain-shaped values of the worked
+    example, or the full chain of the second model."""
+    if which == "chain-shaped":
+        return [B3.from_coeffs(v) for v in CHAIN_SHAPED[:5]]
+    rows = second_state.coordinates(
+        len(second_state.p_chain), len(second_state.t_chain)
+    )
+    return [val for *_, val in rows]
+
+
+@pytest.mark.parametrize("which", ["chain-shaped", "second"])
+@given(data=st.data())
+def test_cut_search_keeps_exactly_the_filtered_solutions(
+    which, second_state, data
+):
+    gens = chain_gens(which, second_state)
+    n = len(gens)
+    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    leads = data.draw(st.lists(row.filter(any), max_size=4), "leads")
+    degrees = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cap = data.draw(st.none() | st.integers(0, 12), "cap")
+    target = combination(data.draw(row, "target counts"), gens, gens[0].basis)
+    want = [
+        counts
+        for counts in SemigroupSolver(gens).solutions(target)
+        if dominates_none(counts, leads)
+        and (cap is None or sum(map(mul, counts, degrees)) <= cap)
+    ]
+    solver = SemigroupSolver(gens)
+    assert list(solver.solutions(target, leads, degrees, cap)) == want
+    # the same solver, its memo now written only by full searches
+    assert list(solver.solutions(target)) == list(
+        SemigroupSolver(gens).solutions(target)
+    )
+
+
+@pytest.mark.parametrize("which", ["chain-shaped", "second"])
+def test_cut_search_leaves_the_failure_memo_alone(which, second_state):
+    # cuts that leave nothing: every unit vector a lead, or a zero degree
+    # cap.  Each subtree then fails only because it was cut, and contains
+    # must still answer as a fresh solver does.
+    gens = chain_gens(which, second_state)
+    n = len(gens)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    targets = [
+        combination(c, gens, gens[0].basis)
+        for c in product(range(3), repeat=n)
+        if any(c)
+    ]
+    for cut in ((units, (), None), ((), (1,) * n, 0)):
+        solver = SemigroupSolver(gens)
+        for target in targets:
+            assert list(solver.solutions(target, *cut)) == []
+        fresh = SemigroupSolver(gens)
+        for target in targets:
+            got = solver.contains(target)
+            assert got is not None and got == fresh.contains(target)
+
+
+def test_cut_search_refuses_negative_degrees():
+    # a negative degree would make the degree cap no down-set
+    gens = [B1.rational(2), B1.rational(3)]
+    for degrees, cap in (((1, -1), 4), ((1, 1), -1)):
+        with pytest.raises(ValueError):
+            next(SemigroupSolver(gens).solutions(B1.rational(6), (), degrees, cap))
 
 
 def dot(h, g):

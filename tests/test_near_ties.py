@@ -1,7 +1,7 @@
 """Sign decisions the 64-bit enclosure cannot make must reach the exact path.
 
-The walk's sign rule, the ideal minimality test and the Value order all
-read signs off integer bounds on 2^64 times a combination of square
+The walk's sign rule, the ideal minimality test, the Value order and
+``value_order`` all read signs off integer bounds on 2^64 times a combination of square
 roots, and refine with ``int_vec_sign`` only when those bounds straddle
 zero.  The vectors below are built to straddle: Pell pairs p - q*sqrt(2)
 with q between 2^40 and 2^80, a convergent of sqrt(2) + sqrt(3), and
@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valgen import RadicalBasis, Value, outputs, values
 from valgen.outputs import (
@@ -21,7 +23,7 @@ from valgen.outputs import (
     ideal_generators,
     semigroup_values_up_to,
 )
-from valgen.values import FIXED_BITS, int_vec_bounds, int_vec_sign
+from valgen.values import FIXED_BITS, int_vec_bounds, int_vec_sign, value_order
 
 import oracles
 
@@ -205,6 +207,59 @@ def test_value_order_fails_under_a_mutant(monkeypatch):
     expected = [exact_order(a, b) for a, b in pairs]
     monkeypatch.setattr(values, "int_vec_sign", trusts_a)
     assert any((a < b) != (s < 0) for (a, b), s in zip(pairs, expected))
+
+
+# -- ordering numerator tuples -----------------------------------------------
+
+# tuples that tie with zero or with each other within their 64-bit bounds
+TIED = (
+    NEAR_TIES
+    + ZEROS
+    + [(p, 0, 0) for p, _ in PELL]
+    + [(0, q, 0) for _, q in PELL]
+    + [(TIE_A, 0, 0), (0, TIE_C, TIE_C)]
+)
+
+
+def ordered(vecs, widen=0):
+    """value_order of vecs with their int_vec_bounds, widened by widen."""
+    bounds = [int_vec_bounds(v, RADS, FIXED_BITS) for v in vecs]
+    return value_order(vecs, [(lo - widen, hi + widen) for lo, hi in bounds], RADS)
+
+
+def by_value(vecs):
+    """Positions of vecs sorted with Value keys, stable on equal values."""
+    basis = RadicalBasis(RADS)
+    return sorted(range(len(vecs)), key=lambda k: Value(basis, vecs[k], 1))
+
+
+@given(
+    st.lists(
+        st.sampled_from(TIED) | st.tuples(*[st.integers(-40, 40)] * 3),
+        max_size=24,
+    ).flatmap(lambda vecs: st.permutations(vecs + vecs[: len(vecs) // 2]))
+)
+def test_value_order_sorts_as_value_keys(vecs):
+    # repeated tuples, near ties and random values, in any order
+    assert ordered(vecs) == by_value(vecs)
+
+
+def test_value_order_refines_only_distinct_near_ties(fallbacks):
+    vecs = [v for v in reversed(TIED) for _ in range(2)] + [FAR, ZEROS[0]]
+    want = by_value(vecs)
+    fallbacks.clear()
+    assert ordered(vecs) == want
+    # the near ties reach the exact path; equal tuples never do
+    assert fallbacks and all(any(diff) for diff in fallbacks)
+    # wider bounds, as a walk carries them, give the same order
+    assert ordered(vecs, widen=3) == want
+
+
+def test_value_order_fails_under_a_mutant(monkeypatch):
+    vecs = list(TIED)
+    want = by_value(vecs)
+    monkeypatch.setattr(values, "int_vec_sign", trusts_a)
+    assert ordered(vecs) != want
 
 
 # -- the queries at the >= boundary ------------------------------------------

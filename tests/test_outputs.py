@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from valgen import PairVec, RadicalBasis, Value, outputs, parse_value, values
-from valgen.grouplat import SemigroupSolver
+from valgen.grouplat import SemigroupSolver, vec_over
 from valgen.jumpseq import SearchBounds, build_state
 from valgen.outputs import (
     DEFAULT_VALUE_SLACK,
@@ -148,9 +149,10 @@ def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
     sl = semigroup_values_up_to(second_state, sigma)
     answers = len(gens.members) + len(sl.values)
     # the walks visit several vectors per answer, yet a Value is built only
-    # for what is returned: one per generator (its sort key) and per value
+    # for each returned semigroup value, and none for a generator
     assert visits >= 3 * answers
-    assert built <= 2 * answers
+    assert len(gens.members) > 0
+    assert built == len(sl.values)
     # the 64-bit enclosures decide nearly every sign: the exact path runs
     # for the two threshold signs and the few ties (one per vector before)
     assert exact <= 20 < visits
@@ -272,6 +274,50 @@ def test_survey_picks_match_brute_force(
             want = oracles.survey_pick(up_to_17, state, j, val, degree_cap)
             assert vec == want, f"member {j} at {val}"
     assert checked == certified
+
+
+@pytest.mark.parametrize("which", ["state", "state_30"])
+def test_survey_cut_keeps_exactly_the_filtered_solutions(
+    request, which, monkeypatch
+):
+    # every cut search the survey makes yields what the full enumeration
+    # of the same value yields after the filters: the target's own row
+    # unused, the degree cap, then JumpState.irreducible, in search order.
+    # (The second model's survey makes no such search: its one
+    # second-chain member is not eligible.)
+    st = request.getfixturevalue(which)
+    rows = st.coordinates(len(st.p_chain), len(st.t_chain))
+    degs = [
+        (st.p_chain if kind == "p" else st.t_chain)[idx - 1].poly.total_degree()
+        for kind, idx, _ in rows
+    ]
+    solutions = SemigroupSolver.solutions
+    asked = []
+
+    def recording(self, alpha, *cut):
+        if cut:
+            asked.append((self, alpha, cut))
+        return solutions(self, alpha, *cut)
+
+    monkeypatch.setattr(SemigroupSolver, "solutions", recording)
+    checked = kept = 0
+    for cap in (40, 6):
+        for j, rec in enumerate(st.t_chain, 1):
+            asked.clear()
+            redundancy_certificate(st, j, degree_cap=cap)
+            for solver, alpha, cut in asked:
+                own = rows.index(("t", j, rec.gamma))
+                want = [
+                    counts
+                    for counts in solutions(solver, alpha)
+                    if not counts[own]
+                    and sum(map(mul, counts, degs)) <= cap
+                    and st.irreducible(vec_over(rows, counts))
+                ]
+                assert list(solutions(solver, alpha, *cut)) == want
+                checked += 1
+                kept += len(want)
+    assert checked >= 40 and kept >= 30
 
 
 def test_survey_reads_the_builds_full_chain_solver(monkeypatch):

@@ -13,6 +13,7 @@ from valgen import (
     ValuationOfZeroError,
     parse_value,
     validate_model,
+    values,
 )
 from valgen._golden import parsed_example
 from valgen.laurent import parse_polynomial
@@ -177,6 +178,24 @@ FRACTIONAL = with_values(EXAMPLE, ["1/2", "1/3*sqrt(2)", "1/5*sqrt(51) - 1"])
 DEPENDENT = with_values(EXAMPLE, ["1", "2", "sqrt(2)"])
 
 
+def pell_models():
+    """(p^2 - 2*q^2, model) with ambient values p, q*sqrt(2), sqrt(51) for
+    the Pell pairs with 2^40 <= q < 2^80: |p - q*sqrt(2)| = 1/(p +
+    q*sqrt(2)), so the first two values tie within their 64-bit
+    enclosures, and which one is smaller alternates."""
+    p, q, out = 1, 1, []
+    while q < 1 << 80:
+        if q >= 1 << 40:
+            texts = [str(p), f"{q}*sqrt(2)", "sqrt(51)"]
+            out.append((p * p - 2 * q * q, with_values(EXAMPLE, texts)))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+PELL_MODELS = pell_models()
+NEAR = PELL_MODELS[0][1]
+
+
 @st.composite
 def ambient_polys(draw, vars_=EXAMPLE.ambient_vars):
     terms = draw(
@@ -193,8 +212,8 @@ def ambient_polys(draw, vars_=EXAMPLE.ambient_vars):
 
 
 @pytest.mark.parametrize(
-    "model", [EXAMPLE, FRACTIONAL, DEPENDENT],
-    ids=["example", "fractional", "dependent"],
+    "model", [EXAMPLE, FRACTIONAL, DEPENDENT, NEAR],
+    ids=["example", "fractional", "dependent", "near"],
 )
 @given(ambient_polys())
 def test_scan_matches_brute_force_minimum(model, f):
@@ -211,6 +230,30 @@ def test_scan_matches_brute_force_minimum(model, f):
             model.initial_term(f)
     else:
         assert model.initial_term(f).terms == tuple(attained)
+
+
+def test_scan_refines_only_near_ties(monkeypatch):
+    # the per-variable enclosures place the terms; the exact path runs
+    # only where two of them overlap
+    exact = []
+    int_vec_sign = values.int_vec_sign
+
+    def counting(vec, radicands):
+        exact.append(vec)
+        return int_vec_sign(vec, radicands)
+
+    monkeypatch.setattr(values, "int_vec_sign", counting)
+    units = ((1, 0, 0), (0, 1, 0))
+    f = LaurentPoly(EXAMPLE.ambient_vars, tuple((e, 1) for e in units))
+    for excess, model in PELL_MODELS:
+        least = 1 if excess > 0 else 0
+        assert model.nu(f) == model.ambient_values[least]
+        assert model.initial_term(f).terms == ((units[least], 1),)
+    assert len(exact) == 2 * len(PELL_MODELS)
+    exact.clear()
+    g = EXAMPLE.expand(parse_polynomial("(x + y + z)^4", RING_VARS))
+    assert EXAMPLE.nu(g) == 4 * EXAMPLE.nu(EXAMPLE.images["x"])
+    assert len(g.terms) > 10 and not exact
 
 
 def test_scan_ties_raise():
