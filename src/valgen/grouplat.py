@@ -19,17 +19,18 @@ Several functions take a chain state argument.  They only use a small
 surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
 ``t_chain`` records with ``gamma``/``s``/``m``/``status``, the radical
 ``basis``, the search ``bounds``, plus the helper methods ``m_at``,
-``value_of``, ``irreducible``, ``coordinates`` and ``semigroup_solver``.
-``coordinates`` owns the flat exponent layout over the two chains and
-``vec_over`` reads it back.  The concrete class lives in jumpseq;
+``value_of``, ``leads``, ``irreducible``, ``coordinates`` and
+``semigroup_solver``.  ``coordinates`` owns the flat exponent layout over
+the two chains, ``vec_over`` reads it back and ``counts_over`` writes a
+vector onto it.  The concrete class lives in jumpseq;
 keeping these functions here keeps all lattice reasoning in one place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
-from operator import mul
+from operator import le, lt, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -479,6 +480,15 @@ def vec_over(rows, counts: Sequence[int]) -> PairVec:
     return PairVec(tuple(p), tuple(t))
 
 
+def counts_over(rows, vec: PairVec) -> Optional[tuple[int, ...]]:
+    """The counts of vec over (kind, index, value) rows, the inverse of
+    ``vec_over``; None when vec has an entry off the rows."""
+    counts = tuple(
+        vec.p_at(idx) if kind == "p" else vec.t_at(idx) for kind, idx, _ in rows
+    )
+    return counts if sum(counts) == vec.weight() else None
+
+
 def permissible_decompose(alpha: Value, state, k: int) -> tuple[int, ...]:
     """Write alpha over the first k first-chain values, bounded slots in range.
 
@@ -607,63 +617,57 @@ class PushingSearch:
     complete: bool
 
 
-def _max_boxes(boxes: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    out = []
-    for b in boxes:
-        dominated = False
-        for c in boxes:
-            if b != c and all(x <= y for x, y in zip(b, c)):
-                dominated = True
-                break
-        if not dominated:
-            out.append(b)
-    out.sort(reverse=True)
-    return out
-
-
-def _split_boxes(
-    caps: tuple[int, ...], minima: Sequence[tuple[int, ...]]
+def _split(
+    cover: list[tuple[int, ...]], mem: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """Cover of the region below caps avoiding everything above any minimum.
+    """The cover with everything above mem taken out.
 
-    Boxes are given by their top corner.  For each found minimum, a box
-    containing points above it splits into one box per coordinate where
-    that minimum is positive, capped just below it; the union of the
-    splits is exactly the part of the box not dominating the minimum.
+    A cover is the list of maximal boxes, by their top corners in
+    descending order, of a down-set of points under the caps: the
+    staircase of the monomial ideal of the minima found so far.  A box
+    above mem splits into one child per coordinate where mem is positive,
+    capped just below it; the union of the children is exactly the part
+    of the box not dominating mem.  A kept box was maximal, so it cannot
+    lie under a child, and only the children are tested for domination.
     """
-    boxes = {caps}
-    for mem in minima:
-        nxt: set[tuple[int, ...]] = set()
-        for b in boxes:
-            if any(b[j] < mem[j] for j in range(len(b))):
-                nxt.add(b)
-                continue
-            for j in range(len(b)):
-                if mem[j] > 0:
-                    bb = list(b)
-                    bb[j] = mem[j] - 1
-                    nxt.add(tuple(bb))
-        boxes = nxt
-        if not boxes:
-            return []
-    return _max_boxes(boxes)
+    kept = []
+    children = set()
+    for b in cover:
+        if any(map(lt, b, mem)):
+            kept.append(b)
+            continue
+        for j, c in enumerate(mem):
+            if c:
+                children.add(b[:j] + (c - 1,) + b[j + 1 :])
+    kept += [
+        c
+        for c in children
+        if not any(c != d and all(map(le, c, d)) for d in chain(kept, children))
+    ]
+    kept.sort(reverse=True)
+    return kept
 
 
 def minimal_pushing_set(state, i: int) -> PushingSearch:
-    """All minimal vectors ending at chain position i whose value drops
-    into the semigroup of the earlier members.
+    """All irreducible minimal vectors ending at chain position i whose
+    value drops into the semigroup of the earlier members.
 
     A vector here is (exponents over p_1..p_m, exponents over the live
     t-positions below i, then a positive last exponent at i, necessarily
     a multiple t*s of the least group multiple s).  Within one layer
-    (fixed t) the solution set is upward closed, so the layer's minimal
-    points are mined by splitting the box into faces, testing each face
-    at its top corner with one membership query, and lowering a hit to a
-    minimal point one coordinate at a time: a probe at 0 first, then a
-    binary search from 1 when the probe misses.  Layers are processed in
-    increasing t; a minimal point whose free part is all zero closes
-    every later layer.  The result is flagged incomplete unless every
-    layer was provably closed within the exploration caps.
+    (fixed t) the solution set is upward closed, so its minimal points
+    are mined from one cover (``_split``) of the points under the caps
+    that dominate nothing found: each face is tested at its top corner
+    with one membership query, and a hit is lowered to a minimal point
+    one coordinate at a time, a probe at 0 first, then a binary search
+    from 1 when the probe misses.  The cover is seeded with the leads
+    of ``state.leads(before=i)`` that lie on the rows, so it covers only
+    the irreducible region, a down-set the lowering never leaves.  Layers
+    are processed in increasing t and share the cover, since a vector of
+    a later layer above a minimum found earlier dominates it; a minimum
+    whose free part is all zero empties the cover and closes every later
+    layer.  The result is flagged incomplete when a layer ends with a
+    face that reaches the coordinate cap, or when no layer closes.
     """
     rec = state.t_chain[i - 1]
     s, m = rec.s, rec.m
@@ -682,7 +686,7 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
     ]
     vals = [val for *_, val in rows]
     n = len(rows)
-    caps = (bounds.d_coord_cap,) * n
+    cap = bounds.d_coord_cap
     solver = state.semigroup_solver(m, i - 1)
     basis = state.basis
     step_vals = (s * gamma, *vals)
@@ -719,40 +723,28 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
             cur[j] = lo
         return tuple(cur)
 
+    cover = [(cap,) * n]
+    for lead in state.leads(before=i):
+        counts = counts_over(rows, lead)
+        if counts is not None:
+            cover = _split(cover, counts)
     found: list[tuple[tuple[int, ...], int]] = []
-    closed_after_zero = False
-    complete = True
+    capped = False
     for layer in range(1, bounds.d_layer_cap + 1):
-        if any(t0 <= layer and not any(f) for f, t0 in found):
-            closed_after_zero = True
-            break
-        visible = [f for f, t0 in found if t0 <= layer]
         while True:
-            faces = _split_boxes(caps, visible)
-            hit = None
-            cap_bounded_miss = False
-            for b in faces:
-                if member(b, layer):
-                    hit = b
-                    break
-                if any(b[j] >= caps[j] for j in range(n)):
-                    cap_bounded_miss = True
+            hit = next((b for b in cover if member(b, layer)), None)
             if hit is None:
-                if cap_bounded_miss:
-                    complete = False
                 break
             z = descend(hit, layer)
             found.append((z, layer))
-            visible.append(z)
-    if not closed_after_zero:
-        complete = False
+            cover = _split(cover, z)
+        if not cover:
+            break
+        # every face missed, but members may lie beyond a face at the cap
+        capped = capped or any(cap in b for b in cover)
 
-    members = []
     at_i = [*rows, ("t", i, gamma)]
-    for f, layer in found:
-        pv = vec_over(at_i, (*f, layer * s))
-        if state.irreducible(pv, before=i):
-            members.append(pv)
+    members = [vec_over(at_i, (*f, layer * s)) for f, layer in found]
     members.sort(key=lambda pv: graded_key(pv, m, i))
     members.sort(key=state.value_of)
-    return PushingSearch(tuple(members), complete)
+    return PushingSearch(tuple(members), not cover and not capped)

@@ -155,25 +155,30 @@ class JumpState:
                 return m
         return 1
 
-    def irreducible(self, vec: PairVec, before: Optional[int] = None) -> bool:
-        """True when vec dominates the leading vector of no recorded
-        relation: a power q*e_j of the first chain, a vanished member of
-        the second, or a minimal vector of a processed position.  With
-        before, only second-chain positions below it count."""
-        for rec in self.p_chain:
-            if rec.q is not None and vec.p_at(rec.index) >= rec.q:
-                return False
+    def leads(self, before: Optional[int] = None) -> list[PairVec]:
+        """The leading vectors of the recorded relations: the powers q*e_j
+        of the first chain, e_j for each vanished member of the second,
+        and the minimal vectors of each processed position.  With before,
+        only second-chain positions below it count."""
+        out = [
+            PairVec((0,) * (rec.index - 1) + (rec.q,), ())
+            for rec in self.p_chain
+            if rec.q is not None
+        ]
         for rec in self.t_chain:
             if before is not None and rec.index >= before:
                 break
             if rec.status != "ok":
                 continue
             if rec.poly.is_zero():
-                if vec.t_at(rec.index) >= 1:
-                    return False
-            elif any(vec.dominates(d) for d in rec.D.members):
-                return False
-        return True
+                out.append(PairVec((), (0,) * (rec.index - 1) + (1,)))
+            else:
+                out.extend(rec.D.members)
+        return out
+
+    def irreducible(self, vec: PairVec, before: Optional[int] = None) -> bool:
+        """True when vec dominates none of leads(before)."""
+        return not any(vec.dominates(lead) for lead in self.leads(before))
 
     def value_of(self, vec: PairVec) -> Value:
         if len(vec.p) > len(self.p_chain) or len(vec.t) > len(self.t_chain):

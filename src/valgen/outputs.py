@@ -15,6 +15,7 @@ from typing import Callable, Optional
 from .errors import InternalConsistencyError
 from .grouplat import (
     PairVec,
+    counts_over,
     minimal_semigroup_generators,
     vec_over,
 )
@@ -210,23 +211,13 @@ def redundancy_certificate(
         degs.append(d)
     lookup = state.semigroup_solver(plen, tlen)
     # what a rewrite monomial must not dominate, as counts over the rows:
-    # the target's own row, and the leading vectors JumpState.irreducible
-    # tests that lie on the rows (a vanished member carries no row): the
-    # powers q*e_j of the first chain, whose rows come first, and the D
-    # members of processed positions
-    units = [(own, 1)] + [
-        (p.index - 1, p.q) for p in state.p_chain if p.q is not None
-    ]
-    leads = [tuple(c * (k == at) for k in range(len(rows))) for at, c in units]
-    for t in state.t_chain:
-        if t.status == "ok" and not t.poly.is_zero():
-            for vec in t.D.members:
-                counts = tuple(
-                    vec.p_at(idx) if kind == "p" else vec.t_at(idx)
-                    for kind, idx, _ in rows
-                )
-                if sum(counts) == vec.weight():
-                    leads.append(counts)
+    # the target's own row, and the relation leads that lie on the rows
+    # (a vanished member carries no row)
+    leads = [tuple(int(k == own) for k in range(len(rows)))]
+    for lead in state.leads():
+        counts = counts_over(rows, lead)
+        if counts is not None:
+            leads.append(counts)
 
     def cheapest(val: Value) -> Optional[PairVec]:
         """The graded-least irreducible monomial of value val and degree

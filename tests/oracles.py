@@ -143,21 +143,23 @@ def minimal_vectors(pairs):
     return out
 
 
-def naive_semigroup_member(target, gens):
-    """Membership of target in the semigroup of positive values, by recursion."""
-    basis = target.basis
-    seen = set()
+def naive_semigroup_member(target, gens, memo=None):
+    """Membership of target in the semigroup of positive values, by recursion.
+
+    memo, a dict from values to answers, may be shared by calls over the
+    same gens."""
+    if memo is None:
+        memo = {}
 
     def rec(rest):
         if rest.is_zero():
             return True
-        if rest.sign() < 0 or rest in seen:
+        if rest.sign() < 0:
             return False
-        for g in gens:
-            if rec(rest - g):
-                return True
-        seen.add(rest)
-        return False
+        got = memo.get(rest)
+        if got is None:
+            got = memo[rest] = any(rec(rest - g) for g in gens)
+        return got
 
     return rec(target)
 

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from valgen import PairVec, RadicalBasis, ValuationModel
-from valgen.grouplat import vec_over
+from valgen.cli import load_config
+from valgen.grouplat import counts_over, vec_over
 from valgen.jumpseq import (
     SearchBounds,
     build_p_chain,
@@ -211,6 +216,10 @@ def test_coordinate_rows_round_trip(request, which):
             assert st.value_of(vec_over(rows, counts)) == combination(
                 counts, vals, st.basis
             )
+            assert counts_over(rows, vec_over(rows, counts)) == tuple(counts)
+        # a vector with an entry off the rows: a zero position, or p_{k+1}
+        for off in (PairVec((), (0,) * 10 + (1,)), PairVec((0,) * k + (1,), ())):
+            assert counts_over(rows, off) is None
 
 
 def test_polynomials_realize_their_values(state):
@@ -295,3 +304,49 @@ def test_raising_the_value_ceiling_keeps_the_rows_below_it(state, state_30):
     low = rows(state, cap)
     assert len(low) == 19
     assert rows(state_30, cap) == low
+
+
+def test_a_zero_free_part_closes_the_last_layer(state):
+    # positions 5, 6 and 7 of the worked example find t_j itself on their
+    # first layer, a minimum with zero free part that closes the search;
+    # with one layer allowed, that layer is also the last
+    model, bounds, _, _ = parsed_example()
+    one = build_state(model, bounds=replace(bounds, d_layer_cap=1))
+    for j in (5, 6, 7):
+        rec = one.t_chain[j - 1]
+        assert rec.D.members == (PairVec((), (0,) * (j - 1) + (rec.s,)),)
+        assert rec.D.complete
+    assert one.flags.d_incomplete == state.flags.d_incomplete == [1, 2, 4, 8]
+
+
+def chain_digest(state):
+    """SHA-256 of the chain's (polynomial, value, status, D, D complete)
+    rows."""
+    rows = [
+        [
+            str(rec.poly),
+            rec.gamma.exact_str(),
+            rec.status,
+            None if rec.D is None else [str(v) for v in rec.D.members],
+            None if rec.D is None else rec.D.complete,
+        ]
+        for rec in state.t_chain
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_tower_builds_at_default_bounds():
+    # the worked example with one more monomial in the tower of z: a chain
+    # that runs into the index cap, with D searches over up to 15 rows
+    tower = Path(__file__).with_name("tower.json")
+    model, bounds, _, _ = load_config(str(tower))
+    state = build_state(model, bounds=bounds)
+    assert len(state.t_chain) == 64
+    assert sum(rec.status == "pending" for rec in state.t_chain) == 50
+    assert state.flags.t_truncated
+    assert state.flags.d_incomplete == [1, 2, 3, 4, 7, 8, 9, 12, 13, 14]
+    assert chain_digest(state) == (
+        "79d32ea0bc0c8b36b111f91a88d6a245853d9747f7959db7ded3567753e3ecc1"
+    )
+    # the build makes about 6,300 search nodes
+    assert sum(s.nodes for s in state._solvers.values()) <= 20_000
