@@ -59,17 +59,20 @@ class PairVec:
     def __post_init__(self) -> None:
         p = tuple(self.p)
         t = tuple(self.t)
+        entries = p + t
         # int() would pass True as 1 and truncate 2.7 to 2
-        if not all(type(a) is int for a in p + t):
+        if not {*map(type, entries)} <= {int}:
             raise TypeError(f"PairVec entries must be integers, got {p}, {t}")
-        if any(a < 0 for a in p) or any(a < 0 for a in t):
+        if entries and min(entries) < 0:
             raise ValueError("PairVec entries must be nonnegative")
         while p and p[-1] == 0:
             p = p[:-1]
         while t and t[-1] == 0:
             t = t[:-1]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", t)
+        if p is not self.p:
+            object.__setattr__(self, "p", p)
+        if t is not self.t:
+            object.__setattr__(self, "t", t)
 
     def p_at(self, j: int) -> int:
         return self.p[j - 1] if 1 <= j <= len(self.p) else 0

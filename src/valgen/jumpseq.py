@@ -140,6 +140,9 @@ class JumpState:
     flags: Flags = field(default_factory=Flags)
     _products: dict = field(default_factory=dict, repr=False)
     _solvers: dict = field(default_factory=dict, repr=False)
+    # the threshold index of outputs' ideal and semigroup queries: one at a
+    # time, replaced when the rows change or a threshold passes its top
+    _thresholds: Optional[object] = field(default=None, repr=False)
 
     @property
     def basis(self):

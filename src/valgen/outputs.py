@@ -1,12 +1,19 @@
 """Derived artifacts computed from a finished chain state.
 
-Everything here is read-only over the state: valuation ideal generators
-at a threshold, redundancy certificates for chain members, the trimmed
-generating sequence, the binomial relations of the associated graded
-ring, and slices of the value semigroup.
+Everything here reads the state without changing the chains: valuation
+ideal generators at a threshold, redundancy certificates for chain
+members, the trimmed generating sequence, the binomial relations of the
+associated graded ring, and slices of the value semigroup.
+
+The threshold queries (``ideal_generators``, ``semigroup_values_up_to``)
+are answered from one index per state (``_ThresholdIndex``): every
+monomial that can be a generator at a threshold up to the index's top,
+sorted by value once.  A query at or below the top costs bisections; one
+above it, or over changed chain rows, replaces the index.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -52,22 +59,21 @@ def _walk(
     plus one unit at its last nonzero coordinate.  ``visit(counts, diff,
     sign, lo, hi)`` gets the vector's counts (a list the walk reuses),
     that difference, its sign and its bounds, and returns whether to
-    descend to the vector's children.
+    descend to the vector's children.  It is the one enumerator of the
+    threshold index (``_ThresholdIndex.build``).
     """
     counts = [0] * len(steps)
-    bounds = [int_vec_bounds(step, radicands, FIXED_BITS) for step in steps]
+    # (row, step, the step's bounds) of each move
+    moves = [
+        (k, step, *int_vec_bounds(step, radicands, FIXED_BITS))
+        for k, step in enumerate(steps)
+    ]
 
     def extend(first: int, diff: tuple, lo: int, hi: int) -> None:
         if visit(counts, diff, sign_within(diff, lo, hi, radicands), lo, hi):
-            for k in range(first, len(steps)):
-                step_lo, step_hi = bounds[k]
+            for k, step, step_lo, step_hi in moves[first:]:
                 counts[k] += 1
-                extend(
-                    k,
-                    tuple(map(add, diff, steps[k])),
-                    lo + step_lo,
-                    hi + step_hi,
-                )
+                extend(k, tuple(map(add, diff, step)), lo + step_lo, hi + step_hi)
                 counts[k] -= 1
 
     start = tuple(-a for a in top)
@@ -99,6 +105,107 @@ def _graded(counts: tuple) -> tuple:
     return sum(counts), counts
 
 
+def _check_basis(state: JumpState, threshold: Value) -> None:
+    """Refuse a threshold over another basis before its sign is read,
+    which would judge it under the wrong radicands."""
+    if threshold.basis != state.basis:
+        raise ValueError("values carry different radical bases")
+
+
+# -- threshold index ----------------------------------------------------------
+
+
+@dataclass
+class _ThresholdIndex:
+    """The monomials the threshold queries read, sorted once per top.
+
+    An entry is a nonzero count vector v over ``rows`` with value(v) -
+    value(row k) < top, where row k is v's least-valued nonzero row (the
+    first of them in a stable sort by value).  That holds every vector of
+    value at most top and every minimal generator at a threshold up to
+    top.  ``values`` lists the distinct values of the entries in
+    ascending order, one shared Value each.  ``groups[k]`` holds row k's
+    entries as two parallel lists: the ascending places in ``values`` of
+    their distinct values, and the counts of the entries at each.
+    ``vecs`` keeps the PairVec of each entry a query has returned.
+    """
+
+    rows: list
+    top: Value
+    zero: Value
+    values: list[Value]
+    groups: list[tuple[list[int], list[list[tuple[int, ...]]]]]
+    vecs: dict[tuple[int, ...], PairVec]
+
+    @classmethod
+    def for_query(cls, state: JumpState, threshold: Value) -> "_ThresholdIndex":
+        """The state's index, replaced by one topped at threshold when the
+        chain rows changed or threshold lies above its top."""
+        rows = state.coordinates(len(state.p_chain), len(state.t_chain))
+        index = state._thresholds
+        if index is None or index.rows != rows or threshold > index.top:
+            index = state._thresholds = cls.build(state, rows, threshold)
+        return index
+
+    @classmethod
+    def build(cls, state: JumpState, rows: list, top: Value) -> "_ThresholdIndex":
+        """Walk the vectors below top and keep the entries.
+
+        Every proper ancestor of an entry v on the walk's path lies at or
+        below v - e_j for a nonzero row j of v, which is worth at least
+        row k, so its value is below top and the walk descends through it.
+        """
+        den, steps = over_common_den(
+            [*(val for *_, val in rows), top], state.basis
+        )
+        top_nums = steps.pop()
+        rads = state.basis.radicands
+        bounds = [int_vec_bounds(step, rads, FIXED_BITS) for step in steps]
+        rank = sorted(range(len(rows)), key=lambda k: rows[k][2])
+        # per row, the counts of its entries by value - top; the bounds of
+        # each distinct value - top
+        found: list[dict[tuple[int, ...], list]] = [{} for _ in rows]
+        seen: dict[tuple[int, ...], tuple[int, int]] = {}
+
+        def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
+            for k in rank:
+                if counts[k]:
+                    if sign < 0 or _drops_below(
+                        diff, lo, hi, steps[k], bounds[k], rads
+                    ):
+                        bucket = found[k].get(diff)
+                        if bucket is None:
+                            bucket = found[k][diff] = []
+                            seen[diff] = lo, hi
+                        bucket.append(tuple(counts))
+                    break
+            return sign < 0
+
+        _walk(steps, top_nums, rads, visit)
+        diffs = list(seen)
+        place: dict[tuple[int, ...], int] = {}
+        values: list[Value] = []
+        for j in value_order(diffs, list(seen.values()), rads):
+            place[diffs[j]] = len(values)
+            values.append(
+                Value(state.basis, tuple(map(add, diffs[j], top_nums)), den)
+            )
+        groups = []
+        for by_diff in found:
+            ordered = sorted(by_diff, key=place.__getitem__)
+            groups.append(
+                ([place[d] for d in ordered], [by_diff[d] for d in ordered])
+            )
+        return cls(rows, top, state.basis.zero(), values, groups, {})
+
+    def vec(self, counts: tuple[int, ...]) -> PairVec:
+        """The PairVec of an entry's counts, built the first time."""
+        got = self.vecs.get(counts)
+        if got is None:
+            got = self.vecs[counts] = vec_over(self.rows, counts)
+        return got
+
+
 # -- valuation ideals ---------------------------------------------------------
 
 
@@ -117,43 +224,29 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
 
     Every monomial in the chain members of value at least sigma is
     divisible by one of these.  For sigma <= 0 the unit monomial alone
-    qualifies.
+    qualifies.  They come by value, and by ``graded_key`` among equal
+    values.
     """
+    _check_basis(state, sigma)
     complete = not state.flags.truncated
     if sigma.sign() <= 0:
         return GeneratorSet((PairVec((), ()),), complete)
-    rows = state.coordinates(len(state.p_chain), len(state.t_chain))
-    den, steps = over_common_den(
-        [*(val for *_, val in rows), sigma], state.basis
-    )
-    sig = steps.pop()
-    rads = state.basis.radicands
-    bounds = [int_vec_bounds(step, rads, FIXED_BITS) for step in steps]
-    # the rows from the least value up: a vector reaching sigma is minimal
-    # when removing one unit of its least-valued row drops it below sigma,
-    # for removing any other unit lowers the value at least as much
-    rank = sorted(range(len(rows)), key=lambda k: rows[k][2])
-    # (counts, value - sigma, its bounds) of every minimal vector
-    found: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]] = []
-
-    def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
-        if sign < 0:
-            return True
-        for k in rank:
-            if counts[k]:
-                break
-        if _drops_below(diff, lo, hi, steps[k], bounds[k], rads):
-            found.append((tuple(counts), diff, (lo, hi)))
-        return False
-
-    _walk(steps, sig, rads, visit)
-    # graded, then stably by value
-    found.sort(key=lambda item: _graded(item[0]))
-    order = value_order(
-        [diff for _, diff, _ in found], [b for *_, b in found], rads
-    )
+    index = _ThresholdIndex.for_query(state, sigma)
+    # a vector reaching sigma is minimal exactly when dropping one unit of
+    # its least-valued row takes it below sigma: in row k's group, the
+    # window of values sigma <= value < sigma + value(row k), found by the
+    # places of its ends among the index's values
+    values = index.values
+    low = bisect_left(values, sigma)
+    picked = []
+    for (*_, row), (places, buckets) in zip(index.rows, index.groups):
+        lo = bisect_left(places, low)
+        hi = bisect_left(places, bisect_left(values, sigma + row, low), lo)
+        for j in range(lo, hi):
+            picked += ((places[j], _graded(counts)) for counts in buckets[j])
+    picked.sort()
     return GeneratorSet(
-        tuple(vec_over(rows, found[k][0]) for k in order), complete
+        tuple(index.vec(counts) for _, (_, counts) in picked), complete
     )
 
 
@@ -378,29 +471,10 @@ class SemigroupSlice:
 
 def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
     """Every value of the semigroup of chain values that is at most cap."""
+    _check_basis(state, cap)
     complete = not state.flags.truncated
     if cap.sign() < 0:
         return SemigroupSlice(cap, (), complete)
-    rows = state.coordinates(len(state.p_chain), len(state.t_chain))
-    den, steps = over_common_den(
-        [*(val for *_, val in rows), cap], state.basis
-    )
-    top = steps.pop()
-    # value - cap of every value reached, with its bounds; distinct
-    # tuples, distinct values
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
-        if sign > 0:
-            return False
-        seen[diff] = lo, hi
-        return True
-
-    rads = state.basis.radicands
-    _walk(steps, top, rads, visit)
-    diffs = list(seen)
-    values = tuple(
-        Value(state.basis, tuple(map(add, diffs[k], top)), den)
-        for k in value_order(diffs, list(seen.values()), rads)
-    )
-    return SemigroupSlice(cap, values, complete)
+    index = _ThresholdIndex.for_query(state, cap)
+    values = index.values[: bisect_right(index.values, cap)]
+    return SemigroupSlice(cap, (index.zero, *values), complete)

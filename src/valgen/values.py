@@ -33,10 +33,10 @@ Comparing two Values builds no intermediate Value.  Each Value keeps its
 own 64-bit bounds once computed; disjoint intervals (after
 cross-multiplying by the other denominator) decide the order, and
 overlapping ones hand the numerator difference to ``int_vec_sign``.  The
-enumerators in ``outputs`` carry lo/hi along their walk over integer
+threshold index in ``outputs`` carries lo/hi along its walk over integer
 numerator tuples over one common denominator (``over_common_den``), and
-order what they return with ``value_order``, which compares two tuples
-exactly only when their enclosures overlap.
+orders the distinct values it finds with ``value_order``, which compares
+two tuples exactly only when their enclosures overlap.
 """
 from __future__ import annotations
 
@@ -268,8 +268,9 @@ class Value:
         g = gcd(den, *nums)
         if g != 1:
             nums, den = tuple(a // g for a in nums), den // g
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        if den != self.den:  # an already reduced input keeps its fields
+            object.__setattr__(self, "nums", nums)
+            object.__setattr__(self, "den", den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -1,12 +1,21 @@
+import gc
 import random
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
 from valgen import PairVec, RadicalBasis, Value, outputs, parse_value, values
-from valgen.grouplat import SemigroupSolver, vec_over
-from valgen.jumpseq import SearchBounds, build_state
+from valgen.cli import parse_config
+from valgen.grouplat import SemigroupSolver, graded_key, vec_over
+from valgen.jumpseq import (
+    SearchBounds,
+    build_p_chain,
+    build_state,
+    build_t_chain,
+)
 from valgen.outputs import (
     DEFAULT_VALUE_SLACK,
     generating_sequence_detail,
@@ -19,7 +28,8 @@ from valgen.outputs import (
 from valgen._golden import GOLDEN, parsed_example
 
 import oracles
-from conftest import build_example
+from conftest import build_example, make_second_model
+from corpus import tower_config
 from test_valmodel import with_values
 
 
@@ -115,9 +125,18 @@ def test_queries_match_brute_force_off_unit_denominators(fractional_state):
         assert list(sl.values) == oracles.sums_up_to(gens, sigma, basis.zero())
 
 
-def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
-    sigma = parse_value("2 + 2*sqrt(2) + 2*sqrt(3)", second_state.basis)
-    built = visits = exact = 0
+def fresh(st):
+    """st with no threshold index: the next query builds one."""
+    return replace(st, _thresholds=None)
+
+
+def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
+    st = fresh(second_state)
+    basis = st.basis
+    sigma = parse_value("2 + 2*sqrt(2) + 2*sqrt(3)", basis)
+    below = parse_value("1 + 2*sqrt(2) + 5/3*sqrt(3)", basis)
+    above = sigma + basis.rational(Fraction(1, 64))
+    walks = visits = built = exact = 0
     post_init = Value.__post_init__
     walk = outputs._walk
     int_vec_sign = values.int_vec_sign
@@ -128,6 +147,9 @@ def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
         post_init(self)
 
     def counting_walk(steps, top, radicands, visit):
+        nonlocal walks
+        walks += 1
+
         def counted(counts, diff, sign, lo, hi):
             nonlocal visits
             visits += 1
@@ -145,17 +167,31 @@ def test_queries_build_values_only_for_their_answers(second_state, monkeypatch):
     # outputs too, should it call the exact routine directly again
     for module in (values, outputs):
         monkeypatch.setattr(module, "int_vec_sign", counting_sign, raising=False)
-    gens = ideal_generators(second_state, sigma)
-    sl = semigroup_values_up_to(second_state, sigma)
-    answers = len(gens.members) + len(sl.values)
-    # the walks visit several vectors per answer, yet a Value is built only
-    # for each returned semigroup value, and none for a generator
-    assert visits >= 3 * answers
-    assert len(gens.members) > 0
-    assert built == len(sl.values)
-    # the 64-bit enclosures decide nearly every sign: the exact path runs
-    # for the two threshold signs and the few ties (one per vector before)
-    assert exact <= 20 < visits
+
+    def ask(threshold):
+        nonlocal walks, visits, built, exact
+        walks = visits = built = exact = 0
+        gens = ideal_generators(st, threshold)
+        sl = semigroup_values_up_to(st, threshold)
+        assert gens.members and sl.values
+        return st._thresholds
+
+    # cold: one walk, and one Value per distinct indexed value besides the
+    # zero of the slices and a window end per row
+    index = ask(sigma)
+    assert walks == 1 and visits > len(index.values)
+    rows = len(index.rows)
+    assert len(index.values) <= built <= len(index.values) + 1 + rows
+    # below the top: no walk, no Value beyond the window ends, and the
+    # 64-bit enclosures decide nearly every comparison
+    assert ask(below) is index
+    assert walks == visits == 0
+    assert built <= rows
+    assert exact <= 20
+    # above the top: one rebuild, topped at the new threshold
+    rebuilt = ask(above)
+    assert rebuilt is not index and rebuilt.top == above
+    assert walks == 1
 
 
 @pytest.mark.parametrize("radicands", [(1, 2), (1, 2, 5)])
@@ -163,13 +199,110 @@ def test_queries_reject_a_threshold_over_another_basis(
     second_state, radicands
 ):
     # a shorter basis would stall the walk, one of the same length would
-    # judge signs under the wrong radicands; both must raise instead
+    # judge signs under the wrong radicands, and a threshold at or below
+    # zero must not slip through the sign shortcut; all must raise
     other = RadicalBasis(radicands)
-    threshold = parse_value("2 + sqrt(2)", other)
-    with pytest.raises(ValueError):
-        ideal_generators(second_state, threshold)
-    with pytest.raises(ValueError):
-        semigroup_values_up_to(second_state, threshold)
+    for text in ("-1", "0", "2 + sqrt(2)"):
+        threshold = parse_value(text, other)
+        with pytest.raises(ValueError):
+            ideal_generators(second_state, threshold)
+        with pytest.raises(ValueError):
+            semigroup_values_up_to(second_state, threshold)
+
+
+def tower_state(seed):
+    model, bounds, _, _ = parse_config(tower_config(seed), "tower")
+    return build_state(model, bounds=bounds)
+
+
+def index_thresholds(st, top, rng):
+    """Positive thresholds up to about top: the exact semigroup values,
+    each 1/64 off them both ways, and ten random combinations."""
+    basis = st.basis
+    gens = [val for _, _, val in oracles.chain_rows(st)]
+    shift = basis.rational(Fraction(1, 64))
+    out = []
+    for v in oracles.sums_up_to(gens, top, basis.zero())[1:]:
+        out += [v - shift, v, v + shift]
+    for _ in range(10):
+        while True:
+            sigma = basis.from_coeffs(
+                [Fraction(rng.randrange(64 * 5), 64)]
+                + [Fraction(rng.randrange(-64, 65), 64) for _ in basis.radicands[1:]]
+            )
+            if sigma.sign() > 0 and sigma <= top:
+                break
+        out.append(sigma)
+    return out
+
+
+# "swapped" is the second model with the values of u2 and u3 exchanged:
+# its rows 1, 1, sqrt(3), sqrt(2) leave the layout order below value 3
+@pytest.mark.parametrize("which", ["second_state", "state", "swapped", 11, 31])
+def test_index_answers_match_brute_force_in_any_order(request, which):
+    if which == "swapped":
+        st = build_state(make_second_model(("1", "sqrt(3)", "sqrt(2)")))
+    elif isinstance(which, str):
+        st = request.getfixturevalue(which)
+    else:
+        st = tower_state(which)
+    basis = st.basis
+    rng = random.Random(f"index-{which}")
+    gens = [val for _, _, val in oracles.chain_rows(st)]
+    slack = basis.rational(3)
+    sigmas = index_thresholds(st, basis.rational(5), rng)
+    box = oracles.vectors_up_to(st, max(sigmas) + slack)
+    want = {}
+    for sigma in sigmas:
+        cap = sigma + slack
+        reaching = [(v, val) for v, val in box if sigma <= val <= cap]
+        want[sigma] = (
+            set(oracles.minimal_vectors(reaching)),
+            oracles.sums_up_to(gens, sigma, basis.zero()),
+        )
+    shuffled = rng.sample(sigmas, len(sigmas))
+    orders = {
+        "ascending": sorted(sigmas),
+        "descending": sorted(sigmas, reverse=True),
+        "shuffled": shuffled,
+        "repeated": shuffled + shuffled[::-1],
+    }
+    lens = len(st.p_chain), len(st.t_chain)
+    for name, seq in orders.items():
+        one = fresh(st)
+        for sigma in seq:
+            members = ideal_generators(one, sigma).members
+            cap = sigma + slack
+            got = {v for v in members if one.value_of(v) <= cap}
+            assert got == want[sigma][0], (name, sigma.exact_str())
+            # by value, and by graded key among equal values
+            keys = [(one.value_of(v), graded_key(v, *lens)) for v in members]
+            assert all(a < b for a, b in zip(keys, keys[1:])), name
+            sl = semigroup_values_up_to(one, sigma)
+            assert list(sl.values) == want[sigma][1], (name, sigma.exact_str())
+
+
+def test_a_grown_chain_replaces_the_index():
+    model = parsed_example()[0]
+    sigma = parse_value("2*sqrt(2) + 1", model.basis)
+    st = build_p_chain(model)
+    first = ideal_generators(st, sigma), semigroup_values_up_to(st, sigma)
+    old = weakref.ref(st._thresholds)
+    assert all(vec.t == () for vec in first[0].members)
+    build_t_chain(st)
+    again = ideal_generators(st, sigma), semigroup_values_up_to(st, sigma)
+    built = build_state(model)
+    assert again == (
+        ideal_generators(built, sigma),
+        semigroup_values_up_to(built, sigma),
+    )
+    assert again != first
+    # one index per state: the first chain's is gone, not kept beside it
+    gc.collect()
+    assert old() is None
+    assert st._thresholds.rows == st.coordinates(
+        len(st.p_chain), len(st.t_chain)
+    )
 
 
 def test_truncated_chain_marks_incomplete():
