@@ -15,15 +15,17 @@ generators' integer coordinates (``column_echelon``) and a forward
 substitution; semigroup questions go to one ``SemigroupSolver`` per
 generator tuple.
 
-Several functions take a chain state argument.  They only use a small
-surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
+Three functions take a chain state argument: ``permissible_decompose``,
+``irreducible_decompose`` and ``minimal_pushing_set``.  They only use a
+small surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
 ``t_chain`` records with ``gamma``/``s``/``m``/``status``, the radical
 ``basis``, the search ``bounds``, plus the helper methods ``m_at``,
-``value_of``, ``leads``, ``irreducible``, ``coordinates`` and
-``semigroup_solver``.  ``coordinates`` owns the flat exponent layout over
-the two chains, ``vec_over`` reads it back and ``counts_over`` writes a
-vector onto it.  The concrete class lives in jumpseq;
-keeping these functions here keeps all lattice reasoning in one place.
+``value_of``, ``irreducible``, ``coordinates``, ``lead_counts`` and
+``semigroup_solver``.  ``coordinates`` owns the flat exponent layout
+over the two chains, ``lead_counts`` writes the relation leads onto it
+and ``vec_over`` reads counts back as a PairVec; every search here runs
+over those counts.  The concrete class lives in jumpseq; keeping these
+functions here keeps all lattice reasoning in one place.
 """
 from __future__ import annotations
 
@@ -98,12 +100,11 @@ class PairVec:
         return f"({','.join(map(str, self.p))}|{','.join(map(str, self.t))})"
 
 
-def graded_key(pv: PairVec, p_len: int, t_len: int) -> tuple:
-    """Total weight, then lexicographic on the padded concatenation."""
-    padded = tuple(pv.p_at(j) for j in range(1, p_len + 1)) + tuple(
-        pv.t_at(j) for j in range(1, t_len + 1)
-    )
-    return (pv.weight(), padded)
+def graded_key(counts: tuple[int, ...]) -> tuple:
+    """Total weight, then lexicographic: the graded order on count vectors
+    over the rows of ``coordinates``, which follow the padded layout of
+    the two chains and leave out only rows that are always zero."""
+    return sum(counts), counts
 
 
 # -- column echelon form ---------------------------------------------------
@@ -483,15 +484,6 @@ def vec_over(rows, counts: Sequence[int]) -> PairVec:
     return PairVec(tuple(p), tuple(t))
 
 
-def counts_over(rows, vec: PairVec) -> Optional[tuple[int, ...]]:
-    """The counts of vec over (kind, index, value) rows, the inverse of
-    ``vec_over``; None when vec has an entry off the rows."""
-    counts = tuple(
-        vec.p_at(idx) if kind == "p" else vec.t_at(idx) for kind, idx, _ in rows
-    )
-    return counts if sum(counts) == vec.weight() else None
-
-
 def permissible_decompose(alpha: Value, state, k: int) -> tuple[int, ...]:
     """Write alpha over the first k first-chain values, bounded slots in range.
 
@@ -535,12 +527,12 @@ def permissible_decompose(alpha: Value, state, k: int) -> tuple[int, ...]:
 def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
     """The canonical nonnegative rewrite of alpha over the chain values.
 
-    Peels generators from the top: at a p-position above the active
-    t-depth the exponent is the bounded residue of any semigroup witness,
-    at a t-position it is the least shift that keeps the remainder
-    representable.  The result is independent of witness choices and is
-    irreducible against the chain's relations; both facts are asserted.
-    Raises NotInSemigroupError when alpha has no nonnegative rewrite.
+    Over the rows of ``coordinates(kk, i)``, kk = max(k, m_at(i), 1), the
+    rewrites that dominate none of the chain's leads come from one cut
+    search (``SemigroupSolver.solutions``), and the canonical one is the
+    least under reverse lex: the counts read from the last row back.  The
+    result is checked for its value and irreducibility.  Raises
+    NotInSemigroupError when alpha has no nonnegative rewrite.
     """
     sgn = alpha.sign()
     if sgn < 0:
@@ -552,55 +544,20 @@ def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
         raise ValueError(f"p-index {kk} out of range")
     if sgn == 0:
         return PairVec((), ())
-    p = state.p_chain
-    t = state.t_chain
-    L = [0] * kk
-    N = [0] * i
-    ii = i
-    rem = alpha
-    while True:
-        if ii == 0 and kk == 1:
-            sol = lattice_solve(rem, [p[0].beta])
-            if sol is None or sol[0] < 0:
-                raise NotInSemigroupError(
-                    f"{alpha} has no nonnegative rewrite over the chain values"
-                )
-            L[0] = sol[0]
-            break
-        m_ii = state.m_at(ii)
-        if kk > m_ii:
-            wit = state.semigroup_solver(kk, ii).contains(rem)
-            if wit is None:
-                raise NotInSemigroupError(
-                    f"{alpha} has no nonnegative rewrite over the chain values"
-                )
-            q = p[kk - 1].q
-            b = wit[kk - 1]
-            l = b if q is None else b % q
-            L[kk - 1] = l
-            if l:
-                rem = rem - l * p[kk - 1].beta
-            kk -= 1
-        else:
-            g = t[ii - 1].gamma
-            if g.is_zero():
-                n = 0
-            else:
-                sub = state.semigroup_solver(m_ii, ii - 1)
-                n = 0
-                cur = rem
-                while sub.contains(cur) is None:
-                    n += 1
-                    cur = cur - g
-                    if cur.sign() < 0:
-                        raise NotInSemigroupError(
-                            f"{alpha} has no nonnegative rewrite over the "
-                            "chain values"
-                        )
-                rem = cur
-            N[ii - 1] = n
-            ii -= 1
-    pv = PairVec(tuple(L), tuple(N))
+    rows = state.coordinates(kk, i)
+    solver = state.semigroup_solver(kk, i)
+    best = min(
+        solver.solutions(alpha, state.lead_counts(rows)),
+        key=lambda counts: counts[::-1],
+        default=None,
+    )
+    if best is None:
+        if solver.contains(alpha) is None:
+            raise NotInSemigroupError(
+                f"{alpha} has no nonnegative rewrite over the chain values"
+            )
+        raise InternalConsistencyError(f"{alpha} has no irreducible rewrite")
+    pv = vec_over(rows, best)
     if state.value_of(pv) != alpha:
         raise InternalConsistencyError("canonical rewrite changed the value")
     if not state.irreducible(pv):
@@ -663,14 +620,15 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
     that dominate nothing found: each face is tested at its top corner
     with one membership query, and a hit is lowered to a minimal point
     one coordinate at a time, a probe at 0 first, then a binary search
-    from 1 when the probe misses.  The cover is seeded with the leads
-    of ``state.leads(before=i)`` that lie on the rows, so it covers only
-    the irreducible region, a down-set the lowering never leaves.  Layers
-    are processed in increasing t and share the cover, since a vector of
-    a later layer above a minimum found earlier dominates it; a minimum
+    from 1 when the probe misses.  The cover is seeded with
+    ``state.lead_counts(rows, before=i)``, so it covers only the
+    irreducible region, a down-set the lowering never leaves.  Layers are
+    processed in increasing t and share the cover, since a vector of a
+    later layer above a minimum found earlier dominates it; a minimum
     whose free part is all zero empties the cover and closes every later
     layer.  The result is flagged incomplete when a layer ends with a
-    face that reaches the coordinate cap, or when no layer closes.
+    face that reaches the coordinate cap, or when no layer closes.  The
+    members come by value, and by ``graded_key`` among equal values.
     """
     rec = state.t_chain[i - 1]
     s, m = rec.s, rec.m
@@ -727,10 +685,8 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
         return tuple(cur)
 
     cover = [(cap,) * n]
-    for lead in state.leads(before=i):
-        counts = counts_over(rows, lead)
-        if counts is not None:
-            cover = _split(cover, counts)
+    for lead in state.lead_counts(rows, before=i):
+        cover = _split(cover, lead)
     found: list[tuple[tuple[int, ...], int]] = []
     capped = False
     for layer in range(1, bounds.d_layer_cap + 1):
@@ -747,7 +703,6 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
         capped = capped or any(cap in b for b in cover)
 
     at_i = [*rows, ("t", i, gamma)]
-    members = [vec_over(at_i, (*f, layer * s)) for f, layer in found]
-    members.sort(key=lambda pv: graded_key(pv, m, i))
-    members.sort(key=state.value_of)
+    counts = sorted(((*f, layer * s) for f, layer in found), key=graded_key)
+    members = sorted((vec_over(at_i, c) for c in counts), key=state.value_of)
     return PushingSearch(tuple(members), not cover and not capped)

@@ -48,6 +48,7 @@ from .laurent import LaurentPoly
 from .valmodel import RING_VARS, ValuationModel, validate_model
 from .values import Value, combination
 
+# the first chain's length cap; a chain that reaches it is flagged p_truncated
 DEFAULT_P_CAP = 32
 # the processing ceiling SearchBounds.for_basis applies when none is given
 DEFAULT_MAX_VALUE = 20
@@ -230,7 +231,7 @@ class JumpState:
         """The exponent layout every search over the chains uses: p_1..p_k,
         then each t_j with j <= i and nonzero value, as (kind, 1-based
         index, value) rows.  grouplat.vec_over turns counts over the rows
-        back into a PairVec."""
+        back into a PairVec, and lead_counts writes the leads onto them."""
         rows = [("p", rec.index, rec.beta) for rec in self.p_chain[:k]]
         rows += [
             ("t", rec.index, rec.gamma)
@@ -238,6 +239,22 @@ class JumpState:
             if not rec.gamma.is_zero()
         ]
         return rows
+
+    def lead_counts(
+        self, rows: list, before: Optional[int] = None
+    ) -> list[tuple[int, ...]]:
+        """The leads(before) that lie on rows (a subset of some
+        coordinates(k, i)), as count vectors over them; a lead with an
+        entry off the rows is left out."""
+        out = []
+        for lead in self.leads(before):
+            counts = tuple(
+                lead.p_at(idx) if kind == "p" else lead.t_at(idx)
+                for kind, idx, _ in rows
+            )
+            if sum(counts) == lead.weight():
+                out.append(counts)
+        return out
 
     def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
         """The solver over the values of coordinates(k, i), shared by every
@@ -259,27 +276,19 @@ def _seed(model: ValuationModel, name: str):
 
 
 def build_p_chain(
-    model: ValuationModel,
-    max_len: Optional[int] = None,
-    bounds: Optional[SearchBounds] = None,
+    model: ValuationModel, bounds: Optional[SearchBounds] = None
 ) -> JumpState:
-    """Construct the x/y chain until it ends or max_len members exist."""
+    """Construct the x/y chain until it ends or DEFAULT_P_CAP members
+    exist."""
     problems = validate_model(model)
     if problems:
         raise ValueError("model is not usable: " + "; ".join(problems))
-    if max_len is None:
-        max_len = DEFAULT_P_CAP
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     if bounds is None:
         bounds = SearchBounds.for_basis(model.basis)
     state = JumpState(model=model, bounds=bounds)
     # the first member never has a finite group multiple: the group below
     # it is trivial, so its slot in rewrites is unrestricted
     state.p_chain.append(PJump(1, *_seed(model, "x")))
-    if max_len < 2:
-        state.flags.p_truncated = True
-        return state
     state.p_chain.append(PJump(2, *_seed(model, "y")))
     while True:
         rec = state.p_chain[-1]
@@ -297,7 +306,7 @@ def build_p_chain(
         rec.L_vec = L
         power = PairVec((0,) * (i - 1) + (q,), ())
         rec.lam, nxt, image = state.binomial(power, PairVec(L, ()))
-        if len(state.p_chain) >= max_len:
+        if len(state.p_chain) >= DEFAULT_P_CAP:
             state.flags.p_truncated = True
             break
         if nxt.is_zero():
@@ -403,9 +412,7 @@ def build_t_chain(state: JumpState) -> JumpState:
 
 
 def build_state(
-    model: ValuationModel,
-    max_len: Optional[int] = None,
-    bounds: Optional[SearchBounds] = None,
+    model: ValuationModel, bounds: Optional[SearchBounds] = None
 ) -> JumpState:
     """Run both constructions and return the finished state."""
-    return build_t_chain(build_p_chain(model, max_len=max_len, bounds=bounds))
+    return build_t_chain(build_p_chain(model, bounds=bounds))

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .errors import InternalConsistencyError
 from .grouplat import (
     PairVec,
-    counts_over,
+    graded_key,
     minimal_semigroup_generators,
     vec_over,
 )
@@ -96,13 +96,6 @@ def _drops_below(
         )
         < 0
     )
-
-
-def _graded(counts: tuple) -> tuple:
-    """``graded_key`` of the vector with these counts over the rows of
-    ``coordinates``: the rows follow its padded layout and leave out only
-    positions that are always zero."""
-    return sum(counts), counts
 
 
 def _check_basis(state: JumpState, threshold: Value) -> None:
@@ -243,7 +236,7 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
         lo = bisect_left(places, low)
         hi = bisect_left(places, bisect_left(values, sigma + row, low), lo)
         for j in range(lo, hi):
-            picked += ((places[j], _graded(counts)) for counts in buckets[j])
+            picked += ((places[j], graded_key(counts)) for counts in buckets[j])
     picked.sort()
     return GeneratorSet(
         tuple(index.vec(counts) for _, (_, counts) in picked), complete
@@ -307,17 +300,14 @@ def redundancy_certificate(
     # the target's own row, and the relation leads that lie on the rows
     # (a vanished member carries no row)
     leads = [tuple(int(k == own) for k in range(len(rows)))]
-    for lead in state.leads():
-        counts = counts_over(rows, lead)
-        if counts is not None:
-            leads.append(counts)
+    leads += state.lead_counts(rows)
 
     def cheapest(val: Value) -> Optional[PairVec]:
         """The graded-least irreducible monomial of value val and degree
         at most degree_cap, or None."""
         best = min(
             lookup.solutions(val, leads, degs, degree_cap),
-            key=_graded,
+            key=graded_key,
             default=None,
         )
         return None if best is None else vec_over(rows, best)

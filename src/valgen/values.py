@@ -250,7 +250,8 @@ class Value:
     _bounds = None
 
     def __post_init__(self) -> None:
-        nums, den = self.nums, self.den
+        # tuple() returns a tuple argument itself, so only a list is copied
+        nums, den = tuple(self.nums), self.den
         # gcd would accept True as 1 and fail on 2.0 with no argument named
         if type(den) is not int:
             raise TypeError(f"den must be an integer, got {den!r}")
@@ -268,7 +269,8 @@ class Value:
         g = gcd(den, *nums)
         if g != 1:
             nums, den = tuple(a // g for a in nums), den // g
-        if den != self.den:  # an already reduced input keeps its fields
+        # an already reduced tuple input keeps its fields
+        if nums is not self.nums or den != self.den:
             object.__setattr__(self, "nums", nums)
             object.__setattr__(self, "den", den)
 

@@ -178,3 +178,47 @@ def sums_up_to(values, cap, zero):
                     nxt.append(s)
         frontier = nxt
     return sorted(found)
+
+
+def irreducible_rewrites(state, alpha, kk, i):
+    """Every rewrite of alpha over the rows p_1..p_kk and the t_j with
+    j <= i and nonzero value whose PairVec dominates no lead of
+    state.leads(); least first in reverse lex, the counts read from the
+    last row back.
+
+    The rewrites are enumerated as in naive_solutions, each count from 0
+    while the rest stays nonnegative, with the completions of each
+    (rows left, rest) memoized, so values far above the row values stay
+    cheap."""
+    rows = [("p", r.index, r.beta) for r in state.p_chain[:kk]]
+    rows += [
+        ("t", r.index, r.gamma) for r in state.t_chain[:i] if not r.gamma.is_zero()
+    ]
+    memo = {}
+
+    def completions(k, rest):
+        """The counts over rows[:k] of value rest."""
+        if k == 0:
+            return [()] if rest.is_zero() else []
+        key = (k, rest)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = []
+            c = 0
+            while rest.sign() >= 0:
+                got += [head + (c,) for head in completions(k - 1, rest)]
+                c += 1
+                rest = rest - rows[k - 1][2]
+        return got
+
+    leads = state.leads()
+    found = []
+    for counts in completions(len(rows), alpha):
+        p = [0] * kk
+        t = [0] * i
+        for (kind, idx, _), c in zip(rows, counts):
+            (p if kind == "p" else t)[idx - 1] = c
+        vec = PairVec(tuple(p), tuple(t))
+        if not any(vec.dominates(lead) for lead in leads):
+            found.append((counts[::-1], vec))
+    return [vec for _, vec in sorted(found)]

@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valgen import (
+    InternalConsistencyError,
     NotInGroupError,
+    NotInSemigroupError,
     PairVec,
     RadicalBasis,
     build_state,
@@ -35,7 +37,7 @@ from valgen.cli import parse_config
 from valgen.values import combination
 
 import oracles
-from corpus import tower_config
+from corpus import first_chain_config, tower_config
 
 B1 = RadicalBasis((1,))
 B2 = RadicalBasis((1, 2))
@@ -87,11 +89,9 @@ def test_pairvec_domination():
 
 
 def test_graded_key_orders_by_weight_then_lex():
-    order = sorted(
-        [PairVec((0, 2), ()), PairVec((1,), (1,)), PairVec((3,), ())],
-        key=lambda v: graded_key(v, 2, 1),
-    )
-    assert [str(v) for v in order] == ["(0,2|)", "(1|1)", "(3|)"]
+    # count vectors over the rows p1, p2, t1
+    order = sorted([(0, 2, 0), (1, 0, 1), (3, 0, 0), (0, 0, 1)], key=graded_key)
+    assert order == [(0, 0, 1), (0, 2, 0), (1, 0, 1), (3, 0, 0)]
 
 
 # -- integer matrices ----------------------------------------------------------
@@ -551,8 +551,8 @@ def test_semigroup_solver_finds_deep_witnesses(state_30):
 def test_example_build_search_stays_small(state):
     solvers = state._solvers.values()
     assert sum(s.nodes for s in solvers) <= 100_000
-    # the build alone makes 518 queries; other tests may add some
-    assert sum(s.queries for s in solvers) >= 518
+    # the build alone makes 228 queries; other tests may add some
+    assert sum(s.queries for s in solvers) >= 228
 
 
 def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
@@ -643,6 +643,97 @@ def test_irreducible_decompose_fixes_reducible_input(state):
     assert state.value_of(out) == state.value_of(reducible)
     assert state.irreducible(out, before=2)
     assert out == PairVec((0, 2), ())
+
+
+def rewrite_state(which):
+    """A built model for the rewrite tests: the first chain with q_2 = 1
+    under the worked example's z ("q1"), with q_2 = 2 under a drawn z
+    that creates members ("q2"), or a tower model."""
+    if which == "q1":
+        cfg = first_chain_config(1)
+    elif which == "q2":
+        cfg = first_chain_config(2, 2)
+    else:
+        cfg = tower_config(which)
+    model, bounds, _, _ = parse_config(cfg, str(which))
+    return build_state(model, bounds=bounds)
+
+
+# the worked example; both first-chain shapes, whose rewrites run over
+# first-chain slots bounded by q_2; and a tower whose skipped members are
+# generators with no relation, so that some values have several rewrites
+@pytest.mark.parametrize("which", ["example", "q1", "q2", 4])
+def test_irreducible_decompose_is_the_least_irreducible_rewrite(which, state):
+    built = state if which == "example" else rewrite_state(which)
+    made = [rec for rec in built.t_chain if rec.parent is not None]
+    assert made
+    for rec in made:
+        src, vec = rec.parent
+        got = irreducible_decompose(
+            built.value_of(vec), built, built.m_at(src), src - 1
+        )
+        assert got == rec.LN
+    if which == "q2":
+        assert any(rec.LN.p_at(2) for rec in made)
+    # probes at positions whose earlier members are all processed, as at
+    # every build call; a later pending member is a generator with no
+    # relation yet, under which a value may have very many rewrites
+    done = next(
+        (rec.index - 1 for rec in built.t_chain if rec.status == "pending"),
+        len(built.t_chain),
+    )
+    rng = random.Random(f"rewrite-{which}")
+    # the tower's first skipped member has value 4*sqrt(5) + 122/5, about 33
+    cap = built.basis.rational(40 if which == 4 else 16)
+    half = built.basis.rational(Fraction(1, 2))
+    asked = multi = 0
+    while asked < 40:
+        i = rng.randint(0, done)
+        k = rng.randint(1, len(built.p_chain))
+        kk = max(k, built.m_at(i), 1)
+        rows = built.coordinates(kk, i)
+        counts = [rng.choice((0, 0, 0, 0, 0, 1)) for _ in rows]
+        alpha = combination(counts, [val for *_, val in rows], built.basis)
+        if alpha > cap:
+            continue
+        if rng.random() < 0.2:
+            # mostly off the semigroup, sometimes negative
+            alpha = alpha - half
+        asked += 1
+        want = oracles.irreducible_rewrites(built, alpha, kk, i)
+        if not want:
+            with pytest.raises(NotInSemigroupError):
+                irreducible_decompose(alpha, built, k, i)
+            continue
+        assert irreducible_decompose(alpha, built, k, i) == want[0]
+        multi += len(want) > 1
+    if which == 4:
+        assert multi, "no probe had several rewrites"
+
+
+def test_a_skipped_member_gives_its_value_a_second_rewrite(state):
+    # member 16 of the worked example lies above the value ceiling: it is
+    # a generator with no relation, so its value has two irreducible
+    # rewrites, t16 and t8^3, and the canonical one uses the later row least
+    rec = state.t_chain[15]
+    assert rec.status == "skipped"
+    t8_cubed = PairVec((), (0,) * 7 + (3,))
+    t16 = PairVec((), (0,) * 15 + (1,))
+    assert oracles.irreducible_rewrites(state, rec.gamma, 2, 16) == [t8_cubed, t16]
+    assert irreducible_decompose(rec.gamma, state, 2, 16) == t8_cubed
+
+
+def test_irreducible_decompose_refuses_what_it_cannot_rewrite(state, monkeypatch):
+    with pytest.raises(NotInSemigroupError):
+        irreducible_decompose(-state.basis.rational(1), state, 2, 3)
+    with pytest.raises(NotInSemigroupError):
+        irreducible_decompose(state.basis.rational(Fraction(1, 2)), state, 2, 3)
+    # a value in the semigroup with every rewrite cut off by the leads is a
+    # broken chain record, not a missing rewrite
+    alpha = state.value_of(PairVec((0, 2), ()))
+    monkeypatch.setattr(type(state), "lead_counts", lambda self, rows: [(0, 1)])
+    with pytest.raises(InternalConsistencyError, match="no irreducible rewrite"):
+        irreducible_decompose(alpha, state, 2, 0)
 
 
 # -- minimal pushing vectors ------------------------------------------------

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from valgen import PairVec, RadicalBasis, ValuationModel
+from valgen import PairVec, RadicalBasis, ValuationModel, jumpseq
 from valgen.cli import load_config
-from valgen.grouplat import counts_over, vec_over
+from valgen.grouplat import vec_over
 from valgen.jumpseq import (
     SearchBounds,
     build_p_chain,
@@ -42,8 +42,6 @@ def test_rejects_unusable_model():
     cfg = dict(SECOND_CONFIG, images={"x": "u1", "y": "u2"})
     with pytest.raises(ValueError, match="not usable"):
         build_p_chain(model_from(cfg))
-    with pytest.raises(ValueError):
-        build_p_chain(make_second_model(), max_len=0)
 
 
 def test_example_first_chain(state):
@@ -56,11 +54,14 @@ def test_example_first_chain(state):
     assert p2.beta.exact_str() == "sqrt(2)"
 
 
-def test_first_chain_truncation():
-    st = build_p_chain(parsed_example()[0], max_len=1)
-    assert len(st.p_chain) == 1
+def test_first_chain_truncation(monkeypatch):
+    # the second model's chain has three members; a cap of two stops it
+    # after y's jump data is recorded
+    monkeypatch.setattr(jumpseq, "DEFAULT_P_CAP", 2)
+    st = build_p_chain(make_second_model())
+    assert [r.poly.text() for r in st.p_chain] == ["1*x", "1*y"]
     assert st.flags.p_truncated
-    assert st.p_chain[0].poly.text() == "1*x"
+    assert st.p_chain[1].q == 1 and st.p_chain[1].L_vec == (1,)
 
 
 def test_second_model_first_chain(second_state):
@@ -216,10 +217,19 @@ def test_coordinate_rows_round_trip(request, which):
             assert st.value_of(vec_over(rows, counts)) == combination(
                 counts, vals, st.basis
             )
-            assert counts_over(rows, vec_over(rows, counts)) == tuple(counts)
-        # a vector with an entry off the rows: a zero position, or p_{k+1}
-        for off in (PairVec((), (0,) * 10 + (1,)), PairVec((0,) * k + (1,), ())):
-            assert counts_over(rows, off) is None
+        # lead_counts writes each lead on the rows back onto them and
+        # leaves out a lead with an entry off the rows: a zero position's
+        # e_j, a q*e_j beyond p_k, or a D member past t_i
+        leads = st.leads()
+        on = [
+            lead
+            for lead in leads
+            if len(lead.p) <= k
+            and not any(c and j not in t_rows for j, c in enumerate(lead.t, 1))
+        ]
+        got = st.lead_counts(rows)
+        assert [vec_over(rows, c) for c in got] == on
+        assert len(on) < len(leads) and (on or i == 0)
 
 
 def test_polynomials_realize_their_values(state):

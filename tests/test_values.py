@@ -116,6 +116,17 @@ def test_canonical_form():
         Value(B, (1, 2), 1)
 
 
+@pytest.mark.parametrize("nums, den", [((1, 2, 3), 1), ((2, 4, 6), 2), ((1, 2, 3), -1)])
+def test_list_numerators_are_stored_as_a_tuple(nums, den):
+    # with nothing to reduce or flip, a list used to be kept as given:
+    # unhashable, and unequal to the same numerators as a tuple
+    from_list = Value(B, list(nums), den)
+    assert type(from_list.nums) is tuple
+    assert from_list == Value(B, nums, den)
+    assert hash(from_list) == hash(Value(B, nums, den))
+    assert {from_list: 1}[Value(B, nums, den)] == 1
+
+
 small_counts = st.tuples(
     st.integers(min_value=-9, max_value=9),
     st.integers(min_value=-9, max_value=9),
