@@ -10,7 +10,6 @@ semigroup solvers, ``jumpseq`` the chain construction itself, and
 from .errors import (
     InternalConsistencyError,
     NonInvertibleSubstitution,
-    NotInGroupError,
     NotInSemigroupError,
     ParseError,
     UnequalValuesError,
@@ -67,7 +66,6 @@ __all__ = [
     "JumpState",
     "LaurentPoly",
     "NonInvertibleSubstitution",
-    "NotInGroupError",
     "NotInSemigroupError",
     "PJump",
     "PairVec",

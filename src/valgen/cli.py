@@ -459,6 +459,11 @@ def _write_atomic(path: str, data: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".valgen-tmp-")
     try:
         with os.fdopen(fd, "w") as f:
+            # mkstemp makes the file owner-only; give it the mode open()
+            # would, 0o666 less the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(data)
         os.replace(tmp, path)
     except BaseException:

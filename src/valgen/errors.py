@@ -20,10 +20,6 @@ class ParseError(ValgenError):
         self.bare_message = message
 
 
-class NotInGroupError(ValgenError):
-    """A value is not in the integer span of the given generators."""
-
-
 class NotInSemigroupError(ValgenError):
     """A value has no nonnegative integer representation over the generators."""
 

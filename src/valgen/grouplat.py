@@ -6,14 +6,16 @@ semigroup they generate:
 
   * least positive multiple of a value lying in a group,
   * integer solutions of one linear equation over the generators,
-  * nonnegative solutions (semigroup membership) with witnesses,
-  * canonical decompositions of a value into bounded exponent vectors,
+  * nonnegative solutions (semigroup membership), in increasing
+    reverse-lex order, so the first is the least,
+  * canonical decompositions of a value over the chain values,
   * the minimal vectors whose value pushes into a smaller semigroup.
 
 Both group questions are answered by one column echelon form of the
 generators' integer coordinates (``column_echelon``) and a forward
 substitution; semigroup questions go to one ``SemigroupSolver`` per
-generator tuple.
+generator tuple.  A canonical decomposition is the first solution of a
+search cut by the chain's leads, for both chains.
 
 Three functions take a chain state argument: ``permissible_decompose``,
 ``irreducible_decompose`` and ``minimal_pushing_set``.  They only use a
@@ -35,11 +37,7 @@ from math import gcd, lcm
 from operator import le, lt, mul
 from typing import Iterator, Optional, Sequence
 
-from .errors import (
-    InternalConsistencyError,
-    NotInGroupError,
-    NotInSemigroupError,
-)
+from .errors import InternalConsistencyError, NotInSemigroupError
 from .values import Value, combination
 
 # -- exponent vector pairs ---------------------------------------------
@@ -217,19 +215,21 @@ class SemigroupSolver:
 
     A query is an integer program: nonnegative counts of the (integer
     scaled) generator vectors summing to the target.  The search fixes the
-    counts one generator at a time, each from its largest feasible value
-    down.  Its one pruning rule is exact: what is left must lie in the
-    real cone of the generators not yet used.  For each suffix of the
-    ordered generators ``normals`` holds integer vectors h with h.g >= 0
+    counts from the last generator back, each from its least feasible
+    value up, so solutions come out in strictly increasing reverse-lex
+    order (counts read from the last generator back) and ``contains``
+    returns the least one: with leads, the canonical rewrite of a term
+    order.  ``gvecs`` holds the scaled generators in search order, the
+    given order reversed.  The one pruning rule is exact: what is left
+    must lie in the real cone of the generators not yet fixed.  For each
+    suffix of ``gvecs`` ``normals`` holds integer vectors h with h.g >= 0
     on that suffix, enough to cut out its cone, so a generator's count
     ranges exactly over the n that keep the rest inside the next suffix's
-    cone.  ``solutions`` enumerates every solution in that order and
-    ``contains`` takes the first.  A subproblem searched to the end
-    without a solution is memoized as failed; a search cut by leads or a
-    degree cap reads that memo but never adds to it.  A chain state keeps
-    one instance per generator tuple for the length of its build.
-    ``queries`` and ``nodes`` count calls of ``contains`` and search
-    nodes.
+    cone.  A subproblem searched to the end without a solution is
+    memoized as failed; a search cut by leads or a degree cap reads that
+    memo but never adds to it.  A chain state keeps one instance per
+    generator tuple for the length of its build.  ``queries`` and
+    ``nodes`` count calls of ``contains`` and search nodes.
     """
 
     def __init__(self, gens: Sequence[Value]):
@@ -245,19 +245,10 @@ class SemigroupSolver:
         self.basis = basis
         self.dim = dim = basis.dim
         self.scale = lcm(*(g.den for g in gens))
-        vecs = {
-            k: tuple(a * (self.scale // g.den) for a in g.nums)
-            for k, g in enumerate(gens)
-        }
-        # spend scarce coordinates first: generators carrying a later
-        # radical sort ahead, so the suffix cones that bound the later
-        # counts span few radicals and pin them tightly
-        self.order = sorted(
-            range(len(gens)),
-            key=lambda k: (tuple(reversed(vecs[k])), gens[k]),
-            reverse=True,
-        )
-        self.gvecs = gvecs = [vecs[k] for k in self.order]
+        self.gvecs = gvecs = [
+            tuple(a * (self.scale // g.den) for a in g.nums)
+            for g in reversed(gens)
+        ]
         self.count = count = len(gens)
         # normals[j]: the cofactor normals of every (dim-1)-subset of
         # gvecs[j:] plus the unit vectors, each sign kept when it is >= 0
@@ -302,7 +293,8 @@ class SemigroupSolver:
         self.nodes = 0
 
     def contains(self, alpha: Value) -> Optional[tuple[int, ...]]:
-        """A witness exponent tuple over the original generator order, or None."""
+        """The reverse-lex least solution over the given generator order,
+        or None."""
         self.queries += 1
         return next(self.solutions(alpha), None)
 
@@ -313,18 +305,29 @@ class SemigroupSolver:
         degrees: Sequence[int] = (),
         cap: Optional[int] = None,
     ) -> Iterator[tuple[int, ...]]:
-        """Every nonnegative solution, over the original generator order.
+        """Every nonnegative solution, over the given generator order.
 
-        They come in search order, so the first is the witness of
-        ``contains``; each is yielded once.  Given leads (nonzero count
-        vectors over the same order) or a cap on the degree
-        sum(counts[k] * degrees[k]) with nonnegative degrees, only the
-        solutions that dominate no lead componentwise and stay within the
-        cap come out.  Both are down-sets, so the search cuts every prefix
-        of counts that already breaks one, with its whole subtree.
+        They come in strictly increasing reverse-lex order, so the first is
+        the witness of ``contains``.  Given leads (nonzero, nonnegative
+        count vectors over the same order) or a cap on the degree
+        sum(counts[k] * degrees[k]) with nonnegative degrees, one per
+        generator, only the solutions that dominate no lead componentwise
+        and stay within the cap come out.  Both are down-sets, so the
+        search cuts every prefix of counts that already breaks one, with
+        its whole subtree.
         """
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
+        n = self.count
+        for lead in leads:
+            if len(lead) != n:
+                raise ValueError("a lead needs one count per generator")
+            if not any(lead) or min(lead) < 0:
+                raise ValueError("a lead must be nonzero and nonnegative")
+        if (degrees or cap is not None) and len(degrees) != n:
+            raise ValueError("degrees need one entry per generator")
+        if cap is not None and min(cap, *degrees) < 0:
+            raise ValueError("a degree cap and degrees must be nonnegative")
         if self.scale % alpha.den:
             # every semigroup element has coordinates in (1/scale)Z
             return
@@ -332,32 +335,26 @@ class SemigroupSolver:
         rem = tuple(a * up for a in alpha.nums)
         if any(_dot(h, rem) < 0 for h in self.normals[0]):
             return
-        cut = None
-        if leads or cap is not None:
-            if cap is not None and min(cap, *degrees) < 0:
-                raise ValueError("a degree cap and degrees must be nonnegative")
-            cut = self._cut(leads, degrees, cap)
+        cut = self._cut(leads, degrees, cap) if leads or cap is not None else None
         for got in self._counts(0, rem, cut):
-            out = [0] * self.count
-            for pos, k in enumerate(self.order):
-                out[k] = got[pos]
-            yield tuple(out)
+            yield got[::-1]
 
     def _cut(self, leads, degrees, cap):
         """(prefix, limit) for a search cut by leads and a degree cap:
         ``_counts`` stores the count it fixes at search position j in
         prefix[j], and limit(j, hi) lowers hi, the largest count position j
         may take, so that prefix[:j] plus that count stays within the cap
-        and dominates no lead that ends at j."""
-        pos = {k: j for j, k in enumerate(self.order)}
+        and dominates no lead that ends at j.  Search position j is
+        generator n-1-j."""
+        n = self.count
         # per search position, the leads whose last nonzero entry sits
         # there: their earlier entries as (position, count), and that count
-        ends: list[list] = [[] for _ in self.order]
+        ends: list[list] = [[] for _ in range(n)]
         for lead in leads:
-            *head, (j, c) = sorted((pos[k], c) for k, c in enumerate(lead) if c)
+            *head, (j, c) = sorted((n - 1 - k, c) for k, c in enumerate(lead) if c)
             ends[j].append((head, c))
-        degs = [degrees[k] for k in self.order] if cap is not None else ()
-        prefix = [0] * self.count
+        degs = degrees[::-1] if cap is not None else ()
+        prefix = [0] * n
 
         def limit(j: int, hi: int) -> int:
             if degs and degs[j]:
@@ -401,7 +398,7 @@ class SemigroupSolver:
             hi = limit(j, hi)
         g = self.gvecs[j]
         found = False
-        for n in range(hi, lo - 1, -1):
+        for n in range(lo, hi + 1):
             if cut is not None:
                 prefix[j] = n
             sub = tuple(a - n * b for a, b in zip(rem, g))
@@ -487,51 +484,26 @@ def vec_over(rows, counts: Sequence[int]) -> PairVec:
 def permissible_decompose(alpha: Value, state, k: int) -> tuple[int, ...]:
     """Write alpha over the first k first-chain values, bounded slots in range.
 
-    Returns integers L with alpha == sum L_j * beta_j, where
-    0 <= L_j < q_j whenever q_j is finite (j >= 2) and the remaining
-    slots are unrestricted integers (they may be negative).  Such a
-    rewrite exists exactly when alpha lies in the group generated by the
-    values; otherwise NotInGroupError is raised.
+    The i = 0 case of ``irreducible_decompose``, padded to k slots.  Over
+    p_1..p_k the leads are q_j*e_j, so the result is the unique rewrite
+    alpha == sum L_j * beta_j with 0 <= L_j < q_j wherever q_j is finite
+    (j >= 2).  Raises NotInSemigroupError when that rewrite has a negative
+    first slot or alpha lies outside the group of the values.
     """
     if k < 1 or k > len(state.p_chain):
         raise ValueError(f"p-index {k} out of range")
-    p = state.p_chain[:k]
-    betas = [rec.beta for rec in p]
-    wit = lattice_solve(alpha, betas)
-    if wit is None:
-        raise NotInGroupError(
-            f"{alpha} is not in the group generated by the chain values"
-        )
-    L = list(wit)
-    # fold slots into range, top index first; each fold only touches
-    # strictly lower positions, so one pass suffices
-    for j in range(k, 1, -1):
-        q = p[j - 1].q
-        if q is None:
-            continue
-        r = L[j - 1] % q
-        c = (L[j - 1] - r) // q
-        L[j - 1] = r
-        if c:
-            for a, v in enumerate(p[j - 1].L_vec):
-                L[a] += c * v
-    if combination(L, betas, state.basis) != alpha:
-        raise InternalConsistencyError("permissible rewrite changed the value")
-    for j in range(2, k + 1):
-        q = p[j - 1].q
-        if q is not None and not 0 <= L[j - 1] < q:
-            raise InternalConsistencyError("bounded p-slot out of range")
-    return tuple(L)
+    L = irreducible_decompose(alpha, state, k, 0).p
+    return L + (0,) * (k - len(L))
 
 
 def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
     """The canonical nonnegative rewrite of alpha over the chain values.
 
     Over the rows of ``coordinates(kk, i)``, kk = max(k, m_at(i), 1), the
-    rewrites that dominate none of the chain's leads come from one cut
-    search (``SemigroupSolver.solutions``), and the canonical one is the
-    least under reverse lex: the counts read from the last row back.  The
-    result is checked for its value and irreducibility.  Raises
+    canonical rewrite is the least under reverse lex (the counts read from
+    the last row back) of those that dominate none of the chain's leads:
+    the first solution of one cut search (``SemigroupSolver.solutions``).
+    The result is checked for its value and irreducibility.  Raises
     NotInSemigroupError when alpha has no nonnegative rewrite.
     """
     sgn = alpha.sign()
@@ -546,11 +518,7 @@ def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
         return PairVec((), ())
     rows = state.coordinates(kk, i)
     solver = state.semigroup_solver(kk, i)
-    best = min(
-        solver.solutions(alpha, state.lead_counts(rows)),
-        key=lambda counts: counts[::-1],
-        default=None,
-    )
+    best = next(solver.solutions(alpha, state.lead_counts(rows)), None)
     if best is None:
         if solver.contains(alpha) is None:
             raise NotInSemigroupError(

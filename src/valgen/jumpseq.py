@@ -298,12 +298,7 @@ def build_p_chain(
         if q is None:
             break
         rec.q = q
-        L = permissible_decompose(q * rec.beta, state, i - 1)
-        if L[0] < 0:
-            raise InternalConsistencyError(
-                "rewrite of a group multiple went negative in the first slot"
-            )
-        rec.L_vec = L
+        rec.L_vec = L = permissible_decompose(q * rec.beta, state, i - 1)
         power = PairVec((0,) * (i - 1) + (q,), ())
         rec.lam, nxt, image = state.binomial(power, PairVec(L, ()))
         if len(state.p_chain) >= DEFAULT_P_CAP:

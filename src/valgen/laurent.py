@@ -200,29 +200,20 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
             return NotImplemented
+        if self.is_monomial():
+            # any integer power of a monomial scales its exponents
+            ((exp, c),) = self.terms
+            return self._from_raw(self.vars, {tuple(n * e for e in exp): c**n})
         if n < 0:
-            if not self.is_monomial():
-                raise NonInvertibleSubstitution(
-                    "negative power of a non-monomial"
-                )
-            exp, c = self.terms[0]
-            return LaurentPoly(
-                self.vars,
-                ((tuple(n * e for e in exp), Fraction(1) / (c ** (-n))),),
-            )
+            raise NonInvertibleSubstitution("negative power of a non-monomial")
         if n == 0:
             return LaurentPoly.constant(self.vars, 1)
-        # square and multiply, with no product by the constant 1 and no
-        # square past the top bit
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        # repeated multiplication: for sparse operands it makes fewer term
+        # products than squaring, whose squares fill in
+        result = self
+        for _ in range(n - 1):
+            result = result * self
+        return result
 
     def derivative(self, var: str) -> "LaurentPoly":
         """The partial derivative in the variable named var."""

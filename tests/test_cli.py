@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -288,6 +290,19 @@ def test_build_writes_report_files(second_config, tmp_path, schema, capsys):
     assert "first chain" in text and "second chain" in text
     # rendering a loaded document is pure
     assert render_text(doc) == render_text(doc)
+
+
+def test_build_writes_reports_with_the_umask_mode(second_config, tmp_path):
+    # the mode open() would give, not mkstemp's owner-only 0o600
+    out = tmp_path / "report.json"
+    old = os.umask(0o022)
+    try:
+        args = ["build", "--config", second_config, "--out", str(out), "--quiet"]
+        assert main(args) == 0
+    finally:
+        os.umask(old)
+    for path in (out, tmp_path / "report.json.txt"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_build_json_stdout_deterministic(second_config, capsys):

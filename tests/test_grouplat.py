@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from itertools import combinations, product
 from operator import ge, le, mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from valgen import (
     InternalConsistencyError,
-    NotInGroupError,
     NotInSemigroupError,
     PairVec,
     RadicalBasis,
@@ -33,12 +33,13 @@ from valgen.grouplat import (
     permissible_decompose,
     vec_over,
 )
-from valgen.cli import parse_config
+from valgen.cli import load_config, parse_config
 from valgen.values import combination
 
 import oracles
 from corpus import first_chain_config, tower_config
 
+TOWER = Path(__file__).with_name("tower.json")
 B1 = RadicalBasis((1,))
 B2 = RadicalBasis((1, 2))
 B3 = RadicalBasis((1, 2, 51))
@@ -254,6 +255,18 @@ def test_group_questions_match_a_known_lattice(d1, d2, combos, at, a1, a2, a3):
 # -- semigroup membership -------------------------------------------------------
 
 
+# small generators over (1, sqrt(2)), one with a denominator
+SMALL_POOL = [
+    B2.rational(2),
+    B2.rational(3),
+    B2.rational(5),
+    B2.root(2),
+    B2.root(2) * 2 - B2.rational(1),
+    B2.rational(4) - B2.root(2),
+    B2.root(2) * Fraction(1, 2) + B2.rational(1),
+]
+
+
 def naive_contains(target, gens):
     return oracles.naive_semigroup_member(target, gens)
 
@@ -290,17 +303,8 @@ def test_semigroup_solver_counts_follow_input_order():
 
 def test_semigroup_solver_against_oracle():
     rng = random.Random(20260819)
-    pool = [
-        B2.rational(2),
-        B2.rational(3),
-        B2.rational(5),
-        B2.root(2),
-        B2.root(2) * 2 - B2.rational(1),
-        B2.rational(4) - B2.root(2),
-        B2.root(2) * Fraction(1, 2) + B2.rational(1),
-    ]
     for _ in range(120):
-        gens = rng.sample(pool, rng.randint(1, 4))
+        gens = rng.sample(SMALL_POOL, rng.randint(1, 4))
         if rng.random() < 0.6:
             target = combination(
                 [rng.randint(0, 3) for _ in gens], gens, B2
@@ -440,6 +444,52 @@ def test_cut_search_refuses_negative_degrees():
     for degrees, cap in (((1, -1), 4), ((1, 1), -1)):
         with pytest.raises(ValueError):
             next(SemigroupSolver(gens).solutions(B1.rational(6), (), degrees, cap))
+
+
+def test_solutions_refuse_malformed_leads_and_degrees():
+    # every lead and the degrees need one entry per generator, and a lead
+    # must be a nonzero count vector
+    solver = SemigroupSolver([B1.rational(2), B1.rational(3)])
+    for cut, needle in (
+        (([(1, 0, 1)],), "one count per generator"),
+        (([(0, 0)],), "nonzero and nonnegative"),
+        (([(2, -1)],), "nonzero and nonnegative"),
+        (((), (1,), 4), "one entry per generator"),
+        (((), (), 4), "one entry per generator"),
+    ):
+        with pytest.raises(ValueError, match=needle):
+            next(solver.solutions(B1.rational(6), *cut))
+
+
+@given(data=st.data())
+def test_solutions_come_in_increasing_reverse_lex_order(data):
+    # with and without leads and a degree cap: exactly the brute-force
+    # solutions the cut lets through, in strictly increasing reverse-lex
+    # order, and contains answers with the least of all solutions
+    gens = data.draw(
+        st.lists(st.sampled_from(SMALL_POOL), min_size=1, max_size=4, unique=True),
+        "gens",
+    )
+    n = len(gens)
+    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    leads = data.draw(st.lists(row.filter(any), max_size=3), "leads")
+    degrees = data.draw(row, "degrees")
+    cap = data.draw(st.none() | st.integers(0, 8), "cap")
+    target = combination(data.draw(row, "target counts"), gens, B2)
+    if data.draw(st.booleans(), "shifted"):
+        target = target + B2.rational(Fraction(1, 2))
+    every = sorted(oracles.naive_solutions(target, gens), key=lambda c: c[::-1])
+    want = [
+        counts
+        for counts in every
+        if dominates_none(counts, leads)
+        and (cap is None or sum(map(mul, counts, degrees)) <= cap)
+    ]
+    solver = SemigroupSolver(gens)
+    got = list(solver.solutions(target, leads, degrees, cap))
+    assert got == want
+    assert all(a[::-1] < b[::-1] for a, b in zip(got, got[1:]))
+    assert solver.contains(target) == (every[0] if every else None)
 
 
 def dot(h, g):
@@ -616,9 +666,13 @@ def test_permissible_decompose_round_trip(state, second_state):
 
 
 def test_permissible_decompose_rejects_outside_group(state):
+    # off the group of the values, and in the group but with a negative
+    # first slot: neither has a nonnegative rewrite
     outside = state.basis.root(51, Fraction(1, 2))
-    with pytest.raises(NotInGroupError):
-        permissible_decompose(outside, state, 2)
+    negative_x = parse_value("sqrt(2) - 1", state.basis)
+    for alpha in (outside, negative_x):
+        with pytest.raises(NotInSemigroupError):
+            permissible_decompose(alpha, state, 2)
     with pytest.raises(ValueError):
         permissible_decompose(state.basis.zero(), state, 0)
 
@@ -648,7 +702,10 @@ def test_irreducible_decompose_fixes_reducible_input(state):
 def rewrite_state(which):
     """A built model for the rewrite tests: the first chain with q_2 = 1
     under the worked example's z ("q1"), with q_2 = 2 under a drawn z
-    that creates members ("q2"), or a tower model."""
+    that creates members ("q2"), tests/tower.json, or a tower model."""
+    if which == "tower.json":
+        model, bounds, _, _ = load_config(str(TOWER))
+        return build_state(model, bounds=bounds)
     if which == "q1":
         cfg = first_chain_config(1)
     elif which == "q2":
@@ -709,6 +766,37 @@ def test_irreducible_decompose_is_the_least_irreducible_rewrite(which, state):
         multi += len(want) > 1
     if which == 4:
         assert multi, "no probe had several rewrites"
+
+
+# values far above a skipped or pending member, which is a generator with
+# no relation, have many irreducible rewrites; the canonical one is the
+# first solution of the cut search, found in a few nodes.  An enumeration
+# of every rewrite took 421,112 and 68,525 nodes on these two probes.
+@pytest.mark.parametrize(
+    "which,text,i,want",
+    [
+        (4, "74*sqrt(2) + 54*sqrt(5) + 1422/5", 22, PairVec((0, 2), (0, 8, 54))),
+        # above member 15 of tests/tower.json, its first pending member
+        (
+            "tower.json",
+            "66*sqrt(2) + 10*sqrt(51) - 61",
+            17,
+            PairVec((), (0, 13, 0, 0, 0, 9, 1)),
+        ),
+    ],
+)
+def test_canonical_rewrite_is_found_within_a_node_budget(which, text, i, want):
+    built = rewrite_state(which)
+    if which == 4:
+        assert [rec.status for rec in built.t_chain].count("skipped") == 7
+    else:
+        first = next(rec for rec in built.t_chain if rec.status == "pending")
+        assert first.index == 15 < i
+    alpha = parse_value(text, built.basis)
+    solver = built.semigroup_solver(max(1, built.m_at(i)), i)
+    before = solver.nodes
+    assert irreducible_decompose(alpha, built, 1, i) == want
+    assert solver.nodes - before <= 1000
 
 
 def test_a_skipped_member_gives_its_value_a_second_rewrite(state):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from valgen import PairVec, RadicalBasis, ValuationModel, jumpseq
-from valgen.cli import load_config
+from valgen.cli import load_config, main, parse_config
 from valgen.grouplat import vec_over
 from valgen.jumpseq import (
     SearchBounds,
@@ -62,6 +62,34 @@ def test_first_chain_truncation(monkeypatch):
     assert [r.poly.text() for r in st.p_chain] == ["1*x", "1*y"]
     assert st.flags.p_truncated
     assert st.p_chain[1].q == 1 and st.p_chain[1].L_vec == (1,)
+
+
+# x = u1^2, y = u1^3 + u1^4 + u2: three finite jumps, and the third
+# member's rewrite 2*beta_1 + beta_2 uses the bounded slot of y
+DEEP_FIRST_CHAIN = {
+    "basis": [1, 2, 51],
+    "ambient_vars": ["u1", "u2", "u3"],
+    "ambient_values": ["1", "sqrt(51)", "2 + sqrt(2)"],
+    "images": {"x": "u1^2", "y": "u1^3 + u1^4 + u2", "z": "u3"},
+}
+
+
+def test_deep_first_chain_is_pinned(tmp_path, capsys):
+    model, bounds, _, _ = parse_config(DEEP_FIRST_CHAIN, "deep")
+    st = build_state(model, bounds=bounds)
+    assert [(rec.q, rec.L_vec) for rec in st.p_chain] == [
+        (None, None),
+        (2, (3,)),
+        (1, (2, 1)),
+        (1, (4, 0, 0)),
+        (None, None),
+    ]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(DEEP_FIRST_CHAIN))
+    assert main(["build", "--config", str(path), "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "41c78d37ccd217a4988b5c08246cc611efaab17db97e5ef04502ac63ebb619b4"
+    )
 
 
 def test_second_model_first_chain(second_state):
