@@ -183,15 +183,15 @@ def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
             parse_value, raw_bounds["max_value"], f"{where}.bounds.max_value",
             basis,
         )
-    for key in ("max_t_index", "d_layer_cap", "d_coord_cap"):
-        if not _is_int(raw_bounds[key]) or raw_bounds[key] < 1:
-            raise ConfigError(f"{where}.bounds.{key}: expected a positive integer")
-    bounds = SearchBounds(
-        max_t_index=raw_bounds["max_t_index"],
-        max_value=cap,
-        d_layer_cap=raw_bounds["d_layer_cap"],
-        d_coord_cap=raw_bounds["d_coord_cap"],
-    )
+    try:
+        bounds = SearchBounds(
+            max_t_index=raw_bounds["max_t_index"],
+            max_value=cap,
+            d_layer_cap=raw_bounds["d_layer_cap"],
+            d_coord_cap=raw_bounds["d_coord_cap"],
+        )
+    except ValueError as e:
+        raise ConfigError(f"{where}.bounds.{e}")
 
     outputs = _section(cfg, "outputs", _OUTPUT_DEFAULTS, where)
     for key in ("redundancy_value_slack", "semigroup_cap"):

@@ -19,15 +19,15 @@ search cut by the chain's leads, for both chains.
 
 Three functions take a chain state argument: ``permissible_decompose``,
 ``irreducible_decompose`` and ``minimal_pushing_set``.  They only use a
-small surface of it: ``p_chain`` records with ``beta``/``q``/``L_vec``,
-``t_chain`` records with ``gamma``/``s``/``m``/``status``, the radical
-``basis``, the search ``bounds``, plus the helper methods ``m_at``,
-``value_of``, ``irreducible``, ``coordinates``, ``lead_counts`` and
-``semigroup_solver``.  ``coordinates`` owns the flat exponent layout
-over the two chains, ``lead_counts`` writes the relation leads onto it
-and ``vec_over`` reads counts back as a PairVec; every search here runs
-over those counts.  The concrete class lives in jumpseq; keeping these
-functions here keeps all lattice reasoning in one place.
+small surface of it: the length of ``p_chain``, ``t_chain`` records with
+``gamma``/``s``/``m``/``status``, the radical ``basis``, the search
+``bounds``, plus the helper methods ``m_at``, ``value_of``,
+``coordinates``, ``lead_counts`` and ``semigroup_solver``.
+``coordinates`` owns the flat exponent layout over the two chains,
+``lead_counts`` reads the relation leads off the chain records as counts
+over it and ``vec_over`` reads counts back as a PairVec; every search
+here runs over those counts.  The concrete class lives in jumpseq;
+keeping these functions here keeps all lattice reasoning in one place.
 """
 from __future__ import annotations
 
@@ -47,10 +47,10 @@ from .values import Value, combination
 class PairVec:
     """A pair of nonnegative exponent vectors, one per chain.
 
-    ``p`` indexes the first chain, ``t`` the second, both 1-based through
-    the ``p_at``/``t_at`` accessors, which return 0 beyond the stored
-    length.  Trailing zeros are trimmed so equality and hashing ignore
-    padding.
+    ``p`` holds the exponents of the first chain's members in order, ``t``
+    those of the second's.  Trailing zeros are trimmed so equality and
+    hashing ignore padding.  ``__str__`` stays as it is: the benchmark's
+    ``ideal-sweep`` digest hashes it.
     """
 
     p: tuple[int, ...]
@@ -73,26 +73,6 @@ class PairVec:
             object.__setattr__(self, "p", p)
         if t is not self.t:
             object.__setattr__(self, "t", t)
-
-    def p_at(self, j: int) -> int:
-        return self.p[j - 1] if 1 <= j <= len(self.p) else 0
-
-    def t_at(self, j: int) -> int:
-        return self.t[j - 1] if 1 <= j <= len(self.t) else 0
-
-    def is_zero(self) -> bool:
-        return not self.p and not self.t
-
-    def weight(self) -> int:
-        return sum(self.p) + sum(self.t)
-
-    def dominates(self, other: "PairVec") -> bool:
-        """Componentwise >= against ``other`` (padded with zeros)."""
-        if len(other.p) > len(self.p) or len(other.t) > len(self.t):
-            return False
-        return all(
-            a >= b for a, b in zip(self.p, other.p)
-        ) and all(a >= b for a, b in zip(self.t, other.t))
 
     def __str__(self) -> str:
         return f"({','.join(map(str, self.p))}|{','.join(map(str, self.t))})"
@@ -518,7 +498,8 @@ def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
         return PairVec((), ())
     rows = state.coordinates(kk, i)
     solver = state.semigroup_solver(kk, i)
-    best = next(solver.solutions(alpha, state.lead_counts(rows)), None)
+    leads = state.lead_counts(rows)
+    best = next(solver.solutions(alpha, leads), None)
     if best is None:
         if solver.contains(alpha) is None:
             raise NotInSemigroupError(
@@ -528,7 +509,7 @@ def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
     pv = vec_over(rows, best)
     if state.value_of(pv) != alpha:
         raise InternalConsistencyError("canonical rewrite changed the value")
-    if not state.irreducible(pv):
+    if any(all(map(le, lead, best)) for lead in leads):
         raise InternalConsistencyError("canonical rewrite is reducible")
     return pv
 

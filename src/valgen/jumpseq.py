@@ -62,12 +62,22 @@ class SearchBounds:
     of members above it (they stay in the chain with their polynomial and
     value); the two d-caps bound the minimal-vector search per position:
     layers of the last exponent and a box cap for every other exponent.
+    Each cap must be a positive int, max_value a Value or None.
     """
 
     max_t_index: int = 64
     max_value: Optional[Value] = None
     d_layer_cap: int = 16
     d_coord_cap: int = 16
+
+    def __post_init__(self) -> None:
+        for name in ("max_t_index", "d_layer_cap", "d_coord_cap"):
+            cap = getattr(self, name)
+            # a bool is an int, but True is no cap
+            if type(cap) is not int or cap < 1:
+                raise ValueError(f"{name}: expected a positive integer")
+        if not (self.max_value is None or isinstance(self.max_value, Value)):
+            raise ValueError("max_value: expected a Value or None")
 
     @classmethod
     def for_basis(cls, basis, **overrides) -> "SearchBounds":
@@ -159,31 +169,6 @@ class JumpState:
                 return m
         return 1
 
-    def leads(self, before: Optional[int] = None) -> list[PairVec]:
-        """The leading vectors of the recorded relations: the powers q*e_j
-        of the first chain, e_j for each vanished member of the second,
-        and the minimal vectors of each processed position.  With before,
-        only second-chain positions below it count."""
-        out = [
-            PairVec((0,) * (rec.index - 1) + (rec.q,), ())
-            for rec in self.p_chain
-            if rec.q is not None
-        ]
-        for rec in self.t_chain:
-            if before is not None and rec.index >= before:
-                break
-            if rec.status != "ok":
-                continue
-            if rec.poly.is_zero():
-                out.append(PairVec((), (0,) * (rec.index - 1) + (1,)))
-            else:
-                out.extend(rec.D.members)
-        return out
-
-    def irreducible(self, vec: PairVec, before: Optional[int] = None) -> bool:
-        """True when vec dominates none of leads(before)."""
-        return not any(vec.dominates(lead) for lead in self.leads(before))
-
     def value_of(self, vec: PairVec) -> Value:
         if len(vec.p) > len(self.p_chain) or len(vec.t) > len(self.t_chain):
             raise ValueError("vector reaches beyond the constructed chains")
@@ -243,18 +228,25 @@ class JumpState:
     def lead_counts(
         self, rows: list, before: Optional[int] = None
     ) -> list[tuple[int, ...]]:
-        """The leads(before) that lie on rows (a subset of some
-        coordinates(k, i)), as count vectors over them; a lead with an
-        entry off the rows is left out."""
-        out = []
-        for lead in self.leads(before):
-            counts = tuple(
-                lead.p_at(idx) if kind == "p" else lead.t_at(idx)
-                for kind, idx, _ in rows
-            )
-            if sum(counts) == lead.weight():
-                out.append(counts)
-        return out
+        """The leading vectors of the recorded relations, read off the chain
+        records as count vectors over rows (a subset of some
+        coordinates(k, i)): q on p_j for each first-chain power q*e_j, then
+        the minimal vectors of the processed positions below before.  A
+        lead with an entry off the rows is left out; so is each vanished
+        member's e_j, as a zero value gets no row."""
+        keys = [(kind, idx) for kind, idx, _ in rows]
+        leads = [{("p", r.index): r.q} for r in self.p_chain if r.q is not None]
+        for rec in self.t_chain:
+            if before is not None and rec.index >= before:
+                break
+            if rec.status == "ok":
+                leads += (
+                    {(kind, j): c for kind, part in (("p", v.p), ("t", v.t))
+                     for j, c in enumerate(part, 1) if c}
+                    for v in rec.D.members
+                )
+        on = set(keys)
+        return [tuple(d.get(k, 0) for k in keys) for d in leads if d.keys() <= on]
 
     def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
         """The solver over the values of coordinates(k, i), shared by every

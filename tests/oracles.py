@@ -6,6 +6,7 @@ independent oracle for the search code.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from valgen import PairVec
 
@@ -32,6 +33,63 @@ def least_terms(terms, values, zero):
         scored.append((v, (exp, c)))
     least = min(v for v, _ in scored)
     return least, [t for v, t in scored if v == least]
+
+
+def entry(vec, kind, idx):
+    """The exponent of member idx (1-based) of chain kind, "p" or "t", in
+    the PairVec vec; 0 past its stored end."""
+    part = vec.p if kind == "p" else vec.t
+    return part[idx - 1] if idx <= len(part) else 0
+
+
+def dominates(a, b):
+    """Componentwise a >= b for two PairVecs, the shorter padded with
+    zeros."""
+    return all(
+        x >= y
+        for pa, pb in ((a.p, b.p), (a.t, b.t))
+        for x, y in zip_longest(pa, pb, fillvalue=0)
+    )
+
+
+def relation_leads(state, before=None):
+    """The leading vectors of the chain's relations, read off the records
+    as PairVecs: q*e_j for each first-chain member with a finite q, e_j
+    for each vanished second-chain member and the minimal vectors
+    (D.members) of each other processed one.  With before, only
+    second-chain positions below it count."""
+    out = [
+        PairVec((0,) * (rec.index - 1) + (rec.q,), ())
+        for rec in state.p_chain
+        if rec.q is not None
+    ]
+    for rec in state.t_chain:
+        if before is not None and rec.index >= before:
+            break
+        if rec.status != "ok":
+            continue
+        if rec.poly.is_zero():
+            out.append(PairVec((), (0,) * (rec.index - 1) + (1,)))
+        else:
+            out.extend(rec.D.members)
+    return out
+
+
+def irreducible(state, vec, before=None):
+    """True when vec dominates none of relation_leads(state, before)."""
+    leads = relation_leads(state, before)
+    return not any(dominates(vec, lead) for lead in leads)
+
+
+def on_rows(vecs, rows):
+    """The PairVecs among vecs whose every nonzero entry lies on the
+    (kind, index, value) rows, as count vectors over them."""
+    out = []
+    for vec in vecs:
+        counts = tuple(entry(vec, kind, idx) for kind, idx, _ in rows)
+        if sum(counts) == sum(vec.p) + sum(vec.t):
+            out.append(counts)
+    return out
 
 
 def chain_rows(state):
@@ -85,9 +143,9 @@ def survey_pick(pairs, state, skip_t, val, degree_cap):
 
     pairs is a vectors_up_to(state, cap) enumeration with cap >= val.
     Among its vectors of value val that leave out member skip_t, have
-    polynomial degree at most degree_cap and sit above no vector of
-    state.irreducible, the least by total weight and then by the exponents
-    padded to full chain length; None when there is none.
+    polynomial degree at most degree_cap and are irreducible, the least
+    by total weight and then by the exponents padded to full chain
+    length; None when there is none.
     """
     n_p = len(state.p_chain)
     n_t = len(state.t_chain)
@@ -97,17 +155,17 @@ def survey_pick(pairs, state, skip_t, val, degree_cap):
         return sum(c * r.poly.total_degree() for c, r in recs if c)
 
     def key(vec):
-        padded = [vec.p_at(j) for j in range(1, n_p + 1)]
-        padded += [vec.t_at(j) for j in range(1, n_t + 1)]
+        padded = [entry(vec, "p", j) for j in range(1, n_p + 1)]
+        padded += [entry(vec, "t", j) for j in range(1, n_t + 1)]
         return (sum(padded), padded)
 
     fits = [
         vec
         for vec, total in pairs
         if total == val
-        and vec.t_at(skip_t) == 0
+        and entry(vec, "t", skip_t) == 0
         and degree(vec) <= degree_cap
-        and state.irreducible(vec)
+        and irreducible(state, vec)
     ]
     return min(fits, key=key, default=None)
 
@@ -138,7 +196,7 @@ def minimal_vectors(pairs):
     vecs = [vec for vec, _ in pairs]
     out = []
     for v in vecs:
-        if not any(w != v and v.dominates(w) for w in vecs):
+        if not any(w != v and dominates(v, w) for w in vecs):
             out.append(v)
     return out
 
@@ -183,8 +241,8 @@ def sums_up_to(values, cap, zero):
 def irreducible_rewrites(state, alpha, kk, i):
     """Every rewrite of alpha over the rows p_1..p_kk and the t_j with
     j <= i and nonzero value whose PairVec dominates no lead of
-    state.leads(); least first in reverse lex, the counts read from the
-    last row back.
+    relation_leads(state); least first in reverse lex, the counts read
+    from the last row back.
 
     The rewrites are enumerated as in naive_solutions, each count from 0
     while the rest stays nonnegative, with the completions of each
@@ -211,7 +269,7 @@ def irreducible_rewrites(state, alpha, kk, i):
                 rest = rest - rows[k - 1][2]
         return got
 
-    leads = state.leads()
+    leads = relation_leads(state)
     found = []
     for counts in completions(len(rows), alpha):
         p = [0] * kk
@@ -219,6 +277,6 @@ def irreducible_rewrites(state, alpha, kk, i):
         for (kind, idx, _), c in zip(rows, counts):
             (p if kind == "p" else t)[idx - 1] = c
         vec = PairVec(tuple(p), tuple(t))
-        if not any(vec.dominates(lead) for lead in leads):
+        if not any(dominates(vec, lead) for lead in leads):
             found.append((counts[::-1], vec))
     return [vec for _, vec in sorted(found)]

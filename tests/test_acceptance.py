@@ -174,7 +174,7 @@ def test_irreducible_vectors_have_distinct_values(state, announce):
 
     def extend(k, p, t, acc):
         vec = PairVec(tuple(p), tuple(t))
-        if not state.irreducible(vec):
+        if not oracles.irreducible(state, vec):
             return
         if k == len(rows):
             found.append((vec, acc))
@@ -192,7 +192,7 @@ def test_irreducible_vectors_have_distinct_values(state, announce):
             else:
                 probe_t[idx - 1] = count
             probe = PairVec(tuple(probe_p), tuple(probe_t))
-            if count and not state.irreducible(probe):
+            if count and not oracles.irreducible(state, probe):
                 break
             extend(k + 1, probe_p, probe_t, total)
             count += 1
@@ -242,8 +242,8 @@ def test_construction_invariants(state, second_state, announce):
             step, vec = rec.parent
             assert step < rec.index
             value = st.value_of(vec)
-            assert st.irreducible(vec, before=step)
-            assert st.irreducible(rec.LN, before=step)
+            assert oracles.irreducible(st, vec, before=step)
+            assert oracles.irreducible(st, rec.LN, before=step)
             assert st.value_of(rec.LN) == value
             assert rec.mu != 0
             assert st.model.nu(st.poly_of(vec)) == value
@@ -281,16 +281,16 @@ def test_pushing_sets_are_minimal_antichains(state, announce):
         members = rec.D.members
         for a in members:
             for b in members:
-                assert a == b or not a.dominates(b)
+                assert a == b or not oracles.dominates(a, b)
         for v in members:
-            assert v.t_at(i) >= 1
-            assert state.irreducible(v, before=i)
+            assert oracles.entry(v, "t", i) >= 1
+            assert oracles.irreducible(state, v, before=i)
             assert solver.contains(state.value_of(v)) is not None
             # nothing strictly below the member may push
             axes = [range(c + 1) for c in v.p] + [range(c + 1) for c in v.t]
             for probe in itertools.product(*axes):
                 w = PairVec(probe[: len(v.p)], probe[len(v.p) :])
-                if w == v or w.t_at(i) < 1:
+                if w == v or oracles.entry(w, "t", i) < 1:
                     continue
                 assert solver.contains(state.value_of(w)) is None, (i, v, w)
             checked += 1

@@ -66,11 +66,7 @@ def test_pairvec_normalization():
     v = PairVec((1, 0, 0), (2, 0))
     assert v.p == (1,) and v.t == (2,)
     assert v == PairVec((1,), (2, 0, 0, 0))
-    assert v.p_at(1) == 1 and v.p_at(9) == 0
-    assert v.t_at(1) == 2 and v.t_at(2) == 0
-    assert v.weight() == 3
     assert str(v) == "(1|2)"
-    assert PairVec((), ()).is_zero()
     with pytest.raises(ValueError):
         PairVec((-1,), ())
     # no silent int(): (True, 2.7) would print as (1,2|)
@@ -81,12 +77,14 @@ def test_pairvec_normalization():
 
 
 def test_pairvec_domination():
+    # the tests' reference for domination, padding the shorter vector
     big = PairVec((2, 1), (1,))
-    assert big.dominates(PairVec((2,), (1,)))
-    assert big.dominates(big)
-    assert not big.dominates(PairVec((3,), ()))
-    assert not PairVec((2,), ()).dominates(big)
-    assert big.dominates(PairVec((), ()))
+    assert oracles.dominates(big, PairVec((2,), (1,)))
+    assert oracles.dominates(big, big)
+    assert not oracles.dominates(big, PairVec((3,), ()))
+    assert not oracles.dominates(PairVec((2,), ()), big)
+    assert oracles.dominates(big, PairVec((), ()))
+    assert not oracles.dominates(big, PairVec((), (0, 1)))
 
 
 def test_graded_key_orders_by_weight_then_lex():
@@ -617,7 +615,7 @@ def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
     # its value stays among the solver's generators, but t1 gets no
     # coordinate, so the two members that raise t1 drop out
     assert got.members == tuple(v for v in rec.D.members if v not in with_t1)
-    assert all(v.t_at(1) == 0 for v in got.members)
+    assert all(v.t[0] == 0 for v in got.members)
 
 
 def test_solvers_are_cached_per_build(second_model, second_state):
@@ -686,16 +684,16 @@ def test_irreducible_decompose_matches_recorded_rewrites(state):
         )
         assert out == rec.LN
         assert state.value_of(out) == state.value_of(vec)
-        assert state.irreducible(out, before=src)
+        assert oracles.irreducible(state, out, before=src)
 
 
 def test_irreducible_decompose_fixes_reducible_input(state):
     # x*z dominates the first recorded obstacle, y^2 carries the same value
     reducible = PairVec((1,), (1,))
-    assert not state.irreducible(reducible, before=2)
+    assert not oracles.irreducible(state, reducible, before=2)
     out = irreducible_decompose(state.value_of(reducible), state, 2, 1)
     assert state.value_of(out) == state.value_of(reducible)
-    assert state.irreducible(out, before=2)
+    assert oracles.irreducible(state, out, before=2)
     assert out == PairVec((0, 2), ())
 
 
@@ -731,7 +729,7 @@ def test_irreducible_decompose_is_the_least_irreducible_rewrite(which, state):
         )
         assert got == rec.LN
     if which == "q2":
-        assert any(rec.LN.p_at(2) for rec in made)
+        assert any(oracles.entry(rec.LN, "p", 2) for rec in made)
     # probes at positions whose earlier members are all processed, as at
     # every build call; a later pending member is a generator with no
     # relation yet, under which a value may have very many rewrites
@@ -824,6 +822,73 @@ def test_irreducible_decompose_refuses_what_it_cannot_rewrite(state, monkeypatch
         irreducible_decompose(alpha, state, 2, 0)
 
 
+def test_irreducible_decompose_checks_its_answer_against_the_leads(
+    state, monkeypatch
+):
+    # A search that ignores its leads answers with the least rewrite of
+    # all.  On consistent records that one is irreducible anyway, since
+    # each lead exceeds its own rewrite in the search order; so the records
+    # here also carry a lead, y^2, that the one rewrite of its value over
+    # x and y dominates, and only the final check can refuse the answer.
+    solutions = SemigroupSolver.solutions
+    monkeypatch.setattr(
+        SemigroupSolver,
+        "solutions",
+        lambda self, alpha, leads=(), *rest: solutions(self, alpha, (), *rest),
+    )
+    monkeypatch.setattr(type(state), "lead_counts", lambda self, rows: [(0, 2)])
+    alpha = state.value_of(PairVec((0, 2), ()))
+    with pytest.raises(InternalConsistencyError, match="rewrite is reducible"):
+        irreducible_decompose(alpha, state, 2, 0)
+
+
+# the chain state surface the grouplat module docstring lists
+STATE_SURFACE = {
+    "p_chain",
+    "t_chain",
+    "basis",
+    "bounds",
+    "m_at",
+    "value_of",
+    "coordinates",
+    "lead_counts",
+    "semigroup_solver",
+}
+
+
+class SurfaceOnly:
+    """A chain state that forwards STATE_SURFACE and refuses the rest."""
+
+    def __init__(self, state):
+        self._state = state
+
+    def __getattr__(self, name):
+        if name not in STATE_SURFACE:
+            raise AttributeError(f"state.{name} is off the documented surface")
+        return getattr(self._state, name)
+
+
+def test_grouplat_reads_only_the_documented_state_surface(state):
+    proxy = SurfaceOnly(state)
+    with pytest.raises(AttributeError):
+        proxy.flags
+    searched = 0
+    for i in range(1, len(state.t_chain) + 1):
+        alpha = state.value_of(PairVec((i, 1), ()))
+        assert permissible_decompose(alpha, proxy, 2) == permissible_decompose(
+            alpha, state, 2
+        )
+        alpha = state.value_of(PairVec((1, 1), (0,) * (i - 1) + (1,)))
+        assert irreducible_decompose(alpha, proxy, 2, i) == irreducible_decompose(
+            alpha, state, 2, i
+        )
+        rec = state.t_chain[i - 1]
+        if rec.status == "ok" and rec.s is not None and not rec.gamma.is_zero():
+            assert minimal_pushing_set(proxy, i) == minimal_pushing_set(state, i)
+            searched += 1
+    assert searched >= 15
+
+
 # -- minimal pushing vectors ------------------------------------------------
 
 
@@ -871,7 +936,7 @@ def brute_pushing_set(state, i, box, layers):
     return {
         vec
         for vec in oracles.minimal_vectors(members)
-        if state.irreducible(vec, before=i)
+        if oracles.irreducible(state, vec, before=i)
     }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -22,8 +23,28 @@ from valgen.outputs import redundancy_survey
 from valgen.valmodel import RING_VARS
 from valgen.values import combination
 
+import oracles
 from conftest import SECOND_CONFIG, make_second_model
+from corpus import first_chain_config, tower_config
 from test_valmodel import model_from
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_t_index", 2.5),
+        ("max_t_index", 0),
+        ("d_coord_cap", -1),
+        ("d_layer_cap", -2),
+        ("d_coord_cap", True),
+        ("max_value", 20),
+    ],
+)
+def test_search_bounds_refuse_what_no_search_can_use(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: expected a"):
+        SearchBounds(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field}: expected a"):
+        replace(SearchBounds(), **{field: value})
 
 
 def test_search_bounds_defaults():
@@ -180,30 +201,32 @@ def test_m_at_walks_past_unprocessed_rows(state, second_state):
     assert second_state.m_at(1) == 1
 
 
-def test_irreducible_reads_the_chain_records(state, second_state):
+def test_lead_counts_read_the_chain_records(state, second_state):
     # a power of the first chain: y - x has q = 1 in the second model, and
     # first-chain relations count at every before, 0 included
     assert second_state.p_chain[1].q == 1
-    for before in (None, 0, 1):
-        assert not second_state.irreducible(PairVec((0, 1), ()), before=before)
-    assert second_state.irreducible(PairVec((5,), (3,)))
-    # a vanished member: position 11 of the worked example
+    rows = second_state.coordinates(3, 1)
+    for before in (None, 0, 1, 2):
+        assert second_state.lead_counts(rows, before) == [(0, 1, 0, 0)]
+    # a vanished member: position 11 of the worked example gets no row, so
+    # its e_11 is never on the rows and the position adds no lead
     assert state.t_chain[10].poly.is_zero()
-    t11 = PairVec((), (0,) * 10 + (1,))
-    assert not state.irreducible(t11)
-    assert not state.irreducible(t11, before=12)
-    assert state.irreducible(t11, before=11)
+    rows = state.coordinates(2, len(state.t_chain))
+    assert ("t", 11) not in [(kind, idx) for kind, idx, _ in rows]
+    assert state.lead_counts(rows, 12) == state.lead_counts(rows, 11)
     # a minimal vector of a processed position: x*z at position 1
     assert state.t_chain[0].D.members == (PairVec((1,), (1,)),)
-    above = PairVec((2, 3), (1,))
-    assert not state.irreducible(above)
-    assert not state.irreducible(above, before=2)
-    assert state.irreducible(above, before=1)
-    assert state.irreducible(above, before=0)
-    assert state.irreducible(PairVec((0, 2), (5,)))
-    # a skipped position records no relation
+    rows = state.coordinates(2, 1)
+    for before in (None, 2, 3, 27):
+        assert (1, 0, 1) in state.lead_counts(rows, before)
+    for before in (0, 1):
+        assert state.lead_counts(rows, before) == []
+    # a skipped position records no relation, and no later one uses its row
     assert state.t_chain[15].status == "skipped"
-    assert state.irreducible(PairVec((), (0,) * 15 + (7,)))
+    rows = state.coordinates(2, len(state.t_chain))
+    t16 = rows.index(("t", 16, state.t_chain[15].gamma))
+    assert state.lead_counts(rows, 17) == state.lead_counts(rows, 16)
+    assert not any(lead[t16] for lead in state.lead_counts(rows))
 
 
 def test_value_bookkeeping(state):
@@ -225,39 +248,66 @@ def test_value_bookkeeping(state):
     assert state.value_of(PairVec((), ())).is_zero()
 
 
-@pytest.mark.parametrize("which", ["state", "state_30"])
+CONFIG_FILES = {
+    "tower.json": Path(__file__).with_name("tower.json"),
+    "second.json": Path(__file__).parents[1] / "perfbench/configs/second.json",
+}
+
+
+def corpus_state(request, which):
+    """A built model for the layout tests: a fixture of this suite, a
+    config file, a tower_config seed or first_chain_config(1) or (2)."""
+    if which in ("state", "state_30"):
+        return request.getfixturevalue(which)
+    if which in CONFIG_FILES:
+        model, bounds, _, _ = load_config(str(CONFIG_FILES[which]))
+    else:
+        if which in ("q1", "q2"):
+            cfg = first_chain_config(int(which[1]))
+        else:
+            cfg = tower_config(which)
+        model, bounds, _, _ = parse_config(cfg, str(which))
+    if which == 1:
+        # its full 64 members take seconds of polynomial products
+        bounds = replace(bounds, max_t_index=32)
+    return build_state(model, bounds=bounds)
+
+
+@pytest.mark.parametrize(
+    "which", ["state", "state_30", *CONFIG_FILES, 0, 1, 2, 3, 4, "q1", "q2"]
+)
 def test_coordinate_rows_round_trip(request, which):
-    # past the zero positions 11, 12 and 18 a row's place in the layout and
-    # its member index differ
-    st = request.getfixturevalue(which)
+    # past the worked example's zero positions 11, 12 and 18 a row's place
+    # in the layout and its member index differ
+    st = corpus_state(request, which)
     rng = random.Random(5)
-    for k, i in ((1, 0), (2, 10), (1, 13), (2, 19), (2, 25)):
-        rows = st.coordinates(k, i)
-        assert [idx for kind, idx, _ in rows if kind == "p"] == list(
-            range(1, k + 1)
-        )
-        zero = {rec.index for rec in st.t_chain[:i] if rec.gamma.is_zero()}
-        t_rows = [idx for kind, idx, _ in rows if kind == "t"]
-        assert t_rows == [j for j in range(1, i + 1) if j not in zero]
-        vals = [val for *_, val in rows]
-        for _ in range(10):
+    t_len = len(st.t_chain)
+    leads = {b: oracles.relation_leads(st, b) for b in (None, *range(t_len + 2))}
+    kept = left_out = 0
+    for k in range(1, len(st.p_chain) + 1):
+        for i in range(t_len + 1):
+            rows = st.coordinates(k, i)
+            assert [idx for kind, idx, _ in rows if kind == "p"] == list(
+                range(1, k + 1)
+            )
+            zero = {rec.index for rec in st.t_chain[:i] if rec.gamma.is_zero()}
+            t_rows = [idx for kind, idx, _ in rows if kind == "t"]
+            assert t_rows == [j for j in range(1, i + 1) if j not in zero]
+            vals = [val for *_, val in rows]
             counts = [rng.randint(0, 3) for _ in rows]
             assert st.value_of(vec_over(rows, counts)) == combination(
                 counts, vals, st.basis
             )
-        # lead_counts writes each lead on the rows back onto them and
-        # leaves out a lead with an entry off the rows: a zero position's
-        # e_j, a q*e_j beyond p_k, or a D member past t_i
-        leads = st.leads()
-        on = [
-            lead
-            for lead in leads
-            if len(lead.p) <= k
-            and not any(c and j not in t_rows for j, c in enumerate(lead.t, 1))
-        ]
-        got = st.lead_counts(rows)
-        assert [vec_over(rows, c) for c in got] == on
-        assert len(on) < len(leads) and (on or i == 0)
+            # lead_counts writes each lead on the rows onto them and leaves
+            # out a lead with an entry off the rows: a zero position's e_j,
+            # a q*e_j beyond p_k, or a D member past t_i
+            for before in (None, 0, i, i + 1):
+                want = oracles.on_rows(leads[before], rows)
+                got = st.lead_counts(rows, before)
+                assert Counter(got) == Counter(want), (k, i, before)
+                kept += len(want)
+                left_out += len(leads[before]) - len(want)
+    assert kept and left_out
 
 
 def test_polynomials_realize_their_values(state):
@@ -268,7 +318,7 @@ def test_polynomials_realize_their_values(state):
         p = tuple(rng.randint(0, 2) for _ in state.p_chain)
         t = tuple(rng.randint(0, 1) if j < 4 else 0 for j in range(26))
         vec = PairVec(p, t)
-        if vec.is_zero():
+        if not vec.p and not vec.t:
             continue
         assert state.model.nu(state.poly_of(vec)) == state.value_of(vec)
     v = PairVec((1, 2), (3,))

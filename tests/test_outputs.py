@@ -59,7 +59,7 @@ def test_generators_form_minimal_antichain(state):
     members = ideal_generators(state, sigma).members
     for v in members:
         for w in members:
-            assert v == w or not v.dominates(w)
+            assert v == w or not oracles.dominates(v, w)
     # dropping any single variable from a member falls below the threshold
     rows = {("p", r.index): r.beta for r in state.p_chain}
     rows.update({("t", r.index): r.gamma for r in state.t_chain})
@@ -288,8 +288,8 @@ def test_index_answers_match_brute_force_in_any_order(request, which):
 
 def padded(vec, p_len, t_len):
     """The exponents of vec padded with zeros to the chains' lengths."""
-    return [vec.p_at(j) for j in range(1, p_len + 1)] + [
-        vec.t_at(j) for j in range(1, t_len + 1)
+    return [oracles.entry(vec, "p", j) for j in range(1, p_len + 1)] + [
+        oracles.entry(vec, "t", j) for j in range(1, t_len + 1)
     ]
 
 
@@ -376,7 +376,7 @@ def test_certificate_combos_are_triangular(request, which):
         assert len(set(values)) == len(values)
         assert min(values) == state.t_chain[j - 1].gamma
         for v in vecs:
-            assert state.irreducible(v)
+            assert oracles.irreducible(state, v)
         for mu, _ in cert.combo:
             assert mu != 0
 
@@ -456,7 +456,7 @@ def test_survey_cut_keeps_exactly_the_filtered_solutions(
                     for counts in solutions(solver, alpha)
                     if not counts[own]
                     and sum(map(mul, counts, degs)) <= cap
-                    and st.irreducible(vec_over(rows, counts))
+                    and oracles.irreducible(st, vec_over(rows, counts))
                 ]
                 assert list(solutions(solver, alpha, *cut)) == want
                 checked += 1
