@@ -195,11 +195,15 @@ def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
 
     outputs = _section(cfg, "outputs", _OUTPUT_DEFAULTS, where)
     for key in ("redundancy_value_slack", "semigroup_cap"):
-        _parse_text(parse_value, outputs[key], f"{where}.outputs.{key}", basis)
-    if not _is_int(outputs["redundancy_degree_cap"]):
-        raise ConfigError(
-            f"{where}.outputs.redundancy_degree_cap: expected an integer"
-        )
+        got = _parse_text(parse_value, outputs[key], f"{where}.outputs.{key}",
+                          basis)
+        # a negative slack would leave every eligible member undecided
+        if key == "redundancy_value_slack" and got.sign() < 0:
+            raise ConfigError(f"{where}.outputs.{key}: must not be negative")
+    degree_cap = outputs["redundancy_degree_cap"]
+    if not _is_int(degree_cap) or degree_cap < 0:
+        raise ConfigError(f"{where}.outputs.redundancy_degree_cap: "
+                          "expected a nonnegative integer")
 
     echo = {
         "basis": list(basis.radicands),

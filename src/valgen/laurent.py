@@ -13,9 +13,11 @@ product runs on plain integers: each operand's coefficients become integer
 numerators over that operand's common denominator, and one Fraction is
 made per result term.
 
-Variable names follow the usual identifier rules but may also contain
-apostrophes after the first character, so a primed coordinate like z'
-is a single variable.
+``parse_polynomial`` reads the ``text`` form back with a parser built on
+``values.Scanner``, so whitespace, ``n/d`` numbers and errors read as in
+``parse_value``.  Variable names follow the usual identifier rules but
+may also contain apostrophes after the first character, so a primed
+coordinate like z' is a single variable.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ from math import lcm
 from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
-from .errors import NonInvertibleSubstitution, ParseError
+from .errors import NonInvertibleSubstitution
+from .values import Scanner
 
 Rational = Union[int, Fraction]
 Term = tuple[tuple[int, ...], Fraction]
@@ -278,12 +281,7 @@ class LaurentPoly:
             return "0"
         chunks: list[str] = []
         for i, (exp, c) in enumerate(self.terms):
-            factors = []
-            if c.denominator == 1:
-                coeff_text = str(abs(c.numerator))
-            else:
-                coeff_text = f"{abs(c.numerator)}/{c.denominator}"
-            factors.append(coeff_text)
+            factors = [str(abs(c))]
             for name, e in zip(self.vars, exp):
                 if e == 0:
                     continue
@@ -304,136 +302,64 @@ class LaurentPoly:
 
 # -- parser -----------------------------------------------------------------
 #
-# expr   := ['-'] term (('+'|'-') term)*
+# expr   := ['+'|'-'] term (('+'|'-') term)*
 # term   := factor ('*' factor)*
 # factor := atom ['^' ['-'] integer]
 # atom   := name | rational | '(' expr ')'
 # Adjacency does not multiply; '*' is required between factors.
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
-
-
-class _Parser:
+class _Parser(Scanner):
     def __init__(self, text: str, vars_: tuple[str, ...]):
-        self.text = text
+        super().__init__(text)
         self.vars = vars_
-        self.pos = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def read_int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def read_name(self) -> str:
-        start = self.pos
-        self.pos += 1
-        while self.pos < len(self.text) and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start : self.pos]
 
     def parse_expr(self) -> LaurentPoly:
-        self.skip_ws()
-        sign_ = 1
-        if self.peek() == "-":
-            sign_ = -1
-            self.pos += 1
-        elif self.peek() == "+":
-            self.pos += 1
+        negate = self.take("+-") == "-"
         out = self.parse_term()
-        if sign_ < 0:
+        if negate:
             out = -out
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch != "+" and ch != "-":
-                return out
-            self.pos += 1
+        while op := self.take("+-"):
             nxt = self.parse_term()
-            out = out + nxt if ch == "+" else out - nxt
+            out = out + nxt if op == "+" else out - nxt
+        return out
 
     def parse_term(self) -> LaurentPoly:
         out = self.parse_factor()
-        while True:
-            self.skip_ws()
-            if self.peek() != "*":
-                return out
-            self.pos += 1
+        while self.take("*"):
             out = out * self.parse_factor()
+        return out
 
     def parse_factor(self) -> LaurentPoly:
         self.skip_ws()
         at = self.pos
         base = self.parse_atom()
-        self.skip_ws()
-        if self.peek() != "^":
+        if not self.take("^"):
             return base
-        self.pos += 1
         self.skip_ws()
-        neg = False
-        if self.peek() == "-":
-            neg = True
-            self.pos += 1
+        neg = bool(self.take("-"))
         n = self.read_int()
         if neg and not base.is_monomial():
-            self.pos = at
-            raise self.error("negative power of a non-monomial")
+            raise self.error("negative power of a non-monomial", at)
         return base ** (-n if neg else n)
 
     def parse_atom(self) -> LaurentPoly:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        if self.take("("):
             inner = self.parse_expr()
-            self.skip_ws()
             self.expect(")")
             return inner
-        if _is_name_start(ch):
+        ch = self.peek()
+        if ch.isalpha() or ch == "_":
             at = self.pos
-            name = self.read_name()
+            self.pos += 1
+            while self.peek().isalnum() or self.peek() in ("_", "'"):
+                self.pos += 1
+            name = self.text[at : self.pos]
             if name not in self.vars:
-                self.pos = at
-                raise self.error(f"unknown variable {name!r}")
+                raise self.error(f"unknown variable {name!r}", at)
             return LaurentPoly.variable(self.vars, name)
         if ch.isdigit():
-            num = self.read_int()
-            save = self.pos
-            self.skip_ws()
-            if self.peek() == "/":
-                self.pos += 1
-                self.skip_ws()
-                at = self.pos
-                den = self.read_int()
-                if den == 0:
-                    self.pos = at
-                    raise self.error("zero denominator")
-                return LaurentPoly.constant(self.vars, Fraction(num, den))
-            self.pos = save
-            return LaurentPoly.constant(self.vars, num)
+            return LaurentPoly.constant(self.vars, self.read_rational())
         raise self.error("expected a variable, number, or '('")
 
 
@@ -445,7 +371,5 @@ def parse_polynomial(text: str, vars_: Sequence[str]) -> LaurentPoly:
     """
     p = _Parser(text, tuple(vars_))
     out = p.parse_expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise p.error("unexpected trailing text")
+    p.finish()
     return out

@@ -274,6 +274,8 @@ def redundancy_certificate(
     """
     if not 1 <= target <= len(state.t_chain):
         raise ValueError(f"no second-chain member {target}")
+    if degree_cap < 0:
+        raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     rec = state.t_chain[target - 1]
     if rec.poly.is_zero():
         return RedundancyCertificate(target, "zero")

@@ -37,6 +37,10 @@ threshold index in ``outputs`` carries lo/hi along its walk over integer
 numerator tuples over one common denominator (``over_common_den``), and
 orders the distinct values it finds with ``value_order``, which compares
 two tuples exactly only when their enclosures overlap.
+
+``parse_value`` reads the ``exact_str`` form with ``Scanner``, which the
+polynomial parser in ``laurent`` extends, and builds one Value from one
+coefficient per radicand.
 """
 from __future__ import annotations
 
@@ -464,87 +468,112 @@ def combination(
 # -- parsing -----------------------------------------------------------
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+class Scanner:
+    """A cursor over text, with the readers both text formats share.
 
+    Errors are ParseErrors at the cursor, or at a position the caller
+    names.
+    """
 
-def _read_int(text: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError("expected an integer", start)
-    return int(text[start:pos]), pos
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
 
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(message, self.pos if pos is None else pos)
 
-def _read_rational(text: str, pos: int) -> tuple[Fraction, int]:
-    num, pos = _read_int(text, pos)
-    save = pos
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == "/":
-        pos = _skip_ws(text, pos + 1)
-        den, pos = _read_int(text, pos)
+    def skip_ws(self) -> None:
+        while self.peek().isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        """The next character, or '' at the end."""
+        return self.text[self.pos : self.pos + 1]
+
+    def take(self, chars: str) -> str:
+        """Skip whitespace and consume the next character if it is one of
+        chars, returning it; otherwise return '' and leave the cursor
+        where it was."""
+        start = self.pos
+        self.skip_ws()
+        ch = self.peek()
+        if ch and ch in chars:
+            self.pos += 1
+            return ch
+        self.pos = start
+        return ""
+
+    def expect(self, ch: str, message: str | None = None) -> None:
+        """Skip whitespace and consume ch, or fail where it should be."""
+        self.skip_ws()
+        if not self.take(ch):
+            raise self.error(message or f"expected {ch!r}")
+
+    def finish(self) -> None:
+        """Fail unless only whitespace is left."""
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing text")
+
+    def read_int(self) -> int:
+        """An unsigned integer, at the cursor."""
+        start = self.pos
+        while self.peek().isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def read_rational(self) -> Rational:
+        """An integer n at the cursor, or n/d with optional whitespace
+        around '/'.  A zero d is reported at the end of n."""
+        num = self.read_int()
+        end = self.pos
+        if not self.take("/"):
+            return num
+        self.skip_ws()
+        den = self.read_int()
         if den == 0:
-            raise ParseError("zero denominator", save)
-        return Fraction(num, den), pos
-    return Fraction(num), save
+            raise self.error("zero denominator", end)
+        return Fraction(num, den)
 
 
 def parse_value(text: str, basis: RadicalBasis) -> Value:
     """Parse text like ``2*sqrt(2) - 1`` or ``7/2`` into a Value.
 
     Terms are rationals, ``sqrt(r)``, or ``q*sqrt(r)`` with r a basis
-    radicand, joined by ``+`` and ``-``.  Raises ParseError with the
-    offending position otherwise.
+    radicand, joined by ``+`` and ``-``; the first may carry a sign.
+    Raises ParseError with the offending position otherwise.
     """
-    pos = _skip_ws(text, 0)
-    if pos == len(text):
-        raise ParseError("empty value", pos)
-    total = basis.zero()
-    sign_ = 1
-    first = True
+    s = Scanner(text)
+    s.skip_ws()
+    if s.pos == len(text):
+        raise s.error("empty value")
+    coeffs = dict.fromkeys(basis.radicands, 0)
+    op = s.take("+-")
     while True:
-        pos = _skip_ws(text, pos)
-        if not first or (pos < len(text) and text[pos] in "+-"):
-            if pos >= len(text) or text[pos] not in "+-":
-                raise ParseError("expected '+' or '-'", pos)
-            sign_ = 1 if text[pos] == "+" else -1
-            pos = _skip_ws(text, pos + 1)
-        first = False
+        s.skip_ws()
         # term: sqrt(r) | rational [* sqrt(r)]; a bare rational is over sqrt(1)
-        rad = 1
-        if text.startswith("sqrt", pos):
-            coeff = Fraction(1)
-        else:
-            if pos >= len(text) or not text[pos].isdigit():
-                raise ParseError("expected a number or sqrt(...)", pos)
-            coeff, pos = _read_rational(text, pos)
-            save = pos
-            pos = _skip_ws(text, pos)
-            if pos < len(text) and text[pos] == "*":
-                pos = _skip_ws(text, pos + 1)
-                if not text.startswith("sqrt", pos):
-                    raise ParseError("expected sqrt(...) after '*'", pos)
-            else:
-                pos = save
-        if text.startswith("sqrt", pos):
-            pos = _skip_ws(text, pos + 4)
-            if pos >= len(text) or text[pos] != "(":
-                raise ParseError("expected '(' after sqrt", pos)
-            pos = _skip_ws(text, pos + 1)
-            rad_pos = pos
-            rad, pos = _read_int(text, pos)
-            pos = _skip_ws(text, pos)
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError("expected ')'", pos)
-            pos += 1
-            if rad not in basis.radicands:
-                raise ParseError(f"radicand {rad} is not in the basis", rad_pos)
-        total = total + basis.root(rad, coeff * sign_)
-        pos = _skip_ws(text, pos)
-        if pos == len(text):
-            return total
-        if text[pos] not in "+-":
-            raise ParseError("unexpected trailing text", pos)
+        rad, coeff = 1, 1
+        if not text.startswith("sqrt", s.pos):
+            if not s.peek().isdigit():
+                raise s.error("expected a number or sqrt(...)")
+            coeff = s.read_rational()
+            if s.take("*"):
+                s.skip_ws()
+                if not text.startswith("sqrt", s.pos):
+                    raise s.error("expected sqrt(...) after '*'")
+        if text.startswith("sqrt", s.pos):
+            s.pos += 4
+            s.expect("(", "expected '(' after sqrt")
+            s.skip_ws()
+            rad_pos = s.pos
+            rad = s.read_int()
+            s.expect(")")
+            if rad not in coeffs:
+                raise s.error(f"radicand {rad} is not in the basis", rad_pos)
+        coeffs[rad] += -coeff if op == "-" else coeff
+        op = s.take("+-")
+        if not op:
+            s.finish()
+            return basis.from_coeffs(coeffs.values())

@@ -169,6 +169,17 @@ def test_build_reports_unwritable_out(second_config, tmp_path, capsys):
         (lambda c: c.update(bounds={"d_coord_cap": True}), "bounds.d_coord_cap"),
         (lambda c: c.update(outputs={"redundancy_degree_cap": False}),
          "outputs.redundancy_degree_cap"),
+        # explicit ids keep the ids of the rows above unnumbered
+        pytest.param(
+            lambda c: c.update(outputs={"redundancy_degree_cap": -1}),
+            "outputs.redundancy_degree_cap",
+            id="negative-degree-cap",
+        ),
+        pytest.param(
+            lambda c: c.update(outputs={"redundancy_value_slack": "-1/2"}),
+            "outputs.redundancy_value_slack",
+            id="negative-value-slack",
+        ),
         (lambda c: c.update(basis=[1, 2.9, 3]), "basis[1]"),
         (lambda c: c.update(basis=[True, 2, 3]), "basis[0]"),
     ],

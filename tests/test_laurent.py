@@ -177,6 +177,17 @@ def test_negative_power_of_a_non_monomial_is_a_parse_error(text, pos):
     assert exc.value.pos == pos
 
 
+@pytest.mark.parametrize(
+    "text, pos", [("1/0", 1), ("x + 7/0", 5), ("x + 7 / 0", 5)]
+)
+def test_zero_denominator_is_reported_after_the_numerator(text, pos):
+    # where parse_value reports it too: both read n/d with one scanner
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, XY)
+    assert exc.value.bare_message == "zero denominator"
+    assert exc.value.pos == pos
+
+
 @given(polys())
 def test_text_round_trip(f):
     assert parse_polynomial(f.text(), XY) == f

@@ -202,7 +202,7 @@ def test_value_order_on_near_ties(fallbacks):
     assert len(fallbacks) == 4 * len(pairs)
 
 
-def test_value_order_fails_under_a_mutant(monkeypatch):
+def test_value_comparisons_fail_under_a_mutant(monkeypatch):
     pairs = value_pairs()
     expected = [exact_order(a, b) for a, b in pairs]
     monkeypatch.setattr(values, "int_vec_sign", trusts_a)

@@ -390,6 +390,16 @@ def test_single_certificates_match_survey(state, survey):
         redundancy_certificate(state, 99)
 
 
+@pytest.mark.parametrize(
+    "target, at_zero", [(3, "not_eligible"), (5, "undecided"), (11, "zero")]
+)
+def test_a_negative_degree_cap_is_refused(state, target, at_zero):
+    # checked before the early returns for ineligible and vanished members
+    with pytest.raises(ValueError, match="degree_cap"):
+        redundancy_certificate(state, target, degree_cap=-1)
+    assert redundancy_certificate(state, target, degree_cap=0).status == at_zero
+
+
 @pytest.fixture(scope="module")
 def up_to_17(state):
     return oracles.vectors_up_to(state, state.basis.rational(17))

@@ -248,6 +248,7 @@ def test_parse_accepts_flexible_forms():
         ("sqrt(2", 6),
         ("sqrt 2", 5),
         ("1 ++ 2", 3),
+        ("2 sqrt(2)", 2),
         ("7/0", 1),
     ],
 )
