@@ -205,11 +205,11 @@ class SemigroupSolver:
     suffix of ``gvecs`` ``normals`` holds integer vectors h with h.g >= 0
     on that suffix, enough to cut out its cone, so a generator's count
     ranges exactly over the n that keep the rest inside the next suffix's
-    cone.  A subproblem searched to the end without a solution is
-    memoized as failed; a search cut by leads or a degree cap reads that
-    memo but never adds to it.  A chain state keeps one instance per
-    generator tuple for the length of its build.  ``queries`` and
-    ``nodes`` count calls of ``contains`` and search nodes.
+    cone.  A solver keeps no memo of answers: it holds what its
+    generators determine (``normals`` and the search steps) and two
+    counters, ``queries`` and ``nodes``, of calls of ``contains`` and
+    search nodes.  A chain state shares one instance per generator tuple
+    for the length of its build, so the normals are computed once.
     """
 
     def __init__(self, gens: Sequence[Value]):
@@ -268,7 +268,6 @@ class SemigroupSolver:
         for j, g in enumerate(gvecs):
             dots = [(h, _dot(h, g)) for h in normals[j + 1]]
             self._steps.append([(h, d) for h, d in dots if d])
-        self._fail: set[tuple[int, tuple[int, ...]]] = set()
         self.queries = 0
         self.nodes = 0
 
@@ -357,9 +356,6 @@ class SemigroupSolver:
             # positive generators: only the zero counts sum to zero
             yield (0,) * (self.count - j)
             return
-        key = (j, rem)
-        if key in self._fail:
-            return
         lo = 0
         hi: Optional[int] = None
         for h, d in self._steps[j]:
@@ -377,19 +373,12 @@ class SemigroupSolver:
             prefix, limit = cut
             hi = limit(j, hi)
         g = self.gvecs[j]
-        found = False
         for n in range(lo, hi + 1):
             if cut is not None:
                 prefix[j] = n
             sub = tuple(a - n * b for a, b in zip(rem, g))
             for got in self._counts(j + 1, sub, cut):
-                found = True
                 yield (n,) + got
-        # only a subtree searched to the end without a solution is a
-        # failure; a caller that stops early never reaches this line, and
-        # a cut search says nothing about the solutions it cut
-        if not found and cut is None:
-            self._fail.add(key)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

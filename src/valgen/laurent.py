@@ -44,12 +44,6 @@ def _sorted_terms(raw: Mapping[tuple[int, ...], Fraction]) -> tuple[Term, ...]:
     return tuple(terms)
 
 
-def _check_exponents(e: tuple) -> None:
-    # a float would be truncated or turned into a binary fraction
-    if not all(type(x) is not bool and isinstance(x, int) for x in e):
-        raise TypeError(f"exponents must be integers, got {e!r}")
-
-
 def _numerators(
     terms: tuple[Term, ...]
 ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
@@ -76,7 +70,9 @@ class LaurentPoly:
             e = tuple(exp)
             if len(e) != len(vars_):
                 raise ValueError("exponent length does not match variables")
-            _check_exponents(e)
+            # a float would be truncated or turned into a binary fraction
+            if not all(type(x) is not bool and isinstance(x, int) for x in e):
+                raise TypeError(f"exponents must be integers, got {e!r}")
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(
                     f"coefficients must be int or Fraction, got {c!r}"
@@ -141,14 +137,6 @@ class LaurentPoly:
             return None
         return max(sum(exp) for exp, _ in self.terms)
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        key = tuple(exponents)
-        _check_exponents(key)
-        for exp, c in self.terms:
-            if exp == key:
-                return c
-        return Fraction(0)
-
     def _check_vars(self, other: "LaurentPoly") -> None:
         if self.vars != other.vars:
             raise ValueError("polynomials live over different variables")
@@ -196,8 +184,6 @@ class LaurentPoly:
     def scale(self, c: Rational) -> "LaurentPoly":
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"scalars must be int or Fraction, got {c!r}")
-        if c == 0:
-            return LaurentPoly.zero(self.vars)
         return self._from_raw(self.vars, {e: k * c for e, k in self.terms})
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -358,7 +344,7 @@ class _Parser(Scanner):
             if name not in self.vars:
                 raise self.error(f"unknown variable {name!r}", at)
             return LaurentPoly.variable(self.vars, name)
-        if ch.isdigit():
+        if ch.isdecimal():
             return LaurentPoly.constant(self.vars, self.read_rational())
         raise self.error("expected a variable, number, or '('")
 

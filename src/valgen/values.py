@@ -142,8 +142,6 @@ def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
     """-1, 0, or +1: the sign of sum(vec_k * sqrt(r_k)).  Exact."""
     if not any(vec):
         return 0
-    if not any(vec[1:]):
-        return 1 if vec[0] > 0 else -1
     bits = FIXED_BITS
     while True:
         lo, hi = int_vec_bounds(vec, radicands, bits)
@@ -292,12 +290,6 @@ class Value:
         if not isinstance(other, Value):
             return NotImplemented
         self._check_basis(other)
-        if self.den == other.den:
-            return Value(
-                self.basis,
-                tuple(a + b for a, b in zip(self.nums, other.nums)),
-                self.den,
-            )
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         return Value(
@@ -362,10 +354,7 @@ class Value:
             return 1
         if hi1 * da < lo2 * db:
             return -1
-        if da == db:
-            diff = [a - b for a, b in zip(self.nums, other.nums)]
-        else:
-            diff = [a * da - b * db for a, b in zip(self.nums, other.nums)]
+        diff = [a * da - b * db for a, b in zip(self.nums, other.nums)]
         return int_vec_sign(diff, self.basis.radicands)
 
     def __lt__(self, other: "Value") -> bool:
@@ -516,9 +505,10 @@ class Scanner:
             raise self.error("unexpected trailing text")
 
     def read_int(self) -> int:
-        """An unsigned integer, at the cursor."""
+        """An unsigned integer, at the cursor: decimal digits, the only
+        ones int() reads (``isdigit`` also passes superscripts)."""
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
@@ -553,17 +543,19 @@ def parse_value(text: str, basis: RadicalBasis) -> Value:
     op = s.take("+-")
     while True:
         s.skip_ws()
-        # term: sqrt(r) | rational [* sqrt(r)]; a bare rational is over sqrt(1)
+        # term: sqrt(r) | rational [* sqrt(r)]; a bare rational is over
+        # sqrt(1), and only '*' joins a rational to sqrt
         rad, coeff = 1, 1
-        if not text.startswith("sqrt", s.pos):
-            if not s.peek().isdigit():
+        root = text.startswith("sqrt", s.pos)
+        if not root:
+            if not s.peek().isdecimal():
                 raise s.error("expected a number or sqrt(...)")
             coeff = s.read_rational()
-            if s.take("*"):
+            if root := bool(s.take("*")):
                 s.skip_ws()
                 if not text.startswith("sqrt", s.pos):
                     raise s.error("expected sqrt(...) after '*'")
-        if text.startswith("sqrt", s.pos):
+        if root:
             s.pos += 4
             s.expect("(", "expected '(' after sqrt")
             s.skip_ws()

@@ -22,6 +22,12 @@ def naive_poly_mul(terms1, terms2):
     return {exp: c for exp, c in out.items() if c != 0}
 
 
+def coefficient(f, exponents):
+    """The coefficient of the term with the given exponents in the
+    LaurentPoly f; 0 when f has no such term."""
+    return dict(f.terms).get(tuple(exponents), 0)
+
+
 def least_terms(terms, values, zero):
     """The least value of sum(e_k * values_k) over the exponents of terms,
     by Value sums and compares, and every term that attains it."""

@@ -182,6 +182,10 @@ def test_build_reports_unwritable_out(second_config, tmp_path, capsys):
         ),
         (lambda c: c.update(basis=[1, 2.9, 3]), "basis[1]"),
         (lambda c: c.update(basis=[True, 2, 3]), "basis[0]"),
+        # a superscript digit passes str.isdigit but not int()
+        (lambda c: c.update(ambient_values=["²", "sqrt(2)", "sqrt(3)"]),
+         "ambient_values[0]"),
+        (lambda c: c["images"].update(z="u3^²"), "images.z"),
     ],
 )
 def test_malformed_config_types_exit_2(tmp_path, mutate, key):

@@ -131,7 +131,7 @@ def test_members_are_monic_in_second_variable(second_state):
     for rec in second_state.p_chain[1:]:
         exps = {e for e, _ in rec.poly.terms}
         deg_y = max(e[1] for e in exps)
-        assert rec.poly.coefficient((0, deg_y, 0)) == 1
+        assert oracles.coefficient(rec.poly, (0, deg_y, 0)) == 1
         assert deg_y == expected_degree
         if rec.q is not None:
             expected_degree *= rec.q
@@ -436,5 +436,8 @@ def test_tower_builds_at_default_bounds():
     assert chain_digest(state) == (
         "79d32ea0bc0c8b36b111f91a88d6a245853d9747f7959db7ded3567753e3ecc1"
     )
-    # the build makes about 6,300 search nodes
-    assert sum(s.nodes for s in state._solvers.values()) <= 20_000
+    # the build makes 1,647 queries and 4,865 search nodes; without the
+    # member memo or the zero probe of minimal_pushing_set it makes more
+    solvers = state._solvers.values()
+    assert sum(s.queries for s in solvers) <= 1_647
+    assert sum(s.nodes for s in solvers) <= 5_300

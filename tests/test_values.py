@@ -234,6 +234,9 @@ def test_parse_accepts_flexible_forms():
     assert parse_value("7/2", B) == B.rational(Fraction(7, 2))
     assert parse_value("sqrt(2)", B) == B.root(2)
     assert parse_value("1/2*sqrt(51)", B) == B.root(51, Fraction(1, 2))
+    for text in ("2*sqrt(2)", "2 * sqrt(2)"):
+        assert parse_value(text, B) == B.root(2, 2)
+    assert parse_value("- sqrt(2)", B) == B.root(2, -1)
     assert parse_value("  3 + 0*sqrt(2) ", B) == B.rational(3)
 
 
@@ -250,6 +253,12 @@ def test_parse_accepts_flexible_forms():
         ("1 ++ 2", 3),
         ("2 sqrt(2)", 2),
         ("7/0", 1),
+        # int() reads only decimal digits, isdigit() passes superscripts
+        ("²", 0),
+        ("1/²", 2),
+        ("sqrt(²)", 5),
+        # only '*' joins a rational to sqrt, as in the polynomial grammar
+        ("2sqrt(2)", 1),
     ],
 )
 def test_parse_errors_carry_positions(text, pos):
