@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import le, lt, mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InternalConsistencyError, NotInSemigroupError
 from .values import Value, combination
@@ -83,6 +83,14 @@ def graded_key(counts: tuple[int, ...]) -> tuple:
     over the rows of ``coordinates``, which follow the padded layout of
     the two chains and leave out only rows that are always zero."""
     return sum(counts), counts
+
+
+def graded_sorted(vecs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``sorted(vecs, key=graded_key)``, by two sorts that call no Python
+    key per vector: lexicographically, then stably by total weight."""
+    out = sorted(vecs)
+    out.sort(key=sum)
+    return out
 
 
 # -- column echelon form ---------------------------------------------------

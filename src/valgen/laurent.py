@@ -17,13 +17,15 @@ made per result term.
 ``values.Scanner``, so whitespace, ``n/d`` numbers and errors read as in
 ``parse_value``.  Variable names follow the usual identifier rules but
 may also contain apostrophes after the first character, so a primed
-coordinate like z' is a single variable.
+coordinate like z' is a single variable.  A product or power whose
+result could pass ``MAX_EXPANSION_BITS``, as reckoned from its operands,
+is refused before it is computed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
@@ -32,6 +34,13 @@ from .values import Scanner
 
 Rational = Union[int, Fraction]
 Term = tuple[tuple[int, ...], Fraction]
+
+# the most the parser lets one product or power make, in bits: a bound
+# on the result's terms times the bits of its coefficients over their
+# common denominator (``_expansion_bits``), reckoned from the operands
+# before anything is multiplied.  Past it a text could keep the parser
+# computing, and growing memory, before any search bound applies.
+MAX_EXPANSION_BITS = 1 << 16
 
 
 _EXPONENTS = itemgetter(0)
@@ -295,6 +304,35 @@ class LaurentPoly:
 # Adjacency does not multiply; '*' is required between factors.
 
 
+def _coeff_bits(f: LaurentPoly) -> int:
+    """Bits of f's coefficients: ceil(log2) of their largest numerator over
+    the common denominator plus ceil(log2) of that denominator, so 0 for
+    coefficients of 1 and -1."""
+    den, nums = _numerators(f.terms)
+    top = max((abs(n) for _, n in nums), default=1)
+    return (top - 1).bit_length() + (den - 1).bit_length()
+
+
+def _expansion_bits(f: LaurentPoly, g: LaurentPoly | None, n: int = 1) -> int:
+    """A bound on the size of f*g, or of f^n when g is None: its terms,
+    times one plus the bits of its coefficients.
+
+    f*g has at most s*t terms for s and t terms in f and g, each a sum of
+    at most min(s, t) products; f^n has at most comb(n + t - 1, t - 1)
+    terms, one per multiset of n of f's t terms, whose coefficients sum
+    at most t^n products.  A monomial's power keeps one term and reaches
+    n times its coefficient's bits."""
+    t = len(f.terms)
+    if g is None:
+        terms = comb(n + t - 1, t - 1) if t else 0
+        bits = n * (_coeff_bits(f) + (t - 1).bit_length())
+    else:
+        s = len(g.terms)
+        terms = s * t
+        bits = _coeff_bits(f) + _coeff_bits(g) + (min(s, t) - 1).bit_length()
+    return terms * (bits + 1)
+
+
 class _Parser(Scanner):
     def __init__(self, text: str, vars_: tuple[str, ...]):
         super().__init__(text)
@@ -313,7 +351,14 @@ class _Parser(Scanner):
     def parse_term(self) -> LaurentPoly:
         out = self.parse_factor()
         while self.take("*"):
-            out = out * self.parse_factor()
+            self.skip_ws()
+            at = self.pos
+            nxt = self.parse_factor()
+            if _expansion_bits(out, nxt) > MAX_EXPANSION_BITS:
+                raise self.error(
+                    f"product exceeds {MAX_EXPANSION_BITS} bits", at
+                )
+            out = out * nxt
         return out
 
     def parse_factor(self) -> LaurentPoly:
@@ -323,10 +368,17 @@ class _Parser(Scanner):
         if not self.take("^"):
             return base
         self.skip_ws()
+        exp_at = self.pos
         neg = bool(self.take("-"))
         n = self.read_int()
         if neg and not base.is_monomial():
             raise self.error("negative power of a non-monomial", at)
+        if _expansion_bits(base, None, n) > MAX_EXPANSION_BITS:
+            raise self.error(
+                f"power {'-' if neg else ''}{n} exceeds "
+                f"{MAX_EXPANSION_BITS} bits",
+                exp_at,
+            )
         return base ** (-n if neg else n)
 
     def parse_atom(self) -> LaurentPoly:
@@ -345,7 +397,7 @@ class _Parser(Scanner):
                 raise self.error(f"unknown variable {name!r}", at)
             return LaurentPoly.variable(self.vars, name)
         if ch.isdecimal():
-            return LaurentPoly.constant(self.vars, self.read_rational())
+            return LaurentPoly.constant(self.vars, Fraction(*self.read_ratio()))
         raise self.error("expected a variable, number, or '('")
 
 
@@ -353,7 +405,8 @@ def parse_polynomial(text: str, vars_: Sequence[str]) -> LaurentPoly:
     """Parse text like ``x*z - y^2`` over the given variables.
 
     Raises ParseError with a character position on malformed input,
-    unknown variable names or a negative power of a non-monomial.
+    unknown variable names, a negative power of a non-monomial, or a
+    product or power whose result could exceed MAX_EXPANSION_BITS.
     """
     p = _Parser(text, tuple(vars_))
     out = p.parse_expr()

@@ -8,21 +8,27 @@ associated graded ring, and slices of the value semigroup.
 The threshold queries (``ideal_generators``, ``semigroup_values_up_to``)
 are answered from one index per state (``_ThresholdIndex``): every
 monomial that can be a generator at a threshold up to the index's top,
-sorted by value once.  A query at or below the top costs bisections; one
-above it, or over changed chain rows, replaces the index.
+sorted by value once and numbered in the order of an answer.  A query at
+or below the top places its threshold and window ends among the sorted
+values on integer keys (``_ThresholdIndex.locate``), compares values
+exactly only where their 64-bit enclosures overlap, and keeps, in order,
+the numbers that fall inside their own row's window; one above the top,
+or over changed chain rows, replaces the index.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
-from typing import Callable, Optional
+from itertools import compress
+from operator import add, lt, sub
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalConsistencyError
 from .grouplat import (
     PairVec,
     graded_key,
+    graded_sorted,
     minimal_semigroup_generators,
     vec_over,
 )
@@ -68,10 +74,12 @@ def _walk(
         (k, step, *int_vec_bounds(step, radicands, FIXED_BITS))
         for k, step in enumerate(steps)
     ]
+    # the moves from each row on, sliced once rather than at every vector
+    tails = [moves[k:] for k in range(len(moves))]
 
     def extend(first: int, diff: tuple, lo: int, hi: int) -> None:
         if visit(counts, diff, sign_within(diff, lo, hi, radicands), lo, hi):
-            for k, step, step_lo, step_hi in moves[first:]:
+            for k, step, step_lo, step_hi in tails[first]:
                 counts[k] += 1
                 extend(k, tuple(map(add, diff, step)), lo + step_lo, hi + step_hi)
                 counts[k] -= 1
@@ -117,18 +125,29 @@ class _ThresholdIndex:
     first of them in a stable sort by value).  That holds every vector of
     value at most top and every minimal generator at a threshold up to
     top.  ``values`` lists the distinct values of the entries in
-    ascending order, one shared Value each.  ``groups[k]`` holds row k's
-    entries as two parallel lists: the ascending places in ``values`` of
-    their distinct values, and the counts of the entries at each.
-    ``vecs`` keeps the PairVec of each entry a query has returned.
+    ascending order, one shared Value each; ``den`` is the lcm of the row
+    and top denominators.  ``lows[i]`` and ``highs[i]`` are 64-bit bounds
+    on ``values[i]`` at scale 2^64*den (the walk's, plus the top's), which
+    ``locate`` bisects as integers.
+
+    Entries are numbered in ascending (value, ``graded_key``) order, the
+    order of a query's answer: ``entries[r]`` holds the counts of entry r
+    and ``row_of[r]`` its row k.  The entries of ``values[i]`` are
+    numbered from ``starts[i]`` up to ``starts[i + 1]``.  ``vecs`` keeps
+    the PairVec of each entry a query has returned, by number.
     """
 
     rows: list
     top: Value
     zero: Value
     values: list[Value]
-    groups: list[tuple[list[int], list[list[tuple[int, ...]]]]]
-    vecs: dict[tuple[int, ...], PairVec]
+    den: int
+    highs: list[int]
+    lows: list[int]
+    starts: Sequence[int]
+    entries: list[tuple[int, ...]]
+    row_of: Sequence[int]
+    vecs: dict[int, PairVec]
 
     @classmethod
     def for_query(cls, state: JumpState, threshold: Value) -> "_ThresholdIndex":
@@ -148,6 +167,11 @@ class _ThresholdIndex:
         below v - e_j for a nonzero row j of v, which is worth at least
         row k, so its value is below top and the walk descends through it.
         """
+        # starts and row_of are int64 arrays: a list would hold one int
+        # object per value or entry; imported here, where an index is
+        # built, so that importing valgen does not load the module
+        from array import array
+
         den, steps = over_common_den(
             [*(val for *_, val in rows), top], state.basis
         )
@@ -155,9 +179,9 @@ class _ThresholdIndex:
         rads = state.basis.radicands
         bounds = [int_vec_bounds(step, rads, FIXED_BITS) for step in steps]
         rank = sorted(range(len(rows)), key=lambda k: rows[k][2])
-        # per row, the counts of its entries by value - top; the bounds of
-        # each distinct value - top
-        found: list[dict[tuple[int, ...], list]] = [{} for _ in rows]
+        # per distinct value - top, the row k of each entry by its counts;
+        # the bounds of each distinct value - top
+        found: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         seen: dict[tuple[int, ...], tuple[int, int]] = {}
 
         def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
@@ -166,36 +190,68 @@ class _ThresholdIndex:
                     if sign < 0 or _drops_below(
                         diff, lo, hi, steps[k], bounds[k], rads
                     ):
-                        bucket = found[k].get(diff)
-                        if bucket is None:
-                            bucket = found[k][diff] = []
+                        got = found.get(diff)
+                        if got is None:
+                            got = found[diff] = {}
                             seen[diff] = lo, hi
-                        bucket.append(tuple(counts))
+                        got[tuple(counts)] = k
                     break
             return sign < 0
 
         _walk(steps, top_nums, rads, visit)
         diffs = list(seen)
-        place: dict[tuple[int, ...], int] = {}
+        spans = list(seen.values())
+        top_lo, top_hi = int_vec_bounds(top_nums, rads, FIXED_BITS)
         values: list[Value] = []
-        for j in value_order(diffs, list(seen.values()), rads):
-            place[diffs[j]] = len(values)
+        lows, highs = [], []
+        starts = array("q", [0])
+        entries: list[tuple[int, ...]] = []
+        row_of = array("q")
+        for j in value_order(diffs, spans, rads):
             values.append(
                 Value(state.basis, tuple(map(add, diffs[j], top_nums)), den)
             )
-        groups = []
-        for by_diff in found:
-            ordered = sorted(by_diff, key=place.__getitem__)
-            groups.append(
-                ([place[d] for d in ordered], [by_diff[d] for d in ordered])
-            )
-        return cls(rows, top, state.basis.zero(), values, groups, {})
+            lo, hi = spans[j]
+            lows.append(lo + top_lo)
+            highs.append(hi + top_hi)
+            got = found[diffs[j]]
+            group = graded_sorted(got)
+            entries += group
+            row_of.extend(map(got.__getitem__, group))
+            starts.append(len(entries))
+        return cls(
+            rows, top, state.basis.zero(), values, den, highs, lows, starts,
+            entries, row_of, {},
+        )
 
-    def vec(self, counts: tuple[int, ...]) -> PairVec:
-        """The PairVec of an entry's counts, built the first time."""
-        got = self.vecs.get(counts)
+    def locate(self, value: Value, right: bool = False, start: int = 0) -> int:
+        """``bisect_left(self.values, value, start)``, or ``bisect_right``
+        when right is set, decided on integers where the enclosures allow.
+
+        value's own bounds at scale 2^64*den (``Value.bounds_over``) place
+        it first.  bisect_left(highs, lo) returns a = start or a position
+        whose predecessor's upper bound it found below lo, so that value
+        and, the values ascending, every earlier one lie below value.
+        Likewise every value from b = bisect_right(lows, hi) on lies above
+        it.  The bounds need not ascend for this; the answer lies in [a,
+        b], and only there are values compared (``Value._cmp``)."""
+        lo, hi = value.bounds_over(self.den)
+        a = bisect_left(self.highs, lo, start)
+        b = bisect_right(self.lows, hi, start)
+        while a < b:
+            mid = (a + b) // 2
+            sign = self.values[mid]._cmp(value)
+            if sign < 0 or (right and sign == 0):
+                a = mid + 1
+            else:
+                b = mid
+        return a
+
+    def member(self, number: int) -> PairVec:
+        """The PairVec of entry number, built the first time."""
+        got = self.vecs.get(number)
         if got is None:
-            got = self.vecs[counts] = vec_over(self.rows, counts)
+            got = self.vecs[number] = vec_over(self.rows, self.entries[number])
         return got
 
 
@@ -226,20 +282,20 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
         return GeneratorSet((PairVec((), ()),), complete)
     index = _ThresholdIndex.for_query(state, sigma)
     # a vector reaching sigma is minimal exactly when dropping one unit of
-    # its least-valued row takes it below sigma: in row k's group, the
-    # window of values sigma <= value < sigma + value(row k), found by the
-    # places of its ends among the index's values
-    values = index.values
-    low = bisect_left(values, sigma)
-    picked = []
-    for (*_, row), (places, buckets) in zip(index.rows, index.groups):
-        lo = bisect_left(places, low)
-        hi = bisect_left(places, bisect_left(values, sigma + row, low), lo)
-        for j in range(lo, hi):
-            picked += ((places[j], graded_key(counts)) for counts in buckets[j])
-    picked.sort()
+    # its least-valued row takes it below sigma: row k's entries of value
+    # sigma <= value < sigma + value(row k), numbered from first, that of
+    # the first value at least sigma, up to ends[k], that of the window's
+    # end; the numbers from first on are kept, in order, where they lie
+    # below their own row's end
+    low = index.locate(sigma)
+    starts = index.starts
+    first = starts[low]
+    ends = [starts[index.locate(sigma + row, start=low)] for *_, row in index.rows]
+    stop = max(ends, default=first)
+    numbers = range(first, stop)
+    below = map(lt, numbers, map(ends.__getitem__, index.row_of[first:stop]))
     return GeneratorSet(
-        tuple(index.vec(counts) for _, (_, counts) in picked), complete
+        tuple(map(index.member, compress(numbers, below))), complete
     )
 
 
@@ -468,5 +524,5 @@ def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
     if cap.sign() < 0:
         return SemigroupSlice(cap, (), complete)
     index = _ThresholdIndex.for_query(state, cap)
-    values = index.values[: bisect_right(index.values, cap)]
+    values = index.values[: index.locate(cap, right=True)]
     return SemigroupSlice(cap, (index.zero, *values), complete)

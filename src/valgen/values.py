@@ -39,8 +39,8 @@ orders the distinct values it finds with ``value_order``, which compares
 two tuples exactly only when their enclosures overlap.
 
 ``parse_value`` reads the ``exact_str`` form with ``Scanner``, which the
-polynomial parser in ``laurent`` extends, and builds one Value from one
-coefficient per radicand.
+polynomial parser in ``laurent`` extends, sums its terms into integer
+numerators over one running denominator and builds one Value from them.
 """
 from __future__ import annotations
 
@@ -338,6 +338,13 @@ class Value:
         object.__setattr__(self, "_bounds", bounds)
         return bounds
 
+    def bounds_over(self, den: int) -> tuple[int, int]:
+        """Integers lo <= hi with lo <= self * 2^FIXED_BITS * den <= hi:
+        the ``_fixed`` bounds, over this Value's own denominator, moved to
+        den."""
+        lo, hi = self._bounds or self._fixed()
+        return lo * den // self.den, -(-hi * den // self.den)
+
     def _cmp(self, other: "Value") -> int:
         """The sign of self - other.
 
@@ -514,18 +521,19 @@ class Scanner:
             raise self.error("expected an integer")
         return int(self.text[start : self.pos])
 
-    def read_rational(self) -> Rational:
+    def read_ratio(self) -> tuple[int, int]:
         """An integer n at the cursor, or n/d with optional whitespace
-        around '/'.  A zero d is reported at the end of n."""
+        around '/', as (n, d) with d = 1 for a bare n.  A zero d is
+        reported at the end of n."""
         num = self.read_int()
         end = self.pos
         if not self.take("/"):
-            return num
+            return num, 1
         self.skip_ws()
         den = self.read_int()
         if den == 0:
             raise self.error("zero denominator", end)
-        return Fraction(num, den)
+        return num, den
 
 
 def parse_value(text: str, basis: RadicalBasis) -> Value:
@@ -539,18 +547,20 @@ def parse_value(text: str, basis: RadicalBasis) -> Value:
     s.skip_ws()
     if s.pos == len(text):
         raise s.error("empty value")
-    coeffs = dict.fromkeys(basis.radicands, 0)
+    # the sum so far: integer numerators over one running denominator
+    nums = [0] * basis.dim
+    den = 1
     op = s.take("+-")
     while True:
         s.skip_ws()
         # term: sqrt(r) | rational [* sqrt(r)]; a bare rational is over
         # sqrt(1), and only '*' joins a rational to sqrt
-        rad, coeff = 1, 1
+        rad, num, d = 1, 1, 1
         root = text.startswith("sqrt", s.pos)
         if not root:
             if not s.peek().isdecimal():
                 raise s.error("expected a number or sqrt(...)")
-            coeff = s.read_rational()
+            num, d = s.read_ratio()
             if root := bool(s.take("*")):
                 s.skip_ws()
                 if not text.startswith("sqrt", s.pos):
@@ -562,10 +572,14 @@ def parse_value(text: str, basis: RadicalBasis) -> Value:
             rad_pos = s.pos
             rad = s.read_int()
             s.expect(")")
-            if rad not in coeffs:
+            if rad not in basis.radicands:
                 raise s.error(f"radicand {rad} is not in the basis", rad_pos)
-        coeffs[rad] += -coeff if op == "-" else coeff
+        if den % d:
+            scale = d // gcd(den, d)
+            nums = [a * scale for a in nums]
+            den *= scale
+        nums[basis.index_of(rad)] += (-num if op == "-" else num) * (den // d)
         op = s.take("+-")
         if not op:
             s.finish()
-            return basis.from_coeffs(coeffs.values())
+            return Value(basis, nums, den)

@@ -25,6 +25,7 @@ from valgen.grouplat import (
     _split,
     column_echelon,
     graded_key,
+    graded_sorted,
     irreducible_decompose,
     lattice_solve,
     min_multiple_in_group,
@@ -92,6 +93,13 @@ def test_graded_key_orders_by_weight_then_lex():
     # count vectors over the rows p1, p2, t1
     order = sorted([(0, 2, 0), (1, 0, 1), (3, 0, 0), (0, 0, 1)], key=graded_key)
     assert order == [(0, 0, 1), (0, 2, 0), (1, 0, 1), (3, 0, 0)]
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), unique=True))
+def test_graded_sorted_is_sorted_by_graded_key(vecs):
+    want = sorted(vecs, key=graded_key)
+    assert graded_sorted(vecs) == want
+    assert graded_sorted(dict.fromkeys(reversed(vecs))) == want
 
 
 # -- integer matrices ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valgen import LaurentPoly, NonInvertibleSubstitution, ParseError
-from valgen.laurent import parse_polynomial
+from valgen.laurent import MAX_EXPANSION_BITS, parse_polynomial
 
 import oracles
 
@@ -166,6 +167,52 @@ def test_negative_power_of_a_non_monomial_is_a_parse_error(text, pos):
         parse_polynomial(text, XY)
     assert exc.value.bare_message == "negative power of a non-monomial"
     assert exc.value.pos == pos
+
+
+@pytest.mark.parametrize(
+    "text, pos, what",
+    [
+        ("(u1 + u2 + u3)^40", 15, "power 40"),
+        ("(u1 + u2 + u3)^200", 15, "power 200"),
+        ("(u1 + u2 + u3)^400", 15, "power 400"),
+        ("7 ^-511202", 3, "power -511202"),
+        ("u1 + (u2 + u3) ^ 256", 17, "power 256"),
+        ("(2*u1)^65536", 7, "power 65536"),
+        ("u2*(1/3)^-41350", 9, "power -41350"),
+        # nested and chained powers are bounded alike
+        ("((u1 + u2 + u3)^32)^4", 20, "power 4"),
+        ("(u1 + u2 + u3)^32*(u1 + u2 + u3)^32", 18, "product"),
+        ("(u1 + u2 + u3)^6*(u1 + u2 + u3)^6*(u1 + u2 + u3)^6", 34, "product"),
+    ],
+)
+def test_expansions_past_the_limit_are_parse_errors(text, pos, what):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, ("u1", "u2", "u3"))
+    assert time.perf_counter() - start < 1
+    assert exc.value.bare_message == f"{what} exceeds {MAX_EXPANSION_BITS} bits"
+    assert exc.value.pos == pos
+
+
+def test_expansions_up_to_the_limit_parse():
+    vars_ = ("u1", "u2", "u3")
+    assert len(parse_polynomial("(u1 + u2 + u3)^39", vars_).terms) == 820
+    assert len(parse_polynomial("(u1 + u2)^255", vars_).terms) == 256
+    # 2^65535 has 65,536 bits, 65,535 of them past the leading one
+    assert parse_polynomial("(2*u1)^65535", vars_) == LaurentPoly(
+        vars_, (((65535, 0, 0), 2**65535),)
+    )
+    assert parse_polynomial("(1/2)^-65535", vars_) == LaurentPoly.constant(
+        vars_, 2**65535
+    )
+    assert parse_polynomial("(u1 + u2 + u3)^6*(u1 + u2 + u3)^6", vars_) == (
+        parse_polynomial("(u1 + u2 + u3)^12", vars_)
+    )
+    # a coefficient of 1 or -1 takes any power, and zero has no terms
+    assert parse_polynomial("(-u1)^-1000001", vars_) == LaurentPoly(
+        vars_, (((-1000001, 0, 0), -1),)
+    )
+    assert parse_polynomial("(u1 - u1)^1000", vars_).is_zero()
 
 
 @pytest.mark.parametrize(

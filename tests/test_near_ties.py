@@ -1,14 +1,19 @@
 """Sign decisions the 64-bit enclosure cannot make must reach the exact path.
 
-The walk's sign rule, the ideal minimality test, the Value order and
-``value_order`` all read signs off integer bounds on 2^64 times a combination of square
-roots, and refine with ``int_vec_sign`` only when those bounds straddle
-zero.  The vectors below are built to straddle: Pell pairs p - q*sqrt(2)
-with q between 2^40 and 2^80, a convergent of sqrt(2) + sqrt(3), and
-exact zeros.  Each decision is checked against ``int_vec_sign``, the
-fallbacks are counted, and a mutant that trusts the fixed-point sum alone
-is shown to fail the same checks.
+The walk's sign rule, the ideal minimality test, the Value order,
+``value_order`` and the threshold index's ``locate`` all read signs off
+integer bounds on 2^64 times a combination of square roots, and refine
+with ``int_vec_sign`` only when those bounds straddle zero.  The vectors
+below are built to straddle: Pell pairs p - q*sqrt(2) with q between
+2^40 and 2^80, a convergent of sqrt(2) + sqrt(3), and exact zeros.  Each
+decision is checked against ``int_vec_sign``, the fallbacks are counted,
+and a mutant that trusts the fixed-point sum alone is shown to fail the
+same checks.  ``locate`` is checked against ``bisect`` over the index's
+values on four models, one of them built so that its values tie within
+their enclosures.
 """
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
@@ -16,7 +21,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from valgen import RadicalBasis, Value, outputs, values
+from valgen import RadicalBasis, Value, build_state, outputs, values
+from valgen.cli import parse_config
 from valgen.outputs import (
     _drops_below,
     _walk,
@@ -26,6 +32,8 @@ from valgen.outputs import (
 from valgen.values import FIXED_BITS, int_vec_bounds, int_vec_sign, value_order
 
 import oracles
+from conftest import make_second_model
+from corpus import tower_config
 
 RADS = (1, 2, 3)
 
@@ -295,3 +303,62 @@ def test_queries_at_and_beside_a_semigroup_value(request, which):
             ) == sorted(want, key=key)
             # the boundary: a generator of value exactly v exists iff sigma <= v
             assert any(st.value_of(vec) == v for vec in gens_at) == (sigma <= v)
+
+
+# -- placing values among the index's values ----------------------------------
+
+
+def near_tie_model():
+    """The second model with z's value a/(3*b)*sqrt(3), for the Pell pair
+    a^2 - 6*b^2 = 1 with b >= 2^40: a/(3*b) is a convergent of sqrt(2/3),
+    so z's value exceeds sqrt(2) by about 2^-80, far inside the 64-bit
+    enclosures at the index's denominator 3*b, while the values without
+    z keep denominator 1."""
+    a, b = 5, 2
+    while b < 1 << 40:
+        a, b = 5 * a + 12 * b, 2 * a + 5 * b
+    return make_second_model(("1", "sqrt(2)", f"{a}/{3 * b}*sqrt(3)"))
+
+
+def locate_points(index):
+    """Values to place: each indexed value, 1/64 off it both ways and less
+    than one unit of its 64-bit enclosure off it both ways."""
+    basis = index.top.basis
+    shift = basis.rational(Fraction(1, 64))
+    out = []
+    for v in index.values:
+        tiny = basis.rational(Fraction(1, (1 << FIXED_BITS + 1) * v.den))
+        out += [v, v - shift, v + shift, v - tiny, v + tiny]
+    return out
+
+
+@pytest.mark.parametrize("which", ["second_state", "state", "near", 11])
+def test_locate_places_values_as_bisect_does(request, which):
+    if which == "near":
+        st = build_state(near_tie_model())
+    elif isinstance(which, str):
+        st = request.getfixturevalue(which)
+    else:
+        model, bounds, _, _ = parse_config(tower_config(which), "tower")
+        st = build_state(model, bounds=bounds)
+    # a fresh index, topped at 5
+    st = replace(st, _thresholds=None)
+    top = st.basis.rational(5)
+    ideal_generators(st, top)
+    index = st._thresholds
+    assert index.top == top and len(index.values) > 20
+    vals = index.values
+    for v in locate_points(index):
+        assert index.locate(v) == bisect_left(vals, v), v
+        assert index.locate(v, right=True) == bisect_right(vals, v), v
+    # the window ends of a query at each indexed value, placed from the
+    # place of the threshold on
+    for sigma in vals:
+        low = index.locate(sigma)
+        for *_, row in index.rows:
+            end = sigma + row
+            assert index.locate(end, start=low) == bisect_left(vals, end, low)
+    if which == "near":
+        # the exact path ran: some placed values tie with their neighbours
+        # within the enclosures
+        assert any(a >= b for a, b in zip(index.highs, index.lows[1:]))

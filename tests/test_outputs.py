@@ -136,8 +136,9 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
     sigma = parse_value("2 + 2*sqrt(2) + 2*sqrt(3)", basis)
     below = parse_value("1 + 2*sqrt(2) + 5/3*sqrt(3)", basis)
     above = sigma + basis.rational(Fraction(1, 64))
-    walks = visits = built = exact = 0
+    walks = visits = built = exact = compared = placed = 0
     post_init = Value.__post_init__
+    cmp = Value._cmp
     walk = outputs._walk
     int_vec_sign = values.int_vec_sign
 
@@ -145,6 +146,21 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
         nonlocal built
         built += 1
         post_init(self)
+
+    def counting_cmp(self, other):
+        nonlocal placed
+        placed += 1
+        return cmp(self, other)
+
+    def counting(name):
+        op = getattr(Value, name)
+
+        def counted(self, other):
+            nonlocal compared
+            compared += 1
+            return op(self, other)
+
+        return counted
 
     def counting_walk(steps, top, radicands, visit):
         nonlocal walks
@@ -163,14 +179,17 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
         return int_vec_sign(vec, radicands)
 
     monkeypatch.setattr(Value, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Value, "_cmp", counting_cmp)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Value, name, counting(name))
     monkeypatch.setattr(outputs, "_walk", counting_walk)
     # outputs too, should it call the exact routine directly again
     for module in (values, outputs):
         monkeypatch.setattr(module, "int_vec_sign", counting_sign, raising=False)
 
     def ask(threshold):
-        nonlocal walks, visits, built, exact
-        walks = visits = built = exact = 0
+        nonlocal walks, visits, built, exact, compared, placed
+        walks = visits = built = exact = compared = placed = 0
         gens = ideal_generators(st, threshold)
         sl = semigroup_values_up_to(st, threshold)
         assert gens.members and sl.values
@@ -182,11 +201,17 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
     assert walks == 1 and visits > len(index.values)
     rows = len(index.rows)
     assert len(index.values) <= built <= len(index.values) + 1 + rows
-    # below the top: no walk, no Value beyond the window ends, and the
-    # 64-bit enclosures decide nearly every comparison
+    # below the top: no walk, a Value for each window end and no other,
+    # and one Value comparison per call, whether the index is stale; the
+    # threshold and the window ends are placed on integers, with at most
+    # a few indexed values whose enclosures overlap theirs compared
+    # (Value._cmp beyond the comparisons), and the 64-bit enclosures
+    # decide nearly every exact sign
     assert ask(below) is index
     assert walks == visits == 0
-    assert built <= rows
+    assert built == rows
+    assert compared == 2
+    assert placed - compared <= rows
     assert exact <= 20
     # above the top: one rebuild, topped at the new threshold
     rebuilt = ask(above)
@@ -284,6 +309,23 @@ def test_index_answers_match_brute_force_in_any_order(request, which):
             assert all(a < b for a, b in zip(keys, keys[1:])), name
             sl = semigroup_values_up_to(one, sigma)
             assert list(sl.values) == want[sigma][1], (name, sigma.exact_str())
+
+
+def test_equal_values_of_unequal_degree_come_in_graded_order():
+    # in tower_config(8) t2 is worth 2*t1, so x^2*t2, y^3*t1 and x^2*t1^2
+    # share the value 6*sqrt(2) - 2 with degrees 3, 4 and 4; the counts'
+    # lexicographic order alone would put y^3*t1 first
+    st = tower_state(8)
+    sigma = parse_value("6*sqrt(2) - 2", st.basis)
+    members = ideal_generators(st, sigma).members
+    lens = len(st.p_chain), len(st.t_chain)
+    keys = [(st.value_of(v), graded_key(padded(v, *lens))) for v in members]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert [v for v in members if st.value_of(v) == sigma] == [
+        PairVec((2,), (0, 1)),
+        PairVec((0, 3), (1,)),
+        PairVec((2,), (2,)),
+    ]
 
 
 def padded(vec, p_len, t_len):
