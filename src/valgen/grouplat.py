@@ -12,17 +12,18 @@ semigroup they generate:
   * the minimal vectors whose value pushes into a smaller semigroup.
 
 Both group questions are answered by one column echelon form of the
-generators' integer coordinates (``column_echelon``) and a forward
-substitution; semigroup questions go to one ``SemigroupSolver`` per
-generator tuple.  A canonical decomposition is the first solution of a
-search cut by the chain's leads, for both chains.
+generators' numerators (``over_common_den``, ``column_echelon``) and a
+forward substitution; semigroup questions go to one ``SemigroupSolver``
+per generator tuple.  A canonical decomposition is the first solution of
+a search cut by the chain's leads, for both chains.
 
 Three functions take a chain state argument: ``permissible_decompose``,
 ``irreducible_decompose`` and ``minimal_pushing_set``.  They only use a
 small surface of it: the length of ``p_chain``, ``t_chain`` records with
-``gamma``/``s``/``m``/``status``, the radical ``basis``, the search
-``bounds``, plus the helper methods ``m_at``, ``value_of``,
-``coordinates``, ``lead_counts`` and ``semigroup_solver``.
+``gamma``/``s``/``m``/``status`` ("ok" only once ``D`` is recorded), the
+radical ``basis``, the search ``bounds``, plus the helper methods
+``m_at``, ``value_of``, ``coordinates``, ``lead_counts`` and
+``semigroup_solver``.
 ``coordinates`` owns the flat exponent layout over the two chains,
 ``lead_counts`` reads the relation leads off the chain records as counts
 over it and ``vec_over`` reads counts back as a PairVec; every search
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import gcd
 from operator import le, lt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InternalConsistencyError, NotInSemigroupError
-from .values import Value, combination
+from .values import Value, combination, over_common_den
 
 # -- exponent vector pairs ---------------------------------------------
 
@@ -149,14 +150,8 @@ def _least_multiple(
     remainder on a row without a pivot puts alpha off the rational span
     of gens, and then q is None.
     """
-    basis = alpha.basis
-    for g in gens:
-        if g.basis != basis:
-            raise ValueError("generators carry a different radical basis")
-    D = lcm(alpha.den, *(g.den for g in gens))
-    A = [[g.nums[r] * (D // g.den) for g in gens] for r in range(basis.dim)]
-    b = [a * (D // alpha.den) for a in alpha.nums]
-    H, V, rank = column_echelon(A)
+    _, (b, *cols) = over_common_den((alpha, *gens), alpha.basis)
+    H, V, rank = column_echelon([row[1:] for row in zip(b, *cols)])
     q = 1
     y = [0] * len(gens)
     k = 0
@@ -224,19 +219,12 @@ class SemigroupSolver:
         gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        basis = gens[0].basis
-        for g in gens:
-            if g.basis != basis:
-                raise ValueError("generators carry different radical bases")
-            if g.sign() <= 0:
-                raise ValueError("semigroup generators must be positive")
-        self.basis = basis
+        self.basis = basis = gens[0].basis
+        self.scale, gvecs = over_common_den(gens[::-1], basis)
+        if any(g.sign() <= 0 for g in gens):
+            raise ValueError("semigroup generators must be positive")
+        self.gvecs = gvecs
         self.dim = dim = basis.dim
-        self.scale = lcm(*(g.den for g in gens))
-        self.gvecs = gvecs = [
-            tuple(a * (self.scale // g.den) for a in g.nums)
-            for g in reversed(gens)
-        ]
         self.count = count = len(gens)
         # normals[j]: the cofactor normals of every (dim-1)-subset of
         # gvecs[j:] plus the unit vectors, each sign kept when it is >= 0
@@ -567,8 +555,9 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
     with one membership query, and a hit is lowered to a minimal point
     one coordinate at a time, a probe at 0 first, then a binary search
     from 1 when the probe misses.  The cover is seeded with
-    ``state.lead_counts(rows, before=i)``, so it covers only the
-    irreducible region, a down-set the lowering never leaves.  Layers are
+    ``state.lead_counts(rows)``, so it covers only the irreducible region
+    (position i, not yet "ok", adds none), a down-set the lowering never
+    leaves.  Layers are
     processed in increasing t and share the cover, since a vector of a
     later layer above a minimum found earlier dominates it; a minimum
     whose free part is all zero empties the cover and closes every later
@@ -631,7 +620,7 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
         return tuple(cur)
 
     cover = [(cap,) * n]
-    for lead in state.lead_counts(rows, before=i):
+    for lead in state.lead_counts(rows):
         cover = _split(cover, lead)
     found: list[tuple[tuple[int, ...], int]] = []
     capped = False

@@ -106,7 +106,7 @@ class TJump:
     """One member of the second chain with its processing record.
 
     status is "pending" until the construction reaches the member, then
-    "ok" or "skipped".  An "ok" member with s None has no finite multiple
+    "skipped", or "ok" once D is recorded.  An "ok" member with s None has no finite multiple
     in the group below it.  parent identifies the creating step and vector
     for members beyond the first.  D records the minimal vector search
     at this position, when one ran.  image is poly in the ambient
@@ -225,20 +225,16 @@ class JumpState:
         ]
         return rows
 
-    def lead_counts(
-        self, rows: list, before: Optional[int] = None
-    ) -> list[tuple[int, ...]]:
+    def lead_counts(self, rows: list) -> list[tuple[int, ...]]:
         """The leading vectors of the recorded relations, read off the chain
         records as count vectors over rows (a subset of some
         coordinates(k, i)): q on p_j for each first-chain power q*e_j, then
-        the minimal vectors of the processed positions below before.  A
-        lead with an entry off the rows is left out; so is each vanished
-        member's e_j, as a zero value gets no row."""
+        the minimal vectors of the processed positions.  A lead with an
+        entry off the rows is left out; so is each vanished member's e_j,
+        as a zero value gets no row."""
         keys = [(kind, idx) for kind, idx, _ in rows]
         leads = [{("p", r.index): r.q} for r in self.p_chain if r.q is not None]
         for rec in self.t_chain:
-            if before is not None and rec.index >= before:
-                break
             if rec.status == "ok":
                 leads += (
                     {(kind, j): c for kind, part in (("p", v.p), ("t", v.t))
@@ -312,12 +308,8 @@ def build_p_chain(
 # -- second chain -----------------------------------------------------------
 
 
-def _create_member(state: JumpState, i: int, vec: PairVec) -> bool:
-    """Create the chain member for one minimal vector; True means the
-    global index cap was hit and construction must stop."""
-    index = len(state.t_chain) + 1
-    if index > state.bounds.max_t_index:
-        return True
+def _create_member(state: JumpState, i: int, vec: PairVec) -> None:
+    """Append the chain member created from one minimal vector at i."""
     value = state.value_of(vec)
     rec = state.t_chain[i - 1]
     LN = irreducible_decompose(value, state, rec.m, i - 1)
@@ -330,7 +322,7 @@ def _create_member(state: JumpState, i: int, vec: PairVec) -> bool:
             raise InternalConsistencyError("creation failed to raise the value")
     state.t_chain.append(
         TJump(
-            index=index,
+            index=len(state.t_chain) + 1,
             poly=poly,
             image=image,
             gamma=gamma,
@@ -339,17 +331,16 @@ def _create_member(state: JumpState, i: int, vec: PairVec) -> bool:
             LN=LN,
         )
     )
-    return False
 
 
 def _process_position(state: JumpState, i: int) -> bool:
-    """Handle chain position i; True means the construction must stop."""
+    """Handle chain position i; True means the index cap was hit."""
     rec = state.t_chain[i - 1]
     if rec.poly.is_zero():
-        rec.status = "ok"
         rec.s = 1
         rec.m = state.m_at(i - 1)
         rec.D = PushingSearch((), True)
+        rec.status = "ok"
         return False
     if state.bounds.max_value is not None and rec.gamma > state.bounds.max_value:
         rec.status = "skipped"
@@ -358,10 +349,10 @@ def _process_position(state: JumpState, i: int) -> bool:
     rows = state.coordinates(len(state.p_chain), i - 1)
     s = min_multiple_in_group(rec.gamma, [val for *_, val in rows])
     if s is None:
-        rec.status = "ok"
         rec.m = state.m_at(i - 1)
         # provably nothing pushes at this position, so the empty set is exact
         rec.D = PushingSearch((), True)
+        rec.status = "ok"
         return False
     target = s * rec.gamma
     depth = None
@@ -372,14 +363,17 @@ def _process_position(state: JumpState, i: int) -> bool:
             break
     if depth is None:
         raise InternalConsistencyError("group multiple has no depth witness")
-    rec.status = "ok"
     rec.s = s
     rec.m = max(state.m_at(i - 1), depth)
     search = minimal_pushing_set(state, i)
     rec.D = search
+    rec.status = "ok"
     if not search.complete:
         state.flags.d_incomplete.append(i)
-    return any(_create_member(state, i, vec) for vec in search.members)
+    room = state.bounds.max_t_index - len(state.t_chain)
+    for vec in search.members[:room]:
+        _create_member(state, i, vec)
+    return len(search.members) > room
 
 
 def build_t_chain(state: JumpState) -> JumpState:

@@ -164,11 +164,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check_vars(other)
-        raw = dict(self.terms)
-        for exp, c in other.terms:
-            raw[exp] = raw.get(exp, 0) - c
-        return self._from_raw(self.vars, raw)
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
         return self._from_raw(self.vars, {e: -c for e, c in self.terms})
@@ -229,12 +225,13 @@ class LaurentPoly:
     def substitute(
         self, images: Mapping[str, "LaurentPoly"]
     ) -> "LaurentPoly":
-        """Replace every variable by its image polynomial.
+        """Replace every variable by its image polynomial, with the ring
+        operations above: per term, the coefficient times the images'
+        powers, and the sum of those.
 
         All images must share one variable tuple, which becomes the
-        variable tuple of the result.  A variable occurring with a
-        negative exponent must map to an invertible monomial, otherwise
-        NonInvertibleSubstitution is raised.
+        variable tuple of the result.  A negative power of an image that
+        is not a monomial raises NonInvertibleSubstitution (``__pow__``).
         """
         if not images:
             raise ValueError("no images given")
@@ -242,31 +239,16 @@ class LaurentPoly:
         for img in images.values():
             if img.vars != target_vars:
                 raise ValueError("images live over different variables")
-        # each image power is built once per call, and the terms' images
-        # are summed into one dict instead of one rebuilt sum per term
-        powers: dict[tuple[str, int], LaurentPoly] = {}
-        one = (((0,) * len(target_vars), Fraction(1)),)
-        raw: dict[tuple[int, ...], Fraction] = {}
+        out = LaurentPoly.zero(target_vars)
         for exp, c in self.terms:
-            term = None
+            term = LaurentPoly.constant(target_vars, c)
             for name, e in zip(self.vars, exp):
-                if e == 0:
-                    continue
-                power = powers.get((name, e))
-                if power is None:
+                if e:
                     if name not in images:
                         raise ValueError(f"no image for variable {name}")
-                    img = images[name]
-                    if e < 0 and not img.is_monomial():
-                        raise NonInvertibleSubstitution(
-                            f"variable {name} occurs with exponent {e} but "
-                            "its image is not a monomial"
-                        )
-                    power = powers[(name, e)] = img ** e
-                term = power if term is None else term * power
-            for e, k in one if term is None else term.terms:
-                raw[e] = raw.get(e, 0) + c * k
-        return self._from_raw(target_vars, raw)
+                    term = term * images[name] ** e
+            out = out + term
+        return out
 
     # -- text form ---------------------------------------------------------
 

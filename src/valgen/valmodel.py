@@ -20,7 +20,7 @@ when two enclosures overlap.
 Substitution is a ring homomorphism, so a build never expands a chain
 member: each chain record keeps its ambient image next to its ring form,
 and the image of a product of members is the product of their images.
-``expand`` itself keeps no cache.
+``expand`` keeps no cache; ``substitute`` uses only the ring operators.
 """
 from __future__ import annotations
 

@@ -58,6 +58,8 @@ Rational = Union[int, Fraction]
 
 # the precision of the enclosure every sign decision tries first
 FIXED_BITS = 64
+# int()'s default digit limit, fixed so that parses ignore the interpreter's
+MAX_INT_DIGITS = 4300
 
 
 @cache
@@ -512,13 +514,15 @@ class Scanner:
             raise self.error("unexpected trailing text")
 
     def read_int(self) -> int:
-        """An unsigned integer, at the cursor: decimal digits, the only
-        ones int() reads (``isdigit`` also passes superscripts)."""
+        """An unsigned integer of at most MAX_INT_DIGITS decimal digits, the
+        only ones int() reads (``isdigit`` also passes superscripts)."""
         start = self.pos
         while self.peek().isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
+        if self.pos - start > MAX_INT_DIGITS:
+            raise self.error(f"integer exceeds {MAX_INT_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def read_ratio(self) -> tuple[int, int]:

@@ -22,6 +22,31 @@ def naive_poly_mul(terms1, terms2):
     return {exp: c for exp, c in out.items() if c != 0}
 
 
+def naive_substitute(terms, vars_, images, n):
+    """The terms, (exponents, coefficient) pairs over vars_, with each
+    variable replaced by its image in images (a dict of name to
+    (exponents, coefficient) pairs over n target variables), as a dict of
+    nonzero coefficients: each term expanded factor by factor with
+    naive_poly_mul, a negative power through the inverse of a one-term
+    image.  None when a term needs a negative power of an image with
+    more than one term."""
+    out = {}
+    for exp, c in terms:
+        term = {(0,) * n: Fraction(c)}
+        for name, e in zip(vars_, exp):
+            image = images[name]
+            if e < 0:
+                if len(image) != 1:
+                    return None
+                ((iexp, ic),) = image
+                image = [(tuple(-a for a in iexp), 1 / Fraction(ic))]
+            for _ in range(abs(e)):
+                term = naive_poly_mul(term.items(), image)
+        for exp2, k in term.items():
+            out[exp2] = out.get(exp2, Fraction(0)) + k
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
 def coefficient(f, exponents):
     """The coefficient of the term with the given exponents in the
     LaurentPoly f; 0 when f has no such term."""

@@ -186,6 +186,12 @@ def test_build_reports_unwritable_out(second_config, tmp_path, capsys):
         (lambda c: c.update(ambient_values=["²", "sqrt(2)", "sqrt(3)"]),
          "ambient_values[0]"),
         (lambda c: c["images"].update(z="u3^²"), "images.z"),
+        # past the digits int() reads from a str
+        pytest.param(
+            lambda c: c.update(ambient_values=["1" * 5000, "sqrt(2)", "sqrt(3)"]),
+            "ambient_values[0]",
+            id="over-long-integer",
+        ),
     ],
 )
 def test_malformed_config_types_exit_2(tmp_path, mutate, key):

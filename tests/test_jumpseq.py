@@ -201,32 +201,41 @@ def test_m_at_walks_past_unprocessed_rows(state, second_state):
     assert second_state.m_at(1) == 1
 
 
-def test_lead_counts_read_the_chain_records(state, second_state):
-    # a power of the first chain: y - x has q = 1 in the second model, and
-    # first-chain relations count at every before, 0 included
+def test_lead_counts_read_the_chain_records(state, second_state, monkeypatch):
+    def reference(st, rows):
+        return Counter(oracles.on_rows(oracles.relation_leads(st), rows))
+
+    # a power of the first chain: y - x has q = 1 in the second model
     assert second_state.p_chain[1].q == 1
     rows = second_state.coordinates(3, 1)
-    for before in (None, 0, 1, 2):
-        assert second_state.lead_counts(rows, before) == [(0, 1, 0, 0)]
+    assert second_state.lead_counts(rows) == [(0, 1, 0, 0)]
     # a vanished member: position 11 of the worked example gets no row, so
-    # its e_11 is never on the rows and the position adds no lead
+    # its e_11 is never on the rows and adds no lead
     assert state.t_chain[10].poly.is_zero()
+    assert PairVec((), (0,) * 10 + (1,)) in oracles.relation_leads(state)
     rows = state.coordinates(2, len(state.t_chain))
     assert ("t", 11) not in [(kind, idx) for kind, idx, _ in rows]
-    assert state.lead_counts(rows, 12) == state.lead_counts(rows, 11)
-    # a minimal vector of a processed position: x*z at position 1
+    assert Counter(state.lead_counts(rows)) == reference(state, rows)
+    # a minimal vector of a processed position, x*z at position 1, and no
+    # D member past t_1 on the rows of coordinates(2, 1)
     assert state.t_chain[0].D.members == (PairVec((1,), (1,)),)
     rows = state.coordinates(2, 1)
-    for before in (None, 2, 3, 27):
-        assert (1, 0, 1) in state.lead_counts(rows, before)
-    for before in (0, 1):
-        assert state.lead_counts(rows, before) == []
-    # a skipped position records no relation, and no later one uses its row
-    assert state.t_chain[15].status == "skipped"
+    got = state.lead_counts(rows)
+    assert (1, 0, 1) in got
+    assert Counter(got) == reference(state, rows)
+    past = [v for v in oracles.relation_leads(state) if len(v.t) > 1]
+    assert past and oracles.on_rows(past, rows) == []
+    # a skipped position records no relation, and no lead uses its row:
+    # a D set left on its record is not read
+    rec = state.t_chain[15]
+    assert rec.status == "skipped" and rec.D is None
     rows = state.coordinates(2, len(state.t_chain))
-    t16 = rows.index(("t", 16, state.t_chain[15].gamma))
-    assert state.lead_counts(rows, 17) == state.lead_counts(rows, 16)
-    assert not any(lead[t16] for lead in state.lead_counts(rows))
+    t16 = rows.index(("t", 16, rec.gamma))
+    leads = state.lead_counts(rows)
+    assert not any(lead[t16] for lead in leads)
+    stray = PairVec((1,), (0,) * 15 + (1,))
+    monkeypatch.setattr(rec, "D", jumpseq.PushingSearch((stray,), True))
+    assert state.lead_counts(rows) == leads
 
 
 def test_value_bookkeeping(state):
@@ -254,11 +263,9 @@ CONFIG_FILES = {
 }
 
 
-def corpus_state(request, which):
-    """A built model for the layout tests: a fixture of this suite, a
-    config file, a tower_config seed or first_chain_config(1) or (2)."""
-    if which in ("state", "state_30"):
-        return request.getfixturevalue(which)
+def corpus_model(which):
+    """(model, bounds) of a config file, a tower_config seed or
+    first_chain_config(1) or (2)."""
     if which in CONFIG_FILES:
         model, bounds, _, _ = load_config(str(CONFIG_FILES[which]))
     else:
@@ -270,7 +277,46 @@ def corpus_state(request, which):
     if which == 1:
         # its full 64 members take seconds of polynomial products
         bounds = replace(bounds, max_t_index=32)
-    return build_state(model, bounds=bounds)
+    return model, bounds
+
+
+def corpus_state(request, which):
+    """A built model for the layout tests: a fixture of this suite or one
+    of corpus_model."""
+    if which in ("state", "state_30"):
+        return request.getfixturevalue(which)
+    return build_state(*corpus_model(which))
+
+
+@pytest.mark.parametrize("which", ["example", "tower.json", 0, 1, 2, 3])
+def test_a_record_reads_ok_only_once_its_d_set_is_recorded(monkeypatch, which):
+    # every search of a build sees an "ok" record only with its D set, the
+    # record of the position being searched included
+    seen = []
+
+    def check(state, name):
+        assert all(r.D is not None for r in state.t_chain if r.status == "ok")
+        seen.append(name)
+
+    search = jumpseq.minimal_pushing_set
+    decompose = jumpseq.irreducible_decompose
+
+    def checked_search(state, i):
+        check(state, "search")
+        return search(state, i)
+
+    def checked_decompose(alpha, state, k, i):
+        check(state, "decompose")
+        return decompose(alpha, state, k, i)
+
+    monkeypatch.setattr(jumpseq, "minimal_pushing_set", checked_search)
+    monkeypatch.setattr(jumpseq, "irreducible_decompose", checked_decompose)
+    if which == "example":
+        model, bounds, _, _ = parsed_example()
+    else:
+        model, bounds = corpus_model(which)
+    build_state(model, bounds=bounds)
+    assert {"search", "decompose"} <= set(seen)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +328,7 @@ def test_coordinate_rows_round_trip(request, which):
     st = corpus_state(request, which)
     rng = random.Random(5)
     t_len = len(st.t_chain)
-    leads = {b: oracles.relation_leads(st, b) for b in (None, *range(t_len + 2))}
+    leads = oracles.relation_leads(st)
     kept = left_out = 0
     for k in range(1, len(st.p_chain) + 1):
         for i in range(t_len + 1):
@@ -301,12 +347,10 @@ def test_coordinate_rows_round_trip(request, which):
             # lead_counts writes each lead on the rows onto them and leaves
             # out a lead with an entry off the rows: a zero position's e_j,
             # a q*e_j beyond p_k, or a D member past t_i
-            for before in (None, 0, i, i + 1):
-                want = oracles.on_rows(leads[before], rows)
-                got = st.lead_counts(rows, before)
-                assert Counter(got) == Counter(want), (k, i, before)
-                kept += len(want)
-                left_out += len(leads[before]) - len(want)
+            want = oracles.on_rows(leads, rows)
+            assert Counter(st.lead_counts(rows)) == Counter(want), (k, i)
+            kept += len(want)
+            left_out += len(leads) - len(want)
     assert kept and left_out
 
 

@@ -300,6 +300,37 @@ def test_substitution_is_multiplicative(f, g):
     assert (f * g).substitute(images) == fs * gs
 
 
+@st.composite
+def images(draw, vars_=XY, target=("u", "v")):
+    """An image per variable over target: a monomial, whose exponents
+    may be negative, or any polynomial with up to three terms."""
+    out = {}
+    for name in vars_:
+        if draw(st.booleans()):
+            exp = tuple(draw(st.integers(-2, 2)) for _ in target)
+            c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+            out[name] = LaurentPoly.monomial(target, exp, c or 1)
+        else:
+            out[name] = draw(polys(vars_=target, max_terms=3))
+    return out
+
+
+@given(polys(), images())
+def test_substitution_matches_term_by_term_oracle(f, imgs):
+    want = oracles.naive_substitute(
+        f.terms, f.vars, {name: img.terms for name, img in imgs.items()}, 2
+    )
+    if want is None:
+        # a negative power of an image with more than one term
+        with pytest.raises(NonInvertibleSubstitution):
+            f.substitute(imgs)
+        return
+    got = f.substitute(imgs)
+    assert got.vars == ("u", "v")
+    assert dict(got.terms) == want
+    assert_canonical(got)
+
+
 def test_substitution_rules():
     images = {"x": P("y"), "y": P("x"), "z": P("z")}
     assert P("x^2*y").substitute(images) == P("y^2*x")

@@ -25,6 +25,7 @@ from valgen import (
     parse_value,
 )
 from valgen._golden import CONFIG, GOLDEN, RECIPES
+from valgen.values import MAX_INT_DIGITS
 
 from corpus import first_chain_config, tower_config
 
@@ -164,3 +165,30 @@ def test_every_shipped_text_parses():
     names = ["x", "y", "z"] + [f"T{k}" for k in range(2, 27)]
     for text in RECIPES.values():
         parse_polynomial(text, names)
+
+
+@pytest.mark.parametrize(
+    "parse,prefix",
+    [
+        (lambda t: parse_value(t, B), "1 + "),
+        (lambda t: parse_value(t, B), "2*sqrt(3) - 1/"),
+        (lambda t: parse_polynomial(t, VARS), "x - "),
+        (lambda t: parse_polynomial(t, VARS), "x^"),
+    ],
+)
+def test_over_long_integers_are_parse_errors_at_their_start(parse, prefix):
+    # int() refuses a str of more than 4300 digits by default; both
+    # parsers stop at that length whatever the interpreter allows
+    with pytest.raises(ParseError) as exc:
+        parse(prefix + "1" * (MAX_INT_DIGITS + 1))
+    assert exc.value.pos == len(prefix)
+    assert f"exceeds {MAX_INT_DIGITS} digits" in str(exc.value)
+
+
+def test_the_longest_integers_parse():
+    assert MAX_INT_DIGITS == 4300
+    n = int("9" * MAX_INT_DIGITS)
+    assert parse_value("9" * MAX_INT_DIGITS, B) == B.rational(n)
+    assert parse_polynomial("9" * MAX_INT_DIGITS, VARS) == LaurentPoly.constant(
+        VARS, n
+    )
