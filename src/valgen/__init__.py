@@ -12,13 +12,12 @@ from .errors import (
     NonInvertibleSubstitution,
     NotInSemigroupError,
     ParseError,
+    ThresholdTooHighError,
     UnequalValuesError,
     ValgenError,
     ValuationOfZeroError,
 )
 from .grouplat import (
-    PairVec,
-    PushingSearch,
     SemigroupSolver,
     column_echelon,
     graded_key,
@@ -33,6 +32,8 @@ from .jumpseq import (
     Flags,
     JumpState,
     PJump,
+    PairVec,
+    PushingSearch,
     SearchBounds,
     TJump,
     build_p_chain,
@@ -79,6 +80,7 @@ __all__ = [
     "SemigroupSolver",
     "SequenceReport",
     "TJump",
+    "ThresholdTooHighError",
     "UnequalValuesError",
     "ValgenError",
     "ValuationModel",

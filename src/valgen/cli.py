@@ -20,9 +20,12 @@ import tempfile
 import time
 from typing import Optional
 
-from .errors import InternalConsistencyError, ParseError, ValgenError
-from .grouplat import PairVec
-from .jumpseq import DEFAULT_MAX_VALUE, JumpState, SearchBounds, build_state
+from .errors import (
+    InternalConsistencyError, ParseError, ThresholdTooHighError, ValgenError
+)
+from .jumpseq import (
+    DEFAULT_MAX_VALUE, JumpState, PairVec, SearchBounds, build_state
+)
 from .laurent import parse_polynomial
 from .outputs import (
     DEFAULT_DEGREE_CAP,
@@ -36,7 +39,7 @@ from .outputs import (
     semigroup_values_up_to,
 )
 from .valmodel import ValuationModel, validate_model
-from .values import RadicalBasis, Value, parse_value
+from .values import RadicalBasis, Value, decimal_str, parse_value
 
 _BOUND_DEFAULTS = {
     "max_t_index": SearchBounds.max_t_index,
@@ -244,7 +247,7 @@ def derive_outputs(state: JumpState, outputs: dict):
 def _value_json(v: Value) -> dict:
     return {
         "text": v.exact_str(),
-        "coeffs": [str(c) for c in v.coeffs],
+        "coeffs": [decimal_str(c) for c in v.coeffs],
         "approx": v.approx_str(),
     }
 
@@ -270,7 +273,7 @@ def report_doc(
                 "value": _value_json(rec.beta),
                 "q": "inf" if rec.q is None else rec.q,
                 "L": list(rec.L_vec) if rec.L_vec is not None else None,
-                "scalar": str(rec.lam) if rec.lam is not None else None,
+                "scalar": decimal_str(rec.lam) if rec.lam is not None else None,
             }
         )
     t_rows = []
@@ -295,7 +298,7 @@ def report_doc(
                     "step": rec.parent[0],
                     "vector": _vec_json(rec.parent[1]),
                 },
-                "scalar": str(rec.mu) if rec.mu is not None else None,
+                "scalar": decimal_str(rec.mu) if rec.mu is not None else None,
                 "rewrite": _vec_json(rec.LN) if rec.LN is not None else None,
             }
         )
@@ -309,7 +312,7 @@ def report_doc(
                 "combo": None
                 if cert.combo is None
                 else [
-                    {"coeff": str(mu), "vector": _vec_json(v)}
+                    {"coeff": decimal_str(mu), "vector": _vec_json(v)}
                     for mu, v in cert.combo
                 ],
             }
@@ -335,7 +338,7 @@ def report_doc(
             {
                 "lhs": _vec_json(r.lhs),
                 "rhs": _vec_json(r.rhs),
-                "scalar": str(r.scalar),
+                "scalar": decimal_str(r.scalar),
             }
             for r in relations
         ],
@@ -491,7 +494,10 @@ def cmd_build(args) -> int:
     )
     start = time.monotonic()
     state = build_state(model, bounds=bounds)
-    derived = derive_outputs(state, outputs)
+    try:
+        derived = derive_outputs(state, outputs)
+    except ThresholdTooHighError as e:
+        raise ConfigError(f"{args.config}.outputs.semigroup_cap: {e}")
     elapsed = time.monotonic() - start
     doc = report_doc(state, echo, *derived)
     payload = _dump_json(doc)
@@ -517,7 +523,10 @@ def cmd_ideal(args) -> int:
     )
     sigma = _parse_text(parse_value, args.sigma, "--sigma", model.basis)
     state = build_state(model, bounds=bounds)
-    gens: GeneratorSet = ideal_generators(state, sigma)
+    try:
+        gens: GeneratorSet = ideal_generators(state, sigma)
+    except ThresholdTooHighError as e:
+        raise ConfigError(f"--sigma: {e}")
     if args.json:
         doc = {
             "sigma": _value_json(sigma),

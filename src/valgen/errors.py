@@ -36,6 +36,11 @@ class UnequalValuesError(ValgenError):
     """residue_ratio was called on polynomials of different valuation."""
 
 
+class ThresholdTooHighError(ValgenError):
+    """A threshold query would index more monomials than the budget
+    (``outputs.INDEX_ENTRY_BUDGET``) allows."""
+
+
 class InternalConsistencyError(ValgenError):
     """An invariant that should hold by construction failed.
 

@@ -8,31 +8,18 @@ semigroup they generate:
   * integer solutions of one linear equation over the generators,
   * nonnegative solutions (semigroup membership), in increasing
     reverse-lex order, so the first is the least,
-  * canonical decompositions of a value over the chain values,
-  * the minimal vectors whose value pushes into a smaller semigroup.
+  * canonical rewrites of a value: the first solution of a search cut
+    by leads,
+  * the minimal vectors whose value pushes into a semigroup.
 
 Both group questions are answered by one column echelon form of the
 generators' numerators (``over_common_den``, ``column_echelon``) and a
 forward substitution; semigroup questions go to one ``SemigroupSolver``
-per generator tuple.  A canonical decomposition is the first solution of
-a search cut by the chain's leads, for both chains.
-
-Three functions take a chain state argument: ``permissible_decompose``,
-``irreducible_decompose`` and ``minimal_pushing_set``.  They only use a
-small surface of it: the length of ``p_chain``, ``t_chain`` records with
-``gamma``/``s``/``m``/``status`` ("ok" only once ``D`` is recorded), the
-radical ``basis``, the search ``bounds``, plus the helper methods
-``m_at``, ``value_of``, ``coordinates``, ``lead_counts`` and
-``semigroup_solver``.
-``coordinates`` owns the flat exponent layout over the two chains,
-``lead_counts`` reads the relation leads off the chain records as counts
-over it and ``vec_over`` reads counts back as a PairVec; every search
-here runs over those counts.  The concrete class lives in jumpseq;
-keeping these functions here keeps all lattice reasoning in one place.
+per generator tuple.  Arguments are values, solvers and count vectors
+over the generators; ``jumpseq`` decides which ones a chain supplies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import gcd
 from operator import le, lt, mul
@@ -41,48 +28,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import InternalConsistencyError, NotInSemigroupError
 from .values import Value, combination, over_common_den
 
-# -- exponent vector pairs ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairVec:
-    """A pair of nonnegative exponent vectors, one per chain.
-
-    ``p`` holds the exponents of the first chain's members in order, ``t``
-    those of the second's.  Trailing zeros are trimmed so equality and
-    hashing ignore padding.  ``__str__`` stays as it is: the benchmark's
-    ``ideal-sweep`` digest hashes it.
-    """
-
-    p: tuple[int, ...]
-    t: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = tuple(self.p)
-        t = tuple(self.t)
-        entries = p + t
-        # int() would pass True as 1 and truncate 2.7 to 2
-        if not {*map(type, entries)} <= {int}:
-            raise TypeError(f"PairVec entries must be integers, got {p}, {t}")
-        if entries and min(entries) < 0:
-            raise ValueError("PairVec entries must be nonnegative")
-        while p and p[-1] == 0:
-            p = p[:-1]
-        while t and t[-1] == 0:
-            t = t[:-1]
-        if p is not self.p:
-            object.__setattr__(self, "p", p)
-        if t is not self.t:
-            object.__setattr__(self, "t", t)
-
-    def __str__(self) -> str:
-        return f"({','.join(map(str, self.p))}|{','.join(map(str, self.t))})"
+# -- count vector orders ----------------------------------------------------
 
 
 def graded_key(counts: tuple[int, ...]) -> tuple:
-    """Total weight, then lexicographic: the graded order on count vectors
-    over the rows of ``coordinates``, which follow the padded layout of
-    the two chains and leave out only rows that are always zero."""
+    """Total weight, then lexicographic: the graded order on count
+    vectors."""
     return sum(counts), counts
 
 
@@ -208,15 +159,15 @@ class SemigroupSolver:
     suffix of ``gvecs`` ``normals`` holds integer vectors h with h.g >= 0
     on that suffix, enough to cut out its cone, so a generator's count
     ranges exactly over the n that keep the rest inside the next suffix's
-    cone.  A solver keeps no memo of answers: it holds what its
-    generators determine (``normals`` and the search steps) and two
+    cone.  A solver keeps no memo of answers: it holds its generators
+    (``gens``), what they determine (``normals``, the search steps) and two
     counters, ``queries`` and ``nodes``, of calls of ``contains`` and
     search nodes.  A chain state shares one instance per generator tuple
     for the length of its build, so the normals are computed once.
     """
 
     def __init__(self, gens: Sequence[Value]):
-        gens = tuple(gens)
+        self.gens = gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
         self.basis = basis = gens[0].basis
@@ -430,85 +381,61 @@ def minimal_semigroup_generators(values: Sequence[Value]) -> tuple[Value, ...]:
     )
 
 
-# -- canonical decompositions against a chain state -----------------------
+# -- canonical rewrites ----------------------------------------------------
 
 
-def vec_over(rows, counts: Sequence[int]) -> PairVec:
-    """The PairVec with the given counts on (kind, index, value) rows laid
-    out as ``coordinates`` lays them out."""
-    p: list[int] = []
-    t: list[int] = []
-    for (kind, idx, _), c in zip(rows, counts, strict=True):
-        if c:
-            part = p if kind == "p" else t
-            part.extend([0] * (idx - len(part)))
-            part[idx - 1] = c
-    return PairVec(tuple(p), tuple(t))
+def permissible_decompose(
+    alpha: Value, solver: SemigroupSolver, qs: Sequence[Optional[int]]
+) -> tuple[int, ...]:
+    """Write alpha over first-chain values beta_1..beta_k, the solver's
+    generators, with every bounded slot in range.
 
-
-def permissible_decompose(alpha: Value, state, k: int) -> tuple[int, ...]:
-    """Write alpha over the first k first-chain values, bounded slots in range.
-
-    The i = 0 case of ``irreducible_decompose``, padded to k slots.  Over
-    p_1..p_k the leads are q_j*e_j, so the result is the unique rewrite
-    alpha == sum L_j * beta_j with 0 <= L_j < q_j wherever q_j is finite
-    (j >= 2).  Raises NotInSemigroupError when that rewrite has a negative
-    first slot or alpha lies outside the group of the values.
+    qs holds each beta_j's least group multiple q_j, None where there is
+    none.  With the leads q_j*e_j the canonical rewrite
+    (``irreducible_decompose``) is the unique alpha == sum L_j * beta_j
+    with 0 <= L_j < q_j wherever q_j is finite.  Raises
+    NotInSemigroupError when that rewrite has a negative first slot or
+    alpha lies outside the group of the values.
     """
-    if k < 1 or k > len(state.p_chain):
-        raise ValueError(f"p-index {k} out of range")
-    L = irreducible_decompose(alpha, state, k, 0).p
-    return L + (0,) * (k - len(L))
+    k = len(qs)
+    if k != solver.count:
+        raise ValueError("need one group multiple per generator")
+    leads = [tuple(q * (j == p) for p in range(k)) for j, q in enumerate(qs) if q]
+    return irreducible_decompose(alpha, solver, leads)
 
 
-def irreducible_decompose(alpha: Value, state, k: int, i: int) -> PairVec:
-    """The canonical nonnegative rewrite of alpha over the chain values.
+def irreducible_decompose(
+    alpha: Value, solver: SemigroupSolver, leads: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """The canonical nonnegative rewrite of alpha over the solver's
+    generators, as counts over them.
 
-    Over the rows of ``coordinates(kk, i)``, kk = max(k, m_at(i), 1), the
-    canonical rewrite is the least under reverse lex (the counts read from
-    the last row back) of those that dominate none of the chain's leads:
-    the first solution of one cut search (``SemigroupSolver.solutions``).
-    The result is checked for its value and irreducibility.  Raises
-    NotInSemigroupError when alpha has no nonnegative rewrite.
+    Of the rewrites that dominate none of the leads (nonzero count
+    vectors, the leading vectors of the relations), the canonical one is
+    the least under reverse lex (the counts read from the last generator
+    back): the first solution of one cut search
+    (``SemigroupSolver.solutions``).  The result is checked for its value
+    and irreducibility.  Raises NotInSemigroupError when alpha has no
+    nonnegative rewrite.
     """
     sgn = alpha.sign()
     if sgn < 0:
         raise NotInSemigroupError("negative values have no rewrite")
-    if i < 0 or i > len(state.t_chain):
-        raise ValueError(f"t-index {i} out of range")
-    kk = max(k, state.m_at(i), 1)
-    if kk > len(state.p_chain):
-        raise ValueError(f"p-index {kk} out of range")
     if sgn == 0:
-        return PairVec((), ())
-    rows = state.coordinates(kk, i)
-    solver = state.semigroup_solver(kk, i)
-    leads = state.lead_counts(rows)
+        return (0,) * solver.count
     best = next(solver.solutions(alpha, leads), None)
     if best is None:
         if solver.contains(alpha) is None:
-            raise NotInSemigroupError(
-                f"{alpha} has no nonnegative rewrite over the chain values"
-            )
+            raise NotInSemigroupError(f"{alpha} has no nonnegative rewrite")
         raise InternalConsistencyError(f"{alpha} has no irreducible rewrite")
-    pv = vec_over(rows, best)
-    if state.value_of(pv) != alpha:
+    if combination(best, solver.gens, solver.basis) != alpha:
         raise InternalConsistencyError("canonical rewrite changed the value")
     if any(all(map(le, lead, best)) for lead in leads):
         raise InternalConsistencyError("canonical rewrite is reducible")
-    return pv
+    return best
 
 
 # -- minimal pushing vectors ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PushingSearch:
-    """Result of a minimal-vector search: the members found, in order,
-    and whether the search provably saw everything."""
-
-    members: tuple[PairVec, ...]
-    complete: bool
 
 
 def _split(
@@ -542,59 +469,39 @@ def _split(
     return kept
 
 
-def minimal_pushing_set(state, i: int) -> PushingSearch:
-    """All irreducible minimal vectors ending at chain position i whose
-    value drops into the semigroup of the earlier members.
+def minimal_pushing_set(
+    step: Value, vals: Sequence[Value], solver: SemigroupSolver,
+    leads: Sequence[Sequence[int]], layer_cap: int, coord_cap: int,
+) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """The minimal vectors (*f, t) whose value f.vals + t*step lies in
+    the solver's semigroup, with 1 <= t <= layer_cap, every entry of f
+    at most coord_cap and f dominating none of the leads.
 
-    A vector here is (exponents over p_1..p_m, exponents over the live
-    t-positions below i, then a positive last exponent at i, necessarily
-    a multiple t*s of the least group multiple s).  Within one layer
-    (fixed t) the solution set is upward closed, so its minimal points
-    are mined from one cover (``_split``) of the points under the caps
-    that dominate nothing found: each face is tested at its top corner
-    with one membership query, and a hit is lowered to a minimal point
-    one coordinate at a time, a probe at 0 first, then a binary search
-    from 1 when the probe misses.  The cover is seeded with
-    ``state.lead_counts(rows)``, so it covers only the irreducible region
-    (position i, not yet "ok", adds none), a down-set the lowering never
-    leaves.  Layers are
-    processed in increasing t and share the cover, since a vector of a
-    later layer above a minimum found earlier dominates it; a minimum
-    whose free part is all zero empties the cover and closes every later
-    layer.  The result is flagged incomplete when a layer ends with a
-    face that reaches the coordinate cap, or when no layer closes.  The
-    members come by value, and by ``graded_key`` among equal values.
+    The solver's generators include vals.  Within one layer (fixed t)
+    the solution set is upward closed, so its minimal points are mined
+    from one cover (``_split``) of the points under the caps that
+    dominate nothing found: each face is tested at its top corner with
+    one membership query, and a hit is lowered to a minimal point one
+    coordinate at a time, a probe at 0 first, then a binary search from
+    1 when the probe misses.  The cover is seeded with the leads, so it
+    covers only the irreducible region, a down-set the lowering never
+    leaves.  Layers are processed in increasing t and share the cover,
+    since a vector of a later layer above a minimum found earlier
+    dominates it; a minimum whose free part f is all zero empties the
+    cover and closes every later layer.  Returns (minima, complete), the
+    minima in the order found; complete is False when a layer ends with
+    a face that reaches coord_cap, or when no layer closes.
     """
-    rec = state.t_chain[i - 1]
-    s, m = rec.s, rec.m
-    if s is None or m is None:
-        raise ValueError(f"position {i} has no finite group multiple")
-    gamma = rec.gamma
-    if gamma.is_zero():
-        raise ValueError(f"position {i} is a zero position")
-    bounds = state.bounds
-    # skipped positions get no coordinate, though their values stay among
-    # the solver's generators
-    rows = [
-        row
-        for row in state.coordinates(m, i - 1)
-        if row[0] == "p" or state.t_chain[row[1] - 1].status == "ok"
-    ]
-    vals = [val for *_, val in rows]
-    n = len(rows)
-    cap = bounds.d_coord_cap
-    solver = state.semigroup_solver(m, i - 1)
-    basis = state.basis
-    step_vals = (s * gamma, *vals)
+    n = len(vals)
+    step_vals = (step, *vals)
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def member(fvec: tuple[int, ...], layer: int) -> bool:
         key = (fvec, layer)
         got = memo.get(key)
         if got is None:
-            total = combination((layer, *fvec), step_vals, basis)
-            got = solver.contains(total) is not None
-            memo[key] = got
+            total = combination((layer, *fvec), step_vals, step.basis)
+            got = memo[key] = solver.contains(total) is not None
         return got
 
     def descend(corner: tuple[int, ...], layer: int) -> tuple[int, ...]:
@@ -619,25 +526,21 @@ def minimal_pushing_set(state, i: int) -> PushingSearch:
             cur[j] = lo
         return tuple(cur)
 
-    cover = [(cap,) * n]
-    for lead in state.lead_counts(rows):
+    cover = [(coord_cap,) * n]
+    for lead in leads:
         cover = _split(cover, lead)
-    found: list[tuple[tuple[int, ...], int]] = []
+    found: list[tuple[int, ...]] = []
     capped = False
-    for layer in range(1, bounds.d_layer_cap + 1):
+    for layer in range(1, layer_cap + 1):
         while True:
             hit = next((b for b in cover if member(b, layer)), None)
             if hit is None:
                 break
             z = descend(hit, layer)
-            found.append((z, layer))
+            found.append((*z, layer))
             cover = _split(cover, z)
         if not cover:
             break
         # every face missed, but members may lie beyond a face at the cap
-        capped = capped or any(cap in b for b in cover)
-
-    at_i = [*rows, ("t", i, gamma)]
-    counts = sorted(((*f, layer * s) for f, layer in found), key=graded_key)
-    members = sorted((vec_over(at_i, c) for c in counts), key=state.value_of)
-    return PushingSearch(tuple(members), not cover and not capped)
+        capped = capped or any(coord_cap in b for b in cover)
+    return tuple(found), not cover and not capped

@@ -22,7 +22,9 @@ records: the member's image in the ambient coordinates, group multiples,
 depths, minimal vector sets with completeness flags, parent vectors,
 rewrite vectors, and the matched scalars.  Values and residues are read
 off the images; the ring forms are built for the report and for the
-zero tests, and never substituted.
+zero tests, and never substituted.  The exponent layout over the two
+chains (``JumpState.coordinates``, ``PairVec``) lives here too: a search
+in grouplat gets the values, solver and leads of its rows, never a state.
 """
 from __future__ import annotations
 
@@ -35,8 +37,7 @@ from typing import Optional
 
 from .errors import InternalConsistencyError
 from .grouplat import (
-    PairVec,
-    PushingSearch,
+    graded_sorted,
     lattice_solve,
     min_multiple_in_group,
     minimal_pushing_set,
@@ -86,6 +87,63 @@ class SearchBounds:
         return cls(**overrides)
 
 
+@dataclass(frozen=True)
+class PairVec:
+    """A pair of nonnegative exponent vectors, one per chain.
+
+    ``p`` holds the exponents of the first chain's members in order, ``t``
+    those of the second's.  Trailing zeros are trimmed so equality and
+    hashing ignore padding.  ``__str__`` stays as it is: the benchmark's
+    ``ideal-sweep`` digest hashes it.
+    """
+
+    p: tuple[int, ...]
+    t: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        p = tuple(self.p)
+        t = tuple(self.t)
+        entries = p + t
+        # int() would pass True as 1 and truncate 2.7 to 2
+        if not {*map(type, entries)} <= {int}:
+            raise TypeError(f"PairVec entries must be integers, got {p}, {t}")
+        if entries and min(entries) < 0:
+            raise ValueError("PairVec entries must be nonnegative")
+        while p and p[-1] == 0:
+            p = p[:-1]
+        while t and t[-1] == 0:
+            t = t[:-1]
+        if p is not self.p:
+            object.__setattr__(self, "p", p)
+        if t is not self.t:
+            object.__setattr__(self, "t", t)
+
+    def __str__(self) -> str:
+        return f"({','.join(map(str, self.p))}|{','.join(map(str, self.t))})"
+
+
+def vec_over(rows, counts) -> PairVec:
+    """The PairVec with the given counts on (kind, index, value) rows laid
+    out as ``JumpState.coordinates`` lays them out."""
+    p: list[int] = []
+    t: list[int] = []
+    for (kind, idx, _), c in zip(rows, counts, strict=True):
+        if c:
+            part = p if kind == "p" else t
+            part.extend([0] * (idx - len(part)))
+            part[idx - 1] = c
+    return PairVec(tuple(p), tuple(t))
+
+
+@dataclass(frozen=True)
+class PushingSearch:
+    """A position's minimal vectors, by value and by ``graded_key`` among
+    equal values, and whether the search provably saw everything."""
+
+    members: tuple[PairVec, ...]
+    complete: bool
+
+
 @dataclass
 class PJump:
     """One member of the first chain and the jump data leading out of it.
@@ -106,11 +164,11 @@ class TJump:
     """One member of the second chain with its processing record.
 
     status is "pending" until the construction reaches the member, then
-    "skipped", or "ok" once D is recorded.  An "ok" member with s None has no finite multiple
-    in the group below it.  parent identifies the creating step and vector
-    for members beyond the first.  D records the minimal vector search
-    at this position, when one ran.  image is poly in the ambient
-    coordinates.
+    "skipped", or "ok" once D is recorded.  An "ok" member with s None has
+    no finite multiple in the group below it.  parent identifies the
+    creating step and vector for members beyond the first.  D records the
+    minimal vector search at this position, when one ran.  image is poly
+    in the ambient coordinates.
     """
 
     index: int
@@ -215,8 +273,11 @@ class JumpState:
     def coordinates(self, k: int, i: int) -> list[tuple[str, int, Value]]:
         """The exponent layout every search over the chains uses: p_1..p_k,
         then each t_j with j <= i and nonzero value, as (kind, 1-based
-        index, value) rows.  grouplat.vec_over turns counts over the rows
-        back into a PairVec, and lead_counts writes the leads onto them."""
+        index, value) rows.  vec_over turns counts over the rows back into
+        a PairVec, and lead_counts writes the leads onto them.  The rows
+        follow the padded layout of the two chains and leave out only rows
+        that are always zero, so ``graded_key`` orders counts over them as
+        it orders the padded vectors."""
         rows = [("p", rec.index, rec.beta) for rec in self.p_chain[:k]]
         rows += [
             ("t", rec.index, rec.gamma)
@@ -253,6 +314,42 @@ class JumpState:
             got = self._solvers[gens] = SemigroupSolver(gens)
         return got
 
+    def rewrite(self, alpha: Value, k: int, i: int) -> PairVec:
+        """The canonical rewrite of alpha (``irreducible_decompose``) over
+        the rows of coordinates(kk, i), kk = max(k, m_at(i), 1), cut by the
+        chain's leads on them."""
+        kk = max(k, self.m_at(i), 1)
+        if not 0 <= i <= len(self.t_chain) or kk > len(self.p_chain):
+            raise ValueError(f"no rows p_1..p_{kk}, t_1..t_{i} in the chains")
+        rows = self.coordinates(kk, i)
+        solver = self.semigroup_solver(kk, i)
+        counts = irreducible_decompose(alpha, solver, self.lead_counts(rows))
+        return vec_over(rows, counts)
+
+    def pushing_set(self, i: int) -> PushingSearch:
+        """Position i's D set (``minimal_pushing_set``): minimal irreducible
+        vectors over p_1..p_m, processed t_j (j < i) and t*s at i whose
+        value lies in the semigroup below i, under the bounds' d-caps."""
+        rec = self.t_chain[i - 1]
+        s, m = rec.s, rec.m
+        if s is None or rec.gamma.is_zero():
+            raise ValueError(f"position {i} is zero or has no group multiple")
+        # skipped positions get no coordinate, though their values stay
+        # among the solver's generators
+        rows = [
+            row
+            for row in self.coordinates(m, i - 1)
+            if row[0] == "p" or self.t_chain[row[1] - 1].status == "ok"
+        ]
+        minima, complete = minimal_pushing_set(
+            s * rec.gamma, [val for *_, val in rows], self.semigroup_solver(m, i - 1),
+            self.lead_counts(rows), self.bounds.d_layer_cap, self.bounds.d_coord_cap,
+        )
+        at_i = [*rows, ("t", i, rec.gamma)]
+        counts = graded_sorted((*f, t * s) for *f, t in minima)
+        members = sorted((vec_over(at_i, c) for c in counts), key=self.value_of)
+        return PushingSearch(tuple(members), complete)
+
 
 # -- first chain ------------------------------------------------------------
 
@@ -281,12 +378,14 @@ def build_p_chain(
     while True:
         rec = state.p_chain[-1]
         i = rec.index
-        below = [state.p_chain[j].beta for j in range(i - 1)]
-        q = min_multiple_in_group(rec.beta, below)
+        below = state.p_chain[: i - 1]
+        q = min_multiple_in_group(rec.beta, [r.beta for r in below])
         if q is None:
             break
         rec.q = q
-        rec.L_vec = L = permissible_decompose(q * rec.beta, state, i - 1)
+        rec.L_vec = L = permissible_decompose(
+            q * rec.beta, state.semigroup_solver(i - 1, 0), [r.q for r in below]
+        )
         power = PairVec((0,) * (i - 1) + (q,), ())
         rec.lam, nxt, image = state.binomial(power, PairVec(L, ()))
         if len(state.p_chain) >= DEFAULT_P_CAP:
@@ -299,9 +398,7 @@ def build_p_chain(
         beta = model.nu(image)
         if not beta > q * rec.beta:
             raise InternalConsistencyError("chain value failed to increase")
-        state.p_chain.append(
-            PJump(index=i + 1, poly=nxt, image=image, beta=beta)
-        )
+        state.p_chain.append(PJump(i + 1, nxt, image, beta))
     return state
 
 
@@ -312,7 +409,7 @@ def _create_member(state: JumpState, i: int, vec: PairVec) -> None:
     """Append the chain member created from one minimal vector at i."""
     value = state.value_of(vec)
     rec = state.t_chain[i - 1]
-    LN = irreducible_decompose(value, state, rec.m, i - 1)
+    LN = state.rewrite(value, rec.m, i - 1)
     mu, poly, image = state.binomial(vec, LN)
     if poly.is_zero():
         gamma = state.basis.zero()
@@ -365,7 +462,7 @@ def _process_position(state: JumpState, i: int) -> bool:
         raise InternalConsistencyError("group multiple has no depth witness")
     rec.s = s
     rec.m = max(state.m_at(i - 1), depth)
-    search = minimal_pushing_set(state, i)
+    search = state.pushing_set(i)
     rec.D = search
     rec.status = "ok"
     if not search.complete:

@@ -30,7 +30,7 @@ from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import NonInvertibleSubstitution
-from .values import Scanner
+from .values import Scanner, decimal_str
 
 Rational = Union[int, Fraction]
 Term = tuple[tuple[int, ...], Fraction]
@@ -258,7 +258,7 @@ class LaurentPoly:
             return "0"
         chunks: list[str] = []
         for i, (exp, c) in enumerate(self.terms):
-            factors = [str(abs(c))]
+            factors = [decimal_str(abs(c))]
             for name, e in zip(self.vars, exp):
                 if e == 0:
                     continue

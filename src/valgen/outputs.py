@@ -24,15 +24,9 @@ from itertools import compress
 from operator import add, lt, sub
 from typing import Callable, Optional, Sequence
 
-from .errors import InternalConsistencyError
-from .grouplat import (
-    PairVec,
-    graded_key,
-    graded_sorted,
-    minimal_semigroup_generators,
-    vec_over,
-)
-from .jumpseq import JumpState
+from .errors import InternalConsistencyError, ThresholdTooHighError
+from .grouplat import graded_key, graded_sorted, minimal_semigroup_generators
+from .jumpseq import JumpState, PairVec, vec_over
 from .laurent import LaurentPoly
 from .values import (
     FIXED_BITS,
@@ -47,12 +41,21 @@ from .values import (
 # member's value a rewrite may climb, and the largest degree it may use
 DEFAULT_VALUE_SLACK = 5
 DEFAULT_DEGREE_CAP = 40
+# the most entries a threshold index may hold, each counted once per
+# 64-bit word its numerators span; a query that needs more raises
+# ThresholdTooHighError rather than walking on below a tiny row value
+# until memory runs out.  The largest index the tests, the corpus and the
+# benchmark build holds 61,207 one-word entries (sigma 40 on the second
+# test model); reaching the budget takes about 4 s and 80 MB on a 2-core
+# x86-64 host under Python 3.11.
+INDEX_ENTRY_BUDGET = 500_000
 
 
 def _walk(
     steps, top, radicands, visit: Callable[[list, tuple, int, int, int], bool]
 ) -> None:
-    """Visit exponent vectors over the chain rows, each at most once.
+    """Visit exponent vectors over the chain rows, each at most once, in
+    depth-first preorder, from an explicit stack.
 
     ``steps`` and ``top`` are the numerators of the row values and of a
     threshold over one common denominator (``over_common_den``).  Each
@@ -62,33 +65,43 @@ def _walk(
     Value is built.  Bounds add, so a step adds the row's precomputed
     bounds and the exact sign is refined only when they straddle zero.
     The walk starts at the zero vector and reaches a vector as its parent
-    plus one unit at its last nonzero coordinate.  ``visit(counts, diff,
-    sign, lo, hi)`` gets the vector's counts (a list the walk reuses),
-    that difference, its sign and its bounds, and returns whether to
-    descend to the vector's children.  It is the one enumerator of the
-    threshold index (``_ThresholdIndex.build``).
+    plus one unit at its last nonzero coordinate.  A path is as long as a
+    vector's total count, which has no bound here, so the walk keeps its
+    own stack rather than recursing.  ``visit(counts, diff, sign, lo, hi)``
+    gets the vector's counts (a list the walk reuses), that difference,
+    its sign and its bounds, and returns whether to descend to the
+    vector's children.  It is the one enumerator of the threshold index
+    (``_ThresholdIndex.build``).
     """
-    counts = [0] * len(steps)
     # (row, step, the step's bounds) of each move
     moves = [
         (k, step, *int_vec_bounds(step, radicands, FIXED_BITS))
         for k, step in enumerate(steps)
     ]
-    # the moves from each row on, sliced once rather than at every vector
-    tails = [moves[k:] for k in range(len(moves))]
-
-    def extend(first: int, diff: tuple, lo: int, hi: int) -> None:
+    # the moves from each row on, sliced once rather than at every vector,
+    # last first so that the first child is popped first
+    tails = [moves[k:][::-1] for k in range(len(moves))]
+    counts = [0] * len(steps)
+    # the rows of the moves from zero to the current vector; a stack entry
+    # is a child to visit: its parent's path length, its row, diff, bounds
+    path: list[int] = []
+    stack: list[tuple] = []
+    pop, push = stack.pop, stack.append
+    first, diff = 0, tuple(-a for a in top)
+    lo, hi = int_vec_bounds(diff, radicands, FIXED_BITS)
+    while True:
         if visit(counts, diff, sign_within(diff, lo, hi, radicands), lo, hi):
+            depth = len(path)
             for k, step, step_lo, step_hi in tails[first]:
-                counts[k] += 1
-                extend(k, tuple(map(add, diff, step)), lo + step_lo, hi + step_hi)
-                counts[k] -= 1
-
-    start = tuple(-a for a in top)
-    extend(0, start, *int_vec_bounds(start, radicands, FIXED_BITS))
-    # extend refers to itself; dropping the name frees the walk's data now
-    # rather than at the next cyclic collection
-    del extend
+                child = tuple(map(add, diff, step))
+                push((depth, k, child, lo + step_lo, hi + step_hi))
+        if not stack:
+            return
+        depth, first, diff, lo, hi = pop()
+        while len(path) > depth:
+            counts[path.pop()] -= 1
+        counts[first] += 1
+        path.append(first)
 
 
 def _drops_below(
@@ -183,8 +196,14 @@ class _ThresholdIndex:
         # the bounds of each distinct value - top
         found: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         seen: dict[tuple[int, ...], tuple[int, int]] = {}
+        # an entry's diff, bounds and stack entries grow with the widest
+        # numerator, so each of its 64-bit words counts against the budget
+        widest = max(abs(a) for vec in (top_nums, *steps) for a in vec)
+        limit = INDEX_ENTRY_BUDGET // (1 + widest.bit_length() // 64)
+        size = 0
 
         def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
+            nonlocal size
             for k in rank:
                 if counts[k]:
                     if sign < 0 or _drops_below(
@@ -195,6 +214,12 @@ class _ThresholdIndex:
                             got = found[diff] = {}
                             seen[diff] = lo, hi
                         got[tuple(counts)] = k
+                        size += 1
+                        if size > limit:
+                            raise ThresholdTooHighError(
+                                "the threshold index would hold more than "
+                                f"{limit:,} monomials"
+                            )
                     break
             return sign < 0
 

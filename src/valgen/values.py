@@ -62,6 +62,24 @@ FIXED_BITS = 64
 MAX_INT_DIGITS = 4300
 
 
+def decimal_str(q: Rational) -> str:
+    """``str(q)`` for an int or Fraction of any size.
+
+    ``str()`` refuses an int of more than 4,300 digits (the interpreter's
+    ``sys.int_max_str_digits``, left as it is here).  A longer one is split
+    by divmod into two halves of its digits, each written the same way.
+    """
+    n, d = q.numerator, q.denominator
+    if d != 1:
+        return f"{decimal_str(n)}/{decimal_str(d)}"
+    # 13,000 bits stay below 4,000 digits
+    if n.bit_length() <= 13_000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + decimal_str(hi) + decimal_str(lo).zfill(k)
+
+
 @cache
 def _sqrt_table(radicands: tuple[int, ...], bits: int) -> tuple[int, ...]:
     """floor(2^bits * sqrt(r)) for each radicand r: exactly 1 << bits for
@@ -399,11 +417,11 @@ class Value:
             if mag == 1:
                 text = f"sqrt({r})"
             else:
-                text = f"{mag}*sqrt({r})"
+                text = f"{decimal_str(mag)}*sqrt({r})"
             parts.append((1 if c > 0 else -1, text))
         c0 = coeffs[0]
         if c0 != 0 or not parts:
-            parts.append((1 if c0 >= 0 else -1, str(abs(c0))))
+            parts.append((1 if c0 >= 0 else -1, decimal_str(abs(c0))))
         first_sign, first_text = parts[0]
         out = ("-" if first_sign < 0 else "") + first_text
         for sign_, text in parts[1:]:

@@ -20,9 +20,11 @@ from valgen.cli import (
     vector_symbol,
 )
 
+import oracles
 import valgen
 import valgen._golden
 import valgen.cli
+import valgen.outputs
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,55 @@ def test_non_invertible_power_names_its_key(tmp_path, capsys):
         f"error: {path}.images.z: negative power of a non-monomial"
         " (at position 5)\n"
     )
+
+
+# x of value 1/1200: the threshold walk's paths run 2,400 moves deep at
+# the default semigroup cap 2, past any recursion limit
+FINE = {**GOOD, "ambient_values": ["1/1200", "sqrt(2)", "sqrt(3)"]}
+FINE["images"] = {"x": "u1", "y": "u2", "z": "u3"}
+
+
+def test_a_deep_threshold_walk_builds(tmp_path, capsys):
+    path = write_config(tmp_path, FINE)
+    assert main(["build", "--json", "--config", path]) == 0
+    semi = json.loads(capsys.readouterr().out)["semigroup"]
+    model, _, _, _ = load_config(path)
+    basis = model.basis
+    vals = [valgen.parse_value(v["text"], basis) for v in semi["values"]]
+    assert len(vals) == 3_426 and semi["complete"]
+    want = oracles.sums_up_to(model.ambient_values, basis.rational(2), basis.zero())
+    assert vals == want
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["build"], ".outputs.semigroup_cap:"),
+        (["ideal", "--sigma", "1"], "--sigma:"),
+    ],
+)
+def test_a_threshold_past_the_index_budget_exits_2(tmp_path, capsys, argv, key):
+    # x of value about 10^-4300: the index would walk on for ages and
+    # fill memory with 14,000-bit numerators, which its budget counts
+    # word by word
+    cfg = {**FINE, "ambient_values": ["1/" + "9" * 4300, "sqrt(2)", "sqrt(3)"]}
+    path = write_config(tmp_path, cfg)
+    assert main([*argv, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "more than 2,232 monomials" in err
+    assert "Traceback" not in err
+
+
+def test_the_index_budget_counts_one_word_entries(tmp_path, capsys, monkeypatch):
+    # the 1/1200 model's slice up to 2 holds 3,430 one-word entries
+    monkeypatch.setattr(valgen.outputs, "INDEX_ENTRY_BUDGET", 3_429)
+    path = write_config(tmp_path, FINE)
+    assert main(["ideal", "--sigma", "2", "--config", path]) == 2
+    assert "--sigma: the threshold index would hold more than 3,429" in (
+        capsys.readouterr().err
+    )
+    monkeypatch.setattr(valgen.outputs, "INDEX_ENTRY_BUDGET", 3_430)
+    assert main(["ideal", "--sigma", "2", "--config", path]) == 0
 
 
 def test_ideal_reports_sigma_errors(second_config, capsys):

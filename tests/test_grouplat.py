@@ -32,8 +32,8 @@ from valgen.grouplat import (
     minimal_pushing_set,
     minimal_semigroup_generators,
     permissible_decompose,
-    vec_over,
 )
+from valgen.jumpseq import vec_over
 from valgen.cli import load_config, parse_config
 from valgen.values import combination
 
@@ -621,7 +621,7 @@ def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
     with_t1 = (PairVec((), (2, 0, 0, 1)), PairVec((), (1, 0, 0, 3)))
     assert set(with_t1) <= set(rec.D.members)
     monkeypatch.setattr(state.t_chain[0], "status", "skipped")
-    got = minimal_pushing_set(state, 4)
+    got = state.pushing_set(4)
     # its value stays among the solver's generators, but t1 gets no
     # coordinate, so the two members that raise t1 drop out
     assert got.members == tuple(v for v in rec.D.members if v not in with_t1)
@@ -662,11 +662,13 @@ def test_permissible_decompose_round_trip(state, second_state):
     rng = random.Random(7)
     for st in (state, second_state):
         betas = [rec.beta for rec in st.p_chain]
+        solver = st.semigroup_solver(len(betas), 0)
+        qs = [rec.q for rec in st.p_chain]
         # all bounded slots stay in range, values recombine exactly
         for _ in range(12):
             a = [rng.randint(0, 4) for _ in betas]
             alpha = combination(a, betas, st.basis)
-            L = permissible_decompose(alpha, st, len(betas))
+            L = permissible_decompose(alpha, solver, qs)
             assert combination(L, betas, st.basis) == alpha
             for rec, c in zip(st.p_chain[1:], L[1:]):
                 if rec.q is not None:
@@ -678,20 +680,19 @@ def test_permissible_decompose_rejects_outside_group(state):
     # first slot: neither has a nonnegative rewrite
     outside = state.basis.root(51, Fraction(1, 2))
     negative_x = parse_value("sqrt(2) - 1", state.basis)
+    solver = state.semigroup_solver(2, 0)
     for alpha in (outside, negative_x):
         with pytest.raises(NotInSemigroupError):
-            permissible_decompose(alpha, state, 2)
+            permissible_decompose(alpha, solver, [None, None])
     with pytest.raises(ValueError):
-        permissible_decompose(state.basis.zero(), state, 0)
+        permissible_decompose(state.basis.zero(), solver, [None])
 
 
 def test_irreducible_decompose_matches_recorded_rewrites(state):
     for j in (2, 5, 8, 16, 22, 25):
         rec = state.t_chain[j - 1]
         src, vec = rec.parent
-        out = irreducible_decompose(
-            state.value_of(vec), state, state.m_at(src), src - 1
-        )
+        out = state.rewrite(state.value_of(vec), state.m_at(src), src - 1)
         assert out == rec.LN
         assert state.value_of(out) == state.value_of(vec)
         assert oracles.irreducible(state, out, before=src)
@@ -701,7 +702,7 @@ def test_irreducible_decompose_fixes_reducible_input(state):
     # x*z dominates the first recorded obstacle, y^2 carries the same value
     reducible = PairVec((1,), (1,))
     assert not oracles.irreducible(state, reducible, before=2)
-    out = irreducible_decompose(state.value_of(reducible), state, 2, 1)
+    out = state.rewrite(state.value_of(reducible), 2, 1)
     assert state.value_of(out) == state.value_of(reducible)
     assert oracles.irreducible(state, out, before=2)
     assert out == PairVec((0, 2), ())
@@ -734,9 +735,7 @@ def test_irreducible_decompose_is_the_least_irreducible_rewrite(which, state):
     assert made
     for rec in made:
         src, vec = rec.parent
-        got = irreducible_decompose(
-            built.value_of(vec), built, built.m_at(src), src - 1
-        )
+        got = built.rewrite(built.value_of(vec), built.m_at(src), src - 1)
         assert got == rec.LN
     if which == "q2":
         assert any(oracles.entry(rec.LN, "p", 2) for rec in made)
@@ -768,9 +767,9 @@ def test_irreducible_decompose_is_the_least_irreducible_rewrite(which, state):
         want = oracles.irreducible_rewrites(built, alpha, kk, i)
         if not want:
             with pytest.raises(NotInSemigroupError):
-                irreducible_decompose(alpha, built, k, i)
+                built.rewrite(alpha, k, i)
             continue
-        assert irreducible_decompose(alpha, built, k, i) == want[0]
+        assert built.rewrite(alpha, k, i) == want[0]
         multi += len(want) > 1
     if which == 4:
         assert multi, "no probe had several rewrites"
@@ -803,7 +802,7 @@ def test_canonical_rewrite_is_found_within_a_node_budget(which, text, i, want):
     alpha = parse_value(text, built.basis)
     solver = built.semigroup_solver(max(1, built.m_at(i)), i)
     before = solver.nodes
-    assert irreducible_decompose(alpha, built, 1, i) == want
+    assert built.rewrite(alpha, 1, i) == want
     assert solver.nodes - before <= 1000
 
 
@@ -816,20 +815,20 @@ def test_a_skipped_member_gives_its_value_a_second_rewrite(state):
     t8_cubed = PairVec((), (0,) * 7 + (3,))
     t16 = PairVec((), (0,) * 15 + (1,))
     assert oracles.irreducible_rewrites(state, rec.gamma, 2, 16) == [t8_cubed, t16]
-    assert irreducible_decompose(rec.gamma, state, 2, 16) == t8_cubed
+    assert state.rewrite(rec.gamma, 2, 16) == t8_cubed
 
 
-def test_irreducible_decompose_refuses_what_it_cannot_rewrite(state, monkeypatch):
+def test_irreducible_decompose_refuses_what_it_cannot_rewrite(state):
     with pytest.raises(NotInSemigroupError):
-        irreducible_decompose(-state.basis.rational(1), state, 2, 3)
+        state.rewrite(-state.basis.rational(1), 2, 3)
     with pytest.raises(NotInSemigroupError):
-        irreducible_decompose(state.basis.rational(Fraction(1, 2)), state, 2, 3)
+        state.rewrite(state.basis.rational(Fraction(1, 2)), 2, 3)
     # a value in the semigroup with every rewrite cut off by the leads is a
     # broken chain record, not a missing rewrite
     alpha = state.value_of(PairVec((0, 2), ()))
-    monkeypatch.setattr(type(state), "lead_counts", lambda self, rows: [(0, 1)])
+    solver = state.semigroup_solver(2, 0)
     with pytest.raises(InternalConsistencyError, match="no irreducible rewrite"):
-        irreducible_decompose(alpha, state, 2, 0)
+        irreducible_decompose(alpha, solver, [(0, 1)])
 
 
 def test_irreducible_decompose_checks_its_answer_against_the_leads(
@@ -846,57 +845,9 @@ def test_irreducible_decompose_checks_its_answer_against_the_leads(
         "solutions",
         lambda self, alpha, leads=(), *rest: solutions(self, alpha, (), *rest),
     )
-    monkeypatch.setattr(type(state), "lead_counts", lambda self, rows: [(0, 2)])
     alpha = state.value_of(PairVec((0, 2), ()))
     with pytest.raises(InternalConsistencyError, match="rewrite is reducible"):
-        irreducible_decompose(alpha, state, 2, 0)
-
-
-# the chain state surface the grouplat module docstring lists
-STATE_SURFACE = {
-    "p_chain",
-    "t_chain",
-    "basis",
-    "bounds",
-    "m_at",
-    "value_of",
-    "coordinates",
-    "lead_counts",
-    "semigroup_solver",
-}
-
-
-class SurfaceOnly:
-    """A chain state that forwards STATE_SURFACE and refuses the rest."""
-
-    def __init__(self, state):
-        self._state = state
-
-    def __getattr__(self, name):
-        if name not in STATE_SURFACE:
-            raise AttributeError(f"state.{name} is off the documented surface")
-        return getattr(self._state, name)
-
-
-def test_grouplat_reads_only_the_documented_state_surface(state):
-    proxy = SurfaceOnly(state)
-    with pytest.raises(AttributeError):
-        proxy.flags
-    searched = 0
-    for i in range(1, len(state.t_chain) + 1):
-        alpha = state.value_of(PairVec((i, 1), ()))
-        assert permissible_decompose(alpha, proxy, 2) == permissible_decompose(
-            alpha, state, 2
-        )
-        alpha = state.value_of(PairVec((1, 1), (0,) * (i - 1) + (1,)))
-        assert irreducible_decompose(alpha, proxy, 2, i) == irreducible_decompose(
-            alpha, state, 2, i
-        )
-        rec = state.t_chain[i - 1]
-        if rec.status == "ok" and rec.s is not None and not rec.gamma.is_zero():
-            assert minimal_pushing_set(proxy, i) == minimal_pushing_set(state, i)
-            searched += 1
-    assert searched >= 15
+        irreducible_decompose(alpha, state.semigroup_solver(2, 0), [(0, 2)])
 
 
 # -- minimal pushing vectors ------------------------------------------------
@@ -921,6 +872,113 @@ def test_split_keeps_the_maximal_boxes_of_the_staircase(data, dim):
         assert len(set(cover)) == len(cover)
         assert not any(b != c and all(map(le, b, c)) for b in cover for c in cover)
         assert cover == sorted(cover, reverse=True)
+
+
+# positive values a + b*sqrt(2) with small a, b: generators, steps and
+# targets for the searches on plain values, with no chain built
+PLAIN = st.tuples(st.integers(0, 4), st.integers(0, 2)).filter(any).map(
+    B2.from_coeffs
+)
+
+
+@given(
+    gens=st.lists(PLAIN, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_irreducible_decompose_on_plain_values(gens, data):
+    # the reverse-lex least rewrite that dominates no lead, against every
+    # rewrite counted out by brute force
+    n = len(gens)
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    leads = data.draw(st.lists(row.filter(any), max_size=3), "leads")
+    alpha = combination(data.draw(row, "counts"), gens, B2)
+    alpha = alpha - B2.rational(data.draw(st.sampled_from([0, 0, 1, 5])))
+    solver = SemigroupSolver(gens)
+    every = oracles.naive_solutions(alpha, gens)
+    fits = [c for c in every if dominates_none(c, leads)]
+    if not every:
+        with pytest.raises(NotInSemigroupError):
+            irreducible_decompose(alpha, solver, leads)
+    elif not fits:
+        with pytest.raises(InternalConsistencyError):
+            irreducible_decompose(alpha, solver, leads)
+    else:
+        want = min(fits, key=lambda c: c[::-1])
+        assert irreducible_decompose(alpha, solver, leads) == want
+
+
+def brute_minima(step, vals, gens, leads, layers, box):
+    """The minimal (*f, t) of minimal_pushing_set, as PairVecs (f, (t,)),
+    by enumerating the box and naive semigroup membership."""
+    memo = {}
+    pairs = [
+        (PairVec(f, (t,)), None)
+        for f in product(range(box + 1), repeat=len(vals))
+        for t in range(1, layers + 1)
+        if dominates_none(f, leads)
+        and oracles.naive_semigroup_member(
+            combination((t, *f), (step, *vals), B2), gens, memo
+        )
+    ]
+    return set(oracles.minimal_vectors(pairs))
+
+
+def check_plain_pushing_set(step, vals, gens, leads, layers, box):
+    """minimal_pushing_set against brute_minima; when the search reports
+    itself complete, a box and a layer range two larger hold no more."""
+    minima, complete = minimal_pushing_set(
+        step, vals, SemigroupSolver(gens), leads, layers, box
+    )
+    got = [PairVec(m[:-1], m[-1:]) for m in minima]
+    assert len(set(got)) == len(got)
+    assert set(got) == brute_minima(step, vals, gens, leads, layers, box)
+    if complete:
+        wider = brute_minima(step, vals, gens, leads, layers + 2, box + 2)
+        assert wider == set(got)
+    return minima, complete
+
+
+@given(
+    gens=st.lists(PLAIN, min_size=1, max_size=3),
+    step=PLAIN,
+    data=st.data(),
+)
+def test_minimal_pushing_set_on_plain_values(gens, step, data):
+    n = data.draw(st.integers(0, len(gens)), "free rows")
+    box = data.draw(st.integers(0, 3), "coordinate cap")
+    layers = data.draw(st.integers(1, 3), "layer cap")
+    # a lead may reach past the coordinate cap
+    row = st.lists(st.integers(0, box + 2), min_size=n, max_size=n)
+    leads = data.draw(st.lists(row.filter(any), max_size=2), "leads")
+    check_plain_pushing_set(step, gens[:n], gens, leads, layers, box)
+
+
+def test_minimal_pushing_set_on_plain_values_pinned_cases():
+    two, three = B2.rational(2), B2.rational(3)
+    # step 4 lies in the semigroup of 2 and 3: the first layer's minimum
+    # (0, 0, 1) has an all-zero free part and closes every later layer
+    minima, complete = check_plain_pushing_set(
+        B2.rational(4), [two, three], [two, three], [], 3, 2
+    )
+    assert minima == ((0, 0, 1),) and complete
+    # step 1 needs a free part on the first layer, and the second layer's
+    # (0, 0, 2) closes; the lead (5, 0) lies past the cap of 2, cuts
+    # nothing, and the minima stay as without it
+    step = B2.rational(1)
+    plain = check_plain_pushing_set(step, [two, three], [two, three], [], 3, 2)
+    assert check_plain_pushing_set(
+        step, [two, three], [two, three], [(5, 0)], 3, 2
+    ) == plain
+    assert sorted(plain[0]) == [(0, 0, 2), (0, 1, 1), (1, 0, 1)] and plain[1]
+    # the lead (1, 0) inside the box takes out the minimum above it
+    minima, complete = check_plain_pushing_set(
+        step, [two, three], [two, three], [(1, 0)], 3, 2
+    )
+    assert sorted(minima) == [(0, 0, 2), (0, 1, 1)] and complete
+    # under a coordinate cap of 0 the first layer's minimum (1, 1) lies
+    # past the cap; the second layer closes, yet the search is incomplete
+    minima, complete = check_plain_pushing_set(step, [two], [two, three], [], 2, 0)
+    assert minima == ((0, 2),) and not complete
 
 
 def brute_pushing_set(state, i, box, layers):
@@ -977,6 +1035,6 @@ def test_pushing_sets_match_brute_force_in_a_box(which, state):
     positions = small_positions(built)
     assert positions
     for i in positions:
-        got = minimal_pushing_set(small, i)
+        got = small.pushing_set(i)
         assert set(got.members) == brute_pushing_set(built, i, 3, 3)
         assert len(got.members) == len(set(got.members))

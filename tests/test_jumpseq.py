@@ -10,7 +10,7 @@ import pytest
 
 from valgen import PairVec, RadicalBasis, ValuationModel, jumpseq
 from valgen.cli import load_config, main, parse_config
-from valgen.grouplat import vec_over
+from valgen.jumpseq import vec_over
 from valgen.jumpseq import (
     SearchBounds,
     build_p_chain,
@@ -298,25 +298,25 @@ def test_a_record_reads_ok_only_once_its_d_set_is_recorded(monkeypatch, which):
         assert all(r.D is not None for r in state.t_chain if r.status == "ok")
         seen.append(name)
 
-    search = jumpseq.minimal_pushing_set
-    decompose = jumpseq.irreducible_decompose
+    search = jumpseq.JumpState.pushing_set
+    rewrite = jumpseq.JumpState.rewrite
 
     def checked_search(state, i):
         check(state, "search")
         return search(state, i)
 
-    def checked_decompose(alpha, state, k, i):
-        check(state, "decompose")
-        return decompose(alpha, state, k, i)
+    def checked_rewrite(state, alpha, k, i):
+        check(state, "rewrite")
+        return rewrite(state, alpha, k, i)
 
-    monkeypatch.setattr(jumpseq, "minimal_pushing_set", checked_search)
-    monkeypatch.setattr(jumpseq, "irreducible_decompose", checked_decompose)
+    monkeypatch.setattr(jumpseq.JumpState, "pushing_set", checked_search)
+    monkeypatch.setattr(jumpseq.JumpState, "rewrite", checked_rewrite)
     if which == "example":
         model, bounds, _, _ = parsed_example()
     else:
         model, bounds = corpus_model(which)
     build_state(model, bounds=bounds)
-    assert {"search", "decompose"} <= set(seen)
+    assert {"search", "rewrite"} <= set(seen)
 
 
 @pytest.mark.parametrize(

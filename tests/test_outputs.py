@@ -9,12 +9,13 @@ import pytest
 
 from valgen import PairVec, RadicalBasis, Value, outputs, parse_value, values
 from valgen.cli import parse_config
-from valgen.grouplat import SemigroupSolver, graded_key, vec_over
+from valgen.grouplat import SemigroupSolver, graded_key
 from valgen.jumpseq import (
     SearchBounds,
     build_p_chain,
     build_state,
     build_t_chain,
+    vec_over,
 )
 from valgen.outputs import (
     DEFAULT_VALUE_SLACK,

@@ -7,9 +7,11 @@ stay unbroken, and an exponent's minus sign stays on its digits.  A value
 written as any sum of signed ``n/d*sqrt(r)`` terms, radicands repeated in
 any order, parses to the sum of its terms, and every value and
 polynomial text the project ships parses under the parser's power limits.
+Numbers past the parser's 4,300 digits still print.
 """
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from valgen import (
     parse_value,
 )
 from valgen._golden import CONFIG, GOLDEN, RECIPES
-from valgen.values import MAX_INT_DIGITS
+from valgen.cli import _value_json
+from valgen.values import MAX_INT_DIGITS, decimal_str
 
 from corpus import first_chain_config, tower_config
 
@@ -192,3 +195,61 @@ def test_the_longest_integers_parse():
     assert parse_polynomial("9" * MAX_INT_DIGITS, VARS) == LaurentPoly.constant(
         VARS, n
     )
+
+
+def read_decimal(text):
+    """The int a decimal text denotes, read in chunks short enough for
+    int()."""
+    digits = text.removeprefix("-")
+    assert digits.isdigit() and (digits == "0" or digits[0] != "0"), text
+    n = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if text.startswith("-") else n
+
+
+def test_a_polynomial_coefficient_past_4300_digits_prints():
+    limit = sys.get_int_max_str_digits()
+    text = parse_polynomial("2^60000*u1", ("u1",)).text()
+    coeff, var = text.split("*")
+    assert var == "u1" and len(coeff) == 18_062
+    assert read_decimal(coeff) == 2**60000
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_value_past_4300_digits_prints():
+    # two numbers the parser accepts, whose sum has a 28,569-bit
+    # denominator; the text form prints it but cannot read it back
+    limit = sys.get_int_max_str_digits()
+    text = "1/" + "9" * 4300 + " + 1/" + "9" * 4299 + "8"
+    v = parse_value(text, RadicalBasis((1, 2)))
+    assert v.den.bit_length() == 28_569
+    num, den = v.exact_str().split("/")
+    assert Fraction(read_decimal(num), read_decimal(den)) == v.coeffs[0]
+    row = _value_json(v)
+    assert row["text"] == v.exact_str()
+    assert row["coeffs"] == [v.exact_str(), "0"]
+    with pytest.raises(ParseError):
+        parse_value(v.exact_str(), v.basis)
+    assert sys.get_int_max_str_digits() == limit
+
+
+# near a power of ten the low half of the digits starts with zeros
+NEAR_POWERS = st.builds(
+    lambda k, d: 10**k + d, st.integers(3_900, 21_000), st.integers(-2, 2)
+)
+
+
+@given(
+    n=st.integers(-(2**70_000), 2**70_000) | NEAR_POWERS,
+    d=st.integers(1, 2**20_000),
+)
+def test_decimal_str_writes_any_rational(n, d):
+    text = decimal_str(n)
+    assert read_decimal(text) == n
+    if abs(n) < 10**4000:
+        assert text == str(n)
+    q = Fraction(n, d)
+    head, _, tail = decimal_str(q).partition("/")
+    assert Fraction(read_decimal(head), read_decimal(tail or "1")) == q
