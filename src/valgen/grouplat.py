@@ -394,8 +394,8 @@ def permissible_decompose(
     none.  With the leads q_j*e_j the canonical rewrite
     (``irreducible_decompose``) is the unique alpha == sum L_j * beta_j
     with 0 <= L_j < q_j wherever q_j is finite.  Raises
-    NotInSemigroupError when that rewrite has a negative first slot or
-    alpha lies outside the group of the values.
+    NotInSemigroupError when alpha has no nonnegative rewrite, inside the
+    group of the values or not.
     """
     k = len(qs)
     if k != solver.count:

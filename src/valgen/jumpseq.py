@@ -28,6 +28,7 @@ in grouplat gets the values, solver and leads of its rows, never a state.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -164,11 +165,11 @@ class TJump:
     """One member of the second chain with its processing record.
 
     status is "pending" until the construction reaches the member, then
-    "skipped", or "ok" once D is recorded.  An "ok" member with s None has
-    no finite multiple in the group below it.  parent identifies the
-    creating step and vector for members beyond the first.  D records the
-    minimal vector search at this position, when one ran.  image is poly
-    in the ambient coordinates.
+    "skipped", or "ok" once s, m and D are recorded.  An "ok" member with
+    s None has no finite multiple in the group below it.  parent names the
+    creating position and vector past the first member; a position's
+    members are the records naming it.  D records the minimal vector
+    search at this position, when one ran.  image is poly in ambient form.
     """
 
     index: int
@@ -184,12 +185,32 @@ class TJump:
     LN: Optional[PairVec] = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Flags:
-    p_truncated: bool = False
-    t_truncated: bool = False
-    skipped: list[int] = field(default_factory=list)
-    d_incomplete: list[int] = field(default_factory=list)
+    """A build's flags, read off its records: p_truncated if the first
+    chain's last member has a jump (q set), t_truncated if a position made
+    fewer members than its D set holds; positions skipped or D-incomplete."""
+
+    state: "JumpState" = field(repr=False)
+
+    @property
+    def p_truncated(self) -> bool:
+        return bool(self.state.p_chain) and self.state.p_chain[-1].q is not None
+
+    @property
+    def t_truncated(self) -> bool:
+        # only pending members follow the position build_t_chain stops at
+        for last in self.state.t_chain[-1:]:
+            return last.status == "pending" or bool(last.D and last.D.members)
+        return False
+
+    @property
+    def skipped(self) -> list[int]:
+        return [r.index for r in self.state.t_chain if r.status == "skipped"]
+
+    @property
+    def d_incomplete(self) -> list[int]:
+        return [r.index for r in self.state.t_chain if r.D and not r.D.complete]
 
     @property
     def truncated(self) -> bool:
@@ -206,7 +227,6 @@ class JumpState:
     bounds: SearchBounds
     p_chain: list[PJump] = field(default_factory=list)
     t_chain: list[TJump] = field(default_factory=list)
-    flags: Flags = field(default_factory=Flags)
     _products: dict = field(default_factory=dict, repr=False)
     _solvers: dict = field(default_factory=dict, repr=False)
     # the threshold index of outputs' ideal and semigroup queries: one at a
@@ -216,6 +236,8 @@ class JumpState:
     @property
     def basis(self):
         return self.model.basis
+
+    flags = property(Flags)
 
     # -- chain lookups --------------------------------------------------
 
@@ -389,7 +411,6 @@ def build_p_chain(
         power = PairVec((0,) * (i - 1) + (q,), ())
         rec.lam, nxt, image = state.binomial(power, PairVec(L, ()))
         if len(state.p_chain) >= DEFAULT_P_CAP:
-            state.flags.p_truncated = True
             break
         if nxt.is_zero():
             raise InternalConsistencyError(
@@ -430,19 +451,18 @@ def _create_member(state: JumpState, i: int, vec: PairVec) -> None:
     )
 
 
-def _process_position(state: JumpState, i: int) -> bool:
-    """Handle chain position i; True means the index cap was hit."""
+def _process_position(state: JumpState, i: int) -> None:
+    """Record position i: "skipped" above the ceiling, else s, m, D, "ok"."""
     rec = state.t_chain[i - 1]
     if rec.poly.is_zero():
         rec.s = 1
         rec.m = state.m_at(i - 1)
         rec.D = PushingSearch((), True)
         rec.status = "ok"
-        return False
+        return
     if state.bounds.max_value is not None and rec.gamma > state.bounds.max_value:
         rec.status = "skipped"
-        state.flags.skipped.append(i)
-        return False
+        return
     rows = state.coordinates(len(state.p_chain), i - 1)
     s = min_multiple_in_group(rec.gamma, [val for *_, val in rows])
     if s is None:
@@ -450,7 +470,7 @@ def _process_position(state: JumpState, i: int) -> bool:
         # provably nothing pushes at this position, so the empty set is exact
         rec.D = PushingSearch((), True)
         rec.status = "ok"
-        return False
+        return
     target = s * rec.gamma
     depth = None
     for j in range(1, len(state.p_chain) + 1):
@@ -462,30 +482,28 @@ def _process_position(state: JumpState, i: int) -> bool:
         raise InternalConsistencyError("group multiple has no depth witness")
     rec.s = s
     rec.m = max(state.m_at(i - 1), depth)
-    search = state.pushing_set(i)
-    rec.D = search
+    rec.D = state.pushing_set(i)
     rec.status = "ok"
-    if not search.complete:
-        state.flags.d_incomplete.append(i)
-    room = state.bounds.max_t_index - len(state.t_chain)
-    for vec in search.members[:room]:
-        _create_member(state, i, vec)
-    return len(search.members) > room
 
 
 def build_t_chain(state: JumpState) -> JumpState:
-    """Process every pending member of the second chain under the state's
-    bounds; members already processed are left alone."""
+    """Record each pending position of the second chain and create the D
+    members each position has not created yet, in chain order, until the
+    chain holds max_t_index members.  As this reads the records, a finished
+    state is a fixed point, and a raised cap goes on as a fresh build would."""
     if not state.t_chain:
         state.t_chain.append(TJump(1, *_seed(state.model, "z")))
+    made = Counter(rec.parent[0] for rec in state.t_chain if rec.parent)
     # members created while the loop runs are appended to the list it
     # walks, so they are reached in turn
     for rec in state.t_chain:
-        if rec.status != "pending":
-            continue
-        if _process_position(state, rec.index):
-            state.flags.t_truncated = True
-            break
+        if rec.status == "pending":
+            _process_position(state, rec.index)
+        todo = rec.D.members[made[rec.index]:] if rec.status == "ok" else ()
+        for vec in todo:
+            if len(state.t_chain) >= state.bounds.max_t_index:
+                return state
+            _create_member(state, rec.index, vec)
     return state
 
 

@@ -357,6 +357,8 @@ def redundancy_certificate(
         raise ValueError(f"no second-chain member {target}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
+    if value_slack is not None and value_slack.sign() < 0:
+        raise ValueError(f"value_slack must be nonnegative, got {value_slack}")
     rec = state.t_chain[target - 1]
     if rec.poly.is_zero():
         return RedundancyCertificate(target, "zero")

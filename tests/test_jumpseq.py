@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from valgen import PairVec, RadicalBasis, ValuationModel, jumpseq
+from valgen import PairVec, RadicalBasis, ValuationModel, _golden, cli, jumpseq
 from valgen.cli import load_config, main, parse_config
 from valgen.jumpseq import vec_over
 from valgen.jumpseq import (
@@ -264,9 +264,11 @@ CONFIG_FILES = {
 
 
 def corpus_model(which):
-    """(model, bounds) of a config file, a tower_config seed or
-    first_chain_config(1) or (2)."""
-    if which in CONFIG_FILES:
+    """(model, bounds) of the worked example, a config file, a tower_config
+    seed or first_chain_config(1) or (2)."""
+    if which == "example":
+        model, bounds, _, _ = parsed_example()
+    elif which in CONFIG_FILES:
         model, bounds, _, _ = load_config(str(CONFIG_FILES[which]))
     else:
         if which in ("q1", "q2"):
@@ -303,6 +305,8 @@ def test_a_record_reads_ok_only_once_its_d_set_is_recorded(monkeypatch, which):
 
     def checked_search(state, i):
         check(state, "search")
+        # a placeholder D and "ok" set before the search would pass check
+        assert state.t_chain[i - 1].status == "pending"
         return search(state, i)
 
     def checked_rewrite(state, alpha, k, i):
@@ -311,10 +315,7 @@ def test_a_record_reads_ok_only_once_its_d_set_is_recorded(monkeypatch, which):
 
     monkeypatch.setattr(jumpseq.JumpState, "pushing_set", checked_search)
     monkeypatch.setattr(jumpseq.JumpState, "rewrite", checked_rewrite)
-    if which == "example":
-        model, bounds, _, _ = parsed_example()
-    else:
-        model, bounds = corpus_model(which)
+    model, bounds = corpus_model(which)
     build_state(model, bounds=bounds)
     assert {"search", "rewrite"} <= set(seen)
 
@@ -411,6 +412,80 @@ def test_build_t_chain_is_idempotent(state):
     before = len(state.t_chain)
     build_t_chain(state)
     assert len(state.t_chain) == before
+
+
+def record_rows(state):
+    """Every field of every chain record, as it stands."""
+    return [dict(vars(rec)) for rec in state.p_chain + state.t_chain]
+
+
+def flag_reading(state):
+    """The flags, t_truncated checked against its definition: a position
+    has created fewer members, the records whose parent names it, than
+    its D set holds."""
+    flags = state.flags
+    made = Counter(rec.parent[0] for rec in state.t_chain if rec.parent)
+    short = [
+        rec.index
+        for rec in state.t_chain
+        if rec.status == "ok" and made[rec.index] < len(rec.D.members)
+    ]
+    assert flags.t_truncated == bool(short)
+    assert flags.truncated == (flags.p_truncated or flags.t_truncated)
+    return (flags.p_truncated, flags.t_truncated, flags.skipped, flags.d_incomplete)
+
+
+def report_bytes(state, outputs, echo):
+    return cli._dump_json(
+        cli.report_doc(state, echo, *cli.derive_outputs(state, outputs))
+    )
+
+
+@pytest.mark.parametrize(
+    "which,n", [("tower.json", None), ("example", 3), ("example", 10)]
+)
+def test_a_finished_build_is_a_fixed_point(which, n):
+    # each build is truncated: the position that hit the cap finds no room
+    # again, and no pending position past it is processed
+    if which == "example":
+        parsed = parse_config(_golden.CONFIG, "example", max_t_index=n)
+    else:
+        parsed = load_config(str(CONFIG_FILES[which]), max_t_index=n)
+    model, bounds, outputs, echo = parsed
+    state = build_state(model, bounds=bounds)
+    assert state.flags.t_truncated
+    rows, flags = record_rows(state), flag_reading(state)
+    build_t_chain(state)
+    assert record_rows(state) == rows
+    assert flag_reading(state) == flags
+    fresh = build_state(model, bounds=bounds)
+    assert report_bytes(state, outputs, echo) == report_bytes(fresh, outputs, echo)
+
+
+@pytest.mark.parametrize(
+    "which,n",
+    [
+        ("example", 3),
+        ("example", 10),
+        ("example", 20),
+        ("tower.json", 20),
+        ("tower.json", 40),
+        (4, 20),
+        (11, 5),
+    ],
+)
+def test_a_raised_index_cap_goes_on_as_a_fresh_build(which, n):
+    # the position that hit the cap creates the rest of its D members, and
+    # the walk goes on in a fresh build's order
+    model, bounds = corpus_model(which)
+    bounds = replace(bounds, max_t_index=64)
+    state = build_state(model, bounds=replace(bounds, max_t_index=n))
+    assert len(state.t_chain) == n and state.flags.t_truncated
+    state.bounds = bounds
+    build_t_chain(state)
+    fresh = build_state(model, bounds=bounds)
+    assert record_rows(state) == record_rows(fresh)
+    assert flag_reading(state) == flag_reading(fresh)
 
 
 def test_raising_the_value_ceiling_keeps_the_rows_below_it(state, state_30):

@@ -1,4 +1,5 @@
-"""grouplat answers questions about values and reads no chain state.
+"""grouplat answers questions about values and reads no chain state, and
+only jumpseq writes the chains.
 
 Its searches take values, solvers and count vectors; which rows, leads
 and caps a chain supplies is decided in jumpseq, which calls them.  A
@@ -6,6 +7,10 @@ static scan of grouplat finds every import of a module that builds on
 it, every function parameter named ``state`` and every use of a name of
 the chain state's surface, as a variable, attribute, parameter, keyword
 or imported name.  Docstrings and comments are not scanned.
+
+A second scan, of every module but jumpseq, finds every write to a
+chain, to the flags or to a chain-record field, so derived reports never
+mutate the chains.
 """
 import ast
 from pathlib import Path
@@ -23,6 +28,14 @@ CHAIN_NAMES = {
     "status",
 }
 GROUPLAT = Path(valgen.__file__).with_name("grouplat.py")
+# the fields of PJump and TJump
+RECORD_FIELDS = {
+    "poly", "image", "beta", "gamma", "q", "L_vec", "lam",
+    "status", "s", "m", "D", "parent", "mu", "LN",
+}
+WRITTEN = {"p_chain", "t_chain", "flags"} | RECORD_FIELDS
+CHAINS = {"p_chain", "t_chain"}
+CHAIN_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear"}
 
 
 def chain_reads(tree):
@@ -98,3 +111,119 @@ def test_grouplat_reads_no_chain_state():
         "irreducible_decompose",
         "minimal_pushing_set",
     } <= defined
+
+
+def _targets(node):
+    """The attributes an assignment or del writes, through unpacking and
+    subscripts: ``state.t_chain[0] = rec`` writes t_chain."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _targets(elt)
+    elif isinstance(node, (ast.Starred, ast.Subscript)):
+        yield from _targets(node.value)
+    elif isinstance(node, ast.Attribute):
+        yield node
+
+
+def _call_writes(node):
+    """(line, what) for a setattr or object.__setattr__ of a name in
+    WRITTEN, or of a name the scan cannot read, and for a list mutator
+    called on p_chain or t_chain."""
+    func = node.func
+    found = []
+    setter = (isinstance(func, ast.Name) and func.id == "setattr") or (
+        isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+    )
+    if setter and len(node.args) > 1:
+        name = node.args[1]
+        if not isinstance(name, ast.Constant):
+            found.append((node.lineno, "setattr"))
+        elif name.value in WRITTEN:
+            found.append((node.lineno, name.value))
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in CHAIN_MUTATORS
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr in CHAINS
+    ):
+        found.append((node.lineno, f"{func.value.attr}.{func.attr}"))
+    return found
+
+
+def chain_writes(tree):
+    """(line, what) for every write in a parsed module to an attribute in
+    WRITTEN, by assignment, augmented or annotated assignment, del,
+    setattr or object.__setattr__, and every call of a list mutator on
+    p_chain or t_chain, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            found += _call_writes(node)
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [
+            (node.lineno, t.attr)
+            for target in targets
+            for t in _targets(target)
+            if t.attr in WRITTEN
+        ]
+    return sorted(found)
+
+
+def test_the_write_scan_sees_every_kind():
+    src = (
+        "state.t_chain = []\n"
+        "rec.status = 'ok'\n"
+        "rec.m += 1\n"
+        "state.flags: Flags = Flags(state)\n"
+        "rec.s, (rec.D, other) = 1, (2, 3)\n"
+        "state.p_chain[0] = rec\n"
+        "setattr(rec, 'gamma', v)\n"
+        "object.__setattr__(rec, 'LN', v)\n"
+        "setattr(rec, name, v)\n"
+        "state.p_chain.append(rec)\n"
+        "self.t_chain.pop()\n"
+        "del state.t_chain[-1]\n"
+        "*rec.parent, x = pair\n"
+    )
+    assert chain_writes(ast.parse(src)) == [
+        (1, "t_chain"),
+        (2, "status"),
+        (3, "m"),
+        (4, "flags"),
+        (5, "D"),
+        (5, "s"),
+        (6, "p_chain"),
+        (7, "gamma"),
+        (8, "LN"),
+        (9, "setattr"),
+        (10, "p_chain.append"),
+        (11, "t_chain.pop"),
+        (12, "t_chain"),
+        (13, "parent"),
+    ]
+    # reads, local names, other attributes and outputs' own cache slot pass
+    ok = (
+        "state._thresholds = index\n"
+        "status = rec.status\n"
+        "first = state.t_chain[0]\n"
+        "rows.append(rec.index)\n"
+        "keep = rec.poly.is_zero()\n"
+        "object.__setattr__(self, 'nums', nums)\n"
+        "counts[rec.index] += 1\n"
+    )
+    assert chain_writes(ast.parse(ok)) == []
+
+
+def test_only_jumpseq_writes_the_chains():
+    found = {}
+    for path in sorted(GROUPLAT.parent.glob("*.py")):
+        if path.stem != "jumpseq":
+            found[path.stem] = chain_writes(ast.parse(path.read_text(), str(path)))
+    assert len(found) >= 8
+    assert {name: got for name, got in found.items() if got} == {}

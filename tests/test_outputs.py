@@ -443,6 +443,18 @@ def test_a_negative_degree_cap_is_refused(state, target, at_zero):
     assert redundancy_certificate(state, target, degree_cap=0).status == at_zero
 
 
+def test_a_negative_value_slack_is_refused(state):
+    # it would leave every eligible member undecided; a zero slack is fine
+    minus_one = state.basis.rational(-1)
+    with pytest.raises(ValueError, match="^value_slack must be nonnegative"):
+        redundancy_survey(state, value_slack=minus_one)
+    for target in (3, 5, 11):
+        with pytest.raises(ValueError, match="value_slack"):
+            redundancy_certificate(state, target, value_slack=minus_one)
+    zero = redundancy_certificate(state, 5, value_slack=state.basis.zero())
+    assert zero.status == "undecided"
+
+
 @pytest.fixture(scope="module")
 def up_to_17(state):
     return oracles.vectors_up_to(state, state.basis.rational(17))
