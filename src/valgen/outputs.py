@@ -405,7 +405,9 @@ def redundancy_certificate(
     g = rec.image
     prev = None
     while not g.is_zero():
-        val = state.model.nu(g)
+        # one scan of g per step: value and residue come off its lead
+        lead = state.model.initial_term(g)
+        val = state.model.nu(lead)
         if prev is not None and not val > prev:
             raise InternalConsistencyError("rewrite failed to raise the value")
         prev = val
@@ -415,7 +417,7 @@ def redundancy_certificate(
         if pick is None:
             return RedundancyCertificate(target, "undecided")
         pick_img = state.image_of(pick)
-        mu = state.model.residue_ratio(g, pick_img)
+        mu = state.model.residue_ratio(lead, pick_img)
         g = g - pick_img.scale(mu)
         combo.append((mu, pick))
     return RedundancyCertificate(target, "certified", tuple(combo))

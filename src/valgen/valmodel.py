@@ -12,7 +12,8 @@ the residues the chain construction divides by.
 The model keeps its ambient values once more, as integer numerator
 columns over one common denominator.  The value of a monomial is then a
 few integer dot products, and ``nu`` and ``initial_term`` share one scan
-that keeps the running minimum as integer numerators and builds a single
+over the exponents read off the polynomial's keys (``exponents``) that
+keeps the running minimum as integer numerators and builds a single
 Value, for the result.  The scan places each term by a 64-bit enclosure
 summed from per-variable enclosures and compares numerators exactly only
 when two enclosures overlap.
@@ -135,9 +136,10 @@ class ValuationModel:
         ``sign_within`` refines only when the bounds overlap."""
         radicands = self.basis.radicands
         los, widths = self._enclosures
-        at, best, tied = 0, self._numerators(g.terms[0][0]), False
+        first, *rest = g.exponents()
+        at, best, tied = 0, self._numerators(first), False
         best_lo, best_hi = int_vec_bounds(best, radicands, FIXED_BITS)
-        for i, (exp, _) in enumerate(g.terms[1:], 1):
+        for i, exp in enumerate(rest, 1):
             mid = sum(map(mul, exp, los))
             w = sum(map(mul, map(abs, exp), widths))
             if mid - w > best_hi:
@@ -175,24 +177,21 @@ class ValuationModel:
             raise InternalConsistencyError(
                 "two ambient monomials share the minimal value"
             )
-        return LaurentPoly(self.ambient_vars, (g.terms[at],))
+        return g.term(at)
 
     def residue_ratio(self, f: LaurentPoly, g: LaurentPoly) -> Fraction:
         """Ratio of initial coefficients of two polynomials of equal value."""
         tf = self.initial_term(f)
         tg = self.initial_term(g)
-        ef, cf = tf.terms[0]
-        eg, cg = tg.terms[0]
-        if self.monomial_value(ef) != self.monomial_value(eg):
-            raise UnequalValuesError(
-                f"values differ: {self.monomial_value(ef)} vs "
-                f"{self.monomial_value(eg)}"
-            )
+        (ef,), (eg,) = tf.exponents(), tg.exponents()
         if ef != eg:
+            vf, vg = self.monomial_value(ef), self.monomial_value(eg)
+            if vf != vg:
+                raise UnequalValuesError(f"values differ: {vf} vs {vg}")
             raise InternalConsistencyError(
                 "equal values on distinct ambient monomials"
             )
-        return cf / cg
+        return tf.coefficients()[0] / tg.coefficients()[0]
 
 
 def validate_model(model: ValuationModel) -> list[str]:

@@ -22,6 +22,16 @@ def naive_poly_mul(terms1, terms2):
     return {exp: c for exp, c in out.items() if c != 0}
 
 
+def naive_add(terms1, terms2):
+    """The sum of two polynomials given as (exponents, coefficient) pairs:
+    a dict of its nonzero coefficients keyed by exponent tuples, summed as
+    Fractions."""
+    out = {}
+    for exp, c in (*terms1, *terms2):
+        out[tuple(exp)] = out.get(tuple(exp), Fraction(0)) + Fraction(c)
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
 def naive_substitute(terms, vars_, images, n):
     """The terms, (exponents, coefficient) pairs over vars_, with each
     variable replaced by its image in images (a dict of name to

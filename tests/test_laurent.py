@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valgen import LaurentPoly, NonInvertibleSubstitution, ParseError
-from valgen.laurent import MAX_EXPANSION_BITS, parse_polynomial
+from valgen.laurent import MAX_EXPANSION_BITS, MAX_EXPONENT, parse_polynomial
 
 import oracles
 
@@ -18,14 +18,24 @@ def P(text, vars_=XYZ):
     return parse_polynomial(text, vars_)
 
 
+HALF = MAX_EXPONENT // 2
+# small exponents, and exponents within one of half the field of either
+# sign: the sum of two reaches the field's edges, and one past them
+WIDE = st.one_of(
+    st.integers(-3, 3),
+    st.integers(HALF - 1, HALF + 1),
+    st.integers(-HALF - 1, -HALF + 1),
+)
+
+
 @st.composite
-def polys(draw, vars_=XY, max_terms=4, max_denominator=3):
+def polys(
+    draw, vars_=XY, max_terms=4, max_denominator=3, exps=st.integers(-3, 3)
+):
     n = draw(st.integers(min_value=0, max_value=max_terms))
     terms = []
     for _ in range(n):
-        exp = tuple(
-            draw(st.integers(min_value=-3, max_value=3)) for _ in vars_
-        )
+        exp = tuple(draw(exps) for _ in vars_)
         c = draw(
             st.fractions(
                 min_value=-5, max_value=5, max_denominator=max_denominator
@@ -284,6 +294,151 @@ def test_arithmetic_matches_fraction_oracle(f, g, q, n):
     for r in (product, f + g, f - g, f - f, product - g * f, -f,
               f.scale(q), f**n):
         assert_canonical(r)
+
+
+def reach(*fs):
+    """Per variable, the sum over fs of each one's largest absolute
+    exponent: the bound a product of fs is refused past."""
+    return [
+        sum(max((abs(e[i]) for e, _ in f.terms), default=0) for f in fs)
+        for i in range(len(fs[0].vars))
+    ]
+
+
+def assert_matches(got, want):
+    """got has exactly the terms of the oracle's dict want: the same terms
+    in descending lex order, text, equality and hash as the polynomial the
+    public constructor builds from them, and a text that parses back."""
+    expected = tuple(sorted(want.items(), reverse=True))
+    ref = LaurentPoly(got.vars, expected)
+    assert got.terms == expected
+    assert got == ref and hash(got) == hash(ref)
+    assert got.text() == ref.text()
+    assert parse_polynomial(got.text(), got.vars) == got
+    assert_canonical(got)
+
+
+@given(
+    polys(XYZ, exps=WIDE),
+    polys(XYZ, exps=WIDE),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.integers(min_value=0, max_value=3),
+)
+def test_packed_kernel_matches_tuple_oracles(f, g, q, n):
+    negated = [(e, -c) for e, c in g.terms]
+    assert_matches(f + g, oracles.naive_add(f.terms, g.terms))
+    assert_matches(f - g, oracles.naive_add(f.terms, negated))
+    assert_matches(-g, oracles.naive_add((), negated))
+    assert_matches(f.scale(q), oracles.naive_poly_mul(f.terms, [((0, 0, 0), q)]))
+    if max(reach(f, g)) > MAX_EXPONENT:
+        with pytest.raises(ValueError, match="product could take an exponent"):
+            f * g
+    else:
+        assert_matches(f * g, oracles.naive_poly_mul(f.terms, g.terms))
+    if n * max(reach(f)) > MAX_EXPONENT:
+        with pytest.raises(ValueError, match="could take an exponent"):
+            f**n
+    else:
+        power = {(0, 0, 0): Fraction(1)}
+        for _ in range(n):
+            power = oracles.naive_poly_mul(power.items(), f.terms)
+        assert_matches(f**n, power)
+    for i, var in enumerate(XYZ):
+        want = {
+            e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in f.terms if e[i]
+        }
+        assert_matches(f.derivative(var), want)
+
+
+EDGE = MAX_EXPONENT
+
+
+@pytest.mark.parametrize("e", [EDGE, -EDGE])
+def test_exponents_at_the_field_edge_are_kept(e):
+    f = LaurentPoly.monomial(XY, (e, 0), 3)
+    assert f.terms == (((e, 0), 3),)
+    assert parse_polynomial(f.text(), XY) == f
+    assert parse_polynomial(f"3*x^{e}", XY) == f
+    assert f * LaurentPoly.monomial(XY, (0, -e)) == LaurentPoly(
+        XY, (((e, -e), 3),)
+    )
+    assert f**-1 == LaurentPoly.monomial(XY, (-e, 0), Fraction(1, 3))
+    # a power whose bound fits, at twice half the field, is computed
+    h = HALF if e > 0 else -HALF
+    assert LaurentPoly.monomial(XY, (h, 0)) ** 2 == LaurentPoly.monomial(
+        XY, (2 * h, 0)
+    )
+
+
+@pytest.mark.parametrize("e", [EDGE + 1, -EDGE - 1, 10**20, -(10**20)])
+def test_exponents_past_the_field_are_refused(e):
+    with pytest.raises(ValueError, match="a term could take an exponent past"):
+        LaurentPoly(XY, (((e, 0), 1),))
+    with pytest.raises(ValueError, match="a term could take an exponent past"):
+        LaurentPoly.monomial(XY, (0, e))
+    # the parser refuses the power at its exponent, not at the base
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(f"y + x^{e}", XY)
+    assert exc.value.pos == 6
+    assert "could take an exponent past" in exc.value.bare_message
+
+
+@pytest.mark.parametrize(
+    "text, pos, what",
+    [
+        ("x^2147483647*x", 13, "product"),
+        ("y*x^-2147483647*x^-1", 16, "product"),
+        ("(x^1073741824)^2", 15, "power 2"),
+        ("(x*y^-1073741824)^-2", 18, "power -2"),
+        ("u1^99999999999999999999", 3, "power 99999999999999999999"),
+    ],
+)
+def test_products_and_powers_past_the_field_are_parse_errors(text, pos, what):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, ("x", "y", "u1"))
+    assert exc.value.pos == pos
+    assert exc.value.bare_message == (
+        f"{what} could take an exponent past +-{MAX_EXPONENT}"
+    )
+
+
+def test_operators_refuse_exponents_past_the_field():
+    top = LaurentPoly.monomial(XY, (EDGE, 0))
+    x = LaurentPoly.variable(XY, "x")
+    with pytest.raises(ValueError, match="product"):
+        top * x
+    with pytest.raises(ValueError, match="product"):
+        (top + x) ** 2
+    with pytest.raises(ValueError, match="power -2"):
+        top**-2
+    # the bounds are the operands', so a product is refused even where
+    # its exponents would cancel
+    with pytest.raises(ValueError, match="product"):
+        top * top**-1
+    with pytest.raises(ValueError, match="derivative"):
+        (top**-1).derivative("x")
+    # a derivative that only lowers positive exponents stays in the field
+    assert top.derivative("y").is_zero()
+    assert LaurentPoly.monomial(XY, (EDGE - 1, 0)).derivative("x") == (
+        LaurentPoly.monomial(XY, (EDGE - 2, 0), EDGE - 1)
+    )
+
+
+def test_substitution_computes_each_image_power_once(monkeypatch):
+    calls = []
+    power = LaurentPoly.__pow__
+
+    def counted(f, n):
+        calls.append((f.text(), n))
+        return power(f, n)
+
+    images = {"x": P("x + y"), "y": P("y"), "z": P("z - 1")}
+    want = P("(x + y)^2*y + (x + y)^2*(z - 1) + (x + y)^2 + y*(z - 1)")
+    f = P("x^2*y + x^2*z + x^2 + y*z")
+    monkeypatch.setattr(LaurentPoly, "__pow__", counted)
+    got = f.substitute(images)
+    assert got == want
+    assert sorted(calls) == [("1*x + 1*y", 2), ("1*y", 1), ("1*z - 1", 1)]
 
 
 @given(polys(max_terms=3), polys(max_terms=3))

@@ -11,6 +11,12 @@ or imported name.  Docstrings and comments are not scanned.
 A second scan, of every module but jumpseq, finds every write to a
 chain, to the flags or to a chain-record field, so derived reports never
 mutate the chains.
+
+A third scan, of every module but laurent, finds every use of a name of
+``LaurentPoly``'s packed form: its key, numerator, denominator and bound
+fields and the helpers that build a polynomial from them.  Other modules
+read exponents through the one accessor ``exponents``, and valmodel's
+scans read them through it, not through ``terms``.
 """
 import ast
 from pathlib import Path
@@ -227,3 +233,80 @@ def test_only_jumpseq_writes_the_chains():
             found[path.stem] = chain_writes(ast.parse(path.read_text(), str(path)))
     assert len(found) >= 8
     assert {name: got for name, got in found.items() if got} == {}
+
+
+# LaurentPoly's packed fields and the laurent helpers that build from them
+PACKED = {
+    "_keys", "_nums", "_denom", "_reach", "_set", "_new", "_fit",
+    "_zero_key", "_ZERO_FIELD", "_OFFSET", "FIELD_BITS",
+}
+MODULES = sorted(GROUPLAT.parent.glob("*.py"))
+
+
+def names_used(tree):
+    """(line, name) for every variable, attribute, parameter, keyword,
+    imported name and string constant in a parsed module, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.Attribute, ast.arg, ast.keyword)):
+            names = [getattr(node, "attr", None) or node.arg]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for a in node.names for n in (a.name, a.asname) if n]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name]
+    return sorted(found)
+
+
+def packed_uses(tree):
+    return [(line, name) for line, name in names_used(tree) if name in PACKED]
+
+
+def test_the_packed_scan_sees_every_kind():
+    src = (
+        "from .laurent import _zero_key, FIELD_BITS as width\n"
+        "keys = f._keys\n"
+        "g = LaurentPoly._new(f, {1: 2}, 1, (0,))\n"
+        "n = getattr(f, '_nums')\n"
+        "def h(_reach): return _fit(_reach, 'product')\n"
+        "g._set(v, raw, den=f._denom, reach=())\n"
+    )
+    assert packed_uses(ast.parse(src)) == [
+        (1, "FIELD_BITS"),
+        (1, "_zero_key"),
+        (2, "_keys"),
+        (3, "_new"),
+        (4, "_nums"),
+        (5, "_fit"),
+        (5, "_reach"),
+        (5, "_reach"),
+        (6, "_denom"),
+        (6, "_set"),
+    ]
+    # the accessor, the boundary forms and valmodel's own fields pass
+    ok = (
+        "exps = g.exponents()\n"
+        "first = g.term(at)\n"
+        "c = f.coefficients()[0] / f.terms[0][1]\n"
+        "v = Value(basis, nums, self._den)\n"
+        "'reads keys through exponents'\n"
+    )
+    assert packed_uses(ast.parse(ok)) == []
+
+
+def test_only_laurent_touches_the_packed_form():
+    found = {
+        path.stem: packed_uses(ast.parse(path.read_text(), str(path)))
+        for path in MODULES
+        if path.stem != "laurent"
+    }
+    assert len(found) >= 8
+    assert {name: got for name, got in found.items() if got} == {}
+    # valmodel's hot scans read exponents off the keys, not terms
+    valmodel = GROUPLAT.with_name("valmodel.py")
+    used = {name for _, name in names_used(ast.parse(valmodel.read_text()))}
+    assert "exponents" in used and "terms" not in used
