@@ -6,10 +6,9 @@ semigroup they generate:
 
   * least positive multiple of a value lying in a group,
   * integer solutions of one linear equation over the generators,
-  * nonnegative solutions (semigroup membership), in increasing
-    reverse-lex order, so the first is the least,
-  * canonical rewrites of a value: the first solution of a search cut
-    by leads,
+  * semigroup membership: the reverse-lex least nonnegative solution,
+    of a search that leads and a degree cap may cut,
+  * canonical rewrites of a value: that least solution cut by leads,
   * the minimal vectors whose value pushes into a semigroup.
 
 Both group questions are answered by one column echelon form of the
@@ -23,7 +22,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from math import gcd
 from operator import le, lt, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistencyError, NotInSemigroupError
 from .values import Value, combination, over_common_den
@@ -150,11 +149,11 @@ class SemigroupSolver:
     A query is an integer program: nonnegative counts of the (integer
     scaled) generator vectors summing to the target.  The search fixes the
     counts from the last generator back, each from its least feasible
-    value up, so solutions come out in strictly increasing reverse-lex
-    order (counts read from the last generator back) and ``contains``
-    returns the least one: with leads, the canonical rewrite of a term
-    order.  ``gvecs`` holds the scaled generators in search order, the
-    given order reversed.  The one pruning rule is exact: what is left
+    value up, and stops at its first hit, so ``contains`` returns the
+    least solution in reverse-lex order (counts read from the last
+    generator back): with leads, the canonical rewrite of a term order.
+    ``gvecs`` holds the scaled generators in search order, the given
+    order reversed.  The one pruning rule is exact: what is left
     must lie in the real cone of the generators not yet fixed.  For each
     suffix of ``gvecs`` ``normals`` holds integer vectors h with h.g >= 0
     on that suffix, enough to cut out its cone, so a generator's count
@@ -218,30 +217,24 @@ class SemigroupSolver:
         self.queries = 0
         self.nodes = 0
 
-    def contains(self, alpha: Value) -> Optional[tuple[int, ...]]:
-        """The reverse-lex least solution over the given generator order,
-        or None."""
-        self.queries += 1
-        return next(self.solutions(alpha), None)
-
-    def solutions(
+    def contains(
         self,
         alpha: Value,
         leads: Sequence[Sequence[int]] = (),
         degrees: Sequence[int] = (),
         cap: Optional[int] = None,
-    ) -> Iterator[tuple[int, ...]]:
-        """Every nonnegative solution, over the given generator order.
+    ) -> Optional[tuple[int, ...]]:
+        """The reverse-lex least nonnegative solution over the given
+        generator order, or None.
 
-        They come in strictly increasing reverse-lex order, so the first is
-        the witness of ``contains``.  Given leads (nonzero, nonnegative
-        count vectors over the same order) or a cap on the degree
-        sum(counts[k] * degrees[k]) with nonnegative degrees, one per
-        generator, only the solutions that dominate no lead componentwise
-        and stay within the cap come out.  Both are down-sets, so the
-        search cuts every prefix of counts that already breaks one, with
-        its whole subtree.
+        Given leads (nonzero, nonnegative count vectors over the same
+        order) or a cap on the degree sum(counts[k] * degrees[k]) with
+        nonnegative degrees, one per generator, only a solution that
+        dominates no lead componentwise and stays within the cap counts.
+        Both are down-sets, so the search cuts every prefix of counts that
+        already breaks one, with its whole subtree.
         """
+        self.queries += 1
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
         n = self.count
@@ -256,14 +249,13 @@ class SemigroupSolver:
             raise ValueError("a degree cap and degrees must be nonnegative")
         if self.scale % alpha.den:
             # every semigroup element has coordinates in (1/scale)Z
-            return
+            return None
         up = self.scale // alpha.den
         rem = tuple(a * up for a in alpha.nums)
         if any(_dot(h, rem) < 0 for h in self.normals[0]):
-            return
+            return None
         cut = self._cut(leads, degrees, cap) if leads or cap is not None else None
-        for got in self._counts(0, rem, cut):
-            yield got[::-1]
+        return self._counts(0, rem, cut)
 
     def _cut(self, leads, degrees, cap):
         """(prefix, limit) for a search cut by leads and a degree cap:
@@ -295,14 +287,14 @@ class SemigroupSolver:
 
     def _counts(
         self, j: int, rem: tuple[int, ...], cut=None
-    ) -> Iterator[tuple[int, ...]]:
-        """Counts of gvecs[j:] summing to rem, which lies in their cone;
-        with cut (``_cut``), only those its limit lets through."""
+    ) -> Optional[tuple[int, ...]]:
+        """The first counts of gvecs[j:] summing to rem, which lies in their
+        cone, that cut (``_cut``) lets through, or None; in the given
+        generator order, so the count of gvecs[j] comes last."""
         self.nodes += 1
         if not any(rem):
             # positive generators: only the zero counts sum to zero
-            yield (0,) * (self.count - j)
-            return
+            return (0,) * (self.count - j)
         lo = 0
         hi: Optional[int] = None
         for h, d in self._steps[j]:
@@ -324,8 +316,10 @@ class SemigroupSolver:
             if cut is not None:
                 prefix[j] = n
             sub = tuple(a - n * b for a, b in zip(rem, g))
-            for got in self._counts(j + 1, sub, cut):
-                yield (n,) + got
+            got = self._counts(j + 1, sub, cut)
+            if got is not None:
+                return (*got, n)
+        return None
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -367,17 +361,18 @@ def minimal_semigroup_generators(values: Sequence[Value]) -> tuple[Value, ...]:
     representation of a value uses strictly smaller values, so dropping
     works independently of order.  One solver over all the values
     answers every question: the generators are positive, so the only
-    solution that uses g itself is g, and g is dropped when some
-    solution for it leaves its own count at zero.
+    solution that uses g itself is g, and g is dropped when a search cut
+    by the unit lead on g's own row still finds one.
     """
     vals = sorted(set(values))
     if not vals:
         return ()
     solver = SemigroupSolver(vals)
+    n = len(vals)
     return tuple(
         g
         for k, g in enumerate(vals)
-        if all(counts[k] for counts in solver.solutions(g))
+        if solver.contains(g, [tuple(int(j == k) for j in range(n))]) is None
     )
 
 
@@ -413,17 +408,16 @@ def irreducible_decompose(
     Of the rewrites that dominate none of the leads (nonzero count
     vectors, the leading vectors of the relations), the canonical one is
     the least under reverse lex (the counts read from the last generator
-    back): the first solution of one cut search
-    (``SemigroupSolver.solutions``).  The result is checked for its value
-    and irreducibility.  Raises NotInSemigroupError when alpha has no
-    nonnegative rewrite.
+    back): the answer of one cut search (``SemigroupSolver.contains``).
+    The result is checked for its value and irreducibility.  Raises
+    NotInSemigroupError when alpha has no nonnegative rewrite.
     """
     sgn = alpha.sign()
     if sgn < 0:
         raise NotInSemigroupError("negative values have no rewrite")
     if sgn == 0:
         return (0,) * solver.count
-    best = next(solver.solutions(alpha, leads), None)
+    best = solver.contains(alpha, leads)
     if best is None:
         if solver.contains(alpha) is None:
             raise NotInSemigroupError(f"{alpha} has no nonnegative rewrite")

@@ -25,7 +25,7 @@ from operator import add, lt, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
-from .grouplat import graded_key, graded_sorted, minimal_semigroup_generators
+from .grouplat import graded_sorted, minimal_semigroup_generators
 from .jumpseq import JumpState, PairVec, vec_over
 from .laurent import LaurentPoly
 from .values import (
@@ -327,6 +327,12 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
 # -- redundancy ---------------------------------------------------------------
 
 
+def _need_int(name: str, x) -> None:
+    """Refuse x unless it is a plain int, neither a bool nor a float."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an int, got {x!r}")
+
+
 @dataclass(frozen=True)
 class RedundancyCertificate:
     """Outcome of trying to rewrite one second-chain member over the rest.
@@ -351,8 +357,12 @@ def redundancy_certificate(
 
     The search window reaches value_slack above the member's own value
     (DEFAULT_VALUE_SLACK when not given) and ignores rewrite monomials
-    of larger polynomial degree than degree_cap.
+    of larger polynomial degree than degree_cap.  Each step takes the
+    reverse-lex least irreducible monomial at the remainder's value
+    (``SemigroupSolver.contains``), the order of the creating rewrites.
     """
+    _need_int("target", target)
+    _need_int("degree_cap", degree_cap)
     if not 1 <= target <= len(state.t_chain):
         raise ValueError(f"no second-chain member {target}")
     if degree_cap < 0:
@@ -362,17 +372,22 @@ def redundancy_certificate(
     rec = state.t_chain[target - 1]
     if rec.poly.is_zero():
         return RedundancyCertificate(target, "zero")
-    solver = state.semigroup_solver(state.m_at(target), target - 1)
-    if solver.contains(rec.gamma) is None:
+    plen = len(state.p_chain)
+    tlen = len(state.t_chain)
+    rows = state.coordinates(plen, tlen)
+    lookup = state.semigroup_solver(plen, tlen)
+    n = len(rows)
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    # eligible when the value lies in the semigroup of the rows below the
+    # member, coordinates(m_at(target), target - 1): a unit lead on every
+    # other row holds its count at zero
+    below = state.coordinates(state.m_at(target), target - 1)
+    outside = [unit for unit, row in zip(units, rows) if row not in below]
+    if lookup.contains(rec.gamma, outside) is None:
         return RedundancyCertificate(target, "not_eligible")
     if value_slack is None:
         value_slack = state.basis.rational(DEFAULT_VALUE_SLACK)
     hi = rec.gamma + value_slack
-    plen = len(state.p_chain)
-    tlen = len(state.t_chain)
-    rows = state.coordinates(plen, tlen)
-    # the target's own row: a rewrite must not use the member itself
-    own = rows.index(("t", target, rec.gamma))
     degs = []
     for kind, idx, _ in rows:
         chain = state.p_chain if kind == "p" else state.t_chain
@@ -380,22 +395,11 @@ def redundancy_certificate(
         if d is None:
             raise InternalConsistencyError("zero member in coordinate rows")
         degs.append(d)
-    lookup = state.semigroup_solver(plen, tlen)
     # what a rewrite monomial must not dominate, as counts over the rows:
     # the target's own row, and the relation leads that lie on the rows
     # (a vanished member carries no row)
-    leads = [tuple(int(k == own) for k in range(len(rows)))]
+    leads = [units[rows.index(("t", target, rec.gamma))]]
     leads += state.lead_counts(rows)
-
-    def cheapest(val: Value) -> Optional[PairVec]:
-        """The graded-least irreducible monomial of value val and degree
-        at most degree_cap, or None."""
-        best = min(
-            lookup.solutions(val, leads, degs, degree_cap),
-            key=graded_key,
-            default=None,
-        )
-        return None if best is None else vec_over(rows, best)
 
     combo: list[tuple[Fraction, PairVec]] = []
     # the remainder, kept in ambient form only: validate_model's Jacobian
@@ -413,9 +417,10 @@ def redundancy_certificate(
         prev = val
         if val > hi:
             return RedundancyCertificate(target, "undecided")
-        pick = cheapest(val)
-        if pick is None:
+        counts = lookup.contains(val, leads, degs, degree_cap)
+        if counts is None:
             return RedundancyCertificate(target, "undecided")
+        pick = vec_over(rows, counts)
         pick_img = state.image_of(pick)
         mu = state.model.residue_ratio(lead, pick_img)
         g = g - pick_img.scale(mu)
@@ -429,6 +434,7 @@ def redundancy_survey(
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> dict[int, RedundancyCertificate]:
     """One certificate per second-chain member, in chain order."""
+    _need_int("degree_cap", degree_cap)
     return {
         j: redundancy_certificate(
             state, j, value_slack=value_slack, degree_cap=degree_cap

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -13,9 +14,12 @@ from valgen import (
     redundancy_survey,
 )
 from valgen._golden import CONFIG, parsed_example
+from valgen.cli import load_config
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+TOWER = Path(__file__).with_name("tower.json")
 
 
 def build_example(max_value=None):
@@ -45,6 +49,19 @@ def survey(state):
 @pytest.fixture(scope="session")
 def survey_30(state_30):
     return redundancy_survey(state_30)
+
+
+@pytest.fixture(scope="session")
+def tower_json():
+    """tests/tower.json built at its default bounds: 64 second-chain
+    members, pending ones among them."""
+    model, bounds, _, _ = load_config(str(TOWER))
+    return build_state(model, bounds=bounds)
+
+
+@pytest.fixture(scope="session")
+def tower_survey(tower_json):
+    return redundancy_survey(tower_json)
 
 
 @pytest.fixture(scope="session")

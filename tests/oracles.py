@@ -7,6 +7,7 @@ independent oracle for the search code.
 
 from fractions import Fraction
 from itertools import zip_longest
+from operator import ge, mul
 
 from valgen import PairVec
 
@@ -185,8 +186,8 @@ def survey_pick(pairs, state, skip_t, val, degree_cap):
     pairs is a vectors_up_to(state, cap) enumeration with cap >= val.
     Among its vectors of value val that leave out member skip_t, have
     polynomial degree at most degree_cap and are irreducible, the least
-    by total weight and then by the exponents padded to full chain
-    length; None when there is none.
+    in reverse lex, the exponents padded to full chain length and read
+    from the last back; None when there is none.
     """
     n_p = len(state.p_chain)
     n_t = len(state.t_chain)
@@ -198,7 +199,7 @@ def survey_pick(pairs, state, skip_t, val, degree_cap):
     def key(vec):
         padded = [entry(vec, "p", j) for j in range(1, n_p + 1)]
         padded += [entry(vec, "t", j) for j in range(1, n_t + 1)]
-        return (sum(padded), padded)
+        return padded[::-1]
 
     fits = [
         vec
@@ -230,6 +231,41 @@ def naive_solutions(target, gens):
 
     rec(0, [], target.basis.zero())
     return out
+
+
+def least_solution(target, gens, leads=(), degrees=(), cap=None):
+    """The reverse-lex least count tuple c >= 0 (read from the last entry
+    back) with sum(c_k*gens_k) == target that dominates no lead and, given
+    a cap, has sum(c_k*degrees_k) <= cap; None when there is none.
+
+    Plain counting from the last generator back, each count from 0 up,
+    stopping at the first hit.  The positive generators, the nonnegative
+    degrees and the leads make each condition a down-set, so a partial
+    tuple past the target or the cap, or dominating a lead, is not
+    extended.
+    """
+    n = len(gens)
+    counts = [0] * n
+
+    def fits():
+        if any(all(map(ge, counts, lead)) for lead in leads):
+            return False
+        return cap is None or sum(map(mul, counts, degrees)) <= cap
+
+    def rec(k, acc):
+        if k < 0:
+            return tuple(counts) if acc == target else None
+        total = acc
+        while total <= target and fits():
+            got = rec(k - 1, total)
+            if got is not None:
+                return got
+            counts[k] += 1
+            total = total + gens[k]
+        counts[k] = 0
+        return None
+
+    return rec(n - 1, target.basis.zero())
 
 
 def minimal_vectors(pairs):

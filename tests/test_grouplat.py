@@ -349,11 +349,9 @@ def check_against_oracle(rng, pool, random_target, cap, rounds):
         else:
             assert combination(got, gens, basis) == target
             hits += 1
-        # enumeration on the same solver gives contains' answer first
-        every = list(solver.solutions(target))
-        assert len(set(every)) == len(every)
-        assert sorted(every) == sorted(oracles.naive_solutions(target, gens))
-        assert got == (every[0] if every else None)
+        # the witness is the reverse-lex least of every solution
+        every = oracles.naive_solutions(target, gens)
+        assert got == least(every)
     assert hits >= rounds // 10 and misses >= rounds // 10
 
 
@@ -385,6 +383,22 @@ def dominates_none(counts, leads):
     return not any(all(map(int.__ge__, counts, lead)) for lead in leads)
 
 
+def least(solutions):
+    """The reverse-lex least count vector (read from the last entry
+    back), or None: contains' choice among solutions."""
+    return min(solutions, key=lambda c: c[::-1], default=None)
+
+
+def filtered(solutions, leads, degrees, cap):
+    """The solutions that dominate no lead and stay within the cap."""
+    return [
+        counts
+        for counts in solutions
+        if dominates_none(counts, leads)
+        and (cap is None or sum(map(mul, counts, degrees)) <= cap)
+    ]
+
+
 def chain_gens(which, second_state):
     """Generators for the cut tests: chain-shaped values of the worked
     example, or the full chain of the second model."""
@@ -408,18 +422,12 @@ def test_cut_search_keeps_exactly_the_filtered_solutions(
     degrees = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     cap = data.draw(st.none() | st.integers(0, 12), "cap")
     target = combination(data.draw(row, "target counts"), gens, gens[0].basis)
-    want = [
-        counts
-        for counts in SemigroupSolver(gens).solutions(target)
-        if dominates_none(counts, leads)
-        and (cap is None or sum(map(mul, counts, degrees)) <= cap)
-    ]
+    every = oracles.naive_solutions(target, gens)
     solver = SemigroupSolver(gens)
-    assert list(solver.solutions(target, leads, degrees, cap)) == want
+    want = least(filtered(every, leads, degrees, cap))
+    assert solver.contains(target, leads, degrees, cap) == want
     # the same solver, after a cut search, answers as a fresh one
-    assert list(solver.solutions(target)) == list(
-        SemigroupSolver(gens).solutions(target)
-    )
+    assert solver.contains(target) == least(every)
 
 
 @pytest.mark.parametrize("which", ["chain-shaped", "second"])
@@ -438,7 +446,7 @@ def test_cut_searches_leave_later_answers_alone(which, second_state):
     for cut in ((units, (), None), ((), (1,) * n, 0)):
         solver = SemigroupSolver(gens)
         for target in targets:
-            assert list(solver.solutions(target, *cut)) == []
+            assert solver.contains(target, *cut) is None
         fresh = SemigroupSolver(gens)
         for target in targets:
             got = solver.contains(target)
@@ -450,10 +458,10 @@ def test_cut_search_refuses_negative_degrees():
     gens = [B1.rational(2), B1.rational(3)]
     for degrees, cap in (((1, -1), 4), ((1, 1), -1)):
         with pytest.raises(ValueError):
-            next(SemigroupSolver(gens).solutions(B1.rational(6), (), degrees, cap))
+            SemigroupSolver(gens).contains(B1.rational(6), (), degrees, cap)
 
 
-def test_solutions_refuse_malformed_leads_and_degrees():
+def test_contains_refuses_malformed_leads_and_degrees():
     # every lead and the degrees need one entry per generator, and a lead
     # must be a nonzero count vector
     solver = SemigroupSolver([B1.rational(2), B1.rational(3)])
@@ -465,14 +473,14 @@ def test_solutions_refuse_malformed_leads_and_degrees():
         (((), (), 4), "one entry per generator"),
     ):
         with pytest.raises(ValueError, match=needle):
-            next(solver.solutions(B1.rational(6), *cut))
+            solver.contains(B1.rational(6), *cut)
 
 
 @given(data=st.data())
-def test_solutions_come_in_increasing_reverse_lex_order(data):
-    # with and without leads and a degree cap: exactly the brute-force
-    # solutions the cut lets through, in strictly increasing reverse-lex
-    # order, and contains answers with the least of all solutions
+def test_contains_answers_the_reverse_lex_least_filtered_solution(data):
+    # with and without leads and a degree cap: the reverse-lex least of
+    # the brute-force solutions the cut lets through, and without a cut
+    # the least of all solutions
     gens = data.draw(
         st.lists(st.sampled_from(SMALL_POOL), min_size=1, max_size=4, unique=True),
         "gens",
@@ -485,18 +493,13 @@ def test_solutions_come_in_increasing_reverse_lex_order(data):
     target = combination(data.draw(row, "target counts"), gens, B2)
     if data.draw(st.booleans(), "shifted"):
         target = target + B2.rational(Fraction(1, 2))
-    every = sorted(oracles.naive_solutions(target, gens), key=lambda c: c[::-1])
-    want = [
-        counts
-        for counts in every
-        if dominates_none(counts, leads)
-        and (cap is None or sum(map(mul, counts, degrees)) <= cap)
-    ]
+    every = oracles.naive_solutions(target, gens)
     solver = SemigroupSolver(gens)
-    got = list(solver.solutions(target, leads, degrees, cap))
-    assert got == want
-    assert all(a[::-1] < b[::-1] for a, b in zip(got, got[1:]))
-    assert solver.contains(target) == (every[0] if every else None)
+    want = least(filtered(every, leads, degrees, cap))
+    assert solver.contains(target, leads, degrees, cap) == want
+    assert solver.contains(target) == least(every)
+    # the survey tests' oracle for the same answer
+    assert oracles.least_solution(target, gens, leads, degrees, cap) == want
 
 
 def dot(h, g):
@@ -606,11 +609,14 @@ def test_semigroup_solver_finds_deep_witnesses(state_30):
 
 
 def test_example_build_search_stays_small():
-    # a fresh build makes 228 queries and 1,291 search nodes; without the
-    # member memo or the zero probe of minimal_pushing_set it makes more
+    # a fresh build makes 253 queries and 1,291 search nodes: 228
+    # membership queries and the 25 creating rewrites, which ask contains
+    # with their leads.  The numbers are pinned, not bounded: a count that
+    # moves means the search changed.  Without the member memo or the zero
+    # probe of minimal_pushing_set the build makes more.
     solvers = build_example()._solvers.values()
-    assert sum(s.queries for s in solvers) <= 228
-    assert sum(s.nodes for s in solvers) <= 1_400
+    assert sum(s.queries for s in solvers) == 253
+    assert sum(s.nodes for s in solvers) == 1_291
 
 
 def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
@@ -839,11 +845,11 @@ def test_irreducible_decompose_checks_its_answer_against_the_leads(
     # each lead exceeds its own rewrite in the search order; so the records
     # here also carry a lead, y^2, that the one rewrite of its value over
     # x and y dominates, and only the final check can refuse the answer.
-    solutions = SemigroupSolver.solutions
+    contains = SemigroupSolver.contains
     monkeypatch.setattr(
         SemigroupSolver,
-        "solutions",
-        lambda self, alpha, leads=(), *rest: solutions(self, alpha, (), *rest),
+        "contains",
+        lambda self, alpha, leads=(), *rest: contains(self, alpha, (), *rest),
     )
     alpha = state.value_of(PairVec((0, 2), ()))
     with pytest.raises(InternalConsistencyError, match="rewrite is reducible"):
@@ -903,8 +909,7 @@ def test_irreducible_decompose_on_plain_values(gens, data):
         with pytest.raises(InternalConsistencyError):
             irreducible_decompose(alpha, solver, leads)
     else:
-        want = min(fits, key=lambda c: c[::-1])
-        assert irreducible_decompose(alpha, solver, leads) == want
+        assert irreducible_decompose(alpha, solver, leads) == least(fits)
 
 
 def brute_minima(step, vals, gens, leads, layers, box):

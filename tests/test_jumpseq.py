@@ -555,8 +555,10 @@ def test_tower_builds_at_default_bounds():
     assert chain_digest(state) == (
         "79d32ea0bc0c8b36b111f91a88d6a245853d9747f7959db7ded3567753e3ecc1"
     )
-    # the build makes 1,647 queries and 4,865 search nodes; without the
-    # member memo or the zero probe of minimal_pushing_set it makes more
+    # the build makes 1,710 queries and 4,865 search nodes: 1,647
+    # membership queries and the 63 creating rewrites, which ask contains
+    # with their leads; without the member memo or the zero probe of
+    # minimal_pushing_set it makes more
     solvers = state._solvers.values()
-    assert sum(s.queries for s in solvers) <= 1_647
+    assert sum(s.queries for s in solvers) <= 1_710
     assert sum(s.nodes for s in solvers) <= 5_300

@@ -3,20 +3,13 @@ import random
 import weakref
 from dataclasses import replace
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
 from valgen import PairVec, RadicalBasis, Value, outputs, parse_value, values
-from valgen.cli import parse_config
+from valgen.cli import load_config, parse_config
 from valgen.grouplat import SemigroupSolver, graded_key
-from valgen.jumpseq import (
-    SearchBounds,
-    build_p_chain,
-    build_state,
-    build_t_chain,
-    vec_over,
-)
+from valgen.jumpseq import SearchBounds, build_p_chain, build_state, build_t_chain
 from valgen.outputs import (
     DEFAULT_VALUE_SLACK,
     generating_sequence_detail,
@@ -29,7 +22,7 @@ from valgen.outputs import (
 from valgen._golden import GOLDEN, parsed_example
 
 import oracles
-from conftest import build_example, make_second_model
+from conftest import TOWER, build_example, make_second_model
 from corpus import tower_config
 from test_valmodel import with_values
 
@@ -387,8 +380,12 @@ def test_certificate_statuses(survey):
 
 BUILDS = pytest.mark.parametrize(
     "which",
-    [("state", "survey"), ("state_30", "survey_30")],
-    ids=["state", "state_30"],
+    [
+        ("state", "survey"),
+        ("state_30", "survey_30"),
+        ("tower_json", "tower_survey"),
+    ],
+    ids=["state", "state_30", "tower.json"],
 )
 
 
@@ -443,6 +440,26 @@ def test_a_negative_degree_cap_is_refused(state, target, at_zero):
     assert redundancy_certificate(state, target, degree_cap=0).status == at_zero
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [("degree_cap", 2.5), ("degree_cap", True), ("target", True), ("target", 5.0)],
+    ids=["cap-2.5", "cap-True", "target-True", "target-5.0"],
+)
+def test_a_target_or_cap_that_is_no_plain_int_is_refused(state, name, bad):
+    # a bool is an int, but True is neither member 1 nor a cap of 1, and a
+    # float would fail deep in the search or on a list index.  Checked
+    # before the early returns for ineligible and vanished members.
+    if name == "target":
+        with pytest.raises(TypeError, match="^target must be an int"):
+            redundancy_certificate(state, bad)
+        return
+    for target in (3, 5, 11):
+        with pytest.raises(TypeError, match="^degree_cap must be an int"):
+            redundancy_certificate(state, target, degree_cap=bad)
+    with pytest.raises(TypeError, match="^degree_cap must be an int"):
+        redundancy_survey(state, degree_cap=bad)
+
+
 def test_a_negative_value_slack_is_refused(state):
     # it would leave every eligible member undecided; a zero slack is fine
     minus_one = state.basis.rational(-1)
@@ -485,54 +502,82 @@ def test_survey_picks_match_brute_force(
     assert checked == certified
 
 
+def test_survey_picks_the_reverse_lex_least_monomial(tower_json, tower_survey):
+    # member 17 of tests/tower.json shares its value with the pending
+    # member 23 and with t2*t3.  The graded-least monomial of that value
+    # is t23, of weight 1; the survey takes the reverse-lex least, the
+    # order of the creating rewrites, which is t2*t3.
+    st = tower_json
+    val = st.t_chain[16].gamma
+    t2_t3 = PairVec((), (0, 1, 1))
+    t23 = PairVec((), (0,) * 22 + (1,))
+    assert st.value_of(t2_t3) == st.value_of(t23) == val
+    pairs = oracles.vectors_up_to(st, val)
+    assert oracles.survey_pick(pairs, st, 17, val, 40) == t2_t3
+    assert tower_survey[17].combo == ((Fraction(-1), t2_t3),)
+
+
 @pytest.mark.parametrize("which", ["state", "state_30"])
 def test_survey_cut_keeps_exactly_the_filtered_solutions(
     request, which, monkeypatch
 ):
-    # every cut search the survey makes yields what the full enumeration
-    # of the same value yields after the filters: the target's own row
-    # unused, the degree cap, then JumpState.irreducible, in search order.
-    # (The second model's survey makes no such search: its one
-    # second-chain member is not eligible.)
+    # every pick the survey makes is the reverse-lex least solution of its
+    # value over the rows that passes the filters: the target's own row
+    # unused, the degree cap, and no relation lead of the records
+    # (oracles.relation_leads) dominated.  (The second model's survey
+    # makes no pick: its one second-chain member is not eligible.)
     st = request.getfixturevalue(which)
     rows = st.coordinates(len(st.p_chain), len(st.t_chain))
     degs = [
         (st.p_chain if kind == "p" else st.t_chain)[idx - 1].poly.total_degree()
         for kind, idx, _ in rows
     ]
-    solutions = SemigroupSolver.solutions
-    asked = []
+    relation = oracles.on_rows(oracles.relation_leads(st), rows)
+    contains = SemigroupSolver.contains
+    picks = []
 
     def recording(self, alpha, *cut):
-        if cut:
-            asked.append((self, alpha, cut))
-        return solutions(self, alpha, *cut)
+        got = contains(self, alpha, *cut)
+        if len(cut) == 3:
+            picks.append((self, alpha, got))
+        return got
 
-    monkeypatch.setattr(SemigroupSolver, "solutions", recording)
+    monkeypatch.setattr(SemigroupSolver, "contains", recording)
     checked = kept = 0
     for cap in (40, 6):
         for j, rec in enumerate(st.t_chain, 1):
-            asked.clear()
-            redundancy_certificate(st, j, degree_cap=cap)
-            for solver, alpha, cut in asked:
-                own = rows.index(("t", j, rec.gamma))
-                want = [
-                    counts
-                    for counts in solutions(solver, alpha)
-                    if not counts[own]
-                    and sum(map(mul, counts, degs)) <= cap
-                    and oracles.irreducible(st, vec_over(rows, counts))
-                ]
-                assert list(solutions(solver, alpha, *cut)) == want
+            picks.clear()
+            if redundancy_certificate(st, j, degree_cap=cap).status == "zero":
+                continue
+            own = rows.index(("t", j, rec.gamma))
+            leads = [tuple(int(k == own) for k in range(len(rows))), *relation]
+            for solver, alpha, got in picks:
+                assert solver.gens == tuple(val for *_, val in rows)
+                want = oracles.least_solution(alpha, solver.gens, leads, degs, cap)
+                assert got == want, (j, cap, alpha)
                 checked += 1
-                kept += len(want)
+                kept += want is not None
     assert checked >= 40 and kept >= 30
 
 
+@pytest.mark.parametrize("which", ["state", "state_30", "tower_json"])
+def test_eligibility_matches_the_semigroup_below_the_member(request, which):
+    # a member is eligible exactly when its value lies in the semigroup of
+    # coordinates(m_at(j), j - 1), asked of a solver over those rows alone
+    st = request.getfixturevalue(which)
+    for j, rec in enumerate(st.t_chain, 1):
+        if rec.poly.is_zero():
+            continue
+        rows = st.coordinates(st.m_at(j), j - 1)
+        below = SemigroupSolver([val for *_, val in rows])
+        status = redundancy_certificate(st, j, degree_cap=0).status
+        assert (status == "not_eligible") == (below.contains(rec.gamma) is None)
+
+
 def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
-    # build and survey share one solver per generator tuple: every rewrite
-    # of the survey reads the full-chain solver, built once, and each
-    # eligibility check a prefix solver; together they build 20
+    # build and survey share one solver per generator tuple, and every
+    # eligibility check and pick of the survey reads the full-chain
+    # solver: the survey builds that one and no other
     built = []
     init = SemigroupSolver.__init__
 
@@ -542,12 +587,23 @@ def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
 
     monkeypatch.setattr(SemigroupSolver, "__init__", counting_init)
     st = build_example()
+    del built[:]
     redundancy_survey(st)
     full = tuple(
         val for *_, val in st.coordinates(len(st.p_chain), len(st.t_chain))
     )
-    assert built.count(st._solvers[full]) == 1
-    assert len(built) == len(st._solvers) <= 20
+    assert built == [st._solvers[full]]
+
+
+def test_tower_survey_search_stays_small():
+    # build and survey of tests/tower.json visit 12,882 search nodes.  A
+    # survey that enumerated every solution for a graded-least pick
+    # visited 24,693.  Asking a solver over the rows below each member for
+    # its eligibility visits 10,929, but builds 49 solvers more.
+    model, bounds, _, _ = load_config(str(TOWER))
+    st = build_state(model, bounds=bounds)
+    redundancy_survey(st)
+    assert sum(s.nodes for s in st._solvers.values()) <= 12_882
 
 
 def test_tight_window_reports_undecided(state):
