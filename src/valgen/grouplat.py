@@ -143,6 +143,12 @@ def lattice_solve(
 # -- semigroup membership -------------------------------------------------
 
 
+def need_int(name: str, x) -> None:
+    """Refuse x unless it is a plain int, neither a bool nor a float."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an int, got {x!r}")
+
+
 class SemigroupSolver:
     """Decides membership in the semigroup generated by positive values.
 
@@ -238,15 +244,31 @@ class SemigroupSolver:
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
         n = self.count
+        # per search position j (generator n-1-j, so a lead's entries come
+        # last first), the leads whose last nonzero entry sits there: their
+        # earlier entries as (position, count), and that count
+        ends: list[list] = [[] for _ in range(n)]
         for lead in leads:
             if len(lead) != n:
                 raise ValueError("a lead needs one count per generator")
-            if not any(lead) or min(lead) < 0:
+            nonzero = [(n - 1 - k, c) for k, c in enumerate(lead) if c]
+            for _, c in nonzero:
+                need_int("an entry of leads", c)
+            if not nonzero or min(lead) < 0:
                 raise ValueError("a lead must be nonzero and nonnegative")
+            (j, c), *head = nonzero
+            ends[j].append((head, c))
         if (degrees or cap is not None) and len(degrees) != n:
             raise ValueError("degrees need one entry per generator")
-        if cap is not None and min(cap, *degrees) < 0:
-            raise ValueError("a degree cap and degrees must be nonnegative")
+        # without a cap the degrees are read as 0 and never counted
+        degs, room = (0,) * n, 0
+        if cap is not None:
+            need_int("cap", cap)
+            for d in degrees:
+                need_int("an entry of degrees", d)
+            if min(cap, *degrees) < 0:
+                raise ValueError("a degree cap and degrees must be nonnegative")
+            degs, room = degrees[::-1], cap
         if self.scale % alpha.den:
             # every semigroup element has coordinates in (1/scale)Z
             return None
@@ -254,43 +276,17 @@ class SemigroupSolver:
         rem = tuple(a * up for a in alpha.nums)
         if any(_dot(h, rem) < 0 for h in self.normals[0]):
             return None
-        cut = self._cut(leads, degrees, cap) if leads or cap is not None else None
-        return self._counts(0, rem, cut)
-
-    def _cut(self, leads, degrees, cap):
-        """(prefix, limit) for a search cut by leads and a degree cap:
-        ``_counts`` stores the count it fixes at search position j in
-        prefix[j], and limit(j, hi) lowers hi, the largest count position j
-        may take, so that prefix[:j] plus that count stays within the cap
-        and dominates no lead that ends at j.  Search position j is
-        generator n-1-j."""
-        n = self.count
-        # per search position, the leads whose last nonzero entry sits
-        # there: their earlier entries as (position, count), and that count
-        ends: list[list] = [[] for _ in range(n)]
-        for lead in leads:
-            *head, (j, c) = sorted((n - 1 - k, c) for k, c in enumerate(lead) if c)
-            ends[j].append((head, c))
-        degs = degrees[::-1] if cap is not None else ()
-        prefix = [0] * n
-
-        def limit(j: int, hi: int) -> int:
-            if degs and degs[j]:
-                used = sum(map(mul, prefix[:j], degs))
-                hi = min(hi, (cap - used) // degs[j])
-            for head, c in ends[j]:
-                if c <= hi and all(prefix[i] >= h for i, h in head):
-                    hi = c - 1
-            return hi
-
-        return prefix, limit
+        return self._counts(0, rem, [0] * n, ends, degs, room)
 
     def _counts(
-        self, j: int, rem: tuple[int, ...], cut=None
+        self, j: int, rem: tuple[int, ...], prefix: list[int], ends: list,
+        degs: Sequence[int], room: int,
     ) -> Optional[tuple[int, ...]]:
         """The first counts of gvecs[j:] summing to rem, which lies in their
-        cone, that cut (``_cut``) lets through, or None; in the given
-        generator order, so the count of gvecs[j] comes last."""
+        cone, that the cut lets through, or None; in the given generator
+        order, so the count of gvecs[j] comes last.  The count at j goes to
+        prefix[j], stays within the room prefix[:j] leaves under the cap and
+        with prefix[:j] dominates no lead of ``ends[j]``."""
         self.nodes += 1
         if not any(rem):
             # positive generators: only the zero counts sum to zero
@@ -308,15 +304,17 @@ class SemigroupSolver:
             # the cone of gvecs[j+1:] holds no negative value, so some
             # normal must cap the count of the positive generator j
             raise InternalConsistencyError("no cone inequality caps a count")
-        if cut is not None:
-            prefix, limit = cut
-            hi = limit(j, hi)
+        deg = degs[j]
+        if deg:
+            hi = min(hi, room // deg)
+        for head, c in ends[j]:
+            if c <= hi and all(prefix[i] >= h for i, h in head):
+                hi = c - 1
         g = self.gvecs[j]
         for n in range(lo, hi + 1):
-            if cut is not None:
-                prefix[j] = n
+            prefix[j] = n
             sub = tuple(a - n * b for a, b in zip(rem, g))
-            got = self._counts(j + 1, sub, cut)
+            got = self._counts(j + 1, sub, prefix, ends, degs, room - n * deg)
             if got is not None:
                 return (*got, n)
         return None

@@ -8,12 +8,14 @@ associated graded ring, and slices of the value semigroup.
 The threshold queries (``ideal_generators``, ``semigroup_values_up_to``)
 are answered from one index per state (``_ThresholdIndex``): every
 monomial that can be a generator at a threshold up to the index's top,
-sorted by value once and numbered in the order of an answer.  A query at
-or below the top places its threshold and window ends among the sorted
-values on integer keys (``_ThresholdIndex.locate``), compares values
-exactly only where their 64-bit enclosures overlap, and keeps, in order,
-the numbers that fall inside their own row's window; one above the top,
-or over changed chain rows, replaces the index.
+sorted by value once and numbered in the order of an answer, built by
+one depth-first walk (``_ThresholdIndex.build``) on an explicit stack,
+as a path has no bound on its length.  A query at or below the top
+places its threshold and window ends among the sorted values on integer
+keys (``_ThresholdIndex.locate``), compares values exactly only where
+their 64-bit enclosures overlap, and keeps, in order, the numbers that
+fall inside their own row's window; one above the top, or over changed
+chain rows, replaces the index.
 """
 from __future__ import annotations
 
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add, lt, sub
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
-from .grouplat import graded_sorted, minimal_semigroup_generators
+from .grouplat import graded_sorted, minimal_semigroup_generators, need_int
 from .jumpseq import JumpState, PairVec, vec_over
 from .laurent import LaurentPoly
 from .values import (
@@ -51,79 +53,12 @@ DEFAULT_DEGREE_CAP = 40
 INDEX_ENTRY_BUDGET = 500_000
 
 
-def _walk(
-    steps, top, radicands, visit: Callable[[list, tuple, int, int, int], bool]
-) -> None:
-    """Visit exponent vectors over the chain rows, each at most once, in
-    depth-first preorder, from an explicit stack.
-
-    ``steps`` and ``top`` are the numerators of the row values and of a
-    threshold over one common denominator (``over_common_den``).  Each
-    vector carries its value minus the threshold as such a tuple, with
-    that tuple's 64-bit bounds (``int_vec_bounds``), so its sign
-    (``sign_within``) places the vector against the threshold and no
-    Value is built.  Bounds add, so a step adds the row's precomputed
-    bounds and the exact sign is refined only when they straddle zero.
-    The walk starts at the zero vector and reaches a vector as its parent
-    plus one unit at its last nonzero coordinate.  A path is as long as a
-    vector's total count, which has no bound here, so the walk keeps its
-    own stack rather than recursing.  ``visit(counts, diff, sign, lo, hi)``
-    gets the vector's counts (a list the walk reuses), that difference,
-    its sign and its bounds, and returns whether to descend to the
-    vector's children.  It is the one enumerator of the threshold index
-    (``_ThresholdIndex.build``).
-    """
-    # (row, step, the step's bounds) of each move
-    moves = [
-        (k, step, *int_vec_bounds(step, radicands, FIXED_BITS))
-        for k, step in enumerate(steps)
-    ]
-    # the moves from each row on, sliced once rather than at every vector,
-    # last first so that the first child is popped first
-    tails = [moves[k:][::-1] for k in range(len(moves))]
-    counts = [0] * len(steps)
-    # the rows of the moves from zero to the current vector; a stack entry
-    # is a child to visit: its parent's path length, its row, diff, bounds
-    path: list[int] = []
-    stack: list[tuple] = []
-    pop, push = stack.pop, stack.append
-    first, diff = 0, tuple(-a for a in top)
-    lo, hi = int_vec_bounds(diff, radicands, FIXED_BITS)
-    while True:
-        if visit(counts, diff, sign_within(diff, lo, hi, radicands), lo, hi):
-            depth = len(path)
-            for k, step, step_lo, step_hi in tails[first]:
-                child = tuple(map(add, diff, step))
-                push((depth, k, child, lo + step_lo, hi + step_hi))
-        if not stack:
-            return
-        depth, first, diff, lo, hi = pop()
-        while len(path) > depth:
-            counts[path.pop()] -= 1
-        counts[first] += 1
-        path.append(first)
-
-
-def _drops_below(
-    diff: tuple, lo: int, hi: int, step: tuple, step_bounds: tuple, radicands
-) -> bool:
-    """Whether diff - step < 0, for diff with 64-bit bounds lo/hi and step
-    with ``step_bounds``: the difference lies within lo - step_hi and
-    hi - step_lo, and ``sign_within`` refines only when those straddle 0."""
-    step_lo, step_hi = step_bounds
-    return (
-        sign_within(
-            tuple(map(sub, diff, step)), lo - step_hi, hi - step_lo, radicands
-        )
-        < 0
-    )
-
-
-def _check_basis(state: JumpState, threshold: Value) -> None:
-    """Refuse a threshold over another basis before its sign is read,
-    which would judge it under the wrong radicands."""
-    if threshold.basis != state.basis:
-        raise ValueError("values carry different radical bases")
+def _check_value(state: JumpState, name: str, x) -> None:
+    """Refuse x unless it is a Value over the state's basis."""
+    if not isinstance(x, Value):
+        raise TypeError(f"{name} must be a Value, got {x!r}")
+    if x.basis != state.basis:
+        raise ValueError(f"{name} carries a different radical basis")
 
 
 # -- threshold index ----------------------------------------------------------
@@ -176,6 +111,14 @@ class _ThresholdIndex:
     def build(cls, state: JumpState, rows: list, top: Value) -> "_ThresholdIndex":
         """Walk the vectors below top and keep the entries.
 
+        The walk reaches each vector once, depth first, as its parent plus
+        a unit at its last nonzero row, and descends from those below top.
+        Its paths have no bound on their length, so it keeps its own stack
+        rather than recursing.  A vector carries its value - top as common
+        numerators with their 64-bit bounds, which add along a path, and
+        ``sign_within`` refines a sign only when they straddle zero.  An
+        entry is below top or drops below it by its least-valued row k.
+
         Every proper ancestor of an entry v on the walk's path lies at or
         below v - e_j for a nonzero row j of v, which is worth at least
         row k, so its value is below top and the walk descends through it.
@@ -190,30 +133,37 @@ class _ThresholdIndex:
         )
         top_nums = steps.pop()
         rads = state.basis.radicands
-        bounds = [int_vec_bounds(step, rads, FIXED_BITS) for step in steps]
-        rank = sorted(range(len(rows)), key=lambda k: rows[k][2])
-        # per distinct value - top, the row k of each entry by its counts;
-        # the bounds of each distinct value - top
-        found: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        seen: dict[tuple[int, ...], tuple[int, int]] = {}
+        # (row, step, the step's bounds) of each move
+        moves = [(k, step, *int_vec_bounds(step, rads, FIXED_BITS))
+                 for k, step in enumerate(steps)]
+        # the moves from each row on, sliced once, last first to pop first
+        tails = [moves[k:][::-1] for k in range(len(moves))]
+        rank = sorted(moves, key=lambda move: rows[move[0]][2])
+        # per distinct value - top: its bounds, and the row k of each entry
+        # by its counts
+        found: dict[tuple[int, ...], tuple[int, int, dict]] = {}
         # an entry's diff, bounds and stack entries grow with the widest
         # numerator, so each of its 64-bit words counts against the budget
         widest = max(abs(a) for vec in (top_nums, *steps) for a in vec)
         limit = INDEX_ENTRY_BUDGET // (1 + widest.bit_length() // 64)
         size = 0
-
-        def visit(counts: list, diff: tuple, sign: int, lo: int, hi: int) -> bool:
-            nonlocal size
-            for k in rank:
+        counts = [0] * len(steps)
+        # the rows of the moves from zero to the current vector; a stack
+        # entry is a child: its parent's path length, row, diff and bounds
+        path: list[int] = []
+        stack: list[tuple] = []
+        pop, push = stack.pop, stack.append
+        first, diff = 0, tuple(-a for a in top_nums)
+        lo, hi = int_vec_bounds(diff, rads, FIXED_BITS)
+        while True:
+            below = sign_within(diff, lo, hi, rads) < 0
+            for k, step, step_lo, step_hi in rank:
                 if counts[k]:
-                    if sign < 0 or _drops_below(
-                        diff, lo, hi, steps[k], bounds[k], rads
-                    ):
-                        got = found.get(diff)
-                        if got is None:
-                            got = found[diff] = {}
-                            seen[diff] = lo, hi
-                        got[tuple(counts)] = k
+                    if below or sign_within(
+                        tuple(map(sub, diff, step)),
+                        lo - step_hi, hi - step_lo, rads,
+                    ) < 0:
+                        found.setdefault(diff, (lo, hi, {}))[2][tuple(counts)] = k
                         size += 1
                         if size > limit:
                             raise ThresholdTooHighError(
@@ -221,11 +171,20 @@ class _ThresholdIndex:
                                 f"{limit:,} monomials"
                             )
                     break
-            return sign < 0
-
-        _walk(steps, top_nums, rads, visit)
-        diffs = list(seen)
-        spans = list(seen.values())
+            if below:
+                depth = len(path)
+                for k, step, step_lo, step_hi in tails[first]:
+                    child = tuple(map(add, diff, step))
+                    push((depth, k, child, lo + step_lo, hi + step_hi))
+            if not stack:
+                break
+            depth, first, diff, lo, hi = pop()
+            while len(path) > depth:
+                counts[path.pop()] -= 1
+            counts[first] += 1
+            path.append(first)
+        diffs = list(found)
+        spans = [(lo, hi) for lo, hi, _ in found.values()]
         top_lo, top_hi = int_vec_bounds(top_nums, rads, FIXED_BITS)
         values: list[Value] = []
         lows, highs = [], []
@@ -239,7 +198,7 @@ class _ThresholdIndex:
             lo, hi = spans[j]
             lows.append(lo + top_lo)
             highs.append(hi + top_hi)
-            got = found[diffs[j]]
+            got = found[diffs[j]][2]
             group = graded_sorted(got)
             entries += group
             row_of.extend(map(got.__getitem__, group))
@@ -301,7 +260,7 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     qualifies.  They come by value, and by ``graded_key`` among equal
     values.
     """
-    _check_basis(state, sigma)
+    _check_value(state, "sigma", sigma)
     complete = not state.flags.truncated
     if sigma.sign() <= 0:
         return GeneratorSet((PairVec((), ()),), complete)
@@ -325,12 +284,6 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
 
 
 # -- redundancy ---------------------------------------------------------------
-
-
-def _need_int(name: str, x) -> None:
-    """Refuse x unless it is a plain int, neither a bool nor a float."""
-    if type(x) is not int:
-        raise TypeError(f"{name} must be an int, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -361,13 +314,16 @@ def redundancy_certificate(
     reverse-lex least irreducible monomial at the remainder's value
     (``SemigroupSolver.contains``), the order of the creating rewrites.
     """
-    _need_int("target", target)
-    _need_int("degree_cap", degree_cap)
+    need_int("target", target)
+    need_int("degree_cap", degree_cap)
+    if value_slack is None:
+        value_slack = state.basis.rational(DEFAULT_VALUE_SLACK)
+    _check_value(state, "value_slack", value_slack)
     if not 1 <= target <= len(state.t_chain):
         raise ValueError(f"no second-chain member {target}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
-    if value_slack is not None and value_slack.sign() < 0:
+    if value_slack.sign() < 0:
         raise ValueError(f"value_slack must be nonnegative, got {value_slack}")
     rec = state.t_chain[target - 1]
     if rec.poly.is_zero():
@@ -385,8 +341,6 @@ def redundancy_certificate(
     outside = [unit for unit, row in zip(units, rows) if row not in below]
     if lookup.contains(rec.gamma, outside) is None:
         return RedundancyCertificate(target, "not_eligible")
-    if value_slack is None:
-        value_slack = state.basis.rational(DEFAULT_VALUE_SLACK)
     hi = rec.gamma + value_slack
     degs = []
     for kind, idx, _ in rows:
@@ -434,7 +388,9 @@ def redundancy_survey(
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> dict[int, RedundancyCertificate]:
     """One certificate per second-chain member, in chain order."""
-    _need_int("degree_cap", degree_cap)
+    need_int("degree_cap", degree_cap)
+    if value_slack is not None:
+        _check_value(state, "value_slack", value_slack)
     return {
         j: redundancy_certificate(
             state, j, value_slack=value_slack, degree_cap=degree_cap
@@ -554,7 +510,7 @@ class SemigroupSlice:
 
 def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:
     """Every value of the semigroup of chain values that is at most cap."""
-    _check_basis(state, cap)
+    _check_value(state, "cap", cap)
     complete = not state.flags.truncated
     if cap.sign() < 0:
         return SemigroupSlice(cap, (), complete)

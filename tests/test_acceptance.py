@@ -394,7 +394,7 @@ def test_reports_are_byte_identical(example_config, tmp_path, announce):
     "config,argv,digest",
     [
         pytest.param(
-            "example.json", ["build"],
+            "perfbench/configs/example.json", ["build"],
             "166781bf0271ad3412dec2f90a024d7b2e8e8c2cc15f6c792d50834793e6f2a2",
             id="example",
         ),
@@ -402,19 +402,28 @@ def test_reports_are_byte_identical(example_config, tmp_path, announce):
         # its residue scalars include 3 and -2, so the report covers
         # products scaled by non-unit scalars
         pytest.param(
-            "example.json", ["build", "--max-value", "30"],
+            "perfbench/configs/example.json", ["build", "--max-value", "30"],
             "abaafb915b766edcc8829fb68178afc2cde42e3e7bd5fb911adbd6973bbfde61",
             id="example-ceiling-30",
         ),
         pytest.param(
-            "second.json", ["build"],
+            "perfbench/configs/second.json", ["build"],
             "f99e4d14d1739c3fcb36862cb5ca6ec53ccaa62b2ef684d9c928b99c0030931b",
             id="second",
         ),
         pytest.param(
-            "example.json", ["ideal", "--max-value", "113/4", "--sigma", "5"],
+            "perfbench/configs/example.json",
+            ["ideal", "--max-value", "113/4", "--sigma", "5"],
             "fbc0fa34eaeb1e9add942bae8553788cd367a23f564fbecb419a392685abf865",
             id="example-ideal-sigma-5",
+        ),
+        # the one model fast enough for this suite whose survey runs the
+        # degree-capped cut search with real picks: 37 members certified
+        # and 8 undecided
+        pytest.param(
+            "tests/tower.json", ["build"],
+            "2d91a751cd6d36a825bd15a68a1d0ff3058c9fd86bf0cd1a318b6f3880223c1b",
+            id="tower",
         ),
     ],
 )
@@ -422,7 +431,7 @@ def test_bundled_reports_are_pinned(announce, config, argv, digest):
     proc = subprocess.run(
         [
             sys.executable, "-m", "valgen.cli", *argv, "--json",
-            "--config", str(ROOT / "perfbench" / "configs" / config),
+            "--config", str(ROOT / config),
         ],
         capture_output=True,
     )

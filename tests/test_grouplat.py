@@ -476,6 +476,27 @@ def test_contains_refuses_malformed_leads_and_degrees():
             solver.contains(B1.rational(6), *cut)
 
 
+@pytest.mark.parametrize(
+    "name, cut",
+    [
+        ("cap", ((), (1, 1), True)),
+        ("cap", ((), (1, 1), 2.5)),
+        ("degrees", ((), (1.5, 1), 4)),
+        ("degrees", ((), (1, True), 4)),
+        ("leads", ([(True, 0)],)),
+        ("leads", ([(1.5, 0)],)),
+    ],
+    ids=["cap-True", "cap-2.5", "degrees-1.5", "degrees-True", "lead-True", "lead-1.5"],
+)
+def test_contains_refuses_counts_that_are_no_plain_ints(name, cut):
+    # a bool is an int, but True is no cap or count of 1, and a float
+    # would fail inside the search's range
+    solver = SemigroupSolver([B2.rational(1), B2.root(2)])
+    alpha = B2.rational(3) + B2.root(2)
+    with pytest.raises(TypeError, match=name):
+        solver.contains(alpha, *cut)
+
+
 @given(data=st.data())
 def test_contains_answers_the_reverse_lex_least_filtered_solution(data):
     # with and without leads and a degree cap: the reverse-lex least of

@@ -1,11 +1,14 @@
 """Sign decisions the 64-bit enclosure cannot make must reach the exact path.
 
-The walk's sign rule, the ideal minimality test, the Value order,
-``value_order`` and the threshold index's ``locate`` all read signs off
-integer bounds on 2^64 times a combination of square roots, and refine
-with ``int_vec_sign`` only when those bounds straddle zero.  The vectors
-below are built to straddle: Pell pairs p - q*sqrt(2) with q between
-2^40 and 2^80, a convergent of sqrt(2) + sqrt(3), and exact zeros.  Each
+The threshold index build's two sign decisions (whether a vector lies
+below the threshold, and whether it drops below it by its least-valued
+row), the Value order, ``value_order`` and the threshold index's
+``locate`` all read signs off integer bounds on 2^64 times a combination
+of square roots, and refine with ``int_vec_sign`` only when those bounds
+straddle zero.  The vectors below are built to straddle: Pell pairs
+p - q*sqrt(2) with q between 2^40 and 2^80, a convergent of sqrt(2) +
+sqrt(3), and exact zeros.  The build runs on rows that tie its threshold
+within them, for a stand-in state that carries only a basis.  Each
 decision is checked against ``int_vec_sign``, the fallbacks are counted,
 and a mutant that trusts the fixed-point sum alone is shown to fail the
 same checks.  ``locate`` is checked against ``bisect`` over the index's
@@ -15,7 +18,11 @@ their enclosures.
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations_with_replacement
 from math import isqrt
+from operator import add, sub
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -24,12 +31,17 @@ from hypothesis import strategies as st
 from valgen import RadicalBasis, Value, build_state, outputs, values
 from valgen.cli import parse_config
 from valgen.outputs import (
-    _drops_below,
-    _walk,
+    _ThresholdIndex,
     ideal_generators,
     semigroup_values_up_to,
 )
-from valgen.values import FIXED_BITS, int_vec_bounds, int_vec_sign, value_order
+from valgen.values import (
+    FIXED_BITS,
+    int_vec_bounds,
+    int_vec_sign,
+    sign_within,
+    value_order,
+)
 
 import oracles
 from conftest import make_second_model
@@ -105,72 +117,112 @@ def test_the_vectors_are_near_ties():
     assert any(trusts_a(v) != int_vec_sign(v, RADS) for v in NEAR_TIES)
 
 
-def walk_signs(steps):
-    """(diff, sign) for the zero vector, every step and every sum of two
-    steps, as _walk decides them against a zero threshold."""
-    seen = []
-
-    def visit(counts, diff, sign, lo, hi):
-        seen.append((diff, sign))
-        return sum(counts) < 2
-
-    _walk(steps, (0,) * len(RADS), RADS, visit)
-    return seen
+# the near-tie index: threshold FAR and rows FAR + x and FAR - x for each
+# near tie x, and FAR itself.  Each row drops below the threshold by itself
+# and lies below it or not by a near tie; a sum of two rows exceeds it by
+# about FAR, and drops below it by its least-valued row by a near tie.
+TOP = FAR
+ROWS = [
+    tuple(map(op, TOP, x)) for x in NEAR_TIES for op in (add, sub)
+] + [TOP]
 
 
-def test_walk_signs_on_near_ties(fallbacks):
-    steps = NEAR_TIES + [FAR]
-    seen = walk_signs(steps)
-    n = len(steps)
-    assert len(seen) == 1 + n + n * (n + 1) // 2
-    for diff, sign in seen:
-        assert sign == int_vec_sign(diff, RADS)
-    # the exact path ran for the vectors without FAR and only for them
-    exact = [diff for diff, _ in seen if diff[0] < 1 << 90]
-    assert sorted(fallbacks) == sorted(exact)
-    assert len(exact) == 1 + (n - 1) + (n - 1) * n // 2
-
-
-def test_walk_signs_fail_under_a_mutant(monkeypatch):
-    monkeypatch.setattr(outputs, "sign_within", trusts_a)
-    seen = walk_signs(NEAR_TIES)
-    assert any(sign != int_vec_sign(diff, RADS) for diff, sign in seen)
-
-
-def drop_cases():
-    """(diff, step) with diff - step a near tie or zero, step near or far."""
-    out = []
-    for tie in NEAR_TIES + ZEROS:
-        for step in (NEAR_TIES[0], NEAR_TIES[-1], FAR):
-            out.append((tuple(map(sum, zip(tie, step))), step))
-    return out
-
-
-def drops(diff, step):
-    return _drops_below(
-        diff,
-        *int_vec_bounds(diff, RADS, FIXED_BITS),
-        step,
-        int_vec_bounds(step, RADS, FIXED_BITS),
-        RADS,
+def near_tie_index():
+    """``_ThresholdIndex.build`` over ROWS, topped at TOP, for a stand-in
+    state that carries only the basis."""
+    basis = RadicalBasis(RADS)
+    rows = [("t", k + 1, Value(basis, nums, 1)) for k, nums in enumerate(ROWS)]
+    return _ThresholdIndex.build(
+        SimpleNamespace(basis=basis), rows, Value(basis, TOP, 1)
     )
 
 
-def test_minimality_test_on_near_ties(fallbacks):
-    cases = drop_cases()
-    for diff, step in cases:
-        below = int_vec_sign(tuple(d - s for d, s in zip(diff, step)), RADS) < 0
-        assert drops(diff, step) == below
-    assert len(fallbacks) == len(cases)
+def walk_decisions(monkeypatch, sign):
+    """(vec, sign) of every sign the index build over ROWS decides, with
+    sign in place of ``sign_within``."""
+    seen = []
+
+    def recording(vec, lo, hi, radicands):
+        got = sign(vec, lo, hi, radicands)
+        seen.append((tuple(vec), got))
+        return got
+
+    monkeypatch.setattr(outputs, "sign_within", recording)
+    near_tie_index()
+    return seen
+
+
+def entries_by_definition():
+    """{counts: k} for each nonzero count vector v over ROWS of total at
+    most 3 with value(v) - value(row k) < TOP, where row k is v's
+    least-valued nonzero row, decided by ``int_vec_sign``; no entry of
+    the index has a larger total."""
+    n = len(ROWS)
+    order = sorted(
+        range(n),
+        key=cmp_to_key(
+            lambda a, b: int_vec_sign(tuple(map(sub, ROWS[a], ROWS[b])), RADS)
+        ),
+    )
+    want = {}
+    for total in (1, 2, 3):
+        for picks in combinations_with_replacement(range(n), total):
+            counts = [0] * n
+            for k in picks:
+                counts[k] += 1
+            k = next(k for k in order if counts[k])
+            value = [-t for t in TOP]
+            for j in picks:
+                value = list(map(add, value, ROWS[j]))
+            if int_vec_sign(tuple(map(sub, value, ROWS[k])), RADS) < 0:
+                want[tuple(counts)] = k
+    return want
+
+
+def test_walk_signs_on_near_ties(monkeypatch, fallbacks):
+    # every sign the walk decides, whether a vector lies below the
+    # threshold and whether it drops below it by its least-valued row
+    exact = []
+
+    def sign(vec, lo, hi, radicands):
+        before = len(fallbacks)
+        got = sign_within(vec, lo, hi, radicands)
+        exact.append(len(fallbacks) > before)
+        return got
+
+    seen = walk_decisions(monkeypatch, sign)
+    for diff, got in seen:
+        assert got == int_vec_sign(diff, RADS)
+    # the exact path ran for the near ties and only for them: the rows
+    # against the threshold and the sums of two dropping by a row
+    near = [abs(diff[0]) < 1 << 90 for diff, _ in seen]
+    assert exact == near
+    # a sum of two is visited from its first row when that lies below
+    n = len(ROWS)
+    below = [
+        k for k, row in enumerate(ROWS)
+        if int_vec_sign(tuple(map(sub, row, TOP)), RADS) < 0
+    ]
+    assert below and sum(near) == n + sum(n - k for k in below)
+
+
+def test_walk_signs_fail_under_a_mutant(monkeypatch):
+    seen = walk_decisions(monkeypatch, trusts_a)
+    assert any(got != int_vec_sign(diff, RADS) for diff, got in seen)
+
+
+def test_minimality_test_on_near_ties():
+    index = near_tie_index()
+    want = entries_by_definition()
+    assert dict(zip(index.entries, index.row_of)) == want
+    # both kinds of entry: below the threshold, and above it by a near tie
+    assert max(map(sum, want)) == 2
 
 
 def test_minimality_test_fails_under_a_mutant(monkeypatch):
     monkeypatch.setattr(outputs, "sign_within", trusts_a)
-    assert any(
-        drops(diff, step)
-        != (int_vec_sign(tuple(d - s for d, s in zip(diff, step)), RADS) < 0)
-        for diff, step in drop_cases()
-    )
+    index = near_tie_index()
+    assert dict(zip(index.entries, index.row_of)) != entries_by_definition()
 
 
 def value_pairs():

@@ -12,6 +12,7 @@ from valgen.grouplat import SemigroupSolver, graded_key
 from valgen.jumpseq import SearchBounds, build_p_chain, build_state, build_t_chain
 from valgen.outputs import (
     DEFAULT_VALUE_SLACK,
+    _ThresholdIndex,
     generating_sequence_detail,
     gr_presentation,
     ideal_generators,
@@ -130,10 +131,10 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
     sigma = parse_value("2 + 2*sqrt(2) + 2*sqrt(3)", basis)
     below = parse_value("1 + 2*sqrt(2) + 5/3*sqrt(3)", basis)
     above = sigma + basis.rational(Fraction(1, 64))
-    walks = visits = built = exact = compared = placed = 0
+    builds = built = exact = compared = placed = 0
     post_init = Value.__post_init__
     cmp = Value._cmp
-    walk = outputs._walk
+    build = _ThresholdIndex.build
     int_vec_sign = values.int_vec_sign
 
     def counting_post_init(self):
@@ -156,16 +157,10 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
 
         return counted
 
-    def counting_walk(steps, top, radicands, visit):
-        nonlocal walks
-        walks += 1
-
-        def counted(counts, diff, sign, lo, hi):
-            nonlocal visits
-            visits += 1
-            return visit(counts, diff, sign, lo, hi)
-
-        walk(steps, top, radicands, counted)
+    def counting_build(cls, state, rows, top):
+        nonlocal builds
+        builds += 1
+        return build(state, rows, top)
 
     def counting_sign(vec, radicands):
         nonlocal exact
@@ -176,33 +171,33 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
     monkeypatch.setattr(Value, "_cmp", counting_cmp)
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(Value, name, counting(name))
-    monkeypatch.setattr(outputs, "_walk", counting_walk)
+    monkeypatch.setattr(_ThresholdIndex, "build", classmethod(counting_build))
     # outputs too, should it call the exact routine directly again
     for module in (values, outputs):
         monkeypatch.setattr(module, "int_vec_sign", counting_sign, raising=False)
 
     def ask(threshold):
-        nonlocal walks, visits, built, exact, compared, placed
-        walks = visits = built = exact = compared = placed = 0
+        nonlocal builds, built, exact, compared, placed
+        builds = built = exact = compared = placed = 0
         gens = ideal_generators(st, threshold)
         sl = semigroup_values_up_to(st, threshold)
         assert gens.members and sl.values
         return st._thresholds
 
-    # cold: one walk, and one Value per distinct indexed value besides the
-    # zero of the slices and a window end per row
+    # cold: one build, and one Value per distinct indexed value besides
+    # the zero of the slices and a window end per row
     index = ask(sigma)
-    assert walks == 1 and visits > len(index.values)
+    assert builds == 1
     rows = len(index.rows)
     assert len(index.values) <= built <= len(index.values) + 1 + rows
-    # below the top: no walk, a Value for each window end and no other,
+    # below the top: no build, a Value for each window end and no other,
     # and one Value comparison per call, whether the index is stale; the
     # threshold and the window ends are placed on integers, with at most
     # a few indexed values whose enclosures overlap theirs compared
     # (Value._cmp beyond the comparisons), and the 64-bit enclosures
     # decide nearly every exact sign
     assert ask(below) is index
-    assert walks == visits == 0
+    assert builds == 0
     assert built == rows
     assert compared == 2
     assert placed - compared <= rows
@@ -210,7 +205,7 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
     # above the top: one rebuild, topped at the new threshold
     rebuilt = ask(above)
     assert rebuilt is not index and rebuilt.top == above
-    assert walks == 1
+    assert builds == 1
 
 
 @pytest.mark.parametrize("radicands", [(1, 2), (1, 2, 5)])
@@ -227,6 +222,31 @@ def test_queries_reject_a_threshold_over_another_basis(
             ideal_generators(second_state, threshold)
         with pytest.raises(ValueError):
             semigroup_values_up_to(second_state, threshold)
+
+
+@pytest.mark.parametrize("bad", [5, 5.0, "5"], ids=["int", "float", "str"])
+def test_a_threshold_that_is_no_value_is_refused(second_state, bad):
+    # checked before its sign is read, where it would fail on a missing
+    # attribute
+    with pytest.raises(TypeError, match="^sigma must be a Value"):
+        ideal_generators(second_state, bad)
+    with pytest.raises(TypeError, match="^cap must be a Value"):
+        semigroup_values_up_to(second_state, bad)
+
+
+def test_a_value_slack_that_is_no_value_over_the_basis_is_refused(state):
+    # members 1 (not eligible), 5 (certified) and 11 (vanished): each
+    # target refuses it before it returns
+    other = RadicalBasis((1, 2, 3)).rational(1)
+    for target in (1, 5, 11):
+        with pytest.raises(TypeError, match="^value_slack must be a Value"):
+            redundancy_certificate(state, target, value_slack=5)
+        with pytest.raises(ValueError, match="^value_slack carries"):
+            redundancy_certificate(state, target, value_slack=other)
+    with pytest.raises(TypeError, match="^value_slack must be a Value"):
+        redundancy_survey(state, value_slack=5)
+    with pytest.raises(ValueError, match="^value_slack carries"):
+        redundancy_survey(state, value_slack=other)
 
 
 def tower_state(seed):
