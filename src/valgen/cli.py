@@ -144,6 +144,8 @@ def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
     names = _need(cfg, "ambient_vars", list, where)
     if len(names) != 3 or not all(isinstance(n, str) for n in names):
         raise ConfigError(f"{where}.ambient_vars: expected three names")
+    if len(set(names)) != 3:
+        raise ConfigError(f"{where}.ambient_vars: names must be distinct")
     av = tuple(names)
     raw_values = _need(cfg, "ambient_values", list, where)
     if len(raw_values) != 3:

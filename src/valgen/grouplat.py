@@ -25,7 +25,7 @@ from operator import le, lt, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistencyError, NotInSemigroupError
-from .values import Value, combination, over_common_den
+from .values import Value, combination, need_int, over_common_den
 
 # -- count vector orders ----------------------------------------------------
 
@@ -141,12 +141,6 @@ def lattice_solve(
 
 
 # -- semigroup membership -------------------------------------------------
-
-
-def need_int(name: str, x) -> None:
-    """Refuse x unless it is a plain int, neither a bool nor a float."""
-    if type(x) is not int:
-        raise TypeError(f"{name} must be an int, got {x!r}")
 
 
 class SemigroupSolver:

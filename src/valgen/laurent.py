@@ -87,7 +87,7 @@ class LaurentPoly:
             # a float would be truncated or turned into a binary fraction
             if not all(type(x) is not bool and isinstance(x, int) for x in e):
                 raise TypeError(f"exponents must be integers, got {e!r}")
-            if not isinstance(c, (int, Fraction)):
+            if type(c) is bool or not isinstance(c, (int, Fraction)):
                 raise TypeError(
                     f"coefficients must be int or Fraction, got {c!r}"
                 )
@@ -231,14 +231,14 @@ class LaurentPoly:
         return self._new(raw, self._denom * other._denom, reach)
 
     def scale(self, c: Rational) -> "LaurentPoly":
-        if not isinstance(c, (int, Fraction)):
+        if type(c) is bool or not isinstance(c, (int, Fraction)):
             raise TypeError(f"scalars must be int or Fraction, got {c!r}")
         c = Fraction(c)
         raw = dict(zip(self._keys, [n * c.numerator for n in self._nums]))
         return self._new(raw, self._denom * c.denominator, self._reach)
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
+        if type(n) is bool or not isinstance(n, int):
             return NotImplemented
         if self.is_monomial():
             # a monomial's power scales its key less the zero vector's

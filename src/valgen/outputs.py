@@ -23,20 +23,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add, lt, sub
+from operator import add, itemgetter, lt, sub
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
-from .grouplat import graded_sorted, minimal_semigroup_generators, need_int
+from .grouplat import graded_sorted, minimal_semigroup_generators
 from .jumpseq import JumpState, PairVec, vec_over
 from .laurent import LaurentPoly
 from .values import (
     FIXED_BITS,
     Value,
     int_vec_bounds,
+    need_int,
     over_common_den,
     sign_within,
-    value_order,
 )
 
 # the redundancy search window when none is given: how far above a
@@ -74,9 +74,9 @@ class _ThresholdIndex:
     value at most top and every minimal generator at a threshold up to
     top.  ``values`` lists the distinct values of the entries in
     ascending order, one shared Value each; ``den`` is the lcm of the row
-    and top denominators.  ``lows[i]`` and ``highs[i]`` are 64-bit bounds
-    on ``values[i]`` at scale 2^64*den (the walk's, plus the top's), which
-    ``locate`` bisects as integers.
+    and top denominators.  ``lows[i]`` and ``highs[i]`` are the 64-bit
+    bounds of ``values[i]``'s own enclosure at scale 2^64*den
+    (``Value.bounds_over``), which ``locate`` bisects as integers.
 
     Entries are numbered in ascending (value, ``graded_key``) order, the
     order of a query's answer: ``entries[r]`` holds the counts of entry r
@@ -118,6 +118,8 @@ class _ThresholdIndex:
         numerators with their 64-bit bounds, which add along a path, and
         ``sign_within`` refines a sign only when they straddle zero.  An
         entry is below top or drops below it by its least-valued row k.
+        The distinct values are then sorted as Values, each with its
+        entries.
 
         Every proper ancestor of an entry v on the walk's path lies at or
         below v - e_j for a nonzero row j of v, which is worth at least
@@ -139,11 +141,10 @@ class _ThresholdIndex:
         # the moves from each row on, sliced once, last first to pop first
         tails = [moves[k:][::-1] for k in range(len(moves))]
         rank = sorted(moves, key=lambda move: rows[move[0]][2])
-        # per distinct value - top: its bounds, and the row k of each entry
-        # by its counts
-        found: dict[tuple[int, ...], tuple[int, int, dict]] = {}
-        # an entry's diff, bounds and stack entries grow with the widest
-        # numerator, so each of its 64-bit words counts against the budget
+        # per distinct value - top, the row k of each entry by its counts
+        found: dict[tuple[int, ...], dict] = {}
+        # an entry's diff and stack entries grow with the widest numerator,
+        # so each of its 64-bit words counts against the budget
         widest = max(abs(a) for vec in (top_nums, *steps) for a in vec)
         limit = INDEX_ENTRY_BUDGET // (1 + widest.bit_length() // 64)
         size = 0
@@ -163,7 +164,7 @@ class _ThresholdIndex:
                         tuple(map(sub, diff, step)),
                         lo - step_hi, hi - step_lo, rads,
                     ) < 0:
-                        found.setdefault(diff, (lo, hi, {}))[2][tuple(counts)] = k
+                        found.setdefault(diff, {})[tuple(counts)] = k
                         size += 1
                         if size > limit:
                             raise ThresholdTooHighError(
@@ -183,26 +184,25 @@ class _ThresholdIndex:
                 counts[path.pop()] -= 1
             counts[first] += 1
             path.append(first)
-        diffs = list(found)
-        spans = [(lo, hi) for lo, hi, _ in found.values()]
-        top_lo, top_hi = int_vec_bounds(top_nums, rads, FIXED_BITS)
+        # one Value per distinct value, sorted with its entries by value
+        groups = sorted(
+            ((Value(state.basis, tuple(map(add, diff, top_nums)), den), got)
+             for diff, got in found.items()),
+            key=itemgetter(0),
+        )
         values: list[Value] = []
-        lows, highs = [], []
         starts = array("q", [0])
         entries: list[tuple[int, ...]] = []
         row_of = array("q")
-        for j in value_order(diffs, spans, rads):
-            values.append(
-                Value(state.basis, tuple(map(add, diffs[j], top_nums)), den)
-            )
-            lo, hi = spans[j]
-            lows.append(lo + top_lo)
-            highs.append(hi + top_hi)
-            got = found[diffs[j]][2]
+        for value, got in groups:
+            values.append(value)
             group = graded_sorted(got)
             entries += group
             row_of.extend(map(got.__getitem__, group))
             starts.append(len(entries))
+        bounds = [value.bounds_over(den) for value in values]
+        lows = [lo for lo, _ in bounds]
+        highs = [hi for _, hi in bounds]
         return cls(
             rows, top, state.basis.zero(), values, den, highs, lows, starts,
             entries, row_of, {},

@@ -35,8 +35,7 @@ cross-multiplying by the other denominator) decide the order, and
 overlapping ones hand the numerator difference to ``int_vec_sign``.  The
 threshold index in ``outputs`` carries lo/hi along its walk over integer
 numerator tuples over one common denominator (``over_common_den``), and
-orders the distinct values it finds with ``value_order``, which compares
-two tuples exactly only when their enclosures overlap.
+sorts the distinct values it finds as Values, by this order.
 
 ``parse_value`` reads the ``exact_str`` form with ``Scanner``, which the
 polynomial parser in ``laurent`` extends, sums its terms into integer
@@ -47,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache
 from math import gcd, isqrt, lcm
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError
@@ -121,43 +120,6 @@ def sign_within(
     return int_vec_sign(vec, radicands)
 
 
-def value_order(
-    vecs: Sequence[tuple[int, ...]],
-    bounds: Sequence[tuple[int, int]],
-    radicands: Sequence[int],
-) -> list[int]:
-    """The positions of vecs, numerator tuples over one common denominator,
-    in ascending order of value; equal tuples keep their order.
-
-    bounds holds lo/hi for each tuple as ``sign_within`` takes them
-    (``int_vec_bounds`` at FIXED_BITS, or sums of such bounds).  The
-    positions are sorted by lo and split into runs whose bounds overlap.
-    A run lies wholly below the next one, so only within a run are two
-    tuples compared, by ``sign_within`` on their difference, and equal
-    tuples are never handed to it."""
-
-    def cmp(i: int, j: int) -> int:
-        if vecs[i] == vecs[j]:
-            return 0
-        (lo_i, hi_i), (lo_j, hi_j) = bounds[i], bounds[j]
-        diff = tuple(map(sub, vecs[i], vecs[j]))
-        return sign_within(diff, lo_i - hi_j, hi_i - lo_j, radicands)
-
-    runs: list[list[int]] = []
-    top = None
-    for k in sorted(range(len(vecs)), key=lambda k: bounds[k][0]):
-        lo, hi = bounds[k]
-        if top is None or lo > top:
-            runs.append([])
-            top = hi
-        runs[-1].append(k)
-        top = max(top, hi)
-    out: list[int] = []
-    for run in runs:
-        out += sorted(run, key=cmp_to_key(cmp)) if len(run) > 1 else run
-    return out
-
-
 def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
     """-1, 0, or +1: the sign of sum(vec_k * sqrt(r_k)).  Exact."""
     if not any(vec):
@@ -172,6 +134,20 @@ def int_vec_sign(vec: Sequence[int], radicands: Sequence[int]) -> int:
         # The sum is nonzero (independence of the radicals), so a fine
         # enough enclosure must separate it from zero.
         bits *= 2
+
+
+def need_int(name: str, x) -> None:
+    """Refuse x unless it is a plain int, neither a bool nor a float."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an int, got {x!r}")
+
+
+def need_rational(name: str, x) -> None:
+    """Refuse x unless it is a plain int or a Fraction: Fraction() would
+    take a float as its binary fraction, read a str or a Decimal, and pass
+    True as 1."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
 
 
 def _is_squarefree(n: int) -> bool:
@@ -227,17 +203,21 @@ class RadicalBasis:
         return Value(self, (0,) * self.dim, 1)
 
     def rational(self, q: Rational) -> "Value":
+        need_rational("q", q)
         return self.root(1, q)
 
     def root(self, radicand: int, coeff: Rational = 1) -> "Value":
         """The value coeff*sqrt(radicand)."""
-        c = Fraction(coeff)
+        need_int("radicand", radicand)
+        need_rational("coeff", coeff)
         nums = [0] * self.dim
-        nums[self.index_of(radicand)] = c.numerator
-        return Value(self, tuple(nums), c.denominator)
+        nums[self.index_of(radicand)] = coeff.numerator
+        return Value(self, tuple(nums), coeff.denominator)
 
     def from_coeffs(self, coeffs: Iterable[Rational]) -> "Value":
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(coeffs)
+        for c in cs:
+            need_rational("coeffs", c)
         den = lcm(*(c.denominator for c in cs))
         return Value(
             self, tuple(c.numerator * (den // c.denominator) for c in cs), den
@@ -329,7 +309,7 @@ class Value:
     def __mul__(self, scalar: Rational) -> "Value":
         if isinstance(scalar, Value):
             raise TypeError("Value*Value is not defined; scale by a rational")
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         # an int is its own numerator over denominator 1
         return Value(

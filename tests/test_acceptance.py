@@ -5,6 +5,7 @@ checklist; the hard-coded expectations here are deliberately spelled out
 rather than shared with the package's own golden data.
 """
 
+import copy
 import hashlib
 import importlib
 import importlib.resources
@@ -19,8 +20,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from valgen import LaurentPoly, PairVec, parse_value
-from valgen.cli import main
+from valgen import LaurentPoly, PairVec, build_state, grouplat, parse_value
+from valgen._golden import CONFIG
+from valgen.cli import derive_outputs, main, parse_config, report_doc
 from valgen.grouplat import lattice_solve, min_multiple_in_group
 from valgen.laurent import parse_polynomial
 from valgen.outputs import ideal_generators
@@ -455,6 +457,38 @@ def test_query_answers_are_pinned(announce, monkeypatch):
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     assert session.digest(answers) == expected["ideal-sweep"]["sha256"]
     announce("threshold queries on second.json give the pinned answers")
+
+
+def without_coeffs(doc):
+    """doc with every "coeffs" entry dropped, at any depth."""
+    if isinstance(doc, dict):
+        return {k: without_coeffs(v) for k, v in doc.items() if k != "coeffs"}
+    if isinstance(doc, list):
+        return [without_coeffs(v) for v in doc]
+    return doc
+
+
+def test_an_unused_radicand_changes_no_report(announce, monkeypatch):
+    # over four radicands the lattice normals come from the general
+    # cofactor expansion (grouplat._det), which no bundled model reaches
+    dets = []
+    det = grouplat._det
+    monkeypatch.setattr(
+        grouplat, "_det", lambda rows: dets.append(len(rows)) or det(rows)
+    )
+    reports = []
+    for radicands in ([1, 2, 51], [1, 2, 3, 51], [1, 2, 51, 55]):
+        cfg = copy.deepcopy(CONFIG)
+        cfg["basis"] = radicands
+        model, bounds, outputs, echo = parse_config(cfg, "example")
+        state = build_state(model, bounds=bounds)
+        doc = report_doc(state, echo, *derive_outputs(state, outputs))
+        assert doc["config"].pop("basis") == radicands
+        reports.append(without_coeffs(doc))
+        assert bool(dets) == (len(radicands) == 4)
+        dets.clear()
+    assert reports[0] == reports[1] == reports[2]
+    announce("a radicand no value uses leaves the report as it is")
 
 
 # -- 7: a model with a longer first chain -------------------------------------------

@@ -95,6 +95,8 @@ def test_load_config_missing_file():
         (lambda c: c.pop("basis"), "basis"),
         (lambda c: c.update(basis=[2, 3]), "basis"),
         (lambda c: c.update(ambient_vars=["u1"]), "three names"),
+        (lambda c: c.update(ambient_vars=["u1", "u1", "u3"]),
+         "cfg.json.ambient_vars: names must be distinct"),
         (lambda c: c.update(ambient_values=["1", "sqrt(2)", "bad^"]),
          "ambient_values[2]"),
         (lambda c: c["images"].pop("z"), "image of 'z'"),

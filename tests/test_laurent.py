@@ -62,6 +62,7 @@ def test_canonical_form():
         (((True, 0), 1),),
         (((1, 0), 0.1),),
         (((1, 0), "1/2"),),
+        (((1, 0), True),),
     ],
 )
 def test_constructor_rejects_non_integer_exponents_and_float_coefficients(
@@ -80,6 +81,17 @@ def test_public_constructors_check_their_input():
         LaurentPoly.constant(XY, 0.5)
     with pytest.raises(TypeError):
         LaurentPoly.variable(XY, "x").scale(0.5)
+    # a bool would run as 1
+    x, y = LaurentPoly.variable(XY, "x"), LaurentPoly.variable(XY, "y")
+    for bad in (
+        lambda: LaurentPoly.constant(XY, True),
+        lambda: LaurentPoly.monomial(XY, (1, 0), True),
+        lambda: x.scale(True),
+        lambda: x**True,
+        lambda: (x + y) ** True,
+    ):
+        with pytest.raises(TypeError):
+            bad()
     f = LaurentPoly(XY, (((1, 0), 2), ((0, -1), Fraction(1, 3))))
     assert [type(c) for _, c in f.terms] == [Fraction, Fraction]
     assert f.text() == "2*x + 1/3*y^-1"

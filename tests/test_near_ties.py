@@ -2,18 +2,19 @@
 
 The threshold index build's two sign decisions (whether a vector lies
 below the threshold, and whether it drops below it by its least-valued
-row), the Value order, ``value_order`` and the threshold index's
-``locate`` all read signs off integer bounds on 2^64 times a combination
-of square roots, and refine with ``int_vec_sign`` only when those bounds
-straddle zero.  The vectors below are built to straddle: Pell pairs
-p - q*sqrt(2) with q between 2^40 and 2^80, a convergent of sqrt(2) +
-sqrt(3), and exact zeros.  The build runs on rows that tie its threshold
-within them, for a stand-in state that carries only a basis.  Each
-decision is checked against ``int_vec_sign``, the fallbacks are counted,
-and a mutant that trusts the fixed-point sum alone is shown to fail the
-same checks.  ``locate`` is checked against ``bisect`` over the index's
-values on four models, one of them built so that its values tie within
-their enclosures.
+row), the Value order, by which the build sorts its values, and the
+threshold index's ``locate`` all read signs off integer bounds on 2^64
+times a combination of square roots, and refine with ``int_vec_sign``
+only when those bounds straddle zero.  The vectors below are built to
+straddle: Pell pairs p - q*sqrt(2) with q between 2^40 and 2^80, a
+convergent of sqrt(2) + sqrt(3), and exact zeros.  The build runs on
+rows that tie its threshold within them, for a stand-in state that
+carries only a basis, and its values must come out strictly ascending.
+Each decision is checked against ``int_vec_sign``, the fallbacks are
+counted, and a mutant that trusts the fixed-point sum alone is shown to
+fail the same checks.  ``locate`` is checked against ``bisect`` over the
+index's values on four models, one of them built so that its values tie
+within their enclosures.
 """
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
@@ -25,9 +26,6 @@ from operator import add, sub
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
 from valgen import RadicalBasis, Value, build_state, outputs, values
 from valgen.cli import parse_config
 from valgen.outputs import (
@@ -40,7 +38,6 @@ from valgen.values import (
     int_vec_bounds,
     int_vec_sign,
     sign_within,
-    value_order,
 )
 
 import oracles
@@ -269,57 +266,24 @@ def test_value_comparisons_fail_under_a_mutant(monkeypatch):
     assert any((a < b) != (s < 0) for (a, b), s in zip(pairs, expected))
 
 
-# -- ordering numerator tuples -----------------------------------------------
-
-# tuples that tie with zero or with each other within their 64-bit bounds
-TIED = (
-    NEAR_TIES
-    + ZEROS
-    + [(p, 0, 0) for p, _ in PELL]
-    + [(0, q, 0) for _, q in PELL]
-    + [(TIE_A, 0, 0), (0, TIE_C, TIE_C)]
-)
+# -- the index's order -------------------------------------------------------
 
 
-def ordered(vecs, widen=0):
-    """value_order of vecs with their int_vec_bounds, widened by widen."""
-    bounds = [int_vec_bounds(v, RADS, FIXED_BITS) for v in vecs]
-    return value_order(vecs, [(lo - widen, hi + widen) for lo, hi in bounds], RADS)
+def ascends(vals):
+    """Whether vals ascend strictly by ``exact_order``."""
+    return all(exact_order(a, b) < 0 for a, b in zip(vals, vals[1:]))
 
 
-def by_value(vecs):
-    """Positions of vecs sorted with Value keys, stable on equal values."""
-    basis = RadicalBasis(RADS)
-    return sorted(range(len(vecs)), key=lambda k: Value(basis, vecs[k], 1))
+def test_index_values_ascend_on_near_ties(fallbacks):
+    vals = near_tie_index().values
+    assert len(vals) > 500 and ascends(vals)
+    # the build decided near ties exactly
+    assert fallbacks
 
 
-@given(
-    st.lists(
-        st.sampled_from(TIED) | st.tuples(*[st.integers(-40, 40)] * 3),
-        max_size=24,
-    ).flatmap(lambda vecs: st.permutations(vecs + vecs[: len(vecs) // 2]))
-)
-def test_value_order_sorts_as_value_keys(vecs):
-    # repeated tuples, near ties and random values, in any order
-    assert ordered(vecs) == by_value(vecs)
-
-
-def test_value_order_refines_only_distinct_near_ties(fallbacks):
-    vecs = [v for v in reversed(TIED) for _ in range(2)] + [FAR, ZEROS[0]]
-    want = by_value(vecs)
-    fallbacks.clear()
-    assert ordered(vecs) == want
-    # the near ties reach the exact path; equal tuples never do
-    assert fallbacks and all(any(diff) for diff in fallbacks)
-    # wider bounds, as a walk carries them, give the same order
-    assert ordered(vecs, widen=3) == want
-
-
-def test_value_order_fails_under_a_mutant(monkeypatch):
-    vecs = list(TIED)
-    want = by_value(vecs)
+def test_index_order_fails_under_a_mutant(monkeypatch):
     monkeypatch.setattr(values, "int_vec_sign", trusts_a)
-    assert ordered(vecs) != want
+    assert not ascends(near_tie_index().values)
 
 
 # -- the queries at the >= boundary ------------------------------------------

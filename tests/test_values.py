@@ -72,10 +72,46 @@ def test_constructors():
     assert B.rational(Fraction(3, 2)).coeffs == (Fraction(3, 2), 0, 0)
     r = B.root(2, Fraction(5))
     assert r.coeffs == (Fraction(0), Fraction(5), Fraction(0))
+    assert B.from_coeffs([Fraction(1, 2), 3, 0]) == B.rational(
+        Fraction(1, 2)
+    ) + B.root(2, 3)
     with pytest.raises(ValueError):
         B.from_coeffs((1, 2))
     with pytest.raises(ValueError):
         B.root(7)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        # Fraction() would take 0.1 as 3602879701896397/36028797018963968
+        (lambda: B.rational(0.1), "q"),
+        (lambda: B.rational("0.1"), "q"),
+        (lambda: B.rational(Decimal("0.1")), "q"),
+        (lambda: B.rational(True), "q"),
+        (lambda: B.root(2, 0.5), "coeff"),
+        (lambda: B.root(2, True), "coeff"),
+        (lambda: B.from_coeffs([0.1, 1, 0]), "coeffs"),
+        (lambda: B.from_coeffs([1, "1/2", 0]), "coeffs"),
+        # equality would find 2.0 and True among the radicands
+        (lambda: B.root(2.0), "radicand"),
+        (lambda: B.root(True), "radicand"),
+    ],
+)
+def test_constructors_refuse_inexact_scalars(make, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        make()
+
+
+def test_scaling_refuses_a_bool():
+    a = B.root(2)
+    assert a * 1 == 1 * a == a
+    with pytest.raises(TypeError):
+        a * True
+    with pytest.raises(TypeError):
+        True * a
+    with pytest.raises(TypeError):
+        a * 0.5
 
 
 def test_arithmetic():
