@@ -30,10 +30,10 @@ from .grouplat import (
 )
 from .jumpseq import (
     Flags,
+    GeneratorSet,
     JumpState,
     PJump,
     PairVec,
-    PushingSearch,
     SearchBounds,
     TJump,
     build_p_chain,
@@ -42,7 +42,6 @@ from .jumpseq import (
 )
 from .laurent import LaurentPoly, parse_polynomial
 from .outputs import (
-    GeneratorSet,
     GrRelation,
     RedundancyCertificate,
     SemigroupSlice,
@@ -71,7 +70,6 @@ __all__ = [
     "PJump",
     "PairVec",
     "ParseError",
-    "PushingSearch",
     "RING_VARS",
     "RadicalBasis",
     "RedundancyCertificate",

@@ -103,18 +103,37 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    got: dict = {}
+    for key, val in pairs:
+        if key in got:
+            raise ConfigError(f"repeated key {key!r}")
+        got[key] = val
+    return got
+
+
 def load_config(path: str, max_t_index: Optional[int] = None,
                 max_value: Optional[str] = None):
-    """Read a config file and check it with parse_config."""
+    """Read a UTF-8 config file and check it with parse_config."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {e.start}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at position {e.pos}: {e.msg}")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}")
+    except ValueError:
+        # the one other ValueError of decoding a str: int()'s digit limit
+        raise ConfigError(f"{path}: an integer is too long to read")
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply")
     return parse_config(cfg, path, max_t_index, max_value)
 
 

@@ -137,9 +137,12 @@ def vec_over(rows, counts) -> PairVec:
 
 
 @dataclass(frozen=True)
-class PushingSearch:
-    """A position's minimal vectors, by value and by ``graded_key`` among
-    equal values, and whether the search provably saw everything."""
+class GeneratorSet:
+    """The minimal generators of a monomial ideal in the chain members: a
+    position's D set, or the generators of a valuation ideal.  members
+    come by value, and by ``graded_key`` among equal values; complete is
+    False when members may be missing: a D search cut by its caps, or an
+    ideal read off a truncated chain."""
 
     members: tuple[PairVec, ...]
     complete: bool
@@ -166,10 +169,11 @@ class TJump:
 
     status is "pending" until the construction reaches the member, then
     "skipped", or "ok" once s, m and D are recorded.  An "ok" member with
-    s None has no finite multiple in the group below it.  parent names the
-    creating position and vector past the first member; a position's
-    members are the records naming it.  D records the minimal vector
-    search at this position, when one ran.  image is poly in ambient form.
+    s None has no finite multiple in the group below it.  D is the
+    position's D set, empty and complete where nothing pushes: at a
+    vanished member (s 1) or where s is None.  parent names the creating
+    position and vector past the first member; a position's members are
+    the records naming it.  image is poly in ambient form.
     """
 
     index: int
@@ -179,7 +183,7 @@ class TJump:
     status: str = "pending"
     s: Optional[int] = None
     m: Optional[int] = None
-    D: Optional[PushingSearch] = None
+    D: Optional[GeneratorSet] = None
     parent: Optional[tuple[int, PairVec]] = None
     mu: Optional[Fraction] = None
     LN: Optional[PairVec] = None
@@ -281,16 +285,23 @@ class JumpState:
 
     def binomial(
         self, lhs: PairVec, rhs: PairVec
-    ) -> tuple[Fraction, LaurentPoly, LaurentPoly]:
-        """(scalar, ring form, image) of lhs - scalar*rhs, the scalar the
-        residue ratio of the two monomials, which cancels their initial
-        terms.  Values come from the image; the ring form is for the zero
-        test and the report."""
+    ) -> tuple[Fraction, LaurentPoly, LaurentPoly, Value]:
+        """(scalar, ring form, image, value) of lhs - scalar*rhs, each new
+        member of both chains, the scalar the residue ratio that cancels the
+        two monomials' initial terms.  The value, read off the image, is
+        zero when the ring form vanishes and must otherwise rise above
+        lhs's; the ring form is for the zero test and the report."""
         lhs_img = self.image_of(lhs)
         rhs_img = self.image_of(rhs)
         scalar = self.model.residue_ratio(lhs_img, rhs_img)
         poly = self.poly_of(lhs) - self.poly_of(rhs).scale(scalar)
-        return scalar, poly, lhs_img - rhs_img.scale(scalar)
+        image = lhs_img - rhs_img.scale(scalar)
+        if poly.is_zero():
+            return scalar, poly, image, self.basis.zero()
+        value = self.model.nu(image)
+        if not value > self.value_of(lhs):
+            raise InternalConsistencyError("a new member's value did not rise")
+        return scalar, poly, image, value
 
     def coordinates(self, k: int, i: int) -> list[tuple[str, int, Value]]:
         """The exponent layout every search over the chains uses: p_1..p_k,
@@ -348,7 +359,7 @@ class JumpState:
         counts = irreducible_decompose(alpha, solver, self.lead_counts(rows))
         return vec_over(rows, counts)
 
-    def pushing_set(self, i: int) -> PushingSearch:
+    def pushing_set(self, i: int) -> GeneratorSet:
         """Position i's D set (``minimal_pushing_set``): minimal irreducible
         vectors over p_1..p_m, processed t_j (j < i) and t*s at i whose
         value lies in the semigroup below i, under the bounds' d-caps."""
@@ -370,7 +381,7 @@ class JumpState:
         at_i = [*rows, ("t", i, rec.gamma)]
         counts = graded_sorted((*f, t * s) for *f, t in minima)
         members = sorted((vec_over(at_i, c) for c in counts), key=self.value_of)
-        return PushingSearch(tuple(members), complete)
+        return GeneratorSet(tuple(members), complete)
 
 
 # -- first chain ------------------------------------------------------------
@@ -409,16 +420,13 @@ def build_p_chain(
             q * rec.beta, state.semigroup_solver(i - 1, 0), [r.q for r in below]
         )
         power = PairVec((0,) * (i - 1) + (q,), ())
-        rec.lam, nxt, image = state.binomial(power, PairVec(L, ()))
+        rec.lam, nxt, image, beta = state.binomial(power, PairVec(L, ()))
         if len(state.p_chain) >= DEFAULT_P_CAP:
             break
         if nxt.is_zero():
             raise InternalConsistencyError(
                 "chain member vanished; the value data is degenerate"
             )
-        beta = model.nu(image)
-        if not beta > q * rec.beta:
-            raise InternalConsistencyError("chain value failed to increase")
         state.p_chain.append(PJump(i + 1, nxt, image, beta))
     return state
 
@@ -428,61 +436,40 @@ def build_p_chain(
 
 def _create_member(state: JumpState, i: int, vec: PairVec) -> None:
     """Append the chain member created from one minimal vector at i."""
-    value = state.value_of(vec)
-    rec = state.t_chain[i - 1]
-    LN = state.rewrite(value, rec.m, i - 1)
-    mu, poly, image = state.binomial(vec, LN)
-    if poly.is_zero():
-        gamma = state.basis.zero()
-    else:
-        gamma = state.model.nu(image)
-        if not gamma > value:
-            raise InternalConsistencyError("creation failed to raise the value")
+    LN = state.rewrite(state.value_of(vec), state.t_chain[i - 1].m, i - 1)
+    mu, poly, image, gamma = state.binomial(vec, LN)
+    index = len(state.t_chain) + 1
     state.t_chain.append(
-        TJump(
-            index=len(state.t_chain) + 1,
-            poly=poly,
-            image=image,
-            gamma=gamma,
-            parent=(i, vec),
-            mu=mu,
-            LN=LN,
-        )
+        TJump(index, poly, image, gamma, parent=(i, vec), mu=mu, LN=LN)
     )
 
 
 def _process_position(state: JumpState, i: int) -> None:
     """Record position i: "skipped" above the ceiling, else s, m, D, "ok"."""
     rec = state.t_chain[i - 1]
+    # a vanished member is never skipped, whatever the ceiling
     if rec.poly.is_zero():
         rec.s = 1
-        rec.m = state.m_at(i - 1)
-        rec.D = PushingSearch((), True)
-        rec.status = "ok"
-        return
-    if state.bounds.max_value is not None and rec.gamma > state.bounds.max_value:
+    elif state.bounds.max_value is not None and rec.gamma > state.bounds.max_value:
         rec.status = "skipped"
         return
-    rows = state.coordinates(len(state.p_chain), i - 1)
-    s = min_multiple_in_group(rec.gamma, [val for *_, val in rows])
-    if s is None:
-        rec.m = state.m_at(i - 1)
+    else:
+        rows = state.coordinates(len(state.p_chain), i - 1)
+        rec.s = min_multiple_in_group(rec.gamma, [val for *_, val in rows])
+    rec.m = state.m_at(i - 1)
+    if rec.s is None or rec.poly.is_zero():
         # provably nothing pushes at this position, so the empty set is exact
-        rec.D = PushingSearch((), True)
-        rec.status = "ok"
-        return
-    target = s * rec.gamma
-    depth = None
-    for j in range(1, len(state.p_chain) + 1):
-        gens_j = [val for kind, idx, val in rows if kind == "t" or idx <= j]
-        if lattice_solve(target, gens_j) is not None:
-            depth = j
-            break
-    if depth is None:
-        raise InternalConsistencyError("group multiple has no depth witness")
-    rec.s = s
-    rec.m = max(state.m_at(i - 1), depth)
-    rec.D = state.pushing_set(i)
+        rec.D = GeneratorSet((), True)
+    else:
+        target = rec.s * rec.gamma
+        for depth in range(1, len(state.p_chain) + 1):
+            gens = [val for kind, idx, val in rows if kind == "t" or idx <= depth]
+            if lattice_solve(target, gens) is not None:
+                break
+        else:
+            raise InternalConsistencyError("group multiple has no depth witness")
+        rec.m = max(rec.m, depth)
+        rec.D = state.pushing_set(i)
     rec.status = "ok"
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
 from .grouplat import graded_sorted, minimal_semigroup_generators
-from .jumpseq import JumpState, PairVec, vec_over
+from .jumpseq import GeneratorSet, JumpState, PairVec, vec_over
 from .laurent import LaurentPoly
 from .values import (
     FIXED_BITS,
@@ -240,16 +240,6 @@ class _ThresholdIndex:
 
 
 # -- valuation ideals ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Monomials in the chain members generating a valuation ideal.
-
-    complete is False when a truncated chain may hide further members."""
-
-    members: tuple[PairVec, ...]
-    complete: bool
 
 
 def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:

@@ -7,6 +7,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valgen import InternalConsistencyError, PairVec
 from valgen._golden import CONFIG, GOLDEN, parsed_example
@@ -127,6 +129,15 @@ def test_load_config_diagnostics(tmp_path, mutate, needle):
     assert needle in str(exc.value)
 
 
+# bytes no JSON decoder reads: not UTF-8, an integer past int()'s digit
+# limit, arrays nested past the recursion limit
+UNREADABLE = [
+    (b"\xff{}", "not UTF-8 text at byte 0"),
+    (b'{"basis": [' + b"1" * 5000 + b"]}", "an integer is too long to read"),
+    (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+]
+
+
 def test_load_config_bad_json(tmp_path):
     path = write_config(tmp_path, "{not json")
     with pytest.raises(ConfigError, match="invalid JSON at position"):
@@ -134,6 +145,47 @@ def test_load_config_bad_json(tmp_path):
     path2 = write_config(tmp_path, "[1, 2]", name="arr.json")
     with pytest.raises(ConfigError, match="top level"):
         load_config(path2)
+    path3 = tmp_path / "bad.json"
+    for payload, needle in UNREADABLE:
+        path3.write_bytes(payload)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path3))
+        assert str(exc.value) == f"{path3}: {needle}"
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ('{"images": {"x": "u1"}, "images": {"x": "u2"}}',
+         "cfg.json: repeated key 'images'"),
+        ('{"bounds": {"max_value": "30", "max_value": "40"}}',
+         "cfg.json: repeated key 'max_value'"),
+    ],
+)
+def test_load_config_refuses_a_repeated_key(tmp_path, text, needle):
+    # the second of two equal keys would silently win, and the report's
+    # config echo would show only it
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value).endswith(needle)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.text("[]{}0123456789", max_size=64).map(str.encode),
+    )
+)
+def test_load_config_raises_only_config_error(tmp_path_factory, payload):
+    # any file either loads or is refused with a diagnostic (exit 2),
+    # never a traceback (exit 1, the code of a verify-example difference)
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(payload)
+    try:
+        load_config(str(path))
+    except ConfigError:
+        pass
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -145,6 +197,11 @@ def test_build_reports_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid JSON at position" in err
     assert main(["build", "--config", str(tmp_path / "gone.json")]) == 2
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(UNREADABLE[0][0])
+    assert main(["build", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {bad}: not UTF-8 text at byte 0\n")
 
 
 def test_build_reports_unwritable_out(second_config, tmp_path, capsys):

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from valgen import PairVec, RadicalBasis, ValuationModel, _golden, cli, jumpseq
+from valgen import (
+    InternalConsistencyError,
+    PairVec,
+    RadicalBasis,
+    ValuationModel,
+    _golden,
+    cli,
+    jumpseq,
+)
 from valgen.cli import load_config, main, parse_config
 from valgen.jumpseq import vec_over
 from valgen.jumpseq import (
@@ -83,6 +91,23 @@ def test_first_chain_truncation(monkeypatch):
     assert [r.poly.text() for r in st.p_chain] == ["1*x", "1*y"]
     assert st.flags.p_truncated
     assert st.p_chain[1].q == 1 and st.p_chain[1].L_vec == (1,)
+
+
+def test_a_member_whose_value_does_not_rise_is_refused(monkeypatch):
+    # a doubled residue ratio leaves the initial terms uncancelled, so the
+    # new member keeps its monomial's value; JumpState.binomial refuses it
+    # in both chains with one message
+    ratio = ValuationModel.residue_ratio
+    example = build_p_chain(*corpus_model("example"))
+    model, bounds = corpus_model("q2")
+    monkeypatch.setattr(
+        ValuationModel, "residue_ratio", lambda m, f, g: 2 * ratio(m, f, g)
+    )
+    message = "a new member's value did not rise"
+    with pytest.raises(InternalConsistencyError, match=message):
+        build_p_chain(model, bounds)
+    with pytest.raises(InternalConsistencyError, match=message):
+        build_t_chain(example)
 
 
 # x = u1^2, y = u1^3 + u1^4 + u2: three finite jumps, and the third
@@ -234,7 +259,7 @@ def test_lead_counts_read_the_chain_records(state, second_state, monkeypatch):
     leads = state.lead_counts(rows)
     assert not any(lead[t16] for lead in leads)
     stray = PairVec((1,), (0,) * 15 + (1,))
-    monkeypatch.setattr(rec, "D", jumpseq.PushingSearch((stray,), True))
+    monkeypatch.setattr(rec, "D", jumpseq.GeneratorSet((stray,), True))
     assert state.lead_counts(rows) == leads
 
 
