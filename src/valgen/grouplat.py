@@ -180,12 +180,10 @@ class SemigroupSolver:
         # gvecs[j:] plus the unit vectors, each sign kept when it is >= 0
         # on all of gvecs[j:].  With the unit vectors among the subsets the
         # normals cut out the suffix's cone exactly, also when the cone is
-        # not full-dimensional.
+        # not full-dimensional.  Those of the empty suffix, the units' own,
+        # are the signed unit vectors.
         units = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
-        valid: set[tuple[int, ...]] = set()
-        for sub in combinations(units, dim - 1):
-            h = _cofactor_normal(sub, dim)
-            valid |= {h, tuple(-x for x in h)}
+        valid = {*units, *(tuple(-x for x in h) for h in units)}
         # each normal is tested once: one rejected on a suffix fails on
         # every longer suffix, one accepted stays in valid until rejected
         tried = set(valid)

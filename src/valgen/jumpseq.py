@@ -403,6 +403,8 @@ def build_p_chain(
         raise ValueError("model is not usable: " + "; ".join(problems))
     if bounds is None:
         bounds = SearchBounds.for_basis(model.basis)
+    if bounds.max_value is not None and bounds.max_value.basis != model.basis:
+        raise ValueError("max_value carries a different radical basis")
     state = JumpState(model=model, bounds=bounds)
     # the first member never has a finite group multiple: the group below
     # it is trivial, so its slot in rewrites is unrestricted

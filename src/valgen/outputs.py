@@ -9,13 +9,14 @@ The threshold queries (``ideal_generators``, ``semigroup_values_up_to``)
 are answered from one index per state (``_ThresholdIndex``): every
 monomial that can be a generator at a threshold up to the index's top,
 sorted by value once and numbered in the order of an answer, built by
-one depth-first walk (``_ThresholdIndex.build``) on an explicit stack,
-as a path has no bound on its length.  A query at or below the top
-places its threshold and window ends among the sorted values on integer
-keys (``_ThresholdIndex.locate``), compares values exactly only where
-their 64-bit enclosures overlap, and keeps, in order, the numbers that
-fall inside their own row's window; one above the top, or over changed
-chain rows, replaces the index.
+one depth-first walk (``_ThresholdIndex.build``) that reaches each entry
+once, from its least-valued row, on an explicit stack, as a path has no
+bound on its length.  A query at or below the top places its threshold
+and window ends among the sorted values on integer keys
+(``_ThresholdIndex.locate``), compares values exactly only where their
+64-bit enclosures overlap, and keeps, in order, the numbers that fall
+inside their own row's window; one above the top, or over changed chain
+rows, replaces the index.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add, itemgetter, lt, sub
+from operator import add, itemgetter, lt
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
@@ -48,8 +49,8 @@ DEFAULT_DEGREE_CAP = 40
 # ThresholdTooHighError rather than walking on below a tiny row value
 # until memory runs out.  The largest index the tests, the corpus and the
 # benchmark build holds 61,207 one-word entries (sigma 40 on the second
-# test model); reaching the budget takes about 4 s and 80 MB on a 2-core
-# x86-64 host under Python 3.11.
+# test model); reaching the budget takes about 1 s and 60 MB (100 MB for
+# the process) on a 2-core x86-64 host under Python 3.11.
 INDEX_ENTRY_BUDGET = 500_000
 
 
@@ -109,21 +110,22 @@ class _ThresholdIndex:
 
     @classmethod
     def build(cls, state: JumpState, rows: list, top: Value) -> "_ThresholdIndex":
-        """Walk the vectors below top and keep the entries.
+        """Walk the entries, one sign per vector, and keep them.
 
-        The walk reaches each vector once, depth first, as its parent plus
-        a unit at its last nonzero row, and descends from those below top.
-        Its paths have no bound on their length, so it keeps its own stack
-        rather than recursing.  A vector carries its value - top as common
-        numerators with their 64-bit bounds, which add along a path, and
-        ``sign_within`` refines a sign only when they straddle zero.  An
-        entry is below top or drops below it by its least-valued row k.
-        The distinct values are then sorted as Values, each with its
-        entries.
+        The moves are ranked once by row value, stably, and a child made
+        by the move at rank position r takes only the moves at 0..r.  So
+        the walk reaches each vector once, depth first and on its own
+        stack, as its parent plus a unit at its least-valued nonzero row
+        k, and each child of a vector below top is an entry.  A vector
+        carries its counts and its value - top as common numerators with
+        their 64-bit bounds, which add along a path, and ``sign_within``
+        refines a sign only when they straddle zero.  The distinct values
+        are then sorted as Values, each with its entries.
 
-        Every proper ancestor of an entry v on the walk's path lies at or
-        below v - e_j for a nonzero row j of v, which is worth at least
-        row k, so its value is below top and the walk descends through it.
+        Every entry v is reached: its parent v - e_k lies below top, and
+        each earlier vector on its path lies below the parent.  This is a
+        canonical-parent enumeration (Avis and Fukuda, "Reverse search
+        for enumeration", 1996).
         """
         # starts and row_of are int64 arrays: a list would hold one int
         # object per value or entry; imported here, where an index is
@@ -135,12 +137,10 @@ class _ThresholdIndex:
         )
         top_nums = steps.pop()
         rads = state.basis.radicands
-        # (row, step, the step's bounds) of each move
-        moves = [(k, step, *int_vec_bounds(step, rads, FIXED_BITS))
-                 for k, step in enumerate(steps)]
-        # the moves from each row on, sliced once, last first to pop first
-        tails = [moves[k:][::-1] for k in range(len(moves))]
-        rank = sorted(moves, key=lambda move: rows[move[0]][2])
+        # (row, step, the step's bounds) of each move, by the row's value
+        rank = sorted(((k, step, *int_vec_bounds(step, rads, FIXED_BITS))
+                       for k, step in enumerate(steps)),
+                      key=lambda move: rows[move[0]][2])
         # per distinct value - top, the row k of each entry by its counts
         found: dict[tuple[int, ...], dict] = {}
         # an entry's diff and stack entries grow with the widest numerator,
@@ -148,42 +148,29 @@ class _ThresholdIndex:
         widest = max(abs(a) for vec in (top_nums, *steps) for a in vec)
         limit = INDEX_ENTRY_BUDGET // (1 + widest.bit_length() // 64)
         size = 0
-        counts = [0] * len(steps)
-        # the rows of the moves from zero to the current vector; a stack
-        # entry is a child: its parent's path length, row, diff and bounds
-        path: list[int] = []
-        stack: list[tuple] = []
+        # a stack entry: the moves it may take, its counts, diff and bounds
+        diff = tuple(-a for a in top_nums)
+        stack = [(len(rank), (0,) * len(steps), diff,
+                  *int_vec_bounds(diff, rads, FIXED_BITS))]
         pop, push = stack.pop, stack.append
-        first, diff = 0, tuple(-a for a in top_nums)
-        lo, hi = int_vec_bounds(diff, rads, FIXED_BITS)
-        while True:
-            below = sign_within(diff, lo, hi, rads) < 0
-            for k, step, step_lo, step_hi in rank:
-                if counts[k]:
-                    if below or sign_within(
-                        tuple(map(sub, diff, step)),
-                        lo - step_hi, hi - step_lo, rads,
-                    ) < 0:
-                        found.setdefault(diff, {})[tuple(counts)] = k
-                        size += 1
-                        if size > limit:
-                            raise ThresholdTooHighError(
-                                "the threshold index would hold more than "
-                                f"{limit:,} monomials"
-                            )
-                    break
-            if below:
-                depth = len(path)
-                for k, step, step_lo, step_hi in tails[first]:
-                    child = tuple(map(add, diff, step))
-                    push((depth, k, child, lo + step_lo, hi + step_hi))
-            if not stack:
-                break
-            depth, first, diff, lo, hi = pop()
-            while len(path) > depth:
-                counts[path.pop()] -= 1
-            counts[first] += 1
-            path.append(first)
+        while stack:
+            reach, counts, diff, lo, hi = pop()
+            if sign_within(diff, lo, hi, rads) >= 0:
+                continue
+            for r in range(reach):
+                k, step, step_lo, step_hi = rank[r]
+                child = list(counts)
+                child[k] += 1
+                child = tuple(child)
+                child_diff = tuple(map(add, diff, step))
+                found.setdefault(child_diff, {})[child] = k
+                size += 1
+                if size > limit:
+                    raise ThresholdTooHighError(
+                        "the threshold index would hold more than "
+                        f"{limit:,} monomials"
+                    )
+                push((r + 1, child, child_diff, lo + step_lo, hi + step_hi))
         # one Value per distinct value, sorted with its entries by value
         groups = sorted(
             ((Value(state.basis, tuple(map(add, diff, top_nums)), den), got)

@@ -59,6 +59,8 @@ Rational = Union[int, Fraction]
 FIXED_BITS = 64
 # int()'s default digit limit, fixed so that parses ignore the interpreter's
 MAX_INT_DIGITS = 4300
+# the largest radicand: its squarefree test trial-divides up to 2**16
+MAX_RADICAND = 2**32
 
 
 def decimal_str(q: Rational) -> str:
@@ -165,9 +167,9 @@ def _is_squarefree(n: int) -> bool:
 class RadicalBasis:
     """The fixed list of radicands a family of values is written over.
 
-    ``radicands`` must be strictly increasing, squarefree, and start
-    with 1.  Two values can only be combined when they carry the same
-    basis.
+    ``radicands`` must be strictly increasing, squarefree, at most
+    ``MAX_RADICAND``, and start with 1.  Two values can only be combined
+    when they carry the same basis.
     """
 
     radicands: tuple[int, ...]
@@ -184,6 +186,8 @@ class RadicalBasis:
             if a >= b:
                 raise ValueError("radicands must be strictly increasing")
         for r in rads:
+            if r > MAX_RADICAND:
+                raise ValueError(f"radicand {decimal_str(r)} exceeds 2**32")
             if not _is_squarefree(r):
                 raise ValueError(f"radicand {r} is not squarefree")
 

@@ -269,6 +269,24 @@ def test_malformed_config_types_exit_2(tmp_path, mutate, key):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("big", [100000000000000000039, 10**4299],
+                         ids=["21-digit", "4300-digit"])
+def test_a_radicand_above_2_32_exits_2_at_once(tmp_path, big):
+    # the worked example with one more, unused radicand: its squarefree
+    # test alone would trial-divide for hours
+    cfg = copy.deepcopy(CONFIG)
+    cfg["basis"] = [*cfg["basis"], big]
+    path = write_config(tmp_path, cfg)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valgen.cli", "build", "--config", path],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}.basis: radicand {big} exceeds 2**32\n"
+
+
 def test_dependent_images_name_the_config(tmp_path, capsys):
     cfg = copy.deepcopy(GOOD)
     cfg["images"] = {"x": "u1", "y": "u2", "z": "u1*u2"}

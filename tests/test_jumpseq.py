@@ -110,6 +110,45 @@ def test_a_member_whose_value_does_not_rise_is_refused(monkeypatch):
         build_t_chain(example)
 
 
+def test_a_max_value_over_another_basis_is_refused_before_building(
+    monkeypatch,
+):
+    model, _, _, _ = parsed_example()
+    bounds = SearchBounds(max_value=RadicalBasis((1, 2, 3)).rational(20))
+
+    def no_seed(*args):
+        raise AssertionError("the first chain was begun")
+
+    monkeypatch.setattr(jumpseq, "_seed", no_seed)
+    with pytest.raises(
+        ValueError, match="^max_value carries a different radical basis$"
+    ):
+        build_p_chain(model, bounds)
+
+
+def test_a_group_multiple_without_a_depth_witness_is_refused(monkeypatch):
+    # no depth of the first chain reaches s*gamma in the lattice
+    model, bounds = corpus_model("example")
+    monkeypatch.setattr(jumpseq, "lattice_solve", lambda target, gens: None)
+    with pytest.raises(
+        InternalConsistencyError, match="group multiple has no depth witness"
+    ):
+        build_state(model, bounds)
+
+
+def test_a_vanished_first_chain_member_is_refused(monkeypatch):
+    model, bounds = corpus_model("q2")
+    binomial = jumpseq.JumpState.binomial
+
+    def vanishing(self, lhs, rhs):
+        scalar, poly, image, value = binomial(self, lhs, rhs)
+        return scalar, poly.scale(0), image, value
+
+    monkeypatch.setattr(jumpseq.JumpState, "binomial", vanishing)
+    with pytest.raises(InternalConsistencyError, match="chain member vanished"):
+        build_p_chain(model, bounds)
+
+
 # x = u1^2, y = u1^3 + u1^4 + u2: three finite jumps, and the third
 # member's rewrite 2*beta_1 + beta_2 uses the bounded slot of y
 DEEP_FIRST_CHAIN = {

@@ -1,18 +1,18 @@
 """Sign decisions the 64-bit enclosure cannot make must reach the exact path.
 
-The threshold index build's two sign decisions (whether a vector lies
-below the threshold, and whether it drops below it by its least-valued
-row), the Value order, by which the build sorts its values, and the
-threshold index's ``locate`` all read signs off integer bounds on 2^64
-times a combination of square roots, and refine with ``int_vec_sign``
-only when those bounds straddle zero.  The vectors below are built to
-straddle: Pell pairs p - q*sqrt(2) with q between 2^40 and 2^80, a
-convergent of sqrt(2) + sqrt(3), and exact zeros.  The build runs on
-rows that tie its threshold within them, for a stand-in state that
-carries only a basis, and its values must come out strictly ascending.
-Each decision is checked against ``int_vec_sign``, the fallbacks are
-counted, and a mutant that trusts the fixed-point sum alone is shown to
-fail the same checks.  ``locate`` is checked against ``bisect`` over the
+The threshold index build's one sign decision (whether a vector lies
+below the threshold), the Value order, by which the build sorts its
+values, and the threshold index's ``locate`` all read signs off integer
+bounds on 2^64 times a combination of square roots, and refine with
+``int_vec_sign`` only when those bounds straddle zero.  The vectors
+below are built to straddle: Pell pairs p - q*sqrt(2) with q between
+2^40 and 2^80, a convergent of sqrt(2) + sqrt(3), and exact zeros.  The
+build runs on rows that tie its threshold within them, for a stand-in
+state that carries only a basis, and its values must come out strictly
+ascending.  Each decision is checked against ``int_vec_sign``, the
+fallbacks are counted, and a mutant that trusts the fixed-point sum
+alone is shown to fail the same checks.  The build decides one sign per
+vector it visits, zero and each entry once.  ``locate`` is checked against ``bisect`` over the
 index's values on four models, one of them built so that its values tie
 within their enclosures.
 """
@@ -117,7 +117,7 @@ def test_the_vectors_are_near_ties():
 # the near-tie index: threshold FAR and rows FAR + x and FAR - x for each
 # near tie x, and FAR itself.  Each row drops below the threshold by itself
 # and lies below it or not by a near tie; a sum of two rows exceeds it by
-# about FAR, and drops below it by its least-valued row by a near tie.
+# about FAR, and is an entry when its other row lies below it.
 TOP = FAR
 ROWS = [
     tuple(map(op, TOP, x)) for x in NEAR_TIES for op in (add, sub)
@@ -177,8 +177,8 @@ def entries_by_definition():
 
 
 def test_walk_signs_on_near_ties(monkeypatch, fallbacks):
-    # every sign the walk decides, whether a vector lies below the
-    # threshold and whether it drops below it by its least-valued row
+    # every sign the walk decides: whether a vector lies below the
+    # threshold
     exact = []
 
     def sign(vec, lo, hi, radicands):
@@ -191,21 +191,34 @@ def test_walk_signs_on_near_ties(monkeypatch, fallbacks):
     for diff, got in seen:
         assert got == int_vec_sign(diff, RADS)
     # the exact path ran for the near ties and only for them: the rows
-    # against the threshold and the sums of two dropping by a row
+    # against the threshold
     near = [abs(diff[0]) < 1 << 90 for diff, _ in seen]
     assert exact == near
-    # a sum of two is visited from its first row when that lies below
-    n = len(ROWS)
-    below = [
-        k for k, row in enumerate(ROWS)
-        if int_vec_sign(tuple(map(sub, row, TOP)), RADS) < 0
-    ]
-    assert below and sum(near) == n + sum(n - k for k in below)
+    assert sum(near) == len(ROWS)
 
 
 def test_walk_signs_fail_under_a_mutant(monkeypatch):
     seen = walk_decisions(monkeypatch, trusts_a)
     assert any(got != int_vec_sign(diff, RADS) for diff, got in seen)
+
+
+def test_walk_decides_one_sign_per_entry(monkeypatch, second_state):
+    # the walk visits zero and each entry once, and decides one sign at
+    # each: whether it lies below the threshold
+    calls = []
+
+    def counting(vec, lo, hi, radicands):
+        calls.append(tuple(vec))
+        return sign_within(vec, lo, hi, radicands)
+
+    monkeypatch.setattr(outputs, "sign_within", counting)
+    st = second_state
+    rows = st.coordinates(len(st.p_chain), len(st.t_chain))
+    index = _ThresholdIndex.build(st, rows, st.basis.rational(8))
+    assert len(calls) == len(index.entries) + 1 == 295
+    calls.clear()
+    index = near_tie_index()
+    assert len(calls) == len(index.entries) + 1
 
 
 def test_minimality_test_on_near_ties():

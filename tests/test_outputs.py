@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from valgen import PairVec, RadicalBasis, Value, outputs, parse_value, values
+from valgen import (
+    InternalConsistencyError,
+    PairVec,
+    RadicalBasis,
+    ValuationModel,
+    Value,
+    outputs,
+    parse_value,
+    values,
+)
 from valgen.cli import load_config, parse_config
 from valgen.grouplat import SemigroupSolver, graded_key
 from valgen.jumpseq import SearchBounds, build_p_chain, build_state, build_t_chain
@@ -490,6 +499,26 @@ def test_a_negative_value_slack_is_refused(state):
             redundancy_certificate(state, target, value_slack=minus_one)
     zero = redundancy_certificate(state, 5, value_slack=state.basis.zero())
     assert zero.status == "undecided"
+
+
+def test_a_rewrite_that_does_not_raise_the_value_is_refused(monkeypatch):
+    # a doubled residue ratio leaves the remainder's initial term
+    # uncancelled, so its value stays where it was, and without the check
+    # the rewrite would step on forever
+    st = build_example()
+    ratio = ValuationModel.residue_ratio
+    steps = []
+
+    def doubled(model, f, g):
+        steps.append(f)
+        assert len(steps) < 100, "the rewrite never stopped"
+        return 2 * ratio(model, f, g)
+
+    monkeypatch.setattr(ValuationModel, "residue_ratio", doubled)
+    with pytest.raises(
+        InternalConsistencyError, match="rewrite failed to raise the value"
+    ):
+        redundancy_survey(st)
 
 
 @pytest.fixture(scope="module")

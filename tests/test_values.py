@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from valgen import ParseError, RadicalBasis, Value, parse_value
+from valgen import ParseError, RadicalBasis, Value, parse_value, values
 from valgen.values import combination
 
 B = RadicalBasis((1, 2, 51))
@@ -48,6 +48,25 @@ def test_basis_validation():
     assert B.index_of(51) == 2
     with pytest.raises(ValueError):
         B.index_of(7)
+
+
+def test_a_radicand_above_2_32_is_refused_before_its_squarefree_test(
+    monkeypatch,
+):
+    # trial division up to the square root of a larger radicand could run
+    # for hours; the bound is checked first
+    tested = []
+    squarefree = values._is_squarefree
+    monkeypatch.setattr(
+        values, "_is_squarefree", lambda r: tested.append(r) or squarefree(r)
+    )
+    for big in (2**32 + 1, 100000000000000000039, 10**4299):
+        with pytest.raises(ValueError) as info:
+            RadicalBasis((1, 2, big))
+        assert str(info.value) == f"radicand {big} exceeds 2**32"
+    assert tested == [1, 2] * 3
+    # the largest prime below the bound passes
+    assert RadicalBasis((1, 4294967291)).radicands == (1, 4294967291)
 
 
 def test_value_validation():
