@@ -27,6 +27,7 @@ from .grouplat import (
     minimal_pushing_set,
     minimal_semigroup_generators,
     permissible_decompose,
+    staircase,
 )
 from .jumpseq import (
     Flags,
@@ -104,5 +105,6 @@ __all__ = [
     "redundancy_certificate",
     "redundancy_survey",
     "semigroup_values_up_to",
+    "staircase",
     "validate_model",
 ]

@@ -162,10 +162,11 @@ class SemigroupSolver:
     (``gens``), what they determine (``normals``, the search steps) and two
     counters, ``queries`` and ``nodes``, of calls of ``contains`` and
     search nodes.  A chain state shares one instance per generator tuple
-    for the length of its build, so the normals are computed once.
+    for its build, each grown from the longest one over a prefix (``prefix``).
     """
 
-    def __init__(self, gens: Sequence[Value]):
+    def __init__(self, gens: Sequence[Value],
+                 prefix: Optional[SemigroupSolver] = None):
         self.gens = gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
@@ -176,34 +177,30 @@ class SemigroupSolver:
         self.gvecs = gvecs
         self.dim = dim = basis.dim
         self.count = count = len(gens)
-        # normals[j]: the cofactor normals of every (dim-1)-subset of
-        # gvecs[j:] plus the unit vectors, each sign kept when it is >= 0
-        # on all of gvecs[j:].  With the unit vectors among the subsets the
-        # normals cut out the suffix's cone exactly, also when the cone is
-        # not full-dimensional.  Those of the empty suffix, the units' own,
-        # are the signed unit vectors.
+        # normals[j]: each sign of the cofactor normal of every (dim-1)-subset
+        # of the unit vectors and gvecs[j:], the prefix gens[:count-j], that is
+        # >= 0 on the prefix.  With the units among the subsets they cut out
+        # its cone exactly, also a cone that is not full-dimensional.  They
+        # are primitive, so a solver over a prefix of gens hands its own on
+        # whatever the scale, and the prefix grows by one g at a time: keep
+        # each h with h.g >= 0, add those of the subsets with g.
         units = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
-        valid = {*units, *(tuple(-x for x in h) for h in units)}
-        # each normal is tested once: one rejected on a suffix fails on
-        # every longer suffix, one accepted stays in valid until rejected
-        tried = set(valid)
-        normals = [tuple(valid)]
-        for j in range(count - 1, -1, -1):
-            g = gvecs[j]
-            valid = {h for h in valid if _dot(h, g) >= 0}
-            rest = units + gvecs[j + 1 :]
-            subs = combinations(rest, dim - 2) if dim > 1 else ()
-            for sub in subs:
-                h = _cofactor_normal((g, *sub), dim)
-                if h is None or h in tried:
-                    continue
-                for cand in (h, tuple(-x for x in h)):
-                    tried.add(cand)
-                    if all(_dot(cand, x) >= 0 for x in gvecs[j:]):
-                        valid.add(cand)
-            normals.append(tuple(valid))
-        normals.reverse()
-        self.normals = normals
+        grown = [(*units, *(tuple(-x for x in h) for h in units))]
+        if prefix and gens[: prefix.count] == prefix.gens:
+            grown = prefix.normals[::-1]
+        vecs = gvecs[::-1]
+        # coplanar values share normals; one rejected fails on longer prefixes
+        tried = {None}
+        for k in range(len(grown) - 1, count):
+            valid = {h for h in grown[-1] if _dot(h, vecs[k]) >= 0}
+            subs = combinations(units + vecs[:k], dim - 2) if dim > 1 else ()
+            hs = {_cofactor_normal((vecs[k], *sub), dim) for sub in subs} - tried
+            tried |= hs
+            for cand in (*hs, *(tuple(-x for x in h) for h in hs)):
+                if all(_dot(cand, x) >= 0 for x in vecs[: k + 1]):
+                    valid.add(cand)
+            grown.append(tuple(valid))
+        self.normals = normals = grown[::-1]
         # per generator j, the next suffix's normals that see it: h.g > 0
         # caps its count, h.g < 0 floors it.  A normal with h.g == 0 needs
         # no check: it holds on rem - n*g whenever rem is in the cone of
@@ -453,28 +450,44 @@ def _split(
     return kept
 
 
+def staircase(
+    base: Sequence[tuple[int, ...]], leads: Sequence[Sequence[int]],
+    width: int, coord_cap: int,
+) -> list[tuple[int, ...]]:
+    """The cover (``_split``) of the points with width entries up to
+    coord_cap that lie, on their first entries, under the base cover and
+    dominate none of the leads.  A cover is canonical, the maximal boxes
+    of its down-set, whatever the order of the splits; so a base split by
+    some leads, padded with coord_cap, needs splitting only by the others.
+    The empty base ``[()]`` gives the staircase of the leads alone."""
+    cover = [b + (coord_cap,) * (width - len(b)) for b in base]
+    for lead in leads:
+        cover = _split(cover, lead)
+    return cover
+
+
 def minimal_pushing_set(
     step: Value, vals: Sequence[Value], solver: SemigroupSolver,
-    leads: Sequence[Sequence[int]], layer_cap: int, coord_cap: int,
+    cover: Sequence[tuple[int, ...]], layer_cap: int, coord_cap: int,
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The minimal vectors (*f, t) whose value f.vals + t*step lies in
     the solver's semigroup, with 1 <= t <= layer_cap, every entry of f
-    at most coord_cap and f dominating none of the leads.
+    at most coord_cap and f under the cover: the ``staircase`` of the
+    leads, so the search sees only the irreducible region.
 
     The solver's generators include vals.  Within one layer (fixed t)
     the solution set is upward closed, so its minimal points are mined
-    from one cover (``_split``) of the points under the caps that
-    dominate nothing found: each face is tested at its top corner with
-    one membership query, and a hit is lowered to a minimal point one
-    coordinate at a time, a probe at 0 first, then a binary search from
-    1 when the probe misses.  The cover is seeded with the leads, so it
-    covers only the irreducible region, a down-set the lowering never
-    leaves.  Layers are processed in increasing t and share the cover,
-    since a vector of a later layer above a minimum found earlier
-    dominates it; a minimum whose free part f is all zero empties the
-    cover and closes every later layer.  Returns (minima, complete), the
-    minima in the order found; complete is False when a layer ends with
-    a face that reaches coord_cap, or when no layer closes.
+    from the cover, split (``_split``) by each minimum found: each face is
+    tested at its top corner with one membership query, and a hit is
+    lowered to a minimal point one coordinate at a time, a probe at 0
+    first, then a binary search from 1 when the probe misses; the
+    irreducible region is a down-set, so the lowering never leaves it.
+    Layers are processed in increasing t and share the cover, since a
+    vector of a later layer above a minimum found earlier dominates it; a
+    minimum whose free part f is all zero empties the cover and closes
+    every later layer.  Returns (minima, complete), the minima in the
+    order found; complete is False when a layer ends with a face that
+    reaches coord_cap, or when no layer closes.
     """
     n = len(vals)
     step_vals = (step, *vals)
@@ -510,9 +523,6 @@ def minimal_pushing_set(
             cur[j] = lo
         return tuple(cur)
 
-    cover = [(coord_cap,) * n]
-    for lead in leads:
-        cover = _split(cover, lead)
     found: list[tuple[int, ...]] = []
     capped = False
     for layer in range(1, layer_cap + 1):

@@ -45,6 +45,7 @@ from .grouplat import (
     irreducible_decompose,
     permissible_decompose,
     SemigroupSolver,
+    staircase,
 )
 from .laurent import LaurentPoly
 from .valmodel import RING_VARS, ValuationModel, validate_model
@@ -236,6 +237,8 @@ class JumpState:
     # the threshold index of outputs' ideal and semigroup queries: one at a
     # time, replaced when the rows change or a threshold passes its top
     _thresholds: Optional[object] = field(default=None, repr=False)
+    # the last D search's (coordinate cap, row keys, leads, cover)
+    _staircase: tuple = field(default=(None, (), (), ((),)), repr=False)
 
     @property
     def basis(self):
@@ -339,12 +342,14 @@ class JumpState:
         return [tuple(d.get(k, 0) for k in keys) for d in leads if d.keys() <= on]
 
     def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
-        """The solver over the values of coordinates(k, i), shared by every
-        query of this build on the same generators."""
+        """The build's one solver over the values of coordinates(k, i),
+        grown from its longest solver over a prefix of them."""
         gens = tuple(val for *_, val in self.coordinates(k, i))
         got = self._solvers.get(gens)
         if got is None:
-            got = self._solvers[gens] = SemigroupSolver(gens)
+            keys = [key for key in self._solvers if gens[: len(key)] == key]
+            prefix = self._solvers[max(keys, key=len)] if keys else None
+            got = self._solvers[gens] = SemigroupSolver(gens, prefix)
         return got
 
     def rewrite(self, alpha: Value, k: int, i: int) -> PairVec:
@@ -374,9 +379,20 @@ class JumpState:
             for row in self.coordinates(m, i - 1)
             if row[0] == "p" or self.t_chain[row[1] - 1].status == "ok"
         ]
+        keys = tuple(row[:2] for row in rows)
+        leads, cap = self.lead_counts(rows), self.bounds.d_coord_cap
+        # grow the last search's staircase if it had this cap, these rows
+        # extend its rows and take its leads (padded with zeros), else restart
+        last_cap, last_keys, last_leads, base = self._staircase
+        pad = (0,) * (len(keys) - len(last_keys))
+        old = {lead + pad for lead in last_leads}
+        if (last_cap, last_keys) != (cap, keys[: len(last_keys)]) or old - {*leads}:
+            base, old = ((),), set()
+        cover = staircase(base, [d for d in leads if d not in old], len(keys), cap)
+        self._staircase = (cap, keys, leads, cover)
         minima, complete = minimal_pushing_set(
             s * rec.gamma, [val for *_, val in rows], self.semigroup_solver(m, i - 1),
-            self.lead_counts(rows), self.bounds.d_layer_cap, self.bounds.d_coord_cap,
+            cover, self.bounds.d_layer_cap, cap,
         )
         at_i = [*rows, ("t", i, rec.gamma)]
         counts = graded_sorted((*f, t * s) for *f, t in minima)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ParseError
 
@@ -217,15 +217,6 @@ class RadicalBasis:
         nums = [0] * self.dim
         nums[self.index_of(radicand)] = coeff.numerator
         return Value(self, tuple(nums), coeff.denominator)
-
-    def from_coeffs(self, coeffs: Iterable[Rational]) -> "Value":
-        cs = tuple(coeffs)
-        for c in cs:
-            need_rational("coeffs", c)
-        den = lcm(*(c.denominator for c in cs))
-        return Value(
-            self, tuple(c.numerator * (den // c.denominator) for c in cs), den
-        )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,18 @@ independent oracle for the search code.
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
 from operator import ge, mul
 
-from valgen import PairVec
+from valgen import PairVec, Value
+
+
+def value_from_coeffs(basis, coeffs):
+    """The Value with the given rational coefficients, one per radicand of
+    basis: their numerators over the lcm of their denominators."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return Value(basis, tuple(int(c * den) for c in coeffs), den)
 
 
 def naive_poly_mul(terms1, terms2):

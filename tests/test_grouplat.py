@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,7 +16,9 @@ from valgen import (
     NotInSemigroupError,
     PairVec,
     RadicalBasis,
+    Value,
     build_state,
+    grouplat,
     parse_value,
 )
 from valgen.grouplat import (
@@ -32,6 +35,7 @@ from valgen.grouplat import (
     minimal_pushing_set,
     minimal_semigroup_generators,
     permissible_decompose,
+    staircase,
 )
 from valgen.jumpseq import vec_over
 from valgen.cli import load_config, parse_config
@@ -369,11 +373,11 @@ def test_semigroup_solver_against_oracle_in_dim_1():
 
 def test_semigroup_solver_against_oracle_in_dim_3():
     rng = random.Random(3)
-    pool = [B3.from_coeffs(v) for v in CHAIN_SHAPED]
+    pool = [Value(B3, v, 1) for v in CHAIN_SHAPED]
 
     def target():
-        return B3.from_coeffs(
-            (rng.randint(-12, 12), rng.randint(-4, 8), rng.randint(0, 2))
+        return Value(
+            B3, (rng.randint(-12, 12), rng.randint(-4, 8), rng.randint(0, 2)), 1
         )
 
     check_against_oracle(rng, pool, target, B3.rational(24), 300)
@@ -403,7 +407,7 @@ def chain_gens(which, second_state):
     """Generators for the cut tests: chain-shaped values of the worked
     example, or the full chain of the second model."""
     if which == "chain-shaped":
-        return [B3.from_coeffs(v) for v in CHAIN_SHAPED[:5]]
+        return [Value(B3, v, 1) for v in CHAIN_SHAPED[:5]]
     rows = second_state.coordinates(
         len(second_state.p_chain), len(second_state.t_chain)
     )
@@ -558,7 +562,7 @@ def test_cone_normals_hold_on_their_suffix(state_30):
     solvers = list(state_30._solvers.values()) + [
         SemigroupSolver([B1.rational(3), B1.rational(Fraction(5, 2))]),
         SemigroupSolver([B2.root(2), B2.rational(3) - B2.root(2)]),
-        SemigroupSolver([B3.from_coeffs(v) for v in CHAIN_SHAPED]),
+        SemigroupSolver([Value(B3, v, 1) for v in CHAIN_SHAPED]),
     ]
     for sol in solvers:
         assert len(sol.normals) == sol.count + 1
@@ -605,7 +609,7 @@ def test_cofactor_normal_matches_cofactor_expansion(vecs):
     ],
 )
 def test_cone_normals_cut_out_the_suffix_cone(vecs):
-    sol = SemigroupSolver([B3.from_coeffs(v) for v in vecs])
+    sol = SemigroupSolver([Value(B3, v, 1) for v in vecs])
     steps = list(product((-1, 0, 1), repeat=3))
     near = [tuple(a + b for a, b in zip(g, e)) for g in vecs for e in steps]
     points = set(product(range(-2, 3), repeat=3)) | set(near)
@@ -613,6 +617,76 @@ def test_cone_normals_cut_out_the_suffix_cone(vecs):
         for p in points:
             inside = all(dot(h, p) >= 0 for h in sol.normals[j])
             assert inside == in_real_cone(p, sol.gvecs[j:]), (j, p)
+
+
+def defined_normals(vecs, dim):
+    """The cone normals of the prefix vecs by their definition: each sign
+    of the cofactor normal of every independent (dim-1)-subset of the unit
+    vectors and vecs that is >= 0 on all of vecs."""
+    units = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
+    out = set()
+    for sub in combinations(units + list(vecs), dim - 1):
+        h = _cofactor_normal(sub, dim)
+        for cand in (h, tuple(-x for x in h)) if h else ():
+            if all(dot(cand, x) >= 0 for x in vecs):
+                out.add(cand)
+    return out
+
+
+def normal_sets(solver):
+    return [set(normals) for normals in solver.normals]
+
+
+# positive values over B1, B2 and B3 with denominators up to 3, so that a
+# grown solver's scale differs from its prefix's
+POSITIVE = {
+    basis: st.builds(
+        Value,
+        st.just(basis),
+        st.tuples(*[st.integers(-4, 4)] * basis.dim),
+        st.integers(1, 3),
+    ).filter(lambda v: v.sign() > 0)
+    for basis in (B1, B2, B3)
+}
+
+
+@given(data=st.data(), basis=st.sampled_from([B1, B2, B3]))
+def test_grown_solvers_equal_fresh_ones(data, basis):
+    gens = data.draw(st.lists(POSITIVE[basis], min_size=1, max_size=5), "gens")
+    n = len(gens)
+    k = data.draw(st.integers(0, n - 1), "prefix length")
+    prefix = SemigroupSolver(gens[:k]) if k else None
+    grown = SemigroupSolver(gens, prefix)
+    fresh = SemigroupSolver(gens)
+    assert normal_sets(grown) == normal_sets(fresh)
+    for j in range(n + 1):
+        assert set(grown.normals[j]) == defined_normals(grown.gvecs[j:], basis.dim)
+    # the same answers from the same search, with and without a cut
+    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    leads = data.draw(st.lists(row.filter(any), max_size=2), "leads")
+    degrees = data.draw(row, "degrees")
+    cap = data.draw(st.none() | st.integers(0, 6), "cap")
+    for _ in range(3):
+        target = combination(data.draw(row, "target counts"), gens, basis)
+        target = target - basis.rational(data.draw(st.sampled_from([0, 0, 1])))
+        for cut in ((), (leads, degrees, cap)):
+            assert grown.contains(target, *cut) == fresh.contains(target, *cut)
+            assert grown.nodes == fresh.nodes
+
+
+@pytest.mark.parametrize("fixture", ["state", "tower_json"])
+def test_a_builds_solvers_equal_fresh_ones(fixture, request):
+    # every solver of a build but its first is grown from a shorter one
+    built = request.getfixturevalue(fixture)
+    for solver in built._solvers.values():
+        assert normal_sets(solver) == normal_sets(SemigroupSolver(solver.gens))
+
+
+def test_a_solver_that_is_no_proper_prefix_is_not_grown_from():
+    a, b, c, d = (Value(B3, v, 1) for v in CHAIN_SHAPED[-4:])
+    for other in ((a, c), (b,), (a, b, c), (a, b, c, d)):
+        solver = SemigroupSolver((a, b, c), SemigroupSolver(other))
+        assert normal_sets(solver) == normal_sets(SemigroupSolver((a, b, c)))
 
 
 def test_semigroup_solver_finds_deep_witnesses(state_30):
@@ -638,6 +712,31 @@ def test_example_build_search_stays_small():
     solvers = build_example()._solvers.values()
     assert sum(s.queries for s in solvers) == 253
     assert sum(s.nodes for s in solvers) == 1_291
+
+
+def test_heavy_build_grows_its_search_set_up(monkeypatch):
+    # the worked example at the ceiling 113/4 builds 23 solvers, all but
+    # the first grown from a solver over a prefix of their generators, and
+    # runs 23 D searches, all but the first splitting the last one's
+    # staircase by their new leads only.  Made from nothing, the normals
+    # of every solver take 3,554 cross products and the staircases and
+    # minima 434 splits.  The numbers are pinned, not bounded.
+    calls = Counter()
+
+    def counting(name):
+        count = getattr(grouplat, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return count(*args)
+
+        return counted
+
+    for name in ("_cofactor_normal", "_split"):
+        monkeypatch.setattr(grouplat, name, counting(name))
+    built = build_example("113/4")
+    assert len(built._solvers) == 23
+    assert calls == {"_cofactor_normal": 375, "_split": 61}
 
 
 def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
@@ -901,10 +1000,30 @@ def test_split_keeps_the_maximal_boxes_of_the_staircase(data, dim):
         assert cover == sorted(cover, reverse=True)
 
 
+@given(data=st.data(), width=st.integers(0, 4), cap=st.integers(0, 3))
+def test_a_grown_staircase_equals_one_seeded_from_empty(data, width, cap):
+    old_width = data.draw(st.integers(0, width), "old width")
+
+    def leads(n, label):
+        row = st.tuples(*[st.integers(0, cap + 1)] * n).filter(any)
+        return data.draw(st.lists(row, max_size=4), label)
+
+    old, new = leads(old_width, "old leads"), leads(width, "new leads")
+    base = staircase([()], old, old_width, cap)
+    pad = (0,) * (width - old_width)
+    every = [lead + pad for lead in old] + new
+    want = staircase([()], data.draw(st.permutations(every), "order"), width, cap)
+    assert staircase(base, new, width, cap) == want
+    # the points under the cover are those that dominate no lead
+    grid = list(product(range(cap + 1), repeat=width))
+    under = {x for x in grid if any(all(map(le, x, b)) for b in want)}
+    assert under == {x for x in grid if dominates_none(x, every)}
+
+
 # positive values a + b*sqrt(2) with small a, b: generators, steps and
 # targets for the searches on plain values, with no chain built
 PLAIN = st.tuples(st.integers(0, 4), st.integers(0, 2)).filter(any).map(
-    B2.from_coeffs
+    lambda v: Value(B2, v, 1)
 )
 
 
@@ -952,8 +1071,9 @@ def brute_minima(step, vals, gens, leads, layers, box):
 def check_plain_pushing_set(step, vals, gens, leads, layers, box):
     """minimal_pushing_set against brute_minima; when the search reports
     itself complete, a box and a layer range two larger hold no more."""
+    cover = staircase([()], leads, len(vals), box)
     minima, complete = minimal_pushing_set(
-        step, vals, SemigroupSolver(gens), leads, layers, box
+        step, vals, SemigroupSolver(gens), cover, layers, box
     )
     got = [PairVec(m[:-1], m[-1:]) for m in minima]
     assert len(set(got)) == len(got)

@@ -18,6 +18,7 @@ from valgen import (
     jumpseq,
 )
 from valgen.cli import load_config, main, parse_config
+from valgen.grouplat import staircase
 from valgen.jumpseq import vec_over
 from valgen.jumpseq import (
     SearchBounds,
@@ -550,6 +551,93 @@ def test_a_raised_index_cap_goes_on_as_a_fresh_build(which, n):
     fresh = build_state(model, bounds=bounds)
     assert record_rows(state) == record_rows(fresh)
     assert flag_reading(state) == flag_reading(fresh)
+
+
+def checked_staircases(monkeypatch):
+    """Make every D search check the cover it ran on against the staircase
+    of its leads seeded from the empty base.  Returns the list of the bases
+    the covers grow from, the empty base ((),) where a cover is rebuilt."""
+    bases = []
+    search = jumpseq.JumpState.pushing_set
+
+    def recorded(base, leads, width, cap):
+        # a base wider than the rows would run the search off its rows
+        assert all(len(box) <= width for box in base)
+        bases.append(base)
+        return staircase(base, leads, width, cap)
+
+    def checked(state, i):
+        got = search(state, i)
+        cap, keys, leads, cover = state._staircase
+        assert cover == staircase([()], leads, len(keys), cap)
+        return got
+
+    monkeypatch.setattr(jumpseq, "staircase", recorded)
+    monkeypatch.setattr(jumpseq.JumpState, "pushing_set", checked)
+    return bases
+
+
+@pytest.mark.parametrize("which", ["example", "tower.json", "first chain (2, 1)"])
+def test_each_d_search_grows_the_last_ones_staircase(which, monkeypatch):
+    if which == "first chain (2, 1)":
+        model, bounds, _, _ = parse_config(first_chain_config(2, 1), which)
+    else:
+        model, bounds = corpus_model(which)
+    bases = checked_staircases(monkeypatch)
+    build_state(model, bounds=bounds)
+    # each position's rows extend the last search's and keep its leads
+    assert len(bases) > 10
+    assert [base == ((),) for base in bases] == [True] + [False] * (len(bases) - 1)
+
+
+def test_a_d_search_that_does_not_extend_the_last_rebuilds(monkeypatch):
+    model, bounds = corpus_model("example")
+    state = build_state(model, bounds=bounds)
+    bases = checked_staircases(monkeypatch)
+    searched = [
+        rec.index for rec in state.t_chain
+        if rec.status == "ok" and rec.s is not None and not rec.gamma.is_zero()
+    ]
+    first, _, i, j, *_, last = searched
+
+    def rebuilt(at):
+        # the search gives the recorded D set; was its cover rebuilt?
+        del bases[:]
+        assert state.pushing_set(at) == state.t_chain[at - 1].D
+        return bases == [((),)]
+
+    # the build's last search again: the same rows and leads
+    assert not rebuilt(last)
+    # fewer rows than the last search's
+    assert rebuilt(i) and not rebuilt(j)
+    # a depth that rises: p_2 comes in before the t rows
+    with monkeypatch.context() as patch:
+        patch.setattr(state.t_chain[i - 1], "m", 1)
+        state.pushing_set(i)
+    assert rebuilt(j)
+    # a skipped position: t_1 drops out of the rows, then comes back
+    with monkeypatch.context() as patch:
+        patch.setattr(state.t_chain[first - 1], "status", "skipped")
+        state.pushing_set(i)
+    assert rebuilt(j)
+    # a lead of the last search that is not among the new ones
+    state.pushing_set(i)
+    cap, keys, leads, cover = state._staircase
+    extra = (1,) + (0,) * (len(keys) - 1)
+    assert extra not in leads
+    cover = staircase(cover, [extra], len(keys), cap)
+    state._staircase = (cap, keys, [*leads, extra], cover)
+    assert rebuilt(j)
+    # another coordinate cap
+    with monkeypatch.context() as patch:
+        patch.setattr(state, "bounds", replace(bounds, d_coord_cap=3))
+        del bases[:]
+        state.pushing_set(j)
+        assert bases == [((),)]
+    # a last search with one row more, and no leads to tell
+    wider = (*keys, ("t", 0))
+    state._staircase = (cap, wider, [], staircase([()], [], len(wider), cap))
+    assert rebuilt(i)
 
 
 def test_raising_the_value_ceiling_keeps_the_rows_below_it(state, state_30):

@@ -274,9 +274,11 @@ def index_thresholds(st, top, rng):
         out += [v - shift, v, v + shift]
     for _ in range(10):
         while True:
-            sigma = basis.from_coeffs(
-                [Fraction(rng.randrange(64 * 5), 64)]
-                + [Fraction(rng.randrange(-64, 65), 64) for _ in basis.radicands[1:]]
+            sigma = Value(
+                basis,
+                (rng.randrange(64 * 5),
+                 *(rng.randrange(-64, 65) for _ in basis.radicands[1:])),
+                64,
             )
             if sigma.sign() > 0 and sigma <= top:
                 break
@@ -630,9 +632,9 @@ def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
     built = []
     init = SemigroupSolver.__init__
 
-    def counting_init(self, gens):
+    def counting_init(self, gens, prefix=None):
         built.append(self)
-        init(self, gens)
+        init(self, gens, prefix)
 
     monkeypatch.setattr(SemigroupSolver, "__init__", counting_init)
     st = build_example()

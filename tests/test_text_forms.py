@@ -23,6 +23,7 @@ from valgen import (
     LaurentPoly,
     ParseError,
     RadicalBasis,
+    Value,
     parse_polynomial,
     parse_value,
 )
@@ -31,6 +32,7 @@ from valgen.cli import _value_json
 from valgen.values import MAX_INT_DIGITS, decimal_str
 
 from corpus import first_chain_config, tower_config
+from oracles import value_from_coeffs
 
 B = RadicalBasis((1, 2, 3))
 VARS = ("x", "y", "z'")
@@ -38,7 +40,9 @@ TOKEN = re.compile(r"sqrt|\d+|[A-Za-z_][\w']*|\S")
 WS = st.sampled_from(["", " ", "  ", "\t", " \t "])
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-values = st.lists(fractions, min_size=3, max_size=3).map(B.from_coeffs)
+values = st.lists(fractions, min_size=3, max_size=3).map(
+    lambda coeffs: value_from_coeffs(B, coeffs)
+)
 polys = st.lists(
     st.tuples(st.tuples(*[st.integers(-3, 3)] * len(VARS)), fractions),
     max_size=4,
@@ -71,7 +75,7 @@ def test_spaced_polynomials_parse_back(f, data):
     [
         ("- sqrt(2)", -B.root(2)),
         ("+ sqrt( 3 )", B.root(3)),
-        ("\t7 / 2 * sqrt ( 2 ) - 1 ", B.from_coeffs((-1, Fraction(7, 2), 0))),
+        ("\t7 / 2 * sqrt ( 2 ) - 1 ", Value(B, (-2, 7, 0), 2)),
     ],
 )
 def test_spaced_value_rows(text, want):
@@ -133,7 +137,7 @@ def test_a_sum_of_terms_parses_to_its_value(drawn, cancel, data):
         lead = sign if k or sign == "-" or data.draw(st.booleans()) else ""
         text += lead + term_text(num, den, rad, bare, data)
     v = parse_value(spaced(text, data), B)
-    assert v == B.from_coeffs(sums.values())
+    assert v == value_from_coeffs(B, sums.values())
     if not any(sums.values()):
         assert (v.nums, v.den) == ((0,) * B.dim, 1)
 
