@@ -454,12 +454,11 @@ def staircase(
     base: Sequence[tuple[int, ...]], leads: Sequence[Sequence[int]],
     width: int, coord_cap: int,
 ) -> list[tuple[int, ...]]:
-    """The cover (``_split``) of the points with width entries up to
-    coord_cap that lie, on their first entries, under the base cover and
-    dominate none of the leads.  A cover is canonical, the maximal boxes
-    of its down-set, whatever the order of the splits; so a base split by
-    some leads, padded with coord_cap, needs splitting only by the others.
-    The empty base ``[()]`` gives the staircase of the leads alone."""
+    """The cover (``_split``) of the points of width entries up to coord_cap
+    under the base cover on their first entries that dominate no lead.  A
+    cover, the maximal boxes of a down-set, does not depend on the order of
+    the splits: a base split by some leads, padded with coord_cap, needs
+    only the others.  The empty base ``[()]`` gives the leads' own."""
     cover = [b + (coord_cap,) * (width - len(b)) for b in base]
     for lead in leads:
         cover = _split(cover, lead)
@@ -490,6 +489,8 @@ def minimal_pushing_set(
     reaches coord_cap, or when no layer closes.
     """
     n = len(vals)
+    if any(len(box) != n for box in cover):
+        raise ValueError("each box of the cover needs one entry per value")
     step_vals = (step, *vals)
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 

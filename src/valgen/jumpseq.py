@@ -381,8 +381,7 @@ class JumpState:
         ]
         keys = tuple(row[:2] for row in rows)
         leads, cap = self.lead_counts(rows), self.bounds.d_coord_cap
-        # grow the last search's staircase if it had this cap, these rows
-        # extend its rows and take its leads (padded with zeros), else restart
+        # grow the last staircase if cap, leading rows and padded leads carry over
         last_cap, last_keys, last_leads, base = self._staircase
         pad = (0,) * (len(keys) - len(last_keys))
         old = {lead + pad for lead in last_leads}

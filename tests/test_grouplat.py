@@ -1127,6 +1127,16 @@ def test_minimal_pushing_set_on_plain_values_pinned_cases():
     assert minima == ((0, 2),) and not complete
 
 
+def test_minimal_pushing_set_refuses_a_cover_of_another_width():
+    # a box with an entry more or less than the values would run the
+    # search off its coordinates
+    two, three = B2.rational(2), B2.rational(3)
+    solver = SemigroupSolver([two, three])
+    for cover in ([(2,)], [(2, 2, 2)], [(2, 2), (1,)]):
+        with pytest.raises(ValueError, match="one entry per value"):
+            minimal_pushing_set(B2.rational(1), [two, three], solver, cover, 3, 2)
+
+
 def brute_pushing_set(state, i, box, layers):
     """The irreducible minimal vectors at position i with every free
     count at most box and at most ``layers`` multiples of s at i, by
