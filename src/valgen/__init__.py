@@ -20,7 +20,6 @@ from .errors import (
 from .grouplat import (
     SemigroupSolver,
     column_echelon,
-    graded_key,
     irreducible_decompose,
     lattice_solve,
     min_multiple_in_group,
@@ -92,7 +91,6 @@ __all__ = [
     "combination",
     "generating_sequence_detail",
     "gr_presentation",
-    "graded_key",
     "ideal_generators",
     "irreducible_decompose",
     "lattice_solve",

@@ -15,7 +15,9 @@ Both group questions are answered by one column echelon form of the
 generators' numerators (``over_common_den``, ``column_echelon``) and a
 forward substitution; semigroup questions go to one ``SemigroupSolver``
 per generator tuple.  Arguments are values, solvers and count vectors
-over the generators; ``jumpseq`` decides which ones a chain supplies.
+over a solver's generators; a search reads its values off its solver,
+and a unit lead holds the count of a generator it may not use at zero.
+``jumpseq`` decides which solver and leads a chain supplies.
 """
 from __future__ import annotations
 
@@ -30,15 +32,10 @@ from .values import Value, combination, need_int, over_common_den
 # -- count vector orders ----------------------------------------------------
 
 
-def graded_key(counts: tuple[int, ...]) -> tuple:
-    """Total weight, then lexicographic: the graded order on count
-    vectors."""
-    return sum(counts), counts
-
-
 def graded_sorted(vecs: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """``sorted(vecs, key=graded_key)``, by two sorts that call no Python
-    key per vector: lexicographically, then stably by total weight."""
+    """The count vectors in the graded order, total weight, then
+    lexicographic, by two sorts that call no Python key per vector:
+    lexicographically, then stably by total weight."""
     out = sorted(vecs)
     out.sort(key=sum)
     return out
@@ -466,15 +463,15 @@ def staircase(
 
 
 def minimal_pushing_set(
-    step: Value, vals: Sequence[Value], solver: SemigroupSolver,
-    cover: Sequence[tuple[int, ...]], layer_cap: int, coord_cap: int,
+    step: Value, solver: SemigroupSolver, cover: Sequence[tuple[int, ...]],
+    layer_cap: int, coord_cap: int,
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """The minimal vectors (*f, t) whose value f.vals + t*step lies in
+    """The minimal vectors (*f, t) whose value f.gens + t*step lies in
     the solver's semigroup, with 1 <= t <= layer_cap, every entry of f
     at most coord_cap and f under the cover: the ``staircase`` of the
     leads, so the search sees only the irreducible region.
 
-    The solver's generators include vals.  Within one layer (fixed t)
+    gens are the solver's generators.  Within one layer (fixed t)
     the solution set is upward closed, so its minimal points are mined
     from the cover, split (``_split``) by each minimum found: each face is
     tested at its top corner with one membership query, and a hit is
@@ -488,10 +485,10 @@ def minimal_pushing_set(
     order found; complete is False when a layer ends with a face that
     reaches coord_cap, or when no layer closes.
     """
-    n = len(vals)
+    n = solver.count
     if any(len(box) != n for box in cover):
         raise ValueError("each box of the cover needs one entry per value")
-    step_vals = (step, *vals)
+    step_vals = (step, *solver.gens)
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def member(fvec: tuple[int, ...], layer: int) -> bool:

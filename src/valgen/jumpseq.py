@@ -24,7 +24,7 @@ rewrite vectors, and the matched scalars.  Values and residues are read
 off the images; the ring forms are built for the report and for the
 zero tests, and never substituted.  The exponent layout over the two
 chains (``JumpState.coordinates``, ``PairVec``) lives here too: a search
-in grouplat gets the values, solver and leads of its rows, never a state.
+in grouplat gets the solver and leads of its rows, never a state.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from .grouplat import (
 )
 from .laurent import LaurentPoly
 from .valmodel import RING_VARS, ValuationModel, validate_model
-from .values import Value, combination
+from .values import Value, combination, need_int
 
 # the first chain's length cap; a chain that reaches it is flagged p_truncated
 DEFAULT_P_CAP = 32
@@ -141,7 +141,7 @@ def vec_over(rows, counts) -> PairVec:
 class GeneratorSet:
     """The minimal generators of a monomial ideal in the chain members: a
     position's D set, or the generators of a valuation ideal.  members
-    come by value, and by ``graded_key`` among equal values; complete is
+    come by value, then by total weight, then lexicographically; complete is
     False when members may be missing: a D search cut by its caps, or an
     ideal read off a truncated chain."""
 
@@ -256,9 +256,12 @@ class JumpState:
                 return m
         return 1
 
-    def value_of(self, vec: PairVec) -> Value:
+    def _check_reach(self, vec: PairVec) -> None:
         if len(vec.p) > len(self.p_chain) or len(vec.t) > len(self.t_chain):
             raise ValueError("vector reaches beyond the constructed chains")
+
+    def value_of(self, vec: PairVec) -> Value:
+        self._check_reach(vec)
         values = [rec.beta for rec in self.p_chain[: len(vec.p)]]
         values += [rec.gamma for rec in self.t_chain[: len(vec.t)]]
         return combination(vec.p + vec.t, values, self.basis)
@@ -273,6 +276,8 @@ class JumpState:
 
     def _product(self, vec: PairVec, form: str, vars_) -> LaurentPoly:
         """The product of the members' ``form`` fields raised to vec."""
+        # checked first: a product cached past the chains would outlive them
+        self._check_reach(vec)
         key = (form, vec.p, vec.t)
         got = self._products.get(key)
         if got is not None:
@@ -312,8 +317,13 @@ class JumpState:
         index, value) rows.  vec_over turns counts over the rows back into
         a PairVec, and lead_counts writes the leads onto them.  The rows
         follow the padded layout of the two chains and leave out only rows
-        that are always zero, so ``graded_key`` orders counts over them as
-        it orders the padded vectors."""
+        that are always zero, so the graded order (total weight, then
+        lexicographic) orders counts over them as it orders the padded
+        vectors.  k and i must be ints within the chains' lengths."""
+        need_int("k", k)
+        need_int("i", i)
+        if not (0 <= k <= len(self.p_chain) and 0 <= i <= len(self.t_chain)):
+            raise ValueError(f"no rows p_1..p_{k}, t_1..t_{i} in the chains")
         rows = [("p", rec.index, rec.beta) for rec in self.p_chain[:k]]
         rows += [
             ("t", rec.index, rec.gamma)
@@ -357,8 +367,6 @@ class JumpState:
         the rows of coordinates(kk, i), kk = max(k, m_at(i), 1), cut by the
         chain's leads on them."""
         kk = max(k, self.m_at(i), 1)
-        if not 0 <= i <= len(self.t_chain) or kk > len(self.p_chain):
-            raise ValueError(f"no rows p_1..p_{kk}, t_1..t_{i} in the chains")
         rows = self.coordinates(kk, i)
         solver = self.semigroup_solver(kk, i)
         counts = irreducible_decompose(alpha, solver, self.lead_counts(rows))
@@ -366,21 +374,22 @@ class JumpState:
 
     def pushing_set(self, i: int) -> GeneratorSet:
         """Position i's D set (``minimal_pushing_set``): minimal irreducible
-        vectors over p_1..p_m, processed t_j (j < i) and t*s at i whose
-        value lies in the semigroup below i, under the bounds' d-caps."""
+        vectors over coordinates(m, i - 1) and t*s at i whose value lies in
+        their semigroup, under the bounds' d-caps; a unit lead holds the row
+        of each skipped member at zero."""
+        need_int("i", i)
+        if not 1 <= i <= len(self.t_chain):
+            raise ValueError(f"no second-chain position {i}")
         rec = self.t_chain[i - 1]
         s, m = rec.s, rec.m
         if s is None or rec.gamma.is_zero():
             raise ValueError(f"position {i} is zero or has no group multiple")
-        # skipped positions get no coordinate, though their values stay
-        # among the solver's generators
-        rows = [
-            row
-            for row in self.coordinates(m, i - 1)
-            if row[0] == "p" or self.t_chain[row[1] - 1].status == "ok"
-        ]
+        rows = self.coordinates(m, i - 1)
         keys = tuple(row[:2] for row in rows)
-        leads, cap = self.lead_counts(rows), self.bounds.d_coord_cap
+        skipped = {("t", r.index) for r in self.t_chain if r.status == "skipped"}
+        leads = self.lead_counts(rows)
+        leads += [tuple(int(k == at) for k in keys) for at in keys if at in skipped]
+        cap = self.bounds.d_coord_cap
         # grow the last staircase if cap, leading rows and padded leads carry over
         last_cap, last_keys, last_leads, base = self._staircase
         pad = (0,) * (len(keys) - len(last_keys))
@@ -390,8 +399,8 @@ class JumpState:
         cover = staircase(base, [d for d in leads if d not in old], len(keys), cap)
         self._staircase = (cap, keys, leads, cover)
         minima, complete = minimal_pushing_set(
-            s * rec.gamma, [val for *_, val in rows], self.semigroup_solver(m, i - 1),
-            cover, self.bounds.d_layer_cap, cap,
+            s * rec.gamma, self.semigroup_solver(m, i - 1), cover,
+            self.bounds.d_layer_cap, cap,
         )
         at_i = [*rows, ("t", i, rec.gamma)]
         counts = graded_sorted((*f, t * s) for *f, t in minima)
@@ -480,7 +489,7 @@ def _process_position(state: JumpState, i: int) -> None:
     else:
         target = rec.s * rec.gamma
         for depth in range(1, len(state.p_chain) + 1):
-            gens = [val for kind, idx, val in rows if kind == "t" or idx <= depth]
+            gens = [val for *_, val in state.coordinates(depth, i - 1)]
             if lattice_solve(target, gens) is not None:
                 break
         else:

@@ -79,11 +79,12 @@ class _ThresholdIndex:
     bounds of ``values[i]``'s own enclosure at scale 2^64*den
     (``Value.bounds_over``), which ``locate`` bisects as integers.
 
-    Entries are numbered in ascending (value, ``graded_key``) order, the
-    order of a query's answer: ``entries[r]`` holds the counts of entry r
-    and ``row_of[r]`` its row k.  The entries of ``values[i]`` are
-    numbered from ``starts[i]`` up to ``starts[i + 1]``.  ``vecs`` keeps
-    the PairVec of each entry a query has returned, by number.
+    Entries are numbered by ascending value, then total weight, then
+    lexicographically, the order of a query's answer: ``entries[r]``
+    holds the counts of entry r and ``row_of[r]`` its row k.  The entries
+    of ``values[i]`` are numbered from ``starts[i]`` up to ``starts[i +
+    1]``.  ``vecs`` keeps the PairVec of each entry a query has returned,
+    by number.
     """
 
     rows: list
@@ -234,8 +235,8 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
 
     Every monomial in the chain members of value at least sigma is
     divisible by one of these.  For sigma <= 0 the unit monomial alone
-    qualifies.  They come by value, and by ``graded_key`` among equal
-    values.
+    qualifies.  They come by value, and among equal values by total
+    weight, then lexicographically.
     """
     _check_value(state, "sigma", sigma)
     complete = not state.flags.truncated
@@ -305,19 +306,15 @@ def redundancy_certificate(
     rec = state.t_chain[target - 1]
     if rec.poly.is_zero():
         return RedundancyCertificate(target, "zero")
+    # eligible when the value lies in the semigroup of the rows below the
+    # member, coordinates(m_at(target), target - 1)
+    below = state.semigroup_solver(state.m_at(target), target - 1)
+    if below.contains(rec.gamma) is None:
+        return RedundancyCertificate(target, "not_eligible")
     plen = len(state.p_chain)
     tlen = len(state.t_chain)
     rows = state.coordinates(plen, tlen)
     lookup = state.semigroup_solver(plen, tlen)
-    n = len(rows)
-    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    # eligible when the value lies in the semigroup of the rows below the
-    # member, coordinates(m_at(target), target - 1): a unit lead on every
-    # other row holds its count at zero
-    below = state.coordinates(state.m_at(target), target - 1)
-    outside = [unit for unit, row in zip(units, rows) if row not in below]
-    if lookup.contains(rec.gamma, outside) is None:
-        return RedundancyCertificate(target, "not_eligible")
     hi = rec.gamma + value_slack
     degs = []
     for kind, idx, _ in rows:
@@ -329,7 +326,7 @@ def redundancy_certificate(
     # what a rewrite monomial must not dominate, as counts over the rows:
     # the target's own row, and the relation leads that lie on the rows
     # (a vanished member carries no row)
-    leads = [units[rows.index(("t", target, rec.gamma))]]
+    leads = [tuple(int(row[:2] == ("t", target)) for row in rows)]
     leads += state.lead_counts(rows)
 
     combo: list[tuple[Fraction, PairVec]] = []

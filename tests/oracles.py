@@ -93,6 +93,12 @@ def entry(vec, kind, idx):
     return part[idx - 1] if idx <= len(part) else 0
 
 
+def graded_key(counts):
+    """Total weight, then lexicographic: the graded order on count
+    vectors, the order graded_sorted sorts by."""
+    return sum(counts), tuple(counts)
+
+
 def dominates(a, b):
     """Componentwise a >= b for two PairVecs, the shorter padded with
     zeros."""

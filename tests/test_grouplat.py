@@ -27,7 +27,6 @@ from valgen.grouplat import (
     _det,
     _split,
     column_echelon,
-    graded_key,
     graded_sorted,
     irreducible_decompose,
     lattice_solve,
@@ -94,14 +93,17 @@ def test_pairvec_domination():
 
 
 def test_graded_key_orders_by_weight_then_lex():
-    # count vectors over the rows p1, p2, t1
-    order = sorted([(0, 2, 0), (1, 0, 1), (3, 0, 0), (0, 0, 1)], key=graded_key)
-    assert order == [(0, 0, 1), (0, 2, 0), (1, 0, 1), (3, 0, 0)]
+    # count vectors over the rows p1, p2, t1, in the tests' reference key
+    # and in graded_sorted
+    vecs = [(0, 2, 0), (1, 0, 1), (3, 0, 0), (0, 0, 1)]
+    order = [(0, 0, 1), (0, 2, 0), (1, 0, 1), (3, 0, 0)]
+    assert sorted(vecs, key=oracles.graded_key) == order
+    assert graded_sorted(vecs) == order
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), unique=True))
 def test_graded_sorted_is_sorted_by_graded_key(vecs):
-    want = sorted(vecs, key=graded_key)
+    want = sorted(vecs, key=oracles.graded_key)
     assert graded_sorted(vecs) == want
     assert graded_sorted(dict.fromkeys(reversed(vecs))) == want
 
@@ -740,7 +742,7 @@ def test_heavy_build_grows_its_search_set_up(monkeypatch):
 
 
 def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
-    # No bundled model shows the filter: where a value ceiling skips a
+    # No bundled model shows the unit lead: where a value ceiling skips a
     # member, no later D set would have used it.  So member 1 of the worked
     # example is marked skipped by hand, as the ceiling would mark it.
     rec = state.t_chain[3]
@@ -748,8 +750,8 @@ def test_pushing_set_gives_skipped_positions_no_coordinate(state, monkeypatch):
     assert set(with_t1) <= set(rec.D.members)
     monkeypatch.setattr(state.t_chain[0], "status", "skipped")
     got = state.pushing_set(4)
-    # its value stays among the solver's generators, but t1 gets no
-    # coordinate, so the two members that raise t1 drop out
+    # its row stays among the search's rows, but held at zero by a unit
+    # lead, so the two members that raise t1 drop out
     assert got.members == tuple(v for v in rec.D.members if v not in with_t1)
     assert all(v.t[0] == 0 for v in got.members)
 
@@ -1052,34 +1054,34 @@ def test_irreducible_decompose_on_plain_values(gens, data):
         assert irreducible_decompose(alpha, solver, leads) == least(fits)
 
 
-def brute_minima(step, vals, gens, leads, layers, box):
+def brute_minima(step, gens, leads, layers, box):
     """The minimal (*f, t) of minimal_pushing_set, as PairVecs (f, (t,)),
     by enumerating the box and naive semigroup membership."""
     memo = {}
     pairs = [
         (PairVec(f, (t,)), None)
-        for f in product(range(box + 1), repeat=len(vals))
+        for f in product(range(box + 1), repeat=len(gens))
         for t in range(1, layers + 1)
         if dominates_none(f, leads)
         and oracles.naive_semigroup_member(
-            combination((t, *f), (step, *vals), B2), gens, memo
+            combination((t, *f), (step, *gens), B2), gens, memo
         )
     ]
     return set(oracles.minimal_vectors(pairs))
 
 
-def check_plain_pushing_set(step, vals, gens, leads, layers, box):
+def check_plain_pushing_set(step, gens, leads, layers, box):
     """minimal_pushing_set against brute_minima; when the search reports
     itself complete, a box and a layer range two larger hold no more."""
-    cover = staircase([()], leads, len(vals), box)
+    cover = staircase([()], leads, len(gens), box)
     minima, complete = minimal_pushing_set(
-        step, vals, SemigroupSolver(gens), cover, layers, box
+        step, SemigroupSolver(gens), cover, layers, box
     )
     got = [PairVec(m[:-1], m[-1:]) for m in minima]
     assert len(set(got)) == len(got)
-    assert set(got) == brute_minima(step, vals, gens, leads, layers, box)
+    assert set(got) == brute_minima(step, gens, leads, layers, box)
     if complete:
-        wider = brute_minima(step, vals, gens, leads, layers + 2, box + 2)
+        wider = brute_minima(step, gens, leads, layers + 2, box + 2)
         assert wider == set(got)
     return minima, complete
 
@@ -1096,7 +1098,11 @@ def test_minimal_pushing_set_on_plain_values(gens, step, data):
     # a lead may reach past the coordinate cap
     row = st.lists(st.integers(0, box + 2), min_size=n, max_size=n)
     leads = data.draw(st.lists(row.filter(any), max_size=2), "leads")
-    check_plain_pushing_set(step, gens[:n], gens, leads, layers, box)
+    # the rows past the free ones are held at zero by unit leads
+    m = len(gens)
+    leads = [(*lead, *(0,) * (m - n)) for lead in leads]
+    leads += [tuple(int(j == k) for j in range(m)) for k in range(n, m)]
+    check_plain_pushing_set(step, gens, leads, layers, box)
 
 
 def test_minimal_pushing_set_on_plain_values_pinned_cases():
@@ -1104,37 +1110,34 @@ def test_minimal_pushing_set_on_plain_values_pinned_cases():
     # step 4 lies in the semigroup of 2 and 3: the first layer's minimum
     # (0, 0, 1) has an all-zero free part and closes every later layer
     minima, complete = check_plain_pushing_set(
-        B2.rational(4), [two, three], [two, three], [], 3, 2
+        B2.rational(4), [two, three], [], 3, 2
     )
     assert minima == ((0, 0, 1),) and complete
     # step 1 needs a free part on the first layer, and the second layer's
     # (0, 0, 2) closes; the lead (5, 0) lies past the cap of 2, cuts
     # nothing, and the minima stay as without it
     step = B2.rational(1)
-    plain = check_plain_pushing_set(step, [two, three], [two, three], [], 3, 2)
-    assert check_plain_pushing_set(
-        step, [two, three], [two, three], [(5, 0)], 3, 2
-    ) == plain
+    plain = check_plain_pushing_set(step, [two, three], [], 3, 2)
+    assert check_plain_pushing_set(step, [two, three], [(5, 0)], 3, 2) == plain
     assert sorted(plain[0]) == [(0, 0, 2), (0, 1, 1), (1, 0, 1)] and plain[1]
     # the lead (1, 0) inside the box takes out the minimum above it
-    minima, complete = check_plain_pushing_set(
-        step, [two, three], [two, three], [(1, 0)], 3, 2
-    )
+    minima, complete = check_plain_pushing_set(step, [two, three], [(1, 0)], 3, 2)
     assert sorted(minima) == [(0, 0, 2), (0, 1, 1)] and complete
-    # under a coordinate cap of 0 the first layer's minimum (1, 1) lies
-    # past the cap; the second layer closes, yet the search is incomplete
-    minima, complete = check_plain_pushing_set(step, [two], [two, three], [], 2, 0)
-    assert minima == ((0, 2),) and not complete
+    # with 3 held at zero by its unit lead and under a coordinate cap of 0,
+    # the first layer's minimum (1, 0, 1) lies past the cap; the second
+    # layer closes, yet the search is incomplete
+    minima, complete = check_plain_pushing_set(step, [two, three], [(0, 1)], 2, 0)
+    assert minima == ((0, 0, 2),) and not complete
 
 
 def test_minimal_pushing_set_refuses_a_cover_of_another_width():
-    # a box with an entry more or less than the values would run the
-    # search off its coordinates
+    # a box with an entry more or less than the solver's generators would
+    # run the search off its coordinates
     two, three = B2.rational(2), B2.rational(3)
     solver = SemigroupSolver([two, three])
     for cover in ([(2,)], [(2, 2, 2)], [(2, 2), (1,)]):
         with pytest.raises(ValueError, match="one entry per value"):
-            minimal_pushing_set(B2.rational(1), [two, three], solver, cover, 3, 2)
+            minimal_pushing_set(B2.rational(1), solver, cover, 3, 2)
 
 
 def brute_pushing_set(state, i, box, layers):

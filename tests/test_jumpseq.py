@@ -322,6 +322,61 @@ def test_value_bookkeeping(state):
     assert state.value_of(PairVec((), ())).is_zero()
 
 
+def test_products_refuse_vectors_past_the_chains(state):
+    # the worked example's first chain has two members; a product past
+    # them was the constant 1
+    past = PairVec((0, 0, 5), ())
+    for form in (state.value_of, state.poly_of, state.image_of):
+        with pytest.raises(ValueError, match="beyond the constructed chains"):
+            form(past)
+    # a build stopped at 10 members refuses t_11, and caches nothing that
+    # would outlive the resumed build, where t_11 vanishes
+    model, bounds, _, _ = parsed_example()
+    stopped = build_state(model, bounds=replace(bounds, max_t_index=10))
+    t11 = PairVec((), (0,) * 10 + (1,))
+    for form in (stopped.poly_of, stopped.image_of):
+        with pytest.raises(ValueError, match="beyond the constructed chains"):
+            form(t11)
+    stopped.bounds = bounds
+    build_t_chain(stopped)
+    rec = stopped.t_chain[10]
+    assert rec.poly.is_zero() and rec.image.is_zero()
+    assert stopped.poly_of(t11) == rec.poly
+    assert stopped.image_of(t11) == rec.image
+
+
+def test_coordinates_refuse_rows_outside_the_chains(state):
+    # one check of (k, i) serves the layout, its solver and the rewrite;
+    # an i of -1 silently dropped the last member
+    n_p, n_t = len(state.p_chain), len(state.t_chain)
+    solvers = dict(state._solvers)
+    alpha = state.t_chain[1].gamma
+    for k, i in ((2, -1), (-1, 0), (n_p + 1, 0), (2, n_t + 1)):
+        for ask in (state.coordinates, state.semigroup_solver):
+            with pytest.raises(ValueError, match="no rows p_"):
+                ask(k, i)
+    # the rewrite's k is a floor under m_at(i) and 1, so only i and a k
+    # past the first chain are out of range
+    for k, i in ((2, -1), (n_p + 1, 0), (2, n_t + 1)):
+        with pytest.raises(ValueError, match="no rows p_"):
+            state.rewrite(alpha, k, i)
+    for k, i in ((True, 1), (2, True), (2.0, 1), (2, 1.0)):
+        for ask in (state.coordinates, state.semigroup_solver):
+            with pytest.raises(TypeError, match="must be an int"):
+                ask(k, i)
+    assert state._solvers == solvers
+
+
+def test_pushing_set_refuses_positions_outside_the_chain(state):
+    # -1 died with a bare IndexError, 0 read the last record and True ran
+    # position 1
+    for i in (-1, 0, len(state.t_chain) + 1):
+        with pytest.raises(ValueError, match="no second-chain position"):
+            state.pushing_set(i)
+    with pytest.raises(TypeError, match="must be an int"):
+        state.pushing_set(True)
+
+
 CONFIG_FILES = {
     "tower.json": Path(__file__).with_name("tower.json"),
     "second.json": Path(__file__).parents[1] / "perfbench/configs/second.json",
@@ -615,7 +670,7 @@ def test_a_d_search_that_does_not_extend_the_last_rebuilds(monkeypatch):
         patch.setattr(state.t_chain[i - 1], "m", 1)
         state.pushing_set(i)
     assert rebuilt(j)
-    # a skipped position: t_1 drops out of the rows, then comes back
+    # a skipped position: t_1 is held at zero by a unit lead, then is free
     with monkeypatch.context() as patch:
         patch.setattr(state.t_chain[first - 1], "status", "skipped")
         state.pushing_set(i)

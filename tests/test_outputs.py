@@ -12,12 +12,13 @@ from valgen import (
     RadicalBasis,
     ValuationModel,
     Value,
+    jumpseq,
     outputs,
     parse_value,
     values,
 )
 from valgen.cli import load_config, parse_config
-from valgen.grouplat import SemigroupSolver, graded_key
+from valgen.grouplat import SemigroupSolver
 from valgen.jumpseq import SearchBounds, build_p_chain, build_state, build_t_chain
 from valgen.outputs import (
     DEFAULT_VALUE_SLACK,
@@ -329,7 +330,8 @@ def test_index_answers_match_brute_force_in_any_order(request, which):
             # exponents padded to full chain length orders as the key of
             # the counts over the rows, which leave out only zero rows
             keys = [
-                (one.value_of(v), graded_key(padded(v, *lens))) for v in members
+                (one.value_of(v), oracles.graded_key(padded(v, *lens)))
+                for v in members
             ]
             assert all(a < b for a, b in zip(keys, keys[1:])), name
             sl = semigroup_values_up_to(one, sigma)
@@ -344,7 +346,9 @@ def test_equal_values_of_unequal_degree_come_in_graded_order():
     sigma = parse_value("6*sqrt(2) - 2", st.basis)
     members = ideal_generators(st, sigma).members
     lens = len(st.p_chain), len(st.t_chain)
-    keys = [(st.value_of(v), graded_key(padded(v, *lens))) for v in members]
+    keys = [
+        (st.value_of(v), oracles.graded_key(padded(v, *lens))) for v in members
+    ]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert [v for v in members if st.value_of(v) == sigma] == [
         PairVec((2,), (0, 1)),
@@ -626,35 +630,72 @@ def test_eligibility_matches_the_semigroup_below_the_member(request, which):
 
 
 def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
-    # build and survey share one solver per generator tuple, and every
-    # eligibility check and pick of the survey reads the full-chain
-    # solver: the survey builds that one and no other
-    built = []
-    init = SemigroupSolver.__init__
+    # each chain search asks the solver of its own rows: a member's
+    # eligibility goes to the solver of coordinates(m_at(j), j - 1) with
+    # no leads, its picks to the full-chain solver with the member's own
+    # unit lead first, and a D search at i to the solver of
+    # coordinates(m, i - 1), its cover one entry per generator and zero on
+    # the row of every skipped member
+    searches = []
+    search = jumpseq.minimal_pushing_set
 
-    def counting_init(self, gens, prefix=None):
-        built.append(self)
-        init(self, gens, prefix)
+    def recording_search(step, solver, cover, *caps):
+        searches.append((solver, cover))
+        return search(step, solver, cover, *caps)
 
-    monkeypatch.setattr(SemigroupSolver, "__init__", counting_init)
-    st = build_example()
-    del built[:]
-    redundancy_survey(st)
-    full = tuple(
-        val for *_, val in st.coordinates(len(st.p_chain), len(st.t_chain))
-    )
-    assert built == [st._solvers[full]]
+    asked = []
+    contains = SemigroupSolver.contains
+
+    def recording(self, alpha, *cut):
+        asked.append((self, cut))
+        return contains(self, alpha, *cut)
+
+    monkeypatch.setattr(jumpseq, "minimal_pushing_set", recording_search)
+    model, bounds, _, _ = load_config(str(TOWER))
+    for build in (build_example, lambda: build_state(model, bounds=bounds)):
+        del searches[:]
+        st = build()
+        ran = [
+            rec for rec in st.t_chain
+            if rec.status == "ok" and rec.s is not None and not rec.gamma.is_zero()
+        ]
+        assert len(searches) == len(ran)
+        for rec, (solver, cover) in zip(ran, searches):
+            rows = st.coordinates(rec.m, rec.index - 1)
+            assert solver is st.semigroup_solver(rec.m, rec.index - 1)
+            assert all(len(box) == solver.count == len(rows) for box in cover)
+            for k, (kind, idx, _) in enumerate(rows):
+                if kind == "t" and st.t_chain[idx - 1].status == "skipped":
+                    assert all(box[k] == 0 for box in cover)
+        with monkeypatch.context() as patch:
+            patch.setattr(SemigroupSolver, "contains", recording)
+            for j, rec in enumerate(st.t_chain, 1):
+                del asked[:]
+                status = redundancy_certificate(st, j).status
+                if status == "zero":
+                    assert asked == []
+                    continue
+                (first, cut), *picks = asked
+                assert first is st.semigroup_solver(st.m_at(j), j - 1)
+                assert cut == ()
+                assert (status == "not_eligible") == (picks == [])
+                rows = st.coordinates(len(st.p_chain), len(st.t_chain))
+                own = tuple(int(row[:2] == ("t", j)) for row in rows)
+                full = st.semigroup_solver(len(st.p_chain), len(st.t_chain))
+                for solver, (leads, *_) in picks:
+                    assert solver is full and leads[0] == own
 
 
 def test_tower_survey_search_stays_small():
-    # build and survey of tests/tower.json visit 12,882 search nodes.  A
+    # build and survey of tests/tower.json visit 10,929 search nodes.  A
     # survey that enumerated every solution for a graded-least pick
-    # visited 24,693.  Asking a solver over the rows below each member for
-    # its eligibility visits 10,929, but builds 49 solvers more.
+    # visited 24,693; one that asked every eligibility of the full-chain
+    # solver, cut by a unit lead on each row above the member, visited
+    # 12,882.
     model, bounds, _, _ = load_config(str(TOWER))
     st = build_state(model, bounds=bounds)
     redundancy_survey(st)
-    assert sum(s.nodes for s in st._solvers.values()) <= 12_882
+    assert sum(s.nodes for s in st._solvers.values()) <= 10_929
 
 
 def test_tight_window_reports_undecided(state):
