@@ -42,10 +42,10 @@ from .valmodel import ValuationModel, validate_model
 from .values import RadicalBasis, Value, decimal_str, parse_value
 
 _BOUND_DEFAULTS = {
-    "max_t_index": SearchBounds.max_t_index,
+    "max_t_index": SearchBounds().max_t_index,
     "max_value": str(DEFAULT_MAX_VALUE),
-    "d_layer_cap": SearchBounds.d_layer_cap,
-    "d_coord_cap": SearchBounds.d_coord_cap,
+    "d_layer_cap": SearchBounds().d_layer_cap,
+    "d_coord_cap": SearchBounds().d_coord_cap,
 }
 _OUTPUT_DEFAULTS = {
     "redundancy_value_slack": str(DEFAULT_VALUE_SLACK),

@@ -29,11 +29,10 @@ in grouplat gets the solver and leads of its rows, never a state.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import mul
+from operator import attrgetter, mul
 from typing import Optional
 
 from .errors import InternalConsistencyError
@@ -49,7 +48,7 @@ from .grouplat import (
 )
 from .laurent import LaurentPoly
 from .valmodel import RING_VARS, ValuationModel, validate_model
-from .values import Value, combination, need_int
+from .values import Frozen, Value, combination, need_int
 
 # the first chain's length cap; a chain that reaches it is flagged p_truncated
 DEFAULT_P_CAP = 32
@@ -57,8 +56,7 @@ DEFAULT_P_CAP = 32
 DEFAULT_MAX_VALUE = 20
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Frozen):
     """Exploration limits for the second chain.
 
     max_t_index caps the global chain length; max_value skips processing
@@ -68,19 +66,39 @@ class SearchBounds:
     Each cap must be a positive int, max_value a Value or None.
     """
 
-    max_t_index: int = 64
-    max_value: Optional[Value] = None
-    d_layer_cap: int = 16
-    d_coord_cap: int = 16
+    __slots__ = ("max_t_index", "max_value", "d_layer_cap", "d_coord_cap")
+    _key = property(attrgetter(*__slots__))
 
-    def __post_init__(self) -> None:
-        for name in ("max_t_index", "d_layer_cap", "d_coord_cap"):
-            cap = getattr(self, name)
+    def __init__(
+        self,
+        max_t_index: int = 64,
+        max_value: Optional[Value] = None,
+        d_layer_cap: int = 16,
+        d_coord_cap: int = 16,
+    ) -> None:
+        caps = max_t_index, d_layer_cap, d_coord_cap
+        for name, cap in zip(("max_t_index", "d_layer_cap", "d_coord_cap"), caps):
             # a bool is an int, but True is no cap
             if type(cap) is not int or cap < 1:
                 raise ValueError(f"{name}: expected a positive integer")
-        if not (self.max_value is None or isinstance(self.max_value, Value)):
+        if not (max_value is None or isinstance(max_value, Value)):
             raise ValueError("max_value: expected a Value or None")
+        object.__setattr__(self, "max_t_index", max_t_index)
+        object.__setattr__(self, "max_value", max_value)
+        object.__setattr__(self, "d_layer_cap", d_layer_cap)
+        object.__setattr__(self, "d_coord_cap", d_coord_cap)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"SearchBounds({args})"
 
     @classmethod
     def for_basis(cls, basis, **overrides) -> "SearchBounds":
@@ -89,8 +107,7 @@ class SearchBounds:
         return cls(**overrides)
 
 
-@dataclass(frozen=True)
-class PairVec:
+class PairVec(Frozen):
     """A pair of nonnegative exponent vectors, one per chain.
 
     ``p`` holds the exponents of the first chain's members in order, ``t``
@@ -99,12 +116,10 @@ class PairVec:
     ``ideal-sweep`` digest hashes it.
     """
 
-    p: tuple[int, ...]
-    t: tuple[int, ...]
+    __slots__ = ("p", "t")
 
-    def __post_init__(self) -> None:
-        p = tuple(self.p)
-        t = tuple(self.t)
+    def __init__(self, p: tuple[int, ...], t: tuple[int, ...]) -> None:
+        p, t = tuple(p), tuple(t)
         entries = p + t
         # int() would pass True as 1 and truncate 2.7 to 2
         if not {*map(type, entries)} <= {int}:
@@ -115,10 +130,19 @@ class PairVec:
             p = p[:-1]
         while t and t[-1] == 0:
             t = t[:-1]
-        if p is not self.p:
-            object.__setattr__(self, "p", p)
-        if t is not self.t:
-            object.__setattr__(self, "t", t)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.t) == (other.p, other.t)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.t))
+
+    def __repr__(self) -> str:
+        return f"PairVec(p={self.p!r}, t={self.t!r})"
 
     def __str__(self) -> str:
         return f"({','.join(map(str, self.p))}|{','.join(map(str, self.t))})"
@@ -137,34 +161,64 @@ def vec_over(rows, counts) -> PairVec:
     return PairVec(tuple(p), tuple(t))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Frozen):
     """The minimal generators of a monomial ideal in the chain members: a
     position's D set, or the generators of a valuation ideal.  members
     come by value, then by total weight, then lexicographically; complete is
     False when members may be missing: a D search cut by its caps, or an
     ideal read off a truncated chain."""
 
-    members: tuple[PairVec, ...]
-    complete: bool
+    __slots__ = ("members", "complete")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(self, members: tuple[PairVec, ...], complete: bool) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "complete", complete)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"GeneratorSet({args})"
 
 
-@dataclass
 class PJump:
     """One member of the first chain and the jump data leading out of it.
 
     image is poly in the ambient coordinates."""
 
-    index: int
-    poly: LaurentPoly
-    image: LaurentPoly
-    beta: Value
-    q: Optional[int] = None
-    L_vec: Optional[tuple[int, ...]] = None
-    lam: Optional[Fraction] = None
+    __slots__ = ("index", "poly", "image", "beta", "q", "L_vec", "lam")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(
+        self,
+        index: int,
+        poly: LaurentPoly,
+        image: LaurentPoly,
+        beta: Value,
+        q: Optional[int] = None,
+        L_vec: Optional[tuple[int, ...]] = None,
+        lam: Optional[Fraction] = None,
+    ) -> None:
+        self.index, self.poly, self.image, self.beta = index, poly, image, beta
+        self.q, self.L_vec, self.lam = q, L_vec, lam
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"PJump({args})"
 
 
-@dataclass
 class TJump:
     """One member of the second chain with its processing record.
 
@@ -177,26 +231,52 @@ class TJump:
     the records naming it.  image is poly in ambient form.
     """
 
-    index: int
-    poly: LaurentPoly
-    image: LaurentPoly
-    gamma: Value
-    status: str = "pending"
-    s: Optional[int] = None
-    m: Optional[int] = None
-    D: Optional[GeneratorSet] = None
-    parent: Optional[tuple[int, PairVec]] = None
-    mu: Optional[Fraction] = None
-    LN: Optional[PairVec] = None
+    __slots__ = (
+        "index", "poly", "image", "gamma", "status", "s", "m", "D", "parent",
+        "mu", "LN",
+    )
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(
+        self,
+        index: int,
+        poly: LaurentPoly,
+        image: LaurentPoly,
+        gamma: Value,
+        status: str = "pending",
+        s: Optional[int] = None,
+        m: Optional[int] = None,
+        D: Optional[GeneratorSet] = None,
+        parent: Optional[tuple[int, PairVec]] = None,
+        mu: Optional[Fraction] = None,
+        LN: Optional[PairVec] = None,
+    ) -> None:
+        self.index, self.poly, self.image, self.gamma = index, poly, image, gamma
+        self.status, self.s, self.m, self.D = status, s, m, D
+        self.parent, self.mu, self.LN = parent, mu, LN
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"TJump({args})"
 
 
-@dataclass(frozen=True, eq=False)
-class Flags:
+class Flags(Frozen):
     """A build's flags, read off its records: p_truncated if the first
     chain's last member has a jump (q set), t_truncated if a position made
     fewer members than its D set holds; positions skipped or D-incomplete."""
 
-    state: "JumpState" = field(repr=False)
+    __slots__ = ("state",)
+
+    def __init__(self, state: "JumpState") -> None:
+        object.__setattr__(self, "state", state)
+
+    def __repr__(self) -> str:
+        return "Flags()"
 
     @property
     def p_truncated(self) -> bool:
@@ -224,21 +304,47 @@ class Flags:
         return self.p_truncated or self.t_truncated
 
 
-@dataclass
 class JumpState:
-    """Everything the construction has produced so far."""
+    """Everything the construction has produced so far.
 
-    model: ValuationModel
-    bounds: SearchBounds
-    p_chain: list[PJump] = field(default_factory=list)
-    t_chain: list[TJump] = field(default_factory=list)
-    _products: dict = field(default_factory=dict, repr=False)
-    _solvers: dict = field(default_factory=dict, repr=False)
-    # the threshold index of outputs' ideal and semigroup queries: one at a
-    # time, replaced when the rows change or a threshold passes its top
-    _thresholds: Optional[object] = field(default=None, repr=False)
-    # the last D search's (coordinate cap, row keys, leads, cover)
-    _staircase: tuple = field(default=(None, (), (), ((),)), repr=False)
+    Equality reads every field; repr shows the first four."""
+
+    # _thresholds: the threshold index of outputs' ideal and semigroup
+    # queries: one at a time, replaced when the rows change or a threshold
+    # passes its top.  _staircase: the last D search's (coordinate cap, row
+    # keys, leads, cover).
+    __slots__ = (
+        "model", "bounds", "p_chain", "t_chain",
+        "_products", "_solvers", "_thresholds", "_staircase",
+    )
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(
+        self,
+        model: ValuationModel,
+        bounds: SearchBounds,
+        p_chain: Optional[list[PJump]] = None,
+        t_chain: Optional[list[TJump]] = None,
+        _products: Optional[dict] = None,
+        _solvers: Optional[dict] = None,
+        _thresholds: Optional[object] = None,
+        _staircase: tuple = (None, (), (), ((),)),
+    ) -> None:
+        self.model, self.bounds = model, bounds
+        self.p_chain = [] if p_chain is None else p_chain
+        self.t_chain = [] if t_chain is None else t_chain
+        self._products = {} if _products is None else _products
+        self._solvers = {} if _solvers is None else _solvers
+        self._thresholds, self._staircase = _thresholds, _staircase
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__[:4], self._key))
+        return f"JumpState({args})"
 
     @property
     def basis(self):
@@ -365,7 +471,10 @@ class JumpState:
     def rewrite(self, alpha: Value, k: int, i: int) -> PairVec:
         """The canonical rewrite of alpha (``irreducible_decompose``) over
         the rows of coordinates(kk, i), kk = max(k, m_at(i), 1), cut by the
-        chain's leads on them."""
+        chain's leads on them.  k must be a floor coordinates would take."""
+        need_int("k", k)
+        if not 0 <= k <= len(self.p_chain):
+            raise ValueError(f"no rows p_1..p_{k} in the chains")
         kk = max(k, self.m_at(i), 1)
         rows = self.coordinates(kk, i)
         solver = self.semigroup_solver(kk, i)

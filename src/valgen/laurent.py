@@ -27,7 +27,6 @@ computed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
@@ -35,7 +34,7 @@ from struct import pack, unpack
 from typing import Mapping, Sequence, Union
 
 from .errors import NonInvertibleSubstitution
-from .values import Scanner, decimal_str
+from .values import Frozen, Scanner, decimal_str
 
 Rational = Union[int, Fraction]
 Term = tuple[tuple[int, ...], Fraction]
@@ -67,13 +66,9 @@ def _zero_key(n: int) -> int:
     return int.from_bytes(_ZERO_FIELD * n, "big")
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class LaurentPoly:
-    vars: tuple[str, ...]
-    _keys: tuple[int, ...]
-    _nums: tuple[int, ...]
-    _denom: int
-    _reach: tuple[int, ...] = field(compare=False)
+class LaurentPoly(Frozen):
+    # equality and hashing read every field but _reach
+    __slots__ = ("vars", "_keys", "_nums", "_denom", "_reach")
 
     def __init__(self, vars: Sequence[str], terms) -> None:
         vars_ = tuple(vars)
@@ -115,6 +110,16 @@ class LaurentPoly:
         object.__setattr__(self, "_nums", tuple(nums))
         object.__setattr__(self, "_denom", den // g)
         object.__setattr__(self, "_reach", reach)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vars, self._keys, self._nums, self._denom) == (
+                other.vars, other._keys, other._nums, other._denom
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vars, self._keys, self._nums, self._denom))
 
     def _new(self, raw: dict[int, int], den: int, reach) -> "LaurentPoly":
         """A polynomial over self's variables from keys to numerators."""

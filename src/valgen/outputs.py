@@ -21,10 +21,9 @@ rows, replaces the index.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add, itemgetter, lt
+from operator import add, attrgetter, itemgetter, lt
 from typing import Optional, Sequence
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
@@ -33,6 +32,7 @@ from .jumpseq import GeneratorSet, JumpState, PairVec, vec_over
 from .laurent import LaurentPoly
 from .values import (
     FIXED_BITS,
+    Frozen,
     Value,
     int_vec_bounds,
     need_int,
@@ -65,7 +65,6 @@ def _check_value(state: JumpState, name: str, x) -> None:
 # -- threshold index ----------------------------------------------------------
 
 
-@dataclass
 class _ThresholdIndex:
     """The monomials the threshold queries read, sorted once per top.
 
@@ -87,17 +86,39 @@ class _ThresholdIndex:
     by number.
     """
 
-    rows: list
-    top: Value
-    zero: Value
-    values: list[Value]
-    den: int
-    highs: list[int]
-    lows: list[int]
-    starts: Sequence[int]
-    entries: list[tuple[int, ...]]
-    row_of: Sequence[int]
-    vecs: dict[int, PairVec]
+    # __weakref__ lets a test see that a replaced index is freed
+    __slots__ = (
+        "rows", "top", "zero", "values", "den", "highs", "lows", "starts",
+        "entries", "row_of", "vecs", "__weakref__",
+    )
+    _key = property(attrgetter(*__slots__[:-1]))
+
+    def __init__(
+        self,
+        rows: list,
+        top: Value,
+        zero: Value,
+        values: list[Value],
+        den: int,
+        highs: list[int],
+        lows: list[int],
+        starts: Sequence[int],
+        entries: list[tuple[int, ...]],
+        row_of: Sequence[int],
+        vecs: dict[int, PairVec],
+    ) -> None:
+        self.rows, self.top, self.zero, self.values = rows, top, zero, values
+        self.den, self.highs, self.lows, self.starts = den, highs, lows, starts
+        self.entries, self.row_of, self.vecs = entries, row_of, vecs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"_ThresholdIndex({args})"
 
     @classmethod
     def for_query(cls, state: JumpState, threshold: Value) -> "_ThresholdIndex":
@@ -264,8 +285,7 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
 # -- redundancy ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RedundancyCertificate:
+class RedundancyCertificate(Frozen):
     """Outcome of trying to rewrite one second-chain member over the rest.
 
     status: "zero" for vanished members, "not_eligible" when the value
@@ -273,9 +293,30 @@ class RedundancyCertificate:
     was found, "undecided" when the bounded search gave out.
     """
 
-    target: int
-    status: str
-    combo: Optional[tuple[tuple[Fraction, PairVec], ...]] = None
+    __slots__ = ("target", "status", "combo")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(
+        self,
+        target: int,
+        status: str,
+        combo: Optional[tuple[tuple[Fraction, PairVec], ...]] = None,
+    ) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "combo", combo)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"RedundancyCertificate({args})"
 
 
 def redundancy_certificate(
@@ -376,8 +417,7 @@ def redundancy_survey(
 # -- generating sequences -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(Frozen):
     """The trimmed generating sequence with its audit trail.
 
     kept_p and kept_t list the surviving chain indices; certified is
@@ -385,9 +425,27 @@ class SequenceReport:
     that justified each removal are the survey's.
     """
 
-    kept_p: tuple[int, ...]
-    kept_t: tuple[int, ...]
-    certified: bool
+    __slots__ = ("kept_p", "kept_t", "certified")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(
+        self, kept_p: tuple[int, ...], kept_t: tuple[int, ...], certified: bool
+    ) -> None:
+        object.__setattr__(self, "kept_p", kept_p)
+        object.__setattr__(self, "kept_t", kept_t)
+        object.__setattr__(self, "certified", certified)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"SequenceReport({args})"
 
     def polynomials(self, state: JumpState) -> tuple[LaurentPoly, ...]:
         polys = [state.p_chain[i - 1].poly for i in self.kept_p]
@@ -432,13 +490,28 @@ def generating_sequence_detail(
 # -- associated graded ring ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrRelation:
+class GrRelation(Frozen):
     """One binomial relation between initial forms: lhs = scalar * rhs."""
 
-    lhs: PairVec
-    rhs: PairVec
-    scalar: Fraction
+    __slots__ = ("lhs", "rhs", "scalar")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(self, lhs: PairVec, rhs: PairVec, scalar: Fraction) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "scalar", scalar)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"GrRelation({args})"
 
 
 def gr_presentation(state: JumpState) -> tuple[GrRelation, ...]:
@@ -473,13 +546,28 @@ def gr_presentation(state: JumpState) -> tuple[GrRelation, ...]:
 # -- semigroup slices ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemigroupSlice:
+class SemigroupSlice(Frozen):
     """All semigroup values up to a cap, with a completeness marker."""
 
-    cap: Value
-    values: tuple[Value, ...]
-    complete: bool
+    __slots__ = ("cap", "values", "complete")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(self, cap: Value, values: tuple[Value, ...], complete: bool) -> None:
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "complete", complete)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
+        return f"SemigroupSlice({args})"
 
 
 def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:

@@ -25,7 +25,6 @@ and the image of a product of members is the product of their images.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
@@ -40,6 +39,7 @@ from .grouplat import column_echelon
 from .laurent import LaurentPoly
 from .values import (
     FIXED_BITS,
+    Frozen,
     RadicalBasis,
     Value,
     int_vec_bounds,
@@ -55,36 +55,40 @@ def _det3(m: list[list[LaurentPoly]]) -> LaurentPoly:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-@dataclass(frozen=True)
-class ValuationModel:
-    basis: RadicalBasis
-    ambient_vars: tuple[str, ...]
-    ambient_values: tuple[Value, ...]
-    images: Mapping[str, LaurentPoly]
-    # the ambient values as integer numerators over _den, one tuple per
-    # basis radical with one entry per ambient variable; None when some
-    # value carries another basis (validate_model reports that)
-    _den: int = field(init=False, repr=False, compare=False)
-    _columns: tuple[tuple[int, ...], ...] | None = field(
-        init=False, repr=False, compare=False
+class ValuationModel(Frozen):
+    # _den and _columns: the ambient values as integer numerators over
+    # _den, one tuple per basis radical with one entry per ambient
+    # variable; _columns is None when some value carries another basis
+    # (validate_model reports that).  _enclosures: per ambient variable,
+    # the lower end lo and width hi - lo of its numerators'
+    # int_vec_bounds at FIXED_BITS; () with _columns None.  Equality,
+    # hashing and repr read the first four fields only.
+    __slots__ = (
+        "basis", "ambient_vars", "ambient_values", "images",
+        "_den", "_columns", "_enclosures",
     )
-    # per ambient variable, the lower end lo and width hi - lo of its
-    # numerators' int_vec_bounds at FIXED_BITS; () with _columns None
-    _enclosures: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ambient_vars", tuple(self.ambient_vars))
-        object.__setattr__(self, "ambient_values", tuple(self.ambient_values))
-        object.__setattr__(self, "images", dict(self.images))
-        if len(self.ambient_vars) != len(self.ambient_values):
+    def __init__(
+        self,
+        basis: RadicalBasis,
+        ambient_vars: tuple[str, ...],
+        ambient_values: tuple[Value, ...],
+        images: Mapping[str, LaurentPoly],
+    ) -> None:
+        ambient_vars, ambient_values = tuple(ambient_vars), tuple(ambient_values)
+        images = dict(images)
+        if len(ambient_vars) != len(ambient_values):
             raise ValueError("one value per ambient variable, please")
         try:
-            den, scaled = over_common_den(self.ambient_values, self.basis)
+            den, scaled = over_common_den(ambient_values, basis)
             columns = tuple(zip(*scaled))
         except ValueError:
             den, scaled, columns = 1, (), None
-        rads = self.basis.radicands
-        bounds = [int_vec_bounds(v, rads, FIXED_BITS) for v in scaled]
+        bounds = [int_vec_bounds(v, basis.radicands, FIXED_BITS) for v in scaled]
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "ambient_vars", ambient_vars)
+        object.__setattr__(self, "ambient_values", ambient_values)
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(
@@ -93,8 +97,22 @@ class ValuationModel:
             (tuple(lo for lo, _ in bounds), tuple(hi - lo for lo, hi in bounds)),
         )
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.basis, self.ambient_vars, self.ambient_values, self.images
+            ) == (other.basis, other.ambient_vars, other.ambient_values, other.images)
+        return NotImplemented
+
     def __hash__(self) -> int:
         return hash((self.basis, self.ambient_vars, self.ambient_values))
+
+    def __repr__(self) -> str:
+        return (
+            f"ValuationModel(basis={self.basis!r}, ambient_vars="
+            f"{self.ambient_vars!r}, ambient_values={self.ambient_values!r}, "
+            f"images={self.images!r})"
+        )
 
     # -- expansion ----------------------------------------------------
 

@@ -43,7 +43,6 @@ numerators over one running denominator and builds one Value from them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
@@ -163,8 +162,28 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RadicalBasis:
+class Frozen:
+    """Base of the immutable records: assigning or deleting a field raises
+    AttributeError, so their constructors set fields with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # a copy of an immutable record is the record, as for a tuple
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class RadicalBasis(Frozen):
     """The fixed list of radicands a family of values is written over.
 
     ``radicands`` must be strictly increasing, squarefree, at most
@@ -172,14 +191,13 @@ class RadicalBasis:
     when they carry the same basis.
     """
 
-    radicands: tuple[int, ...]
+    __slots__ = ("radicands",)
 
-    def __post_init__(self) -> None:
-        rads = tuple(self.radicands)
+    def __init__(self, radicands: Sequence[int]) -> None:
+        rads = tuple(radicands)
         # int() would pass True as 1 and truncate 2.5 to 2
         if not all(type(r) is int for r in rads):
             raise TypeError(f"radicands must be integers, got {rads}")
-        object.__setattr__(self, "radicands", rads)
         if not rads or rads[0] != 1:
             raise ValueError("radicands must start with 1")
         for a, b in zip(rads, rads[1:]):
@@ -190,6 +208,18 @@ class RadicalBasis:
                 raise ValueError(f"radicand {decimal_str(r)} exceeds 2**32")
             if not _is_squarefree(r):
                 raise ValueError(f"radicand {r} is not squarefree")
+        object.__setattr__(self, "radicands", rads)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.radicands == other.radicands
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.radicands,))
+
+    def __repr__(self) -> str:
+        return f"RadicalBasis(radicands={self.radicands!r})"
 
     @property
     def dim(self) -> int:
@@ -219,8 +249,7 @@ class RadicalBasis:
         return Value(self, tuple(nums), coeff.denominator)
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(Frozen):
     """One exact number: a rational combination of the basis radicals.
 
     Stored as integer numerators ``nums`` over one denominator ``den``,
@@ -237,28 +266,22 @@ class Value:
     product would generally leave the basis).
     """
 
-    basis: RadicalBasis
-    nums: tuple[int, ...]
-    den: int
+    # _bounds: int_vec_bounds of nums at FIXED_BITS, stored by _fixed the
+    # first time the Value is compared; equality, hashing and repr do not
+    # see it
+    __slots__ = ("basis", "nums", "den", "_bounds")
 
-    # int_vec_bounds of nums at FIXED_BITS, stored on the instance by
-    # _fixed the first time the Value is compared; a class attribute
-    # rather than a field, so equality, hashing and repr do not see it
-    _bounds = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, basis: RadicalBasis, nums: Sequence[int], den: int) -> None:
         # tuple() returns a tuple argument itself, so only a list is copied
-        nums, den = tuple(self.nums), self.den
+        nums = tuple(nums)
         # gcd would accept True as 1 and fail on 2.0 with no argument named
         if type(den) is not int:
             raise TypeError(f"den must be an integer, got {den!r}")
         for a in nums:  # a plain loop: all() over a generator costs 3x more
             if type(a) is not int:
                 raise TypeError(f"nums must be integers, got {nums!r}")
-        if len(nums) != self.basis.dim:
-            raise ValueError(
-                f"expected {self.basis.dim} coefficients, got {len(nums)}"
-            )
+        if len(nums) != basis.dim:
+            raise ValueError(f"expected {basis.dim} coefficients, got {len(nums)}")
         if den == 0:
             raise ValueError("zero denominator")
         if den < 0:
@@ -266,10 +289,20 @@ class Value:
         g = gcd(den, *nums)
         if g != 1:
             nums, den = tuple(a // g for a in nums), den // g
-        # an already reduced tuple input keeps its fields
-        if nums is not self.nums or den != self.den:
-            object.__setattr__(self, "nums", nums)
-            object.__setattr__(self, "den", den)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_bounds", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.basis, self.nums, self.den) == (
+                other.basis, other.nums, other.den
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.nums, self.den))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

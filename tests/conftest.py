@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from valgen import (
     RadicalBasis,
+    SearchBounds,
     ValuationModel,
     build_state,
     generating_sequence_detail,
@@ -27,6 +28,18 @@ def build_example(max_value=None):
     value ceiling."""
     model, bounds, _, _ = parsed_example(max_value=max_value)
     return build_state(model, bounds=bounds)
+
+
+def rebound(bounds, **changes):
+    """bounds with the named fields changed, built by the constructor, so
+    that the new caps are checked."""
+    fields = dict(
+        max_t_index=bounds.max_t_index,
+        max_value=bounds.max_value,
+        d_layer_cap=bounds.d_layer_cap,
+        d_coord_cap=bounds.d_coord_cap,
+    )
+    return SearchBounds(**{**fields, **changes})
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
+import copy
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from itertools import combinations, product
@@ -41,7 +41,7 @@ from valgen.cli import load_config, parse_config
 from valgen.values import combination
 
 import oracles
-from conftest import build_example
+from conftest import build_example, rebound
 from corpus import first_chain_config, tower_config
 
 TOWER = Path(__file__).with_name("tower.json")
@@ -1189,8 +1189,8 @@ def test_pushing_sets_match_brute_force_in_a_box(which, state):
     else:
         model, bounds, _, _ = parse_config(tower_config(which), "tower")
         built = build_state(model, bounds=bounds)
-    caps = replace(built.bounds, d_coord_cap=3, d_layer_cap=3)
-    small = replace(built, bounds=caps)
+    small = copy.copy(built)
+    small.bounds = rebound(built.bounds, d_coord_cap=3, d_layer_cap=3)
     positions = small_positions(built)
     assert positions
     for i in positions:

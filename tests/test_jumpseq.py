@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from valgen.valmodel import RING_VARS
 from valgen.values import combination
 
 import oracles
-from conftest import SECOND_CONFIG, make_second_model
+from conftest import SECOND_CONFIG, make_second_model, rebound
 from corpus import first_chain_config, tower_config
 from test_valmodel import model_from
 
@@ -53,7 +52,7 @@ def test_search_bounds_refuse_what_no_search_can_use(field, value):
     with pytest.raises(ValueError, match=f"^{field}: expected a"):
         SearchBounds(**{field: value})
     with pytest.raises(ValueError, match=f"^{field}: expected a"):
-        replace(SearchBounds(), **{field: value})
+        rebound(SearchBounds(), **{field: value})
 
 
 def test_search_bounds_defaults():
@@ -332,7 +331,7 @@ def test_products_refuse_vectors_past_the_chains(state):
     # a build stopped at 10 members refuses t_11, and caches nothing that
     # would outlive the resumed build, where t_11 vanishes
     model, bounds, _, _ = parsed_example()
-    stopped = build_state(model, bounds=replace(bounds, max_t_index=10))
+    stopped = build_state(model, bounds=rebound(bounds, max_t_index=10))
     t11 = PairVec((), (0,) * 10 + (1,))
     for form in (stopped.poly_of, stopped.image_of):
         with pytest.raises(ValueError, match="beyond the constructed chains"):
@@ -345,6 +344,18 @@ def test_products_refuse_vectors_past_the_chains(state):
     assert stopped.image_of(t11) == rec.image
 
 
+def test_the_rewrite_checks_a_floor_that_m_at_hides(state):
+    # m_at(4) is 2, so max(k, m_at(4), 1) would cover each of these k
+    gamma_5 = state.t_chain[4].gamma
+    assert state.m_at(4) == 2
+    assert str(state.rewrite(gamma_5, 2, 4)) == "(|1,0,0,1)"
+    for k in (True, 1.5, 2.5):
+        with pytest.raises(TypeError, match="^k must be an int"):
+            state.rewrite(gamma_5, k, 4)
+    with pytest.raises(ValueError, match="^no rows p_1..p_-7 in the chains$"):
+        state.rewrite(gamma_5, -7, 4)
+
+
 def test_coordinates_refuse_rows_outside_the_chains(state):
     # one check of (k, i) serves the layout, its solver and the rewrite;
     # an i of -1 silently dropped the last member
@@ -355,9 +366,9 @@ def test_coordinates_refuse_rows_outside_the_chains(state):
         for ask in (state.coordinates, state.semigroup_solver):
             with pytest.raises(ValueError, match="no rows p_"):
                 ask(k, i)
-    # the rewrite's k is a floor under m_at(i) and 1, so only i and a k
-    # past the first chain are out of range
-    for k, i in ((2, -1), (n_p + 1, 0), (2, n_t + 1)):
+    # the rewrite refuses the same i, and the same k although it is only a
+    # floor under m_at(i) and 1
+    for k, i in ((2, -1), (-1, 0), (n_p + 1, 0), (2, n_t + 1)):
         with pytest.raises(ValueError, match="no rows p_"):
             state.rewrite(alpha, k, i)
     for k, i in ((True, 1), (2, True), (2.0, 1), (2, 1.0)):
@@ -398,7 +409,7 @@ def corpus_model(which):
         model, bounds, _, _ = parse_config(cfg, str(which))
     if which == 1:
         # its full 64 members take seconds of polynomial products
-        bounds = replace(bounds, max_t_index=32)
+        bounds = rebound(bounds, max_t_index=32)
     return model, bounds
 
 
@@ -536,7 +547,10 @@ def test_build_t_chain_is_idempotent(state):
 
 def record_rows(state):
     """Every field of every chain record, as it stands."""
-    return [dict(vars(rec)) for rec in state.p_chain + state.t_chain]
+    return [
+        {name: getattr(rec, name) for name in rec.__slots__}
+        for rec in state.p_chain + state.t_chain
+    ]
 
 
 def flag_reading(state):
@@ -598,8 +612,8 @@ def test_a_raised_index_cap_goes_on_as_a_fresh_build(which, n):
     # the position that hit the cap creates the rest of its D members, and
     # the walk goes on in a fresh build's order
     model, bounds = corpus_model(which)
-    bounds = replace(bounds, max_t_index=64)
-    state = build_state(model, bounds=replace(bounds, max_t_index=n))
+    bounds = rebound(bounds, max_t_index=64)
+    state = build_state(model, bounds=rebound(bounds, max_t_index=n))
     assert len(state.t_chain) == n and state.flags.t_truncated
     state.bounds = bounds
     build_t_chain(state)
@@ -685,7 +699,7 @@ def test_a_d_search_that_does_not_extend_the_last_rebuilds(monkeypatch):
     assert rebuilt(j)
     # another coordinate cap
     with monkeypatch.context() as patch:
-        patch.setattr(state, "bounds", replace(bounds, d_coord_cap=3))
+        patch.setattr(state, "bounds", rebound(bounds, d_coord_cap=3))
         del bases[:]
         state.pushing_set(j)
         assert bases == [((),)]
@@ -725,7 +739,7 @@ def test_a_zero_free_part_closes_the_last_layer(state):
     # first layer, a minimum with zero free part that closes the search;
     # with one layer allowed, that layer is also the last
     model, bounds, _, _ = parsed_example()
-    one = build_state(model, bounds=replace(bounds, d_layer_cap=1))
+    one = build_state(model, bounds=rebound(bounds, d_layer_cap=1))
     for j in (5, 6, 7):
         rec = one.t_chain[j - 1]
         assert rec.D.members == (PairVec((), (0,) * (j - 1) + (rec.s,)),)

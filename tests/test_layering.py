@@ -10,15 +10,24 @@ or imported name.  Docstrings and comments are not scanned.
 
 A second scan, of every module but jumpseq, finds every write to a
 chain, to the flags or to a chain-record field, so derived reports never
-mutate the chains.
+mutate the chains.  A frozen record's constructor setting its own field
+(``object.__setattr__(self, ...)`` in ``__init__``) writes no chain
+record, whatever the field's name.
 
 A third scan, of every module but laurent, finds every use of a name of
 ``LaurentPoly``'s packed form: its key, numerator, denominator and bound
 fields and the helpers that build a polynomial from them.  Other modules
 read exponents through the one accessor ``exponents``, and valmodel's
 scans read them through it, not through ``terms``.
+
+Last, every process pays for what importing the package runs: no module
+imports ``dataclasses`` or calls ``exec`` or ``eval``, and importing
+``valgen.cli`` loads neither ``dataclasses`` nor ``inspect``.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import valgen
@@ -156,15 +165,33 @@ def _call_writes(node):
     return found
 
 
+def _own_field_writes(tree):
+    """The ``object.__setattr__(self, ...)`` calls inside ``__init__``
+    methods, by node id: a constructor setting its own record's fields."""
+    return {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__setattr__"
+        and node.args
+        and ast.unparse(node.args[0]) == "self"
+    }
+
+
 def chain_writes(tree):
     """(line, what) for every write in a parsed module to an attribute in
     WRITTEN, by assignment, augmented or annotated assignment, del,
     setattr or object.__setattr__, and every call of a list mutator on
-    p_chain or t_chain, in line order."""
+    p_chain or t_chain, in line order; a constructor's writes to its own
+    fields (``_own_field_writes``) excepted."""
     found = []
+    own = _own_field_writes(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            found += _call_writes(node)
+            if id(node) not in own:
+                found += _call_writes(node)
             continue
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = node.targets
@@ -196,6 +223,11 @@ def test_the_write_scan_sees_every_kind():
         "self.t_chain.pop()\n"
         "del state.t_chain[-1]\n"
         "*rec.parent, x = pair\n"
+        "def __init__(self, rec):\n"
+        "    object.__setattr__(rec, 'status', 1)\n"
+        "    self.status = 1\n"
+        "def reset(self):\n"
+        "    object.__setattr__(self, 'status', 1)\n"
     )
     assert chain_writes(ast.parse(src)) == [
         (1, "t_chain"),
@@ -212,6 +244,9 @@ def test_the_write_scan_sees_every_kind():
         (11, "t_chain.pop"),
         (12, "t_chain"),
         (13, "parent"),
+        (15, "status"),
+        (16, "status"),
+        (18, "status"),
     ]
     # reads, local names, other attributes and outputs' own cache slot pass
     ok = (
@@ -222,6 +257,9 @@ def test_the_write_scan_sees_every_kind():
         "keep = rec.poly.is_zero()\n"
         "object.__setattr__(self, 'nums', nums)\n"
         "counts[rec.index] += 1\n"
+        "class Certificate:\n"
+        "    def __init__(self, status):\n"
+        "        object.__setattr__(self, 'status', status)\n"
     )
     assert chain_writes(ast.parse(ok)) == []
 
@@ -310,3 +348,62 @@ def test_only_laurent_touches_the_packed_form():
     valmodel = GROUPLAT.with_name("valmodel.py")
     used = {name for _, name in names_used(ast.parse(valmodel.read_text()))}
     assert "exponents" in used and "terms" not in used
+
+
+# the module whose decorators exec generated methods, and the builtins that
+# would run generated code
+DYNAMIC = {"dataclasses", "exec", "eval"}
+
+
+def dynamic_code(tree):
+    """(line, what) for every import of dataclasses and every call of exec
+    or eval in a parsed module, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [node.func.id]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n in DYNAMIC]
+    return sorted(found)
+
+
+def test_the_dynamic_code_scan_sees_every_kind():
+    src = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses, json\n"
+        "exec(code, ns)\n"
+        "x = eval('1')\n"
+    )
+    assert dynamic_code(ast.parse(src)) == [
+        (1, "dataclasses"), (2, "dataclasses"), (3, "exec"), (4, "eval"),
+    ]
+    ok = "from .values import Value\nliteral_eval(text)\nself.exec_count = 1\n"
+    assert dynamic_code(ast.parse(ok)) == []
+
+
+def test_no_module_imports_dataclasses_or_runs_dynamic_code():
+    found = {
+        path.stem: dynamic_code(ast.parse(path.read_text(), str(path)))
+        for path in MODULES
+    }
+    assert len(found) >= 8
+    assert {name: got for name, got in found.items() if got} == {}
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # -S: no site .pth file may load either module first
+    code = (
+        "import valgen.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(GROUPLAT.parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout == "[]\n"

@@ -16,8 +16,8 @@ vector it visits, zero and each entry once.  ``locate`` is checked against ``bis
 index's values on four models, one of them built so that its values tie
 within their enclosures.
 """
+import copy
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations_with_replacement
@@ -371,7 +371,8 @@ def test_locate_places_values_as_bisect_does(request, which):
         model, bounds, _, _ = parse_config(tower_config(which), "tower")
         st = build_state(model, bounds=bounds)
     # a fresh index, topped at 5
-    st = replace(st, _thresholds=None)
+    st = copy.copy(st)
+    st._thresholds = None
     top = st.basis.rational(5)
     ideal_generators(st, top)
     index = st._thresholds
