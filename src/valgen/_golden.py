@@ -10,7 +10,6 @@ returns one line per disagreement, naming the field it concerns.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .cli import parse_config
 from .jumpseq import JumpState
@@ -284,7 +283,7 @@ GOLDEN = {
 }
 
 
-def parsed_example(max_value: Optional[str] = None):
+def parsed_example(max_value: str | None = None):
     """(model, bounds, outputs, echo) of CONFIG, as ``valgen build`` reads
     a config file; max_value replaces the ceiling."""
     return parse_config(CONFIG, "_golden.CONFIG", max_value=max_value)

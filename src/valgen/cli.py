@@ -16,9 +16,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
-from typing import Optional
 
 from .errors import (
     InternalConsistencyError, ParseError, ThresholdTooHighError, ValgenError
@@ -113,8 +111,8 @@ def _unique_keys(pairs: list) -> dict:
     return got
 
 
-def load_config(path: str, max_t_index: Optional[int] = None,
-                max_value: Optional[str] = None):
+def load_config(path: str, max_t_index: int | None = None,
+                max_value: str | None = None):
     """Read a UTF-8 config file and check it with parse_config."""
     try:
         with open(path, encoding="utf-8") as f:
@@ -137,8 +135,8 @@ def load_config(path: str, max_t_index: Optional[int] = None,
     return parse_config(cfg, path, max_t_index, max_value)
 
 
-def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
-                 max_value: Optional[str] = None):
+def parse_config(cfg, where: str, max_t_index: int | None = None,
+                 max_value: str | None = None):
     """Check a decoded config; the overrides replace its bounds.
 
     Returns (model, bounds, outputs, echo) where echo is the normalized
@@ -199,7 +197,7 @@ def parse_config(cfg, where: str, max_t_index: Optional[int] = None,
         raw_bounds["max_t_index"] = max_t_index
     if max_value is not None:
         raw_bounds["max_value"] = max_value
-    cap: Optional[Value]
+    cap: Value | None
     if raw_bounds["max_value"] is None:
         cap = None
     else:
@@ -395,7 +393,7 @@ def _doc_symbol(vec: dict) -> str:
     return vector_symbol(PairVec(tuple(vec["p"]), tuple(vec["t"])))
 
 
-def render_text(doc: dict, elapsed: Optional[float] = None) -> str:
+def render_text(doc: dict, elapsed: float | None = None) -> str:
     lines = []
     lines.append("first chain")
     for row in doc["p_chain"]:
@@ -483,6 +481,10 @@ def render_text(doc: dict, elapsed: Optional[float] = None) -> str:
 
 
 def _write_atomic(path: str, data: str) -> None:
+    # imported here: tempfile loads shutil, random, bz2 and lzma, which
+    # only a build writing files needs
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".valgen-tmp-")
     try:
@@ -641,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,10 +21,10 @@ and a unit lead holds the count of a generator it may not use at zero.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import chain, combinations
 from math import gcd
 from operator import le, lt, mul
-from typing import Iterable, Optional, Sequence
 
 from .errors import InternalConsistencyError, NotInSemigroupError
 from .values import Value, combination, need_int, over_common_den
@@ -87,7 +87,7 @@ def column_echelon(
 
 def _least_multiple(
     alpha: Value, gens: Sequence[Value]
-) -> tuple[Optional[int], list[int], list[list[int]]]:
+) -> tuple[int | None, list[int], list[list[int]]]:
     """(q, y, V): the least q >= 1 with q*alpha in the group of gens.
 
     The system sum(x_k * gens_k) == q*alpha, scaled integral, reads
@@ -115,14 +115,14 @@ def _least_multiple(
     return q, y, V
 
 
-def min_multiple_in_group(alpha: Value, gens: Sequence[Value]) -> Optional[int]:
+def min_multiple_in_group(alpha: Value, gens: Sequence[Value]) -> int | None:
     """Least q >= 1 with q*alpha in the group generated by gens, else None."""
     return _least_multiple(alpha, gens)[0]
 
 
 def lattice_solve(
     alpha: Value, gens: Sequence[Value]
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """Integers x with sum(x_k * gens_k) == alpha, or None.
 
     Any solution will do; the result is verified exactly before being
@@ -163,7 +163,7 @@ class SemigroupSolver:
     """
 
     def __init__(self, gens: Sequence[Value],
-                 prefix: Optional[SemigroupSolver] = None):
+                 prefix: SemigroupSolver | None = None):
         self.gens = gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
@@ -214,8 +214,8 @@ class SemigroupSolver:
         alpha: Value,
         leads: Sequence[Sequence[int]] = (),
         degrees: Sequence[int] = (),
-        cap: Optional[int] = None,
-    ) -> Optional[tuple[int, ...]]:
+        cap: int | None = None,
+    ) -> tuple[int, ...] | None:
         """The reverse-lex least nonnegative solution over the given
         generator order, or None.
 
@@ -267,7 +267,7 @@ class SemigroupSolver:
     def _counts(
         self, j: int, rem: tuple[int, ...], prefix: list[int], ends: list,
         degs: Sequence[int], room: int,
-    ) -> Optional[tuple[int, ...]]:
+    ) -> tuple[int, ...] | None:
         """The first counts of gvecs[j:] summing to rem, which lies in their
         cone, that the cut lets through, or None; in the given generator
         order, so the count of gvecs[j] comes last.  The count at j goes to
@@ -278,7 +278,7 @@ class SemigroupSolver:
             # positive generators: only the zero counts sum to zero
             return (0,) * (self.count - j)
         lo = 0
-        hi: Optional[int] = None
+        hi: int | None = None
         for h, d in self._steps[j]:
             a = _dot(h, rem)
             if d > 0:
@@ -322,7 +322,7 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 
 def _cofactor_normal(
     vecs: Sequence[tuple[int, ...]], dim: int
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """The primitive h with h.x == det(x, *vecs) up to a positive factor,
     a normal to the dim-1 given vectors; None when they are dependent."""
     if dim == 3:
@@ -364,7 +364,7 @@ def minimal_semigroup_generators(values: Sequence[Value]) -> tuple[Value, ...]:
 
 
 def permissible_decompose(
-    alpha: Value, solver: SemigroupSolver, qs: Sequence[Optional[int]]
+    alpha: Value, solver: SemigroupSolver, qs: Sequence[int | None]
 ) -> tuple[int, ...]:
     """Write alpha over first-chain values beta_1..beta_k, the solver's
     generators, with every bounded slot in range.

@@ -32,8 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import attrgetter, mul
-from typing import Optional
+from operator import mul
 
 from .errors import InternalConsistencyError
 from .grouplat import (
@@ -48,7 +47,7 @@ from .grouplat import (
 )
 from .laurent import LaurentPoly
 from .valmodel import RING_VARS, ValuationModel, validate_model
-from .values import Frozen, Value, combination, need_int
+from .values import Frozen, Record, Value, combination, need_int
 
 # the first chain's length cap; a chain that reaches it is flagged p_truncated
 DEFAULT_P_CAP = 32
@@ -67,12 +66,11 @@ class SearchBounds(Frozen):
     """
 
     __slots__ = ("max_t_index", "max_value", "d_layer_cap", "d_coord_cap")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(
         self,
         max_t_index: int = 64,
-        max_value: Optional[Value] = None,
+        max_value: Value | None = None,
         d_layer_cap: int = 16,
         d_coord_cap: int = 16,
     ) -> None:
@@ -87,18 +85,6 @@ class SearchBounds(Frozen):
         object.__setattr__(self, "max_value", max_value)
         object.__setattr__(self, "d_layer_cap", d_layer_cap)
         object.__setattr__(self, "d_coord_cap", d_coord_cap)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"SearchBounds({args})"
 
     @classmethod
     def for_basis(cls, basis, **overrides) -> "SearchBounds":
@@ -133,17 +119,6 @@ class PairVec(Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "t", t)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.t) == (other.p, other.t)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.t))
-
-    def __repr__(self) -> str:
-        return f"PairVec(p={self.p!r}, t={self.t!r})"
-
     def __str__(self) -> str:
         return f"({','.join(map(str, self.p))}|{','.join(map(str, self.t))})"
 
@@ -169,32 +144,18 @@ class GeneratorSet(Frozen):
     ideal read off a truncated chain."""
 
     __slots__ = ("members", "complete")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(self, members: tuple[PairVec, ...], complete: bool) -> None:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "complete", complete)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"GeneratorSet({args})"
-
-
-class PJump:
+class PJump(Record):
     """One member of the first chain and the jump data leading out of it.
 
     image is poly in the ambient coordinates."""
 
     __slots__ = ("index", "poly", "image", "beta", "q", "L_vec", "lam")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(
         self,
@@ -202,24 +163,15 @@ class PJump:
         poly: LaurentPoly,
         image: LaurentPoly,
         beta: Value,
-        q: Optional[int] = None,
-        L_vec: Optional[tuple[int, ...]] = None,
-        lam: Optional[Fraction] = None,
+        q: int | None = None,
+        L_vec: tuple[int, ...] | None = None,
+        lam: Fraction | None = None,
     ) -> None:
         self.index, self.poly, self.image, self.beta = index, poly, image, beta
         self.q, self.L_vec, self.lam = q, L_vec, lam
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
 
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"PJump({args})"
-
-
-class TJump:
+class TJump(Record):
     """One member of the second chain with its processing record.
 
     status is "pending" until the construction reaches the member, then
@@ -235,7 +187,6 @@ class TJump:
         "index", "poly", "image", "gamma", "status", "s", "m", "D", "parent",
         "mu", "LN",
     )
-    _key = property(attrgetter(*__slots__))
 
     def __init__(
         self,
@@ -244,33 +195,26 @@ class TJump:
         image: LaurentPoly,
         gamma: Value,
         status: str = "pending",
-        s: Optional[int] = None,
-        m: Optional[int] = None,
-        D: Optional[GeneratorSet] = None,
-        parent: Optional[tuple[int, PairVec]] = None,
-        mu: Optional[Fraction] = None,
-        LN: Optional[PairVec] = None,
+        s: int | None = None,
+        m: int | None = None,
+        D: GeneratorSet | None = None,
+        parent: tuple[int, PairVec] | None = None,
+        mu: Fraction | None = None,
+        LN: PairVec | None = None,
     ) -> None:
         self.index, self.poly, self.image, self.gamma = index, poly, image, gamma
         self.status, self.s, self.m, self.D = status, s, m, D
         self.parent, self.mu, self.LN = parent, mu, LN
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"TJump({args})"
-
 
 class Flags(Frozen):
     """A build's flags, read off its records: p_truncated if the first
     chain's last member has a jump (q set), t_truncated if a position made
-    fewer members than its D set holds; positions skipped or D-incomplete."""
+    fewer members than its D set holds; positions skipped or D-incomplete.
+    Flags compare and hash by identity, as their state is unhashable."""
 
     __slots__ = ("state",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, state: "JumpState") -> None:
         object.__setattr__(self, "state", state)
@@ -304,10 +248,11 @@ class Flags(Frozen):
         return self.p_truncated or self.t_truncated
 
 
-class JumpState:
+class JumpState(Record):
     """Everything the construction has produced so far.
 
-    Equality reads every field; repr shows the first four."""
+    Equality and repr read the model, the bounds and the two chains, not
+    the caches: a state equals its fresh twin whatever either has cached."""
 
     # _thresholds: the threshold index of outputs' ideal and semigroup
     # queries: one at a time, replaced when the rows change or a threshold
@@ -317,17 +262,16 @@ class JumpState:
         "model", "bounds", "p_chain", "t_chain",
         "_products", "_solvers", "_thresholds", "_staircase",
     )
-    _key = property(attrgetter(*__slots__))
 
     def __init__(
         self,
         model: ValuationModel,
         bounds: SearchBounds,
-        p_chain: Optional[list[PJump]] = None,
-        t_chain: Optional[list[TJump]] = None,
-        _products: Optional[dict] = None,
-        _solvers: Optional[dict] = None,
-        _thresholds: Optional[object] = None,
+        p_chain: list[PJump] | None = None,
+        t_chain: list[TJump] | None = None,
+        _products: dict | None = None,
+        _solvers: dict | None = None,
+        _thresholds: object = None,
         _staircase: tuple = (None, (), (), ((),)),
     ) -> None:
         self.model, self.bounds = model, bounds
@@ -336,15 +280,6 @@ class JumpState:
         self._products = {} if _products is None else _products
         self._solvers = {} if _solvers is None else _solvers
         self._thresholds, self._staircase = _thresholds, _staircase
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__[:4], self._key))
-        return f"JumpState({args})"
 
     @property
     def basis(self):
@@ -527,7 +462,7 @@ def _seed(model: ValuationModel, name: str):
 
 
 def build_p_chain(
-    model: ValuationModel, bounds: Optional[SearchBounds] = None
+    model: ValuationModel, bounds: SearchBounds | None = None
 ) -> JumpState:
     """Construct the x/y chain until it ends or DEFAULT_P_CAP members
     exist."""
@@ -630,7 +565,7 @@ def build_t_chain(state: JumpState) -> JumpState:
 
 
 def build_state(
-    model: ValuationModel, bounds: Optional[SearchBounds] = None
+    model: ValuationModel, bounds: SearchBounds | None = None
 ) -> JumpState:
     """Run both constructions and return the finished state."""
     return build_t_chain(build_p_chain(model, bounds=bounds))

@@ -27,16 +27,15 @@ computed.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
 from struct import pack, unpack
-from typing import Mapping, Sequence, Union
 
 from .errors import NonInvertibleSubstitution
 from .values import Frozen, Scanner, decimal_str
 
-Rational = Union[int, Fraction]
 Term = tuple[tuple[int, ...], Fraction]
 
 # the most the parser lets one product or power make, in bits: a bound
@@ -66,8 +65,8 @@ def _zero_key(n: int) -> int:
     return int.from_bytes(_ZERO_FIELD * n, "big")
 
 
-class LaurentPoly(Frozen):
-    # equality and hashing read every field but _reach
+class LaurentPoly(Frozen, fields=("vars", "_keys", "_nums", "_denom")):
+    # equality and hashing read the packed form, not the derived _reach
     __slots__ = ("vars", "_keys", "_nums", "_denom", "_reach")
 
     def __init__(self, vars: Sequence[str], terms) -> None:
@@ -111,16 +110,6 @@ class LaurentPoly(Frozen):
         object.__setattr__(self, "_denom", den // g)
         object.__setattr__(self, "_reach", reach)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vars, self._keys, self._nums, self._denom) == (
-                other.vars, other._keys, other._nums, other._denom
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self._keys, self._nums, self._denom))
-
     def _new(self, raw: dict[int, int], den: int, reach) -> "LaurentPoly":
         """A polynomial over self's variables from keys to numerators."""
         out = object.__new__(LaurentPoly)
@@ -134,7 +123,7 @@ class LaurentPoly(Frozen):
         return cls(tuple(vars_), ())
 
     @classmethod
-    def constant(cls, vars_: Sequence[str], c: Rational) -> "LaurentPoly":
+    def constant(cls, vars_: Sequence[str], c: int | Fraction) -> "LaurentPoly":
         v = tuple(vars_)
         return cls(v, (((0,) * len(v), c),))
 
@@ -143,7 +132,7 @@ class LaurentPoly(Frozen):
         cls,
         vars_: Sequence[str],
         exponents: Sequence[int],
-        coeff: Rational = 1,
+        coeff: int | Fraction = 1,
     ) -> "LaurentPoly":
         return cls(tuple(vars_), ((tuple(exponents), coeff),))
 
@@ -235,7 +224,7 @@ class LaurentPoly(Frozen):
                 raw[k] = get(k, 0) + n1 * n2
         return self._new(raw, self._denom * other._denom, reach)
 
-    def scale(self, c: Rational) -> "LaurentPoly":
+    def scale(self, c: int | Fraction) -> "LaurentPoly":
         if type(c) is bool or not isinstance(c, (int, Fraction)):
             raise TypeError(f"scalars must be int or Fraction, got {c!r}")
         c = Fraction(c)

@@ -21,10 +21,10 @@ rows, replaces the index.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
-from operator import add, attrgetter, itemgetter, lt
-from typing import Optional, Sequence
+from operator import add, itemgetter, lt
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
 from .grouplat import graded_sorted, minimal_semigroup_generators
@@ -33,6 +33,7 @@ from .laurent import LaurentPoly
 from .values import (
     FIXED_BITS,
     Frozen,
+    Record,
     Value,
     int_vec_bounds,
     need_int,
@@ -65,7 +66,7 @@ def _check_value(state: JumpState, name: str, x) -> None:
 # -- threshold index ----------------------------------------------------------
 
 
-class _ThresholdIndex:
+class _ThresholdIndex(Record):
     """The monomials the threshold queries read, sorted once per top.
 
     An entry is a nonzero count vector v over ``rows`` with value(v) -
@@ -91,7 +92,6 @@ class _ThresholdIndex:
         "rows", "top", "zero", "values", "den", "highs", "lows", "starts",
         "entries", "row_of", "vecs", "__weakref__",
     )
-    _key = property(attrgetter(*__slots__[:-1]))
 
     def __init__(
         self,
@@ -110,15 +110,6 @@ class _ThresholdIndex:
         self.rows, self.top, self.zero, self.values = rows, top, zero, values
         self.den, self.highs, self.lows, self.starts = den, highs, lows, starts
         self.entries, self.row_of, self.vecs = entries, row_of, vecs
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"_ThresholdIndex({args})"
 
     @classmethod
     def for_query(cls, state: JumpState, threshold: Value) -> "_ThresholdIndex":
@@ -294,35 +285,22 @@ class RedundancyCertificate(Frozen):
     """
 
     __slots__ = ("target", "status", "combo")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(
         self,
         target: int,
         status: str,
-        combo: Optional[tuple[tuple[Fraction, PairVec], ...]] = None,
+        combo: tuple[tuple[Fraction, PairVec], ...] | None = None,
     ) -> None:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "combo", combo)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"RedundancyCertificate({args})"
-
 
 def redundancy_certificate(
     state: JumpState,
     target: int,
-    value_slack: Optional[Value] = None,
+    value_slack: Value | None = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> RedundancyCertificate:
     """Try to express second-chain member `target` through the others.
@@ -399,7 +377,7 @@ def redundancy_certificate(
 
 def redundancy_survey(
     state: JumpState,
-    value_slack: Optional[Value] = None,
+    value_slack: Value | None = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> dict[int, RedundancyCertificate]:
     """One certificate per second-chain member, in chain order."""
@@ -426,7 +404,6 @@ class SequenceReport(Frozen):
     """
 
     __slots__ = ("kept_p", "kept_t", "certified")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(
         self, kept_p: tuple[int, ...], kept_t: tuple[int, ...], certified: bool
@@ -434,18 +411,6 @@ class SequenceReport(Frozen):
         object.__setattr__(self, "kept_p", kept_p)
         object.__setattr__(self, "kept_t", kept_t)
         object.__setattr__(self, "certified", certified)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"SequenceReport({args})"
 
     def polynomials(self, state: JumpState) -> tuple[LaurentPoly, ...]:
         polys = [state.p_chain[i - 1].poly for i in self.kept_p]
@@ -494,24 +459,11 @@ class GrRelation(Frozen):
     """One binomial relation between initial forms: lhs = scalar * rhs."""
 
     __slots__ = ("lhs", "rhs", "scalar")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(self, lhs: PairVec, rhs: PairVec, scalar: Fraction) -> None:
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "scalar", scalar)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"GrRelation({args})"
 
 
 def gr_presentation(state: JumpState) -> tuple[GrRelation, ...]:
@@ -550,24 +502,11 @@ class SemigroupSlice(Frozen):
     """All semigroup values up to a cap, with a completeness marker."""
 
     __slots__ = ("cap", "values", "complete")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(self, cap: Value, values: tuple[Value, ...], complete: bool) -> None:
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "complete", complete)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self.__slots__, self._key))
-        return f"SemigroupSlice({args})"
 
 
 def semigroup_values_up_to(state: JumpState, cap: Value) -> SemigroupSlice:

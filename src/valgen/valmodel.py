@@ -25,10 +25,10 @@ and the image of a product of members is the product of their images.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
-from typing import Mapping
 
 from .errors import (
     InternalConsistencyError,
@@ -61,8 +61,9 @@ class ValuationModel(Frozen):
     # variable; _columns is None when some value carries another basis
     # (validate_model reports that).  _enclosures: per ambient variable,
     # the lower end lo and width hi - lo of its numerators'
-    # int_vec_bounds at FIXED_BITS; () with _columns None.  Equality,
-    # hashing and repr read the first four fields only.
+    # int_vec_bounds at FIXED_BITS; () with _columns None.  Equality and
+    # repr read the first four fields, the hash the first three: images
+    # is a dict.
     __slots__ = (
         "basis", "ambient_vars", "ambient_values", "images",
         "_den", "_columns", "_enclosures",
@@ -97,22 +98,8 @@ class ValuationModel(Frozen):
             (tuple(lo for lo, _ in bounds), tuple(hi - lo for lo, hi in bounds)),
         )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.basis, self.ambient_vars, self.ambient_values, self.images
-            ) == (other.basis, other.ambient_vars, other.ambient_values, other.images)
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash((self.basis, self.ambient_vars, self.ambient_values))
-
-    def __repr__(self) -> str:
-        return (
-            f"ValuationModel(basis={self.basis!r}, ambient_vars="
-            f"{self.ambient_vars!r}, ambient_values={self.ambient_values!r}, "
-            f"images={self.images!r})"
-        )
 
     # -- expansion ----------------------------------------------------
 

@@ -43,16 +43,14 @@ numerators over one running denominator and builds one Value from them.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
-from operator import mul
-from typing import Sequence, Union
+from operator import attrgetter, mul
 
 from .errors import ParseError
-
-Rational = Union[int, Fraction]
 
 # the precision of the enclosure every sign decision tries first
 FIXED_BITS = 64
@@ -62,7 +60,7 @@ MAX_INT_DIGITS = 4300
 MAX_RADICAND = 2**32
 
 
-def decimal_str(q: Rational) -> str:
+def decimal_str(q: int | Fraction) -> str:
     """``str(q)`` for an int or Fraction of any size.
 
     ``str()`` refuses an int of more than 4,300 digits (the interpreter's
@@ -162,12 +160,53 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-class Frozen:
-    """Base of the immutable records: assigning or deleting a field raises
-    AttributeError, so their constructors set fields with
+class Record:
+    """Base of the record types: equality and repr read the record's
+    fields, and a record of another class is never equal.
+
+    A record's fields are its slots whose names do not start with ``_``,
+    so caches, derived data and ``__weakref__`` stay out; a class names
+    its own with ``fields=`` in its class statement.  ``_key`` reads the
+    fields as one tuple, built once per class.  A plain record is
+    unhashable; ``Frozen`` adds the hash of that tuple.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, fields=None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if fields is None:
+            fields = [f for f in cls.__slots__ if not f.startswith("_")]
+        cls._fields = tuple(fields)
+        if len(fields) == 1:
+            # attrgetter of one name returns the field, not a 1-tuple
+            one = attrgetter(*fields)
+            cls._key = staticmethod(lambda rec: (one(rec),))
+        elif fields:
+            cls._key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # a record equals itself, as the comparison of its key's
+            # identical fields would find, without building the keys
+            return self is other or self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self._fields, self._key(self)))
+        return f"{self.__class__.__name__}({args})"
+
+
+class Frozen(Record):
+    """Base of the immutable records: hashable, and assigning or deleting
+    a field raises AttributeError, so their constructors set fields with
     ``object.__setattr__``."""
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -210,17 +249,6 @@ class RadicalBasis(Frozen):
                 raise ValueError(f"radicand {r} is not squarefree")
         object.__setattr__(self, "radicands", rads)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.radicands == other.radicands
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.radicands,))
-
-    def __repr__(self) -> str:
-        return f"RadicalBasis(radicands={self.radicands!r})"
-
     @property
     def dim(self) -> int:
         return len(self.radicands)
@@ -236,11 +264,11 @@ class RadicalBasis(Frozen):
     def zero(self) -> "Value":
         return Value(self, (0,) * self.dim, 1)
 
-    def rational(self, q: Rational) -> "Value":
+    def rational(self, q: int | Fraction) -> "Value":
         need_rational("q", q)
         return self.root(1, q)
 
-    def root(self, radicand: int, coeff: Rational = 1) -> "Value":
+    def root(self, radicand: int, coeff: int | Fraction = 1) -> "Value":
         """The value coeff*sqrt(radicand)."""
         need_int("radicand", radicand)
         need_rational("coeff", coeff)
@@ -294,16 +322,6 @@ class Value(Frozen):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_bounds", None)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.basis, self.nums, self.den) == (
-                other.basis, other.nums, other.den
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.nums, self.den))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(a, self.den) for a in self.nums)
@@ -334,7 +352,7 @@ class Value(Frozen):
     def __neg__(self) -> "Value":
         return Value(self.basis, tuple(-a for a in self.nums), self.den)
 
-    def __mul__(self, scalar: Rational) -> "Value":
+    def __mul__(self, scalar: int | Fraction) -> "Value":
         if isinstance(scalar, Value):
             raise TypeError("Value*Value is not defined; scale by a rational")
         if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):

@@ -21,8 +21,9 @@ read exponents through the one accessor ``exponents``, and valmodel's
 scans read them through it, not through ``terms``.
 
 Last, every process pays for what importing the package runs: no module
-imports ``dataclasses`` or calls ``exec`` or ``eval``, and importing
-``valgen.cli`` loads neither ``dataclasses`` nor ``inspect``.
+imports ``dataclasses`` or ``typing`` or calls ``exec`` or ``eval``, and
+importing ``valgen.cli`` loads none of ``dataclasses``, ``inspect``,
+``typing`` and ``tempfile``.
 """
 import ast
 import os
@@ -350,14 +351,15 @@ def test_only_laurent_touches_the_packed_form():
     assert "exponents" in used and "terms" not in used
 
 
-# the module whose decorators exec generated methods, and the builtins that
-# would run generated code
-DYNAMIC = {"dataclasses", "exec", "eval"}
+# the module whose decorators exec generated methods, the module that only
+# annotations would use (they are strings under ``from __future__ import
+# annotations``), and the builtins that would run generated code
+DYNAMIC = {"dataclasses", "typing", "exec", "eval"}
 
 
 def dynamic_code(tree):
-    """(line, what) for every import of dataclasses and every call of exec
-    or eval in a parsed module, in line order."""
+    """(line, what) for every import of dataclasses or typing and every
+    call of exec or eval in a parsed module, in line order."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -378,11 +380,17 @@ def test_the_dynamic_code_scan_sees_every_kind():
         "import dataclasses, json\n"
         "exec(code, ns)\n"
         "x = eval('1')\n"
+        "from typing import Optional\n"
+        "import typing as t\n"
     )
     assert dynamic_code(ast.parse(src)) == [
         (1, "dataclasses"), (2, "dataclasses"), (3, "exec"), (4, "eval"),
+        (5, "typing"), (6, "typing"),
     ]
-    ok = "from .values import Value\nliteral_eval(text)\nself.exec_count = 1\n"
+    ok = (
+        "from .values import Value\nliteral_eval(text)\nself.exec_count = 1\n"
+        "from collections.abc import Sequence\n"
+    )
     assert dynamic_code(ast.parse(ok)) == []
 
 
@@ -396,10 +404,11 @@ def test_no_module_imports_dataclasses_or_runs_dynamic_code():
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
-    # -S: no site .pth file may load either module first
+    # -S: no site .pth file may load one of them first
     code = (
         "import valgen.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'}"
+        " & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(GROUPLAT.parent.parent)}
     out = subprocess.run(

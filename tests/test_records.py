@@ -5,15 +5,20 @@ Equality and hashing are structural over the listed fields and refuse
 other types; the frozen records refuse assignment and deletion with
 AttributeError, and the mutable ones (the chain records, the state and
 the threshold index) are unhashable.  Each constructor's refusals keep
-their type and message.
+their type and message.  One base in ``values`` writes that policy; a
+hash is the hash of the tuple of the public fields, and a static scan
+finds every class that restates the policy.
 """
+import ast
 import copy
 import re
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
+import valgen
 from valgen import (
     GeneratorSet,
     GrRelation,
@@ -28,9 +33,12 @@ from valgen import (
     TJump,
     ValuationModel,
     Value,
+    build_state,
+    ideal_generators,
     parse_polynomial,
     parse_value,
 )
+from valgen._golden import parsed_example
 from valgen.outputs import _ThresholdIndex
 
 B2 = RadicalBasis((1, 2))
@@ -281,3 +289,102 @@ def test_constructors_normalize_their_fields():
     assert type(listed.ambient_vars) is tuple
     assert type(listed.ambient_values) is tuple
     assert type(listed.images) is dict
+
+
+# the public fields of each hashable record, in the order its hash reads
+# them; a one-field record hashes a 1-tuple: hash(B2) == hash((B2.radicands,))
+PUBLIC_FIELDS = {
+    "RadicalBasis": ("radicands",),
+    "Value": ("basis", "nums", "den"),
+    "SearchBounds": ("max_t_index", "max_value", "d_layer_cap", "d_coord_cap"),
+    "GeneratorSet": ("members", "complete"),
+    "PairVec": ("p", "t"),
+    "RedundancyCertificate": ("target", "status", "combo"),
+    "SequenceReport": ("kept_p", "kept_t", "certified"),
+    "GrRelation": ("lhs", "rhs", "scalar"),
+    "SemigroupSlice": ("cap", "values", "complete"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_FIELDS))
+def test_a_hash_is_the_hash_of_the_public_field_tuple(name):
+    for rec in instances()[name]:
+        assert hash(rec) == hash(tuple(getattr(rec, f) for f in PUBLIC_FIELDS[name]))
+
+
+def test_a_state_equals_its_twin_whatever_either_cached(state, second_state):
+    model, bounds, _, _ = parsed_example()
+    built, twin = build_state(model, bounds), build_state(model, bounds)
+    assert built._solvers and built == twin and not built != twin
+    # fill the products and the threshold index of one twin only
+    before = len(built._products)
+    built.image_of(PairVec((2, 1), (3,)))
+    ideal_generators(built, built.basis.rational(4))
+    assert len(built._products) > before and built._thresholds is not None
+    assert twin._thresholds is None
+    assert built == twin and twin == built
+    assert built == state and state != second_state
+
+
+# the definitions of the record policy each class may hold: the base's,
+# and the overrides of the text forms, the dict-holding model's hash and
+# the identity of the flags
+POLICY = {"__eq__", "__hash__", "__repr__", "_key"}
+OVERRIDES = {
+    "Record": {"__eq__", "__hash__", "__repr__"},
+    "Frozen": {"__hash__"},
+    "Value": {"__repr__"},
+    "LaurentPoly": {"__repr__"},
+    "ValuationModel": {"__hash__"},
+    "Flags": {"__eq__", "__hash__", "__repr__"},
+}
+
+
+def policy_defs(tree):
+    """{class name: names in POLICY its body defines or assigns}, for the
+    classes of a parsed module that define any."""
+    found = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                    names.update(e.id for e in elts if isinstance(e, ast.Name))
+        if names & POLICY:
+            found[cls.name] = names & POLICY
+    return found
+
+
+def test_the_policy_scan_sees_every_kind():
+    src = (
+        "class A:\n    def __eq__(self, o): pass\n    __hash__ = None\n"
+        "class B:\n    __eq__, __hash__ = object.__eq__, object.__hash__\n"
+        "class C:\n    _key = property(get)\n    def __str__(self): pass\n"
+        "class D:\n    def method(self):\n        __repr__ = 1\n"
+    )
+    assert policy_defs(ast.parse(src)) == {
+        "A": {"__eq__", "__hash__"}, "B": {"__eq__", "__hash__"}, "C": {"_key"},
+    }
+
+
+def test_the_record_policy_is_written_once():
+    found = {}
+    for path in sorted(Path(valgen.__file__).parent.glob("*.py")):
+        for name, defs in policy_defs(ast.parse(path.read_text(), str(path))).items():
+            found[f"{path.stem}.{name}"] = defs
+    assert found == {
+        f"{module}.{name}": OVERRIDES[name]
+        for module, names in (
+            ("values", ("Record", "Frozen", "Value")),
+            ("laurent", ("LaurentPoly",)),
+            ("valmodel", ("ValuationModel",)),
+            ("jumpseq", ("Flags",)),
+        )
+        for name in names
+    }
