@@ -193,17 +193,18 @@ def parse_config(cfg, where: str, max_t_index: int | None = None,
         )
 
     raw_bounds = _section(cfg, "bounds", _BOUND_DEFAULTS, where)
-    if max_t_index is not None:
-        raw_bounds["max_t_index"] = max_t_index
-    if max_value is not None:
-        raw_bounds["max_value"] = max_value
+    # a bad bound is named by the option that overrode it, else by its key
+    named = {key: f"{where}.bounds.{key}" for key in _BOUND_DEFAULTS}
+    for key, got in (("max_t_index", max_t_index), ("max_value", max_value)):
+        if got is not None:
+            raw_bounds[key] = got
+            named[key] = "--" + key.replace("_", "-")
     cap: Value | None
     if raw_bounds["max_value"] is None:
         cap = None
     else:
         cap = _parse_text(
-            parse_value, raw_bounds["max_value"], f"{where}.bounds.max_value",
-            basis,
+            parse_value, raw_bounds["max_value"], named["max_value"], basis
         )
     try:
         bounds = SearchBounds(
@@ -213,7 +214,9 @@ def parse_config(cfg, where: str, max_t_index: int | None = None,
             d_coord_cap=raw_bounds["d_coord_cap"],
         )
     except ValueError as e:
-        raise ConfigError(f"{where}.bounds.{e}")
+        # SearchBounds names the field first: "max_t_index: expected ..."
+        key, why = str(e).split(": ", 1)
+        raise ConfigError(f"{named[key]}: {why}")
 
     outputs = _section(cfg, "outputs", _OUTPUT_DEFAULTS, where)
     for key in ("redundancy_value_slack", "semigroup_cap"):

@@ -23,8 +23,9 @@ depths, minimal vector sets with completeness flags, parent vectors,
 rewrite vectors, and the matched scalars.  Values and residues are read
 off the images; the ring forms are built for the report and for the
 zero tests, and never substituted.  The exponent layout over the two
-chains (``JumpState.coordinates``, ``PairVec``) lives here too: a search
-in grouplat gets the solver and leads of its rows, never a state.
+chains (``JumpState.coordinates``, ``PairVec``) lives here too, and
+``JumpState.search`` gives every chain search its rows, solver and the
+leads it may not dominate: a search in grouplat never gets a state.
 """
 from __future__ import annotations
 
@@ -263,23 +264,12 @@ class JumpState(Record):
         "_products", "_solvers", "_thresholds", "_staircase",
     )
 
-    def __init__(
-        self,
-        model: ValuationModel,
-        bounds: SearchBounds,
-        p_chain: list[PJump] | None = None,
-        t_chain: list[TJump] | None = None,
-        _products: dict | None = None,
-        _solvers: dict | None = None,
-        _thresholds: object = None,
-        _staircase: tuple = (None, (), (), ((),)),
-    ) -> None:
+    def __init__(self, model: ValuationModel, bounds: SearchBounds) -> None:
         self.model, self.bounds = model, bounds
-        self.p_chain = [] if p_chain is None else p_chain
-        self.t_chain = [] if t_chain is None else t_chain
-        self._products = {} if _products is None else _products
-        self._solvers = {} if _solvers is None else _solvers
-        self._thresholds, self._staircase = _thresholds, _staircase
+        self.p_chain: list[PJump] = []
+        self.t_chain: list[TJump] = []
+        self._products, self._solvers = {}, {}
+        self._thresholds, self._staircase = None, (None, (), (), ((),))
 
     @property
     def basis(self):
@@ -356,7 +346,7 @@ class JumpState(Record):
         """The exponent layout every search over the chains uses: p_1..p_k,
         then each t_j with j <= i and nonzero value, as (kind, 1-based
         index, value) rows.  vec_over turns counts over the rows back into
-        a PairVec, and lead_counts writes the leads onto them.  The rows
+        a PairVec, and search writes the leads onto them.  The rows
         follow the padded layout of the two chains and leave out only rows
         that are always zero, so the graded order (total weight, then
         lexicographic) orders counts over them as it orders the padded
@@ -373,29 +363,9 @@ class JumpState(Record):
         ]
         return rows
 
-    def lead_counts(self, rows: list) -> list[tuple[int, ...]]:
-        """The leading vectors of the recorded relations, read off the chain
-        records as count vectors over rows (a subset of some
-        coordinates(k, i)): q on p_j for each first-chain power q*e_j, then
-        the minimal vectors of the processed positions.  A lead with an
-        entry off the rows is left out; so is each vanished member's e_j,
-        as a zero value gets no row."""
-        keys = [(kind, idx) for kind, idx, _ in rows]
-        leads = [{("p", r.index): r.q} for r in self.p_chain if r.q is not None]
-        for rec in self.t_chain:
-            if rec.status == "ok":
-                leads += (
-                    {(kind, j): c for kind, part in (("p", v.p), ("t", v.t))
-                     for j, c in enumerate(part, 1) if c}
-                    for v in rec.D.members
-                )
-        on = set(keys)
-        return [tuple(d.get(k, 0) for k in keys) for d in leads if d.keys() <= on]
-
-    def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
-        """The build's one solver over the values of coordinates(k, i),
-        grown from its longest solver over a prefix of them."""
-        gens = tuple(val for *_, val in self.coordinates(k, i))
+    def _solver(self, gens: tuple) -> SemigroupSolver:
+        """The build's one solver over gens, grown from its longest solver
+        over a prefix of them."""
         got = self._solvers.get(gens)
         if got is None:
             keys = [key for key in self._solvers if gens[: len(key)] == key]
@@ -403,23 +373,47 @@ class JumpState(Record):
             got = self._solvers[gens] = SemigroupSolver(gens, prefix)
         return got
 
+    def semigroup_solver(self, k: int, i: int) -> SemigroupSolver:
+        """The build's one solver over the values of coordinates(k, i)."""
+        return self._solver(tuple(val for *_, val in self.coordinates(k, i)))
+
+    def search(self, k: int, i: int, held=()) -> tuple:
+        """(rows, solver, leads) of a chain search over coordinates(k, i):
+        the rows, the build's solver over their values, and every lead the
+        search may not dominate, as count vectors over the rows.  The leads
+        are q on p_j for each first-chain power q*e_j and the minimal
+        vectors of the processed positions, read off the records, then a
+        unit lead on the row of each second-chain member in held.  A lead
+        with an entry off the rows is left out, a vanished member's e_j
+        among them (a zero value gets no row), so only the records of
+        p_1..p_k and t_1..t_i are read."""
+        rows = self.coordinates(k, i)
+        keys = [(kind, idx) for kind, idx, _ in rows]
+        leads = [{("p", r.index): r.q} for r in self.p_chain[:k] if r.q is not None]
+        for rec in self.t_chain[:i]:
+            if rec.status == "ok":
+                leads += (
+                    {(kind, j): c for kind, part in (("p", v.p), ("t", v.t))
+                     for j, c in enumerate(part, 1) if c}
+                    for v in rec.D.members
+                )
+        leads += ({("t", j): 1} for j in held)
+        on = set(keys)
+        counts = [
+            tuple(d.get(key, 0) for key in keys) for d in leads if d.keys() <= on
+        ]
+        return rows, self._solver(tuple(val for *_, val in rows)), counts
+
     def rewrite(self, alpha: Value, k: int, i: int) -> PairVec:
         """The canonical rewrite of alpha (``irreducible_decompose``) over
-        the rows of coordinates(kk, i), kk = max(k, m_at(i), 1), cut by the
-        chain's leads on them.  k must be a floor coordinates would take."""
-        need_int("k", k)
-        if not 0 <= k <= len(self.p_chain):
-            raise ValueError(f"no rows p_1..p_{k} in the chains")
-        kk = max(k, self.m_at(i), 1)
-        rows = self.coordinates(kk, i)
-        solver = self.semigroup_solver(kk, i)
-        counts = irreducible_decompose(alpha, solver, self.lead_counts(rows))
-        return vec_over(rows, counts)
+        the rows of coordinates(k, i), cut by the chain's leads on them."""
+        rows, solver, leads = self.search(k, i)
+        return vec_over(rows, irreducible_decompose(alpha, solver, leads))
 
     def pushing_set(self, i: int) -> GeneratorSet:
         """Position i's D set (``minimal_pushing_set``): minimal irreducible
         vectors over coordinates(m, i - 1) and t*s at i whose value lies in
-        their semigroup, under the bounds' d-caps; a unit lead holds the row
+        their semigroup, under the bounds' d-caps; the search holds the row
         of each skipped member at zero."""
         need_int("i", i)
         if not 1 <= i <= len(self.t_chain):
@@ -428,11 +422,9 @@ class JumpState(Record):
         s, m = rec.s, rec.m
         if s is None or rec.gamma.is_zero():
             raise ValueError(f"position {i} is zero or has no group multiple")
-        rows = self.coordinates(m, i - 1)
+        skipped = [r.index for r in self.t_chain[: i - 1] if r.status == "skipped"]
+        rows, solver, leads = self.search(m, i - 1, held=skipped)
         keys = tuple(row[:2] for row in rows)
-        skipped = {("t", r.index) for r in self.t_chain if r.status == "skipped"}
-        leads = self.lead_counts(rows)
-        leads += [tuple(int(k == at) for k in keys) for at in keys if at in skipped]
         cap = self.bounds.d_coord_cap
         # grow the last staircase if cap, leading rows and padded leads carry over
         last_cap, last_keys, last_leads, base = self._staircase
@@ -443,8 +435,7 @@ class JumpState(Record):
         cover = staircase(base, [d for d in leads if d not in old], len(keys), cap)
         self._staircase = (cap, keys, leads, cover)
         minima, complete = minimal_pushing_set(
-            s * rec.gamma, self.semigroup_solver(m, i - 1), cover,
-            self.bounds.d_layer_cap, cap,
+            s * rec.gamma, solver, cover, self.bounds.d_layer_cap, cap
         )
         at_i = [*rows, ("t", i, rec.gamma)]
         counts = graded_sorted((*f, t * s) for *f, t in minima)

@@ -330,10 +330,10 @@ def redundancy_certificate(
     below = state.semigroup_solver(state.m_at(target), target - 1)
     if below.contains(rec.gamma) is None:
         return RedundancyCertificate(target, "not_eligible")
-    plen = len(state.p_chain)
-    tlen = len(state.t_chain)
-    rows = state.coordinates(plen, tlen)
-    lookup = state.semigroup_solver(plen, tlen)
+    # the member's own row is held: a rewrite of it may not use it
+    rows, lookup, leads = state.search(
+        len(state.p_chain), len(state.t_chain), held=[target]
+    )
     hi = rec.gamma + value_slack
     degs = []
     for kind, idx, _ in rows:
@@ -342,11 +342,6 @@ def redundancy_certificate(
         if d is None:
             raise InternalConsistencyError("zero member in coordinate rows")
         degs.append(d)
-    # what a rewrite monomial must not dominate, as counts over the rows:
-    # the target's own row, and the relation leads that lie on the rows
-    # (a vanished member carries no row)
-    leads = [tuple(int(row[:2] == ("t", target)) for row in rows)]
-    leads += state.lead_counts(rows)
 
     combo: list[tuple[Fraction, PairVec]] = []
     # the remainder, kept in ambient form only: validate_model's Jacobian

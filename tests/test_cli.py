@@ -204,6 +204,27 @@ def test_build_reports_config_errors(tmp_path, capsys):
     assert err.endswith(f"error: {bad}: not UTF-8 text at byte 0\n")
 
 
+@pytest.mark.parametrize("command", [["build"], ["ideal", "--sigma", "3"]],
+                         ids=["build", "ideal"])
+@pytest.mark.parametrize(
+    "option,value,why",
+    [
+        ("--max-t-index", "0", "expected a positive integer"),
+        ("--max-value", "abc", "expected a number or sqrt(...) (at position 0)"),
+    ],
+    ids=["max-t-index", "max-value"],
+)
+def test_a_bad_override_names_its_option(
+    second_config, capsys, command, option, value, why
+):
+    # the file's own bounds are good: the bad value came from the option
+    argv = [*command, "--config", second_config, option, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {option}: {why}\n"
+    assert "bounds." not in err
+
+
 def test_build_reports_unwritable_out(second_config, tmp_path, capsys):
     # exit 1 means verify-example found differences; a path that cannot
     # be written is a usage error

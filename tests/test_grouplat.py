@@ -895,9 +895,9 @@ def test_irreducible_decompose_is_the_least_irreducible_rewrite(which, state):
         want = oracles.irreducible_rewrites(built, alpha, kk, i)
         if not want:
             with pytest.raises(NotInSemigroupError):
-                built.rewrite(alpha, k, i)
+                built.rewrite(alpha, kk, i)
             continue
-        assert built.rewrite(alpha, k, i) == want[0]
+        assert built.rewrite(alpha, kk, i) == want[0]
         multi += len(want) > 1
     if which == 4:
         assert multi, "no probe had several rewrites"
@@ -928,9 +928,10 @@ def test_canonical_rewrite_is_found_within_a_node_budget(which, text, i, want):
         first = next(rec for rec in built.t_chain if rec.status == "pending")
         assert first.index == 15 < i
     alpha = parse_value(text, built.basis)
-    solver = built.semigroup_solver(max(1, built.m_at(i)), i)
+    k = max(1, built.m_at(i))
+    solver = built.semigroup_solver(k, i)
     before = solver.nodes
-    assert built.rewrite(alpha, 1, i) == want
+    assert built.rewrite(alpha, k, i) == want
     assert solver.nodes - before <= 1000
 
 

@@ -15,9 +15,10 @@ from valgen import (
     _golden,
     cli,
     jumpseq,
+    outputs,
 )
 from valgen.cli import load_config, main, parse_config
-from valgen.grouplat import staircase
+from valgen.grouplat import SemigroupSolver, staircase
 from valgen.jumpseq import vec_over
 from valgen.jumpseq import (
     SearchBounds,
@@ -265,26 +266,46 @@ def test_m_at_walks_past_unprocessed_rows(state, second_state):
     assert second_state.m_at(1) == 1
 
 
-def test_lead_counts_read_the_chain_records(state, second_state, monkeypatch):
+def test_a_state_takes_its_model_and_bounds_only(state):
+    # the chains and caches start empty in each state, so a cache built
+    # for another state cannot be handed to this one
+    given = {
+        "p_chain": state.p_chain, "t_chain": state.t_chain,
+        "_products": state._products, "_solvers": state._solvers,
+        "_thresholds": None, "_staircase": state._staircase,
+    }
+    for name, value in given.items():
+        with pytest.raises(TypeError):
+            jumpseq.JumpState(state.model, state.bounds, **{name: value})
+    with pytest.raises(TypeError):
+        jumpseq.JumpState(state.model, state.bounds, state.p_chain)
+    fresh = jumpseq.JumpState(state.model, state.bounds)
+    assert fresh.p_chain == [] and fresh.t_chain == []
+    assert fresh._products == {} and fresh._solvers == {}
+    assert fresh._thresholds is None
+    assert fresh._staircase == (None, (), (), ((),))
+
+
+def test_search_leads_read_the_chain_records(state, second_state, monkeypatch):
     def reference(st, rows):
         return Counter(oracles.on_rows(oracles.relation_leads(st), rows))
 
     # a power of the first chain: y - x has q = 1 in the second model
     assert second_state.p_chain[1].q == 1
     rows = second_state.coordinates(3, 1)
-    assert second_state.lead_counts(rows) == [(0, 1, 0, 0)]
+    assert second_state.search(3, 1)[2] == [(0, 1, 0, 0)]
     # a vanished member: position 11 of the worked example gets no row, so
     # its e_11 is never on the rows and adds no lead
     assert state.t_chain[10].poly.is_zero()
     assert PairVec((), (0,) * 10 + (1,)) in oracles.relation_leads(state)
     rows = state.coordinates(2, len(state.t_chain))
     assert ("t", 11) not in [(kind, idx) for kind, idx, _ in rows]
-    assert Counter(state.lead_counts(rows)) == reference(state, rows)
+    assert Counter(state.search(2, len(state.t_chain))[2]) == reference(state, rows)
     # a minimal vector of a processed position, x*z at position 1, and no
     # D member past t_1 on the rows of coordinates(2, 1)
     assert state.t_chain[0].D.members == (PairVec((1,), (1,)),)
     rows = state.coordinates(2, 1)
-    got = state.lead_counts(rows)
+    got = state.search(2, 1)[2]
     assert (1, 0, 1) in got
     assert Counter(got) == reference(state, rows)
     past = [v for v in oracles.relation_leads(state) if len(v.t) > 1]
@@ -295,11 +316,11 @@ def test_lead_counts_read_the_chain_records(state, second_state, monkeypatch):
     assert rec.status == "skipped" and rec.D is None
     rows = state.coordinates(2, len(state.t_chain))
     t16 = rows.index(("t", 16, rec.gamma))
-    leads = state.lead_counts(rows)
+    leads = state.search(2, len(state.t_chain))[2]
     assert not any(lead[t16] for lead in leads)
     stray = PairVec((1,), (0,) * 15 + (1,))
     monkeypatch.setattr(rec, "D", jumpseq.GeneratorSet((stray,), True))
-    assert state.lead_counts(rows) == leads
+    assert state.search(2, len(state.t_chain))[2] == leads
 
 
 def test_value_bookkeeping(state):
@@ -344,15 +365,18 @@ def test_products_refuse_vectors_past_the_chains(state):
     assert stopped.image_of(t11) == rec.image
 
 
-def test_the_rewrite_checks_a_floor_that_m_at_hides(state):
-    # m_at(4) is 2, so max(k, m_at(4), 1) would cover each of these k
+def test_the_rewrite_refuses_the_k_coordinates_refuses(state):
+    # the rewrite runs over coordinates(k, i) as given, with no floor under
+    # k, so the layout's own checks refuse a bad k
     gamma_5 = state.t_chain[4].gamma
     assert state.m_at(4) == 2
     assert str(state.rewrite(gamma_5, 2, 4)) == "(|1,0,0,1)"
     for k in (True, 1.5, 2.5):
         with pytest.raises(TypeError, match="^k must be an int"):
             state.rewrite(gamma_5, k, 4)
-    with pytest.raises(ValueError, match="^no rows p_1..p_-7 in the chains$"):
+    with pytest.raises(
+        ValueError, match=r"^no rows p_1..p_-7, t_1..t_4 in the chains$"
+    ):
         state.rewrite(gamma_5, -7, 4)
 
 
@@ -363,16 +387,15 @@ def test_coordinates_refuse_rows_outside_the_chains(state):
     solvers = dict(state._solvers)
     alpha = state.t_chain[1].gamma
     for k, i in ((2, -1), (-1, 0), (n_p + 1, 0), (2, n_t + 1)):
-        for ask in (state.coordinates, state.semigroup_solver):
+        for ask in (state.coordinates, state.semigroup_solver, state.search):
             with pytest.raises(ValueError, match="no rows p_"):
                 ask(k, i)
-    # the rewrite refuses the same i, and the same k although it is only a
-    # floor under m_at(i) and 1
+    # the rewrite refuses the same k and i
     for k, i in ((2, -1), (-1, 0), (n_p + 1, 0), (2, n_t + 1)):
         with pytest.raises(ValueError, match="no rows p_"):
             state.rewrite(alpha, k, i)
     for k, i in ((True, 1), (2, True), (2.0, 1), (2, 1.0)):
-        for ask in (state.coordinates, state.semigroup_solver):
+        for ask in (state.coordinates, state.semigroup_solver, state.search):
             with pytest.raises(TypeError, match="must be an int"):
                 ask(k, i)
     assert state._solvers == solvers
@@ -476,14 +499,111 @@ def test_coordinate_rows_round_trip(request, which):
             assert st.value_of(vec_over(rows, counts)) == combination(
                 counts, vals, st.basis
             )
-            # lead_counts writes each lead on the rows onto them and leaves
-            # out a lead with an entry off the rows: a zero position's e_j,
-            # a q*e_j beyond p_k, or a D member past t_i
+            # search writes each lead on the rows onto them and leaves out
+            # a lead with an entry off the rows: a zero position's e_j, a
+            # q*e_j beyond p_k, or a D member past t_i
             want = oracles.on_rows(leads, rows)
-            assert Counter(st.lead_counts(rows)) == Counter(want), (k, i)
+            assert Counter(st.search(k, i)[2]) == Counter(want), (k, i)
             kept += len(want)
             left_out += len(leads) - len(want)
     assert kept and left_out
+
+
+@pytest.mark.parametrize(
+    "which", ["example", "tower.json", "second.json", 0, 4, "q2-2"]
+)
+def test_every_chain_search_gets_the_leads_of_the_records(monkeypatch, which):
+    # the creating rewrites, the D searches and the survey's picks each
+    # receive the leads search returned for their rows, and those are the
+    # relation leads of the records on the rows (oracles.relation_leads)
+    # plus a unit lead on the row of each held member: none for a rewrite,
+    # each member skipped below a D search, the surveyed member for its
+    # picks.  A D search receives its leads as their staircase cover.
+    returned, at, checked = [], {}, Counter()
+
+    def want(rows, held):
+        st = at["state"]
+        units = [tuple(int(row[:2] == ("t", j)) for row in rows) for j in held]
+        return Counter(oracles.on_rows(oracles.relation_leads(st), rows) + units)
+
+    def entering(kind, run):
+        def entered(st, i, *args, **kwargs):
+            at.update(state=st, kind=kind, i=i)
+            return run(st, i, *args, **kwargs)
+        return entered
+
+    def expected(kind):
+        # the rows and held members of the search the caller should run
+        st, i = at["state"], at["i"]
+        assert at["kind"] == kind
+        if kind == "pick":
+            return st.coordinates(len(st.p_chain), len(st.t_chain)), [i]
+        rows = st.coordinates(st.t_chain[i - 1].m, i - 1)
+        if kind == "rewrite":
+            return rows, []
+        return rows, [r.index for r in st.t_chain[: i - 1] if r.status == "skipped"]
+
+    search = jumpseq.JumpState.search
+
+    def searched(st, k, i, held=()):
+        got = search(st, k, i, held)
+        returned.append(got[2])
+        return got
+
+    decompose = jumpseq.irreducible_decompose
+
+    def rewritten(alpha, solver, leads):
+        rows, held = expected("rewrite")
+        assert leads is returned[-1] and Counter(leads) == want(rows, held)
+        checked["rewrite"] += 1
+        return decompose(alpha, solver, leads)
+
+    pushing = jumpseq.minimal_pushing_set
+
+    def pushed(step, solver, cover, layer_cap, cap):
+        rows, held = expected("d")
+        assert Counter(returned[-1]) == want(rows, held)
+        fresh = staircase([()], returned[-1], len(rows), cap)
+        assert sorted(cover) == sorted(fresh)
+        checked["d"] += 1
+        return pushing(step, solver, cover, layer_cap, cap)
+
+    contains = SemigroupSolver.contains
+
+    def picked(solver, alpha, *cut):
+        # irreducible_decompose asks with leads too, inside a rewrite
+        if cut and at.get("kind") == "pick":
+            rows, held = expected("pick")
+            assert cut[0] is returned[-1] and Counter(cut[0]) == want(rows, held)
+            checked["pick"] += 1
+        return contains(solver, alpha, *cut)
+
+    monkeypatch.setattr(jumpseq.JumpState, "search", searched)
+    monkeypatch.setattr(jumpseq, "irreducible_decompose", rewritten)
+    monkeypatch.setattr(jumpseq, "minimal_pushing_set", pushed)
+    monkeypatch.setattr(SemigroupSolver, "contains", picked)
+    monkeypatch.setattr(
+        jumpseq, "_create_member", entering("rewrite", jumpseq._create_member)
+    )
+    monkeypatch.setattr(
+        jumpseq.JumpState, "pushing_set",
+        entering("d", jumpseq.JumpState.pushing_set),
+    )
+    monkeypatch.setattr(
+        outputs, "redundancy_certificate",
+        entering("pick", outputs.redundancy_certificate),
+    )
+    if which == "q2-2":
+        model, bounds, _, _ = parse_config(first_chain_config(2, 2), which)
+    else:
+        model, bounds = corpus_model(which)
+    redundancy_survey(build_state(model, bounds=bounds))
+    if which == "second.json":
+        # its one member has no group multiple and is not eligible, so
+        # nothing searches; "q2-2" searches under a first-chain power lead
+        assert checked == Counter()
+    else:
+        assert checked["rewrite"] and checked["d"] and checked["pick"], checked
 
 
 def test_polynomials_realize_their_values(state):

@@ -10,7 +10,9 @@ or imported name.  Docstrings and comments are not scanned.
 
 A second scan, of every module but jumpseq, finds every write to a
 chain, to the flags or to a chain-record field, so derived reports never
-mutate the chains.  A frozen record's constructor setting its own field
+mutate the chains.  It also finds every row key written out, a tuple
+literal whose first element is "p" or "t", so the layout of a search's
+rows and the leads on them are decided in jumpseq alone.  A frozen record's constructor setting its own field
 (``object.__setattr__(self, ...)`` in ``__init__``) writes no chain
 record, whatever the field's name.
 
@@ -39,7 +41,7 @@ CHAIN_NAMES = {
     "t_chain",
     "m_at",
     "coordinates",
-    "lead_counts",
+    "search",
     "value_of",
     "status",
 }
@@ -92,7 +94,7 @@ def test_the_scan_sees_every_kind():
         "h = sorted(xs, key=value_of)\n"
         "t_chain = p_chain\n"
         "solve(status=1)\n"
-        "from .values import lead_counts as reader\n"
+        "from .values import search as reader\n"
     )
     assert chain_reads(ast.parse(src)) == [
         (1, "import"),
@@ -106,7 +108,7 @@ def test_the_scan_sees_every_kind():
         (8, "p_chain"),
         (8, "t_chain"),
         (9, "status"),
-        (10, "lead_counts"),
+        (10, "search"),
     ]
     # value-level names, and chain words in strings, pass
     ok = (
@@ -270,6 +272,51 @@ def test_only_jumpseq_writes_the_chains():
     for path in sorted(GROUPLAT.parent.glob("*.py")):
         if path.stem != "jumpseq":
             found[path.stem] = chain_writes(ast.parse(path.read_text(), str(path)))
+    assert len(found) >= 8
+    assert {name: got for name, got in found.items() if got} == {}
+
+
+def row_keys(tree):
+    """(line, kind) for every tuple literal in a parsed module whose first
+    element is the string "p" or "t", in line order."""
+    return sorted(
+        (node.lineno, node.elts[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and node.elts
+        and isinstance(node.elts[0], ast.Constant)
+        and node.elts[0].value in ("p", "t")
+    )
+
+
+def test_the_row_key_scan_sees_every_kind():
+    src = (
+        "own = ('t', target)\n"
+        "rows = [('p', 1, beta)]\n"
+        "held = {('t', j): 1 for j in held}\n"
+        "for kind, part in (('p', v.p), ('t', v.t)): pass\n"
+        "key = 'p', idx\n"
+    )
+    assert row_keys(ast.parse(src)) == [
+        (1, "t"), (2, "p"), (3, "t"), (4, "p"), (4, "t"), (5, "p"),
+    ]
+    # a call naming a kind, a comparison, other strings and a later "p" pass
+    ok = (
+        "sym = _symbol('p', index)\n"
+        "part = p if kind == 'p' else t\n"
+        "pair = ('q', 1)\n"
+        "pair = (1, 't')\n"
+        "empty = ()\n"
+    )
+    assert row_keys(ast.parse(ok)) == []
+
+
+def test_only_jumpseq_writes_a_row_key():
+    found = {
+        path.stem: row_keys(ast.parse(path.read_text(), str(path)))
+        for path in sorted(GROUPLAT.parent.glob("*.py"))
+        if path.stem != "jumpseq"
+    }
     assert len(found) >= 8
     assert {name: got for name, got in found.items() if got} == {}
 

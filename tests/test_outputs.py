@@ -2,6 +2,7 @@ import copy
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -634,10 +635,10 @@ def test_eligibility_matches_the_semigroup_below_the_member(request, which):
 def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
     # each chain search asks the solver of its own rows: a member's
     # eligibility goes to the solver of coordinates(m_at(j), j - 1) with
-    # no leads, its picks to the full-chain solver with the member's own
-    # unit lead first, and a D search at i to the solver of
-    # coordinates(m, i - 1), its cover one entry per generator and zero on
-    # the row of every skipped member
+    # no leads, its picks to the full-chain solver with the relation leads
+    # and the member's own unit lead (in any order), and a D search at i to
+    # the solver of coordinates(m, i - 1), its cover one entry per
+    # generator and zero on the row of every skipped member
     searches = []
     search = jumpseq.minimal_pushing_set
 
@@ -683,9 +684,11 @@ def test_survey_reads_the_builds_full_chain_solver(monkeypatch):
                 assert (status == "not_eligible") == (picks == [])
                 rows = st.coordinates(len(st.p_chain), len(st.t_chain))
                 own = tuple(int(row[:2] == ("t", j)) for row in rows)
+                relation = oracles.on_rows(oracles.relation_leads(st), rows)
                 full = st.semigroup_solver(len(st.p_chain), len(st.t_chain))
                 for solver, (leads, *_) in picks:
-                    assert solver is full and leads[0] == own
+                    assert solver is full
+                    assert Counter(leads) == Counter([own, *relation])
 
 
 def test_tower_survey_search_stays_small():
