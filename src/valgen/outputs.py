@@ -11,20 +11,22 @@ monomial that can be a generator at a threshold up to the index's top,
 sorted by value once and numbered in the order of an answer, built by
 one depth-first walk (``_ThresholdIndex.build``) that reaches each entry
 once, from its least-valued row, on an explicit stack, as a path has no
-bound on its length.  A query at or below the top places its threshold
-and window ends among the sorted values on integer keys
-(``_ThresholdIndex.locate``), compares values exactly only where their
-64-bit enclosures overlap, and keeps, in order, the numbers that fall
-inside their own row's window; one above the top, or over changed chain
-rows, replaces the index.
+bound on its length.  Each entry keeps the rank, among the sorted
+values, of its value less its row's: the value of the monomial the walk
+reached it from.  A query at or below the top places its threshold, and
+the threshold plus the largest row value, among the sorted values on
+integer keys (``_ThresholdIndex.locate``), comparing values exactly only
+where their 64-bit enclosures overlap; the generators are the numbers
+between the two places whose rank lies below the threshold's place.  A
+query above the top, or over changed chain rows, replaces the index.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
-from operator import add, itemgetter, lt
+from operator import add, itemgetter, sub
 
 from .errors import InternalConsistencyError, ThresholdTooHighError
 from .grouplat import graded_sorted, minimal_semigroup_generators
@@ -50,8 +52,11 @@ DEFAULT_DEGREE_CAP = 40
 # ThresholdTooHighError rather than walking on below a tiny row value
 # until memory runs out.  The largest index the tests, the corpus and the
 # benchmark build holds 61,207 one-word entries (sigma 40 on the second
-# test model); reaching the budget takes about 1 s and 60 MB (100 MB for
-# the process) on a 2-core x86-64 host under Python 3.11.
+# test model).  On a 2-core x86-64 host under Python 3.11, a walk that
+# passes the budget raises after about 1.3 s and 61 MB traced (82 MB for
+# the process); the largest index within it, 498,095 entries at sigma 70
+# on that model, takes about 2 s and 89 MB traced (111 MB for the
+# process), its rank per entry included.
 INDEX_ENTRY_BUDGET = 500_000
 
 
@@ -83,14 +88,19 @@ class _ThresholdIndex(Record):
     lexicographically, the order of a query's answer: ``entries[r]``
     holds the counts of entry r and ``row_of[r]`` its row k.  The entries
     of ``values[i]`` are numbered from ``starts[i]`` up to ``starts[i +
-    1]``.  ``vecs`` keeps the PairVec of each entry a query has returned,
-    by number.
+    1]``.  ``vecs`` keeps the PairVec of each entry a query has
+    returned, by number.
+
+    Two fields are derived from the rest: ``_span``, the largest row
+    value (zero for no rows), and ``_lowered``.  Entry r's value less its
+    row's is that of v - e_k, which is zero or itself an entry, and
+    ``_lowered[r]`` is its rank in ``values``, -1 for zero.
     """
 
     # __weakref__ lets a test see that a replaced index is freed
     __slots__ = (
         "rows", "top", "zero", "values", "den", "highs", "lows", "starts",
-        "entries", "row_of", "vecs", "__weakref__",
+        "entries", "row_of", "vecs", "_span", "_lowered", "__weakref__",
     )
 
     def __init__(
@@ -106,10 +116,13 @@ class _ThresholdIndex(Record):
         entries: list[tuple[int, ...]],
         row_of: Sequence[int],
         vecs: dict[int, PairVec],
+        span: Value,
+        lowered: Sequence[int],
     ) -> None:
         self.rows, self.top, self.zero, self.values = rows, top, zero, values
         self.den, self.highs, self.lows, self.starts = den, highs, lows, starts
         self.entries, self.row_of, self.vecs = entries, row_of, vecs
+        self._span, self._lowered = span, lowered
 
     @classmethod
     def for_query(cls, state: JumpState, threshold: Value) -> "_ThresholdIndex":
@@ -133,16 +146,18 @@ class _ThresholdIndex(Record):
         carries its counts and its value - top as common numerators with
         their 64-bit bounds, which add along a path, and ``sign_within``
         refines a sign only when they straddle zero.  The distinct values
-        are then sorted as Values, each with its entries.
+        are then sorted as Values, each with its entries, and an entry's
+        ``_lowered`` rank is read off its parent's value - top, which is
+        the root's or an entry's.
 
         Every entry v is reached: its parent v - e_k lies below top, and
         each earlier vector on its path lies below the parent.  This is a
         canonical-parent enumeration (Avis and Fukuda, "Reverse search
         for enumeration", 1996).
         """
-        # starts and row_of are int64 arrays: a list would hold one int
-        # object per value or entry; imported here, where an index is
-        # built, so that importing valgen does not load the module
+        # starts, row_of and lowered are int64 arrays: a list would hold
+        # one int object per value or entry; imported here, where an index
+        # is built, so that importing valgen does not load the module
         from array import array
 
         den, steps = over_common_den(
@@ -186,26 +201,37 @@ class _ThresholdIndex(Record):
                 push((r + 1, child, child_diff, lo + step_lo, hi + step_hi))
         # one Value per distinct value, sorted with its entries by value
         groups = sorted(
-            ((Value(state.basis, tuple(map(add, diff, top_nums)), den), got)
+            ((Value(state.basis, tuple(map(add, diff, top_nums)), den),
+              diff, got)
              for diff, got in found.items()),
             key=itemgetter(0),
         )
+        # the rank of each entry's value - top; an entry of row k came
+        # from the vector of diff - step k, an entry or the root, whose
+        # diff -top is no entry's and ranks -1
+        ranks = {diff: i for i, (_, diff, _) in enumerate(groups)}
         values: list[Value] = []
         starts = array("q", [0])
         entries: list[tuple[int, ...]] = []
         row_of = array("q")
-        for value, got in groups:
+        lowered = array("q")
+        for value, diff, got in groups:
             values.append(value)
             group = graded_sorted(got)
             entries += group
-            row_of.extend(map(got.__getitem__, group))
+            for counts in group:
+                k = got[counts]
+                row_of.append(k)
+                lowered.append(ranks.get(tuple(map(sub, diff, steps[k])), -1))
             starts.append(len(entries))
         bounds = [value.bounds_over(den) for value in values]
         lows = [lo for lo, _ in bounds]
         highs = [hi for _, hi in bounds]
+        zero = state.basis.zero()
+        span = rows[rank[-1][0]][2] if rank else zero
         return cls(
-            rows, top, state.basis.zero(), values, den, highs, lows, starts,
-            entries, row_of, {},
+            rows, top, zero, values, den, highs, lows, starts, entries,
+            row_of, {}, span, lowered,
         )
 
     def locate(self, value: Value, right: bool = False, start: int = 0) -> int:
@@ -218,7 +244,10 @@ class _ThresholdIndex(Record):
         and, the values ascending, every earlier one lie below value.
         Likewise every value from b = bisect_right(lows, hi) on lies above
         it.  The bounds need not ascend for this; the answer lies in [a,
-        b], and only there are values compared (``Value._cmp``)."""
+        b], and only there are values compared (``Value._cmp``).  The
+        place of sigma is also the number of values below it, so it
+        answers both where an answer starts and which ``_lowered`` ranks
+        lie below sigma."""
         lo, hi = value.bounds_over(self.den)
         a = bisect_left(self.highs, lo, start)
         b = bisect_right(self.lows, hi, start)
@@ -230,6 +259,24 @@ class _ThresholdIndex(Record):
             else:
                 b = mid
         return a
+
+    def minimal(self, sigma: Value) -> Iterator[int]:
+        """The numbers of the minimal generators at sigma > 0, ascending.
+
+        A vector reaching sigma is minimal exactly when dropping one unit
+        of its least-valued row k takes it below sigma: its value lies in
+        [sigma, sigma + value(row k)), and its value less row k's, ranked
+        in ``_lowered``, below sigma.
+        The numbers from first, that of the first value at least sigma,
+        up to stop, that of the first value at least sigma plus the
+        largest row value, hold every such entry, and of them those whose
+        ``_lowered`` rank lies below sigma's place are kept."""
+        place = self.locate(sigma)
+        first = self.starts[place]
+        stop = self.starts[self.locate(sigma + self._span, start=place)]
+        return compress(
+            range(first, stop), map(place.__gt__, self._lowered[first:stop])
+        )
 
     def member(self, number: int) -> PairVec:
         """The PairVec of entry number, built the first time."""
@@ -254,22 +301,11 @@ def ideal_generators(state: JumpState, sigma: Value) -> GeneratorSet:
     complete = not state.flags.truncated
     if sigma.sign() <= 0:
         return GeneratorSet((PairVec((), ()),), complete)
+    # the entries read in answer order: two places among the index's
+    # values and one integer comparison per entry between them
     index = _ThresholdIndex.for_query(state, sigma)
-    # a vector reaching sigma is minimal exactly when dropping one unit of
-    # its least-valued row takes it below sigma: row k's entries of value
-    # sigma <= value < sigma + value(row k), numbered from first, that of
-    # the first value at least sigma, up to ends[k], that of the window's
-    # end; the numbers from first on are kept, in order, where they lie
-    # below their own row's end
-    low = index.locate(sigma)
-    starts = index.starts
-    first = starts[low]
-    ends = [starts[index.locate(sigma + row, start=low)] for *_, row in index.rows]
-    stop = max(ends, default=first)
-    numbers = range(first, stop)
-    below = map(lt, numbers, map(ends.__getitem__, index.row_of[first:stop]))
     return GeneratorSet(
-        tuple(map(index.member, compress(numbers, below))), complete
+        tuple(map(index.member, index.minimal(sigma))), complete
     )
 
 

@@ -37,12 +37,17 @@ threshold index in ``outputs`` carries lo/hi along its walk over integer
 numerator tuples over one common denominator (``over_common_den``), and
 sorts the distinct values it finds as Values, by this order.
 
-``parse_value`` reads the ``exact_str`` form with ``Scanner``, which the
-polynomial parser in ``laurent`` extends, sums its terms into integer
+``parse_value`` reads the ``exact_str`` form one signed term per match
+of one compiled pattern (``_TERM``), sums the terms into integer
 numerators over one running denominator and builds one Value from them.
+A match that is no whole term ends where the text leaves the grammar,
+and its groups name the error there; an integer due there is read with
+``Scanner.read_int``, so a missing or over-long one is reported as the
+polynomial parser in ``laurent``, built on ``Scanner``, reports it.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -511,7 +516,8 @@ def combination(
 
 
 class Scanner:
-    """A cursor over text, with the readers both text formats share.
+    """A cursor over text, with the readers the polynomial parser is built
+    on; ``parse_value`` reads an integer with them where it reports one.
 
     Errors are ParseErrors at the cursor, or at a position the caller
     names.
@@ -584,6 +590,27 @@ class Scanner:
         return num, den
 
 
+# one term of a value's text and the sign before it: n[/d][*sqrt(r)] or
+# sqrt(r), whitespace allowed between tokens, an integer of at most
+# MAX_INT_DIGITS digits.  Each token after the sign is optional but
+# follows only a whole prefix of a term, so a match runs to where the text
+# leaves the grammar, and its last group names the token there; a term
+# is whole when that is one of _TERM_ENDS.  (?!) never matches: it bars
+# '*' after an n/ without d, and sqrt after a number without '*'.
+_INT = rf"\d{{1,{MAX_INT_DIGITS}}}(?!\d)"
+_TERM = re.compile(
+    rf"""\s* (?P<sign>[+-]?) \s*
+    (?: (?P<num>{_INT})
+        (?: \s* (?P<slash>/) \s* (?P<den>{_INT})? )?
+        (?: (?(slash)(?(den)|(?!))) \s* (?P<star>\*) \s* )? )?
+    (?: (?(num)(?(star)|(?!))) (?P<root>sqrt) \s*
+        (?: (?P<open>\() \s* (?: (?P<rad>{_INT}) \s* (?P<close>\))? )? )? )?
+    \s*""",
+    re.VERBOSE,
+)
+_TERM_ENDS = frozenset(("num", "den", "close"))
+
+
 def parse_value(text: str, basis: RadicalBasis) -> Value:
     """Parse text like ``2*sqrt(2) - 1`` or ``7/2`` into a Value.
 
@@ -591,43 +618,56 @@ def parse_value(text: str, basis: RadicalBasis) -> Value:
     radicand, joined by ``+`` and ``-``; the first may carry a sign.
     Raises ParseError with the offending position otherwise.
     """
-    s = Scanner(text)
-    s.skip_ws()
-    if s.pos == len(text):
-        raise s.error("empty value")
+    radicands = basis.radicands
     # the sum so far: integer numerators over one running denominator
     nums = [0] * basis.dim
     den = 1
-    op = s.take("+-")
+    m = _TERM.match(text)
     while True:
-        s.skip_ws()
-        # term: sqrt(r) | rational [* sqrt(r)]; a bare rational is over
-        # sqrt(1), and only '*' joins a rational to sqrt
-        rad, num, d = 1, 1, 1
-        root = text.startswith("sqrt", s.pos)
-        if not root:
-            if not s.peek().isdecimal():
-                raise s.error("expected a number or sqrt(...)")
-            num, d = s.read_ratio()
-            if root := bool(s.take("*")):
-                s.skip_ws()
-                if not text.startswith("sqrt", s.pos):
-                    raise s.error("expected sqrt(...) after '*'")
-        if root:
-            s.pos += 4
-            s.expect("(", "expected '(' after sqrt")
-            s.skip_ws()
-            rad_pos = s.pos
-            rad = s.read_int()
-            s.expect(")")
-            if rad not in basis.radicands:
-                raise s.error(f"radicand {rad} is not in the basis", rad_pos)
+        sign, num, d, rad = m.group("sign", "num", "den", "rad")
+        d = int(d) if d else 1
+        # a bare n/d is over sqrt(1)
+        rad = int(rad) if rad else 1
+        if not d or rad not in radicands or m.lastgroup not in _TERM_ENDS:
+            raise _term_error(text, m)
+        num = int(num) if num else 1
         if den % d:
             scale = d // gcd(den, d)
             nums = [a * scale for a in nums]
             den *= scale
-        nums[basis.index_of(rad)] += (-num if op == "-" else num) * (den // d)
-        op = s.take("+-")
-        if not op:
-            s.finish()
+        if sign == "-":
+            num = -num
+        nums[radicands.index(rad)] += num * (den // d)
+        pos = m.end()
+        if pos == len(text):
             return Value(basis, nums, den)
+        m = _TERM.match(text, pos)
+        if not m["sign"]:
+            raise ParseError("unexpected trailing text", pos)
+
+
+def _term_error(text: str, m: re.Match) -> ParseError:
+    """The ParseError of a ``_TERM`` match that is no term: the first in
+    the text of a zero denominator, the grammar left where the match
+    ends, and a radicand outside the basis."""
+    if m["den"] and not int(m["den"]):
+        return ParseError("zero denominator", m.end("num"))
+    s = Scanner(text)
+    s.pos = m.end()
+    last = m.lastgroup
+    # an integer is due: none is there, or it has too many digits
+    if last in ("slash", "open") or (last == "sign" and s.peek().isdecimal()):
+        s.read_int()
+    if last == "sign":
+        if not m["sign"] and s.pos == len(text):
+            return s.error("empty value")
+        return s.error("expected a number or sqrt(...)")
+    if last == "star":
+        return s.error("expected sqrt(...) after '*'")
+    if last == "root":
+        return s.error("expected '(' after sqrt")
+    if last == "rad":
+        return s.error("expected ')'")
+    return ParseError(
+        f"radicand {int(m['rad'])} is not in the basis", m.start("rad")
+    )

@@ -2,15 +2,17 @@
 
 Everything here favors obviousness over speed and shares nothing with
 the package beyond exact value arithmetic, so it can serve as an
-independent oracle for the search code.
+independent oracle for the search code; ``scan_value``, the reference
+for ``parse_value``, walks a text with the package's ``Scanner`` readers.
 """
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import ge, mul
 
 from valgen import PairVec, Value
+from valgen.values import Scanner
 
 
 def value_from_coeffs(basis, coeffs):
@@ -372,3 +374,49 @@ def irreducible_rewrites(state, alpha, kk, i):
         if not any(dominates(vec, lead) for lead in leads):
             found.append((counts[::-1], vec))
     return [vec for _, vec in sorted(found)]
+
+
+def scan_value(text, basis):
+    """``parse_value`` as a cursor walk over the text, one ``Scanner``
+    reader per token: text like ``2*sqrt(2) - 1`` or ``7/2`` as a Value,
+    or a ParseError at the offending position."""
+    s = Scanner(text)
+    s.skip_ws()
+    if s.pos == len(text):
+        raise s.error("empty value")
+    # the sum so far: integer numerators over one running denominator
+    nums = [0] * basis.dim
+    den = 1
+    op = s.take("+-")
+    while True:
+        s.skip_ws()
+        # term: sqrt(r) | rational [* sqrt(r)]; a bare rational is over
+        # sqrt(1), and only '*' joins a rational to sqrt
+        rad, num, d = 1, 1, 1
+        root = text.startswith("sqrt", s.pos)
+        if not root:
+            if not s.peek().isdecimal():
+                raise s.error("expected a number or sqrt(...)")
+            num, d = s.read_ratio()
+            if root := bool(s.take("*")):
+                s.skip_ws()
+                if not text.startswith("sqrt", s.pos):
+                    raise s.error("expected sqrt(...) after '*'")
+        if root:
+            s.pos += 4
+            s.expect("(", "expected '(' after sqrt")
+            s.skip_ws()
+            rad_pos = s.pos
+            rad = s.read_int()
+            s.expect(")")
+            if rad not in basis.radicands:
+                raise s.error(f"radicand {rad} is not in the basis", rad_pos)
+        if den % d:
+            scale = d // gcd(den, d)
+            nums = [a * scale for a in nums]
+            den *= scale
+        nums[basis.index_of(rad)] += (-num if op == "-" else num) * (den // d)
+        op = s.take("+-")
+        if not op:
+            s.finish()
+            return Value(basis, nums, den)

@@ -14,7 +14,9 @@ fallbacks are counted, and a mutant that trusts the fixed-point sum
 alone is shown to fail the same checks.  The build decides one sign per
 vector it visits, zero and each entry once.  ``locate`` is checked against ``bisect`` over the
 index's values on four models, one of them built so that its values tie
-within their enclosures.
+within their enclosures.  A query's rank test (``_ThresholdIndex.minimal``)
+runs at a threshold that entries' values less their rows' lie within
+2^-90 of, on either side, or equal.
 """
 import copy
 from bisect import bisect_left, bisect_right
@@ -124,13 +126,26 @@ ROWS = [
 ] + [TOP]
 
 
-def near_tie_index():
-    """``_ThresholdIndex.build`` over ROWS, topped at TOP, for a stand-in
+# the rank test's rows: FAR + y for each y within 2^-90 of zero (Pell
+# pairs with q >= 2^89, of both signs), FAR itself, 3/4*FAR and FAR +
+# 2^50.  Topped at FAR + 1, the vectors below the top are zero and each
+# row but the last, so an entry's value less its row's is zero, 3/4*FAR,
+# or a row within 2^-90 of FAR, above, below or equal to it.  The last row
+# has no entry above it, so sigma = FAR plus it, the stop, ties none.
+RANK_TIES = [(p, -q, 0) for p, q in pell_pairs(89, 100)]
+RANK_ROWS = [tuple(map(add, FAR, y)) for y in RANK_TIES] + [
+    FAR, (3 << 98, 0, 0), (FAR[0] + (1 << 50), 0, 0),
+]
+RANK_TOP = (FAR[0] + 1, 0, 0)
+
+
+def near_tie_index(rows=ROWS, top=TOP):
+    """``_ThresholdIndex.build`` over rows, topped at top, for a stand-in
     state that carries only the basis."""
     basis = RadicalBasis(RADS)
-    rows = [("t", k + 1, Value(basis, nums, 1)) for k, nums in enumerate(ROWS)]
+    rows = [("t", k + 1, Value(basis, nums, 1)) for k, nums in enumerate(rows)]
     return _ThresholdIndex.build(
-        SimpleNamespace(basis=basis), rows, Value(basis, TOP, 1)
+        SimpleNamespace(basis=basis), rows, Value(basis, top, 1)
     )
 
 
@@ -221,18 +236,63 @@ def test_walk_decides_one_sign_per_entry(monkeypatch, second_state):
     assert len(calls) == len(index.entries) + 1
 
 
-def test_minimality_test_on_near_ties():
+def lowered_diffs(index, sigma):
+    """Per entry of an index over RANK_ROWS: its value - sigma, and its
+    value less its row's - sigma, as numerators over 1, as are sigma and
+    the rows."""
+    out = []
+    for counts, k in zip(index.entries, index.row_of):
+        value = [-a for a in sigma]
+        for c, row in zip(counts, RANK_ROWS):
+            value = [a + c * b for a, b in zip(value, row)]
+        out.append((value, list(map(sub, value, RANK_ROWS[k]))))
+    return out
+
+
+def within(vec, bits):
+    """Whether sum(vec_k * sqrt(r_k)) lies within 2^-bits of zero."""
+    lo, hi = int_vec_bounds(vec, RADS, 256)
+    return max(-lo, hi) < 1 << 256 - bits
+
+
+def test_minimality_test_on_near_ties(fallbacks):
     index = near_tie_index()
     want = entries_by_definition()
     assert dict(zip(index.entries, index.row_of)) == want
     # both kinds of entry: below the threshold, and above it by a near tie
     assert max(map(sum, want)) == 2
+    # the rank test: a minimal generator at sigma reaches it, and its
+    # value less its row's lies below it
+    index = near_tie_index(RANK_ROWS, RANK_TOP)
+    sigma = Value(index.top.basis, FAR, 1)
+    diffs = lowered_diffs(index, FAR)
+    fallbacks.clear()
+    got = list(index.minimal(sigma))
+    assert got == [
+        r for r, (value, lowered) in enumerate(diffs)
+        if int_vec_sign(value, RADS) >= 0 > int_vec_sign(lowered, RADS)
+    ]
+    # entries reaching sigma whose lowered value lies within 2^-90 of it,
+    # on either side, and equal to it, which is not minimal
+    near = {
+        int_vec_sign(lowered, RADS) for value, lowered in diffs
+        if int_vec_sign(value, RADS) >= 0 and within(lowered, 90)
+    }
+    assert near == {-1, 0, 1}
+    # the exact path decided sigma against near ties only, and it ran
+    assert fallbacks and all(within(vec, 90) for vec in fallbacks)
 
 
 def test_minimality_test_fails_under_a_mutant(monkeypatch):
+    index = near_tie_index(RANK_ROWS, RANK_TOP)
+    sigma = Value(index.top.basis, FAR, 1)
+    want = list(index.minimal(sigma))
     monkeypatch.setattr(outputs, "sign_within", trusts_a)
     index = near_tie_index()
     assert dict(zip(index.entries, index.row_of)) != entries_by_definition()
+    # the rank test trusting the fixed-point sum in place of the exact path
+    monkeypatch.setattr(values, "int_vec_sign", trusts_a)
+    assert list(index.minimal(sigma)) != want
 
 
 def value_pairs():

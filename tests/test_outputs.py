@@ -198,23 +198,24 @@ def test_queries_walk_once_and_then_read_the_index(second_state, monkeypatch):
         return st._thresholds
 
     # cold: one build, and one Value per distinct indexed value besides
-    # the zero of the slices and a window end per row
+    # the zero of the slices and the stop, sigma plus the largest row
+    # value; an entry's lowered value is an indexed value or zero, so it
+    # builds none
     index = ask(sigma)
     assert builds == 1
-    rows = len(index.rows)
-    assert len(index.values) <= built <= len(index.values) + 1 + rows
-    # below the top: no build, a Value for each window end and no other,
-    # and one Value comparison per call, whether the index is stale; the
-    # threshold and the window ends are placed on integers, with at most
-    # a few indexed values whose enclosures overlap theirs compared
-    # (Value._cmp beyond the comparisons), and the 64-bit enclosures
-    # decide nearly every exact sign
+    assert len(index.values) <= built <= len(index.values) + 2
+    # below the top: no build, one Value, the stop, and one Value
+    # comparison per call, whether the index is stale; the threshold and
+    # the stop are placed on integers, with at most a few indexed values
+    # whose enclosures overlap theirs compared (Value._cmp beyond the
+    # comparisons), and the 64-bit enclosures decide nearly every exact
+    # sign
     assert ask(below) is index
     assert builds == 0
-    assert built == rows
+    assert built == 1
     assert compared == 2
-    assert placed - compared <= rows
-    assert exact <= 20
+    assert placed - compared <= 2
+    assert exact <= 4
     # above the top: one rebuild, topped at the new threshold
     rebuilt = ask(above)
     assert rebuilt is not index and rebuilt.top == above

@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valgen import ParseError, RadicalBasis, Value, parse_value, values
 from valgen.values import combination
 
-from oracles import value_from_coeffs
+from oracles import scan_value, value_from_coeffs
+from test_text_forms import B as B123, spaced, values as values123
 
 B = RadicalBasis((1, 2, 51))
 
@@ -317,6 +318,52 @@ def test_parse_errors_carry_positions(text, pos):
         parse_value(text, B)
     assert exc.value.pos == pos
     assert f"position {pos}" in str(exc.value)
+
+
+def parse_outcome(parse, text, basis):
+    """What parse makes of text: a Value, or a ParseError's message and
+    position."""
+    try:
+        return parse(text, basis)
+    except ParseError as err:
+        return err.bare_message, err.pos
+
+
+# the characters of the edits: the tokens' own, whitespace, and a digit
+# that isdigit passes and int() refuses
+EDIT_CHARS = st.sampled_from([*"0123456789+-*/()sqrt", " ", "\t", "²"])
+
+
+def spaced_value(data):
+    """A random Value's text, with drawn whitespace around its tokens."""
+    return spaced(data.draw(values123).exact_str(), data)
+
+
+def agrees_with_the_scanner_walk(text):
+    """Assert that parse_value makes of text what scan_value makes of it,
+    and return that."""
+    want = parse_outcome(scan_value, text, B123)
+    assert parse_outcome(parse_value, text, B123) == want, repr(text)
+    return want
+
+
+@given(st.data())
+def test_spaced_values_parse_as_the_scanner_walk_reads_them(data):
+    assert isinstance(agrees_with_the_scanner_walk(spaced_value(data)), Value)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_edited_values_parse_as_the_scanner_walk_reads_them(data):
+    text = spaced_value(data)
+    at = data.draw(st.integers(0, len(text)))
+    kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    if kind == "insert":
+        text = text[:at] + data.draw(EDIT_CHARS) + text[at:]
+    else:
+        new = "" if kind == "delete" else data.draw(EDIT_CHARS)
+        text = text[:at] + new + text[at + 1 :]
+    agrees_with_the_scanner_walk(text)
 
 
 def test_module_level_helpers():
