@@ -380,15 +380,12 @@ def _symbol(kind: str, index: int) -> str:
 
 def vector_symbol(vec: PairVec) -> str:
     parts = []
-    for pos, c in enumerate(vec.p):
-        if c:
-            name = _symbol("p", pos + 1)
-            parts.append(name if c == 1 else f"{name}^{c}")
-    for pos, c in enumerate(vec.t):
-        if c:
-            name = _symbol("t", pos + 1)
-            parts.append(name if c == 1 else f"{name}^{c}")
-    return "*".join(parts) if parts else "1"
+    for kind, part in zip("pt", (vec.p, vec.t)):
+        for pos, c in enumerate(part, 1):
+            if c:
+                name = _symbol(kind, pos)
+                parts.append(name if c == 1 else f"{name}^{c}")
+    return "*".join(parts) or "1"
 
 
 def _doc_symbol(vec: dict) -> str:
@@ -397,8 +394,7 @@ def _doc_symbol(vec: dict) -> str:
 
 
 def render_text(doc: dict, elapsed: float | None = None) -> str:
-    lines = []
-    lines.append("first chain")
+    lines = ["first chain"]
     for row in doc["p_chain"]:
         q = row["q"]
         lines.append(
@@ -406,8 +402,7 @@ def render_text(doc: dict, elapsed: float | None = None) -> str:
             f"  (~{row['value']['approx']})  q={q if q is not None else '?'}"
         )
         lines.append(f"      {row['poly']}")
-    lines.append("")
-    lines.append("second chain")
+    lines += ["", "second chain"]
     for row in doc["t_chain"]:
         s = row["s"]
         head = (
@@ -426,8 +421,7 @@ def render_text(doc: dict, elapsed: float | None = None) -> str:
                 f"      from step {made['step']}: {_doc_symbol(made['vector'])}"
                 f" - ({row['scalar']}) * {_doc_symbol(row['rewrite'])}"
             )
-    lines.append("")
-    lines.append("redundancy")
+    lines += ["", "redundancy"]
     for row in doc["redundancy"]:
         if row["combo"] is None:
             lines.append(f"  T{row['target']}: {row['status']}")
@@ -436,51 +430,32 @@ def render_text(doc: dict, elapsed: float | None = None) -> str:
                 f"({e['coeff']})*{_doc_symbol(e['vector'])}" for e in row["combo"]
             )
             lines.append(f"  T{row['target']}: {row['status']}  = {combo}")
-    lines.append("")
     seq = doc["sequence"]
     tag = "certified minimal" if seq["certified"] else "not certified minimal"
-    lines.append(f"generating sequence ({tag})")
-    for text in seq["polynomials"]:
-        lines.append(f"  {text}")
-    lines.append("")
-    lines.append("graded ring relations")
+    lines += ["", f"generating sequence ({tag})"]
+    lines += [f"  {text}" for text in seq["polynomials"]]
+    lines += ["", "graded ring relations"]
     for row in doc["relations"]:
         lines.append(
             f"  {_doc_symbol(row['lhs'])} = ({row['scalar']})"
             f" * {_doc_symbol(row['rhs'])}"
         )
-    lines.append("")
     semi = doc["semigroup"]
-    lines.append(
-        f"semigroup values up to {semi['cap']['text']}"
-        + ("" if semi["complete"] else "  (maybe incomplete)")
-    )
+    mark = "" if semi["complete"] else "  (maybe incomplete)"
+    lines += ["", f"semigroup values up to {semi['cap']['text']}{mark}"]
     lines.append("  " + ", ".join(v["text"] for v in semi["values"]))
     flags = doc["flags"]
-    notes = []
-    if flags["p_truncated"]:
-        notes.append("first chain truncated")
-    if flags["t_truncated"]:
-        notes.append("second chain truncated")
-    if flags["skipped"]:
-        notes.append(
-            "skipped members: " + ", ".join(str(j) for j in flags["skipped"])
-        )
-    if flags["d_incomplete"]:
-        notes.append(
-            "vector searches capped at: "
-            + ", ".join(str(j) for j in flags["d_incomplete"])
-        )
+    notes = [f"{which} chain truncated" for which, key in
+             (("first", "p_truncated"), ("second", "t_truncated")) if flags[key]]
+    for key, label in (("skipped", "skipped members"),
+                       ("d_incomplete", "vector searches capped at")):
+        if flags[key]:
+            notes.append(f"{label}: " + ", ".join(map(str, flags[key])))
     if notes:
-        lines.append("")
-        lines.append("notes")
-        for n in notes:
-            lines.append(f"  {n}")
+        lines += ["", "notes", *(f"  {n}" for n in notes)]
     if elapsed is not None:
-        lines.append("")
-        lines.append(f"elapsed: {elapsed:.2f}s")
-    lines.append("")
-    return "\n".join(lines)
+        lines += ["", f"elapsed: {elapsed:.2f}s"]
+    return "\n".join(lines) + "\n"
 
 
 def _write_atomic(path: str, data: str) -> None:

@@ -15,9 +15,10 @@ Both group questions are answered by one column echelon form of the
 generators' numerators (``over_common_den``, ``column_echelon``) and a
 forward substitution; semigroup questions go to one ``SemigroupSolver``
 per generator tuple.  Arguments are values, solvers and count vectors
-over a solver's generators; a search reads its values off its solver,
-and a unit lead holds the count of a generator it may not use at zero.
-``jumpseq`` decides which solver and leads a chain supplies.
+over a solver's generators, leads loose or filed once (``file_leads``);
+a search reads its values off its solver, and a unit lead holds the
+count of a generator it may not use at zero.  ``jumpseq`` decides which
+solver and leads a chain supplies.
 """
 from __future__ import annotations
 
@@ -140,6 +141,26 @@ def lattice_solve(
 # -- semigroup membership -------------------------------------------------
 
 
+def file_leads(leads: Iterable[Sequence[int]], n: int, base=()) -> dict:
+    """The leads, each n nonnegative ints not all zero, filed on a copy of
+    base by their first nonzero entry, the last the search fixes: index k
+    maps to (head, c) per lead whose first nonzero entry is c at k, head
+    its later nonzero entries as (index, count).  A filed list is never
+    changed in place, so copies share them."""
+    ends = dict(base)
+    for lead in leads:
+        if len(lead) != n:
+            raise ValueError("a lead needs one count per generator")
+        nonzero = [(k, c) for k, c in enumerate(lead) if c]
+        for _, c in nonzero:
+            need_int("an entry of leads", c)
+        if not nonzero or min(lead) < 0:
+            raise ValueError("a lead must be nonzero and nonnegative")
+        (k, c), *head = nonzero
+        ends[k] = [*ends.get(k, ()), (head, c)]
+    return ends
+
+
 class SemigroupSolver:
     """Decides membership in the semigroup generated by positive values.
 
@@ -212,7 +233,7 @@ class SemigroupSolver:
     def contains(
         self,
         alpha: Value,
-        leads: Sequence[Sequence[int]] = (),
+        leads: Sequence[Sequence[int]] | dict = (),
         degrees: Sequence[int] = (),
         cap: int | None = None,
     ) -> tuple[int, ...] | None:
@@ -220,30 +241,18 @@ class SemigroupSolver:
         generator order, or None.
 
         Given leads (nonzero, nonnegative count vectors over the same
-        order) or a cap on the degree sum(counts[k] * degrees[k]) with
-        nonnegative degrees, one per generator, only a solution that
-        dominates no lead componentwise and stays within the cap counts.
-        Both are down-sets, so the search cuts every prefix of counts that
-        already breaks one, with its whole subtree.
+        order, loose or filed by ``file_leads``) or a cap on the degree
+        sum(counts[k] * degrees[k]) with nonnegative degrees, one per
+        generator, only a solution that dominates no lead componentwise
+        and stays within the cap counts.  Both are down-sets, so the
+        search cuts every prefix of counts that already breaks one, with
+        its whole subtree.
         """
         self.queries += 1
         if alpha.basis != self.basis:
             raise ValueError("value carries a different radical basis")
         n = self.count
-        # per search position j (generator n-1-j, so a lead's entries come
-        # last first), the leads whose last nonzero entry sits there: their
-        # earlier entries as (position, count), and that count
-        ends: list[list] = [[] for _ in range(n)]
-        for lead in leads:
-            if len(lead) != n:
-                raise ValueError("a lead needs one count per generator")
-            nonzero = [(n - 1 - k, c) for k, c in enumerate(lead) if c]
-            for _, c in nonzero:
-                need_int("an entry of leads", c)
-            if not nonzero or min(lead) < 0:
-                raise ValueError("a lead must be nonzero and nonnegative")
-            (j, c), *head = nonzero
-            ends[j].append((head, c))
+        ends = leads if isinstance(leads, dict) else file_leads(leads, n)
         if (degrees or cap is not None) and len(degrees) != n:
             raise ValueError("degrees need one entry per generator")
         # without a cap the degrees are read as 0 and never counted
@@ -265,14 +274,15 @@ class SemigroupSolver:
         return self._counts(0, rem, [0] * n, ends, degs, room)
 
     def _counts(
-        self, j: int, rem: tuple[int, ...], prefix: list[int], ends: list,
+        self, j: int, rem: tuple[int, ...], prefix: list[int], ends: dict,
         degs: Sequence[int], room: int,
     ) -> tuple[int, ...] | None:
         """The first counts of gvecs[j:] summing to rem, which lies in their
         cone, that the cut lets through, or None; in the given generator
-        order, so the count of gvecs[j] comes last.  The count at j goes to
-        prefix[j], stays within the room prefix[:j] leaves under the cap and
-        with prefix[:j] dominates no lead of ``ends[j]``."""
+        order, so the count of gvecs[j] comes last.  The count at j, that of
+        generator k = count-1-j, goes to prefix[k], stays within the room
+        the counts fixed before it leave under the cap and with them
+        dominates no lead of ``ends[k]``."""
         self.nodes += 1
         if not any(rem):
             # positive generators: only the zero counts sum to zero
@@ -293,12 +303,13 @@ class SemigroupSolver:
         deg = degs[j]
         if deg:
             hi = min(hi, room // deg)
-        for head, c in ends[j]:
+        k = self.count - 1 - j
+        for head, c in ends.get(k, ()):
             if c <= hi and all(prefix[i] >= h for i, h in head):
                 hi = c - 1
         g = self.gvecs[j]
         for n in range(lo, hi + 1):
-            prefix[j] = n
+            prefix[k] = n
             sub = tuple(a - n * b for a, b in zip(rem, g))
             got = self._counts(j + 1, sub, prefix, ends, degs, room - n * deg)
             if got is not None:
@@ -384,31 +395,34 @@ def permissible_decompose(
 
 
 def irreducible_decompose(
-    alpha: Value, solver: SemigroupSolver, leads: Sequence[Sequence[int]]
+    alpha: Value, solver: SemigroupSolver, leads: Sequence[Sequence[int]] | dict
 ) -> tuple[int, ...]:
     """The canonical nonnegative rewrite of alpha over the solver's
     generators, as counts over them.
 
     Of the rewrites that dominate none of the leads (nonzero count
-    vectors, the leading vectors of the relations), the canonical one is
-    the least under reverse lex (the counts read from the last generator
-    back): the answer of one cut search (``SemigroupSolver.contains``).
-    The result is checked for its value and irreducibility.  Raises
-    NotInSemigroupError when alpha has no nonnegative rewrite.
+    vectors, the leading vectors of the relations, loose or filed), the
+    canonical one is the least under reverse lex (the counts read from
+    the last generator back): the answer of one cut search
+    (``SemigroupSolver.contains``).  The result is checked for its value
+    and irreducibility.  Raises NotInSemigroupError when alpha has no
+    nonnegative rewrite.
     """
     sgn = alpha.sign()
     if sgn < 0:
         raise NotInSemigroupError("negative values have no rewrite")
     if sgn == 0:
         return (0,) * solver.count
-    best = solver.contains(alpha, leads)
+    ends = leads if isinstance(leads, dict) else file_leads(leads, solver.count)
+    best = solver.contains(alpha, ends)
     if best is None:
         if solver.contains(alpha) is None:
             raise NotInSemigroupError(f"{alpha} has no nonnegative rewrite")
         raise InternalConsistencyError(f"{alpha} has no irreducible rewrite")
     if combination(best, solver.gens, solver.basis) != alpha:
         raise InternalConsistencyError("canonical rewrite changed the value")
-    if any(all(map(le, lead, best)) for lead in leads):
+    if any(best[k] >= c and all(best[i] >= h for i, h in head)
+           for k, filed in ends.items() for head, c in filed):
         raise InternalConsistencyError("canonical rewrite is reducible")
     return best
 

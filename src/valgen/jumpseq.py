@@ -18,14 +18,16 @@ vectors.  Members whose value exceeds the configured ceiling are left
 unprocessed and marked skipped.
 
 All bookkeeping needed to replay or audit the run is kept on the chain
-records: the member's image in the ambient coordinates, group multiples,
-depths, minimal vector sets with completeness flags, parent vectors,
-rewrite vectors, and the matched scalars.  Values and residues are read
-off the images; the ring forms are built for the report and for the
-zero tests, and never substituted.  The exponent layout over the two
-chains (``JumpState.coordinates``, ``PairVec``) lives here too, and
-``JumpState.search`` gives every chain search its rows, solver and the
-leads it may not dominate: a search in grouplat never gets a state.
+records: the member's image in the ambient coordinates and its initial
+term, group multiples, depths, minimal vector sets with completeness
+flags, parent vectors, rewrite vectors, and the matched scalars.  Values
+and residues are read off initial terms, a product's the product of its
+members'; the ring forms are for the report and the zero tests, never
+substituted.  The exponent layout over the two chains
+(``JumpState.coordinates``, ``PairVec``) lives here too, and
+``JumpState.search`` sets each chain search up once (``Search``): its
+rows, solver and filed leads, grown position by position.  A search in
+grouplat never gets a state.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from operator import mul
 
 from .errors import InternalConsistencyError
 from .grouplat import (
+    file_leads,
     graded_sorted,
     lattice_solve,
     min_multiple_in_group,
@@ -154,9 +157,10 @@ class GeneratorSet(Frozen):
 class PJump(Record):
     """One member of the first chain and the jump data leading out of it.
 
-    image is poly in the ambient coordinates."""
+    image is poly in the ambient coordinates; _lead, its initial term, is
+    set where the build makes the member."""
 
-    __slots__ = ("index", "poly", "image", "beta", "q", "L_vec", "lam")
+    __slots__ = ("index", "poly", "image", "beta", "q", "L_vec", "lam", "_lead")
 
     def __init__(
         self,
@@ -167,9 +171,10 @@ class PJump(Record):
         q: int | None = None,
         L_vec: tuple[int, ...] | None = None,
         lam: Fraction | None = None,
+        lead: LaurentPoly | None = None,
     ) -> None:
         self.index, self.poly, self.image, self.beta = index, poly, image, beta
-        self.q, self.L_vec, self.lam = q, L_vec, lam
+        self.q, self.L_vec, self.lam, self._lead = q, L_vec, lam, lead
 
 
 class TJump(Record):
@@ -181,12 +186,13 @@ class TJump(Record):
     position's D set, empty and complete where nothing pushes: at a
     vanished member (s 1) or where s is None.  parent names the creating
     position and vector past the first member; a position's members are
-    the records naming it.  image is poly in ambient form.
+    the records naming it.  image is poly in ambient form, and _lead its
+    initial term, as on PJump.
     """
 
     __slots__ = (
         "index", "poly", "image", "gamma", "status", "s", "m", "D", "parent",
-        "mu", "LN",
+        "mu", "LN", "_lead",
     )
 
     def __init__(
@@ -202,10 +208,11 @@ class TJump(Record):
         parent: tuple[int, PairVec] | None = None,
         mu: Fraction | None = None,
         LN: PairVec | None = None,
+        lead: LaurentPoly | None = None,
     ) -> None:
         self.index, self.poly, self.image, self.gamma = index, poly, image, gamma
         self.status, self.s, self.m, self.D = status, s, m, D
-        self.parent, self.mu, self.LN = parent, mu, LN
+        self.parent, self.mu, self.LN, self._lead = parent, mu, LN, lead
 
 
 class Flags(Frozen):
@@ -249,6 +256,18 @@ class Flags(Frozen):
         return self.p_truncated or self.t_truncated
 
 
+class Search(Frozen):
+    """A chain search set up once (``JumpState.search``): its rows, the
+    build's solver over their values, and the leads it may not dominate,
+    as count vectors over the rows and filed (``ends``, ``file_leads``)."""
+
+    __slots__ = ("rows", "solver", "leads", "ends")
+
+    def __init__(self, rows: list, solver, leads: tuple, ends: dict) -> None:
+        for name, field in zip(self.__slots__, (rows, solver, leads, ends)):
+            object.__setattr__(self, name, field)
+
+
 class JumpState(Record):
     """Everything the construction has produced so far.
 
@@ -258,18 +277,20 @@ class JumpState(Record):
     # _thresholds: the threshold index of outputs' ideal and semigroup
     # queries: one at a time, replaced when the rows change or a threshold
     # passes its top.  _staircase: the last D search's (coordinate cap, row
-    # keys, leads, cover).
+    # keys, leads, cover).  _searches: per k, the last search's (marks,
+    # Search) without held leads.  _degrees: the survey's (rows, degrees).
     __slots__ = (
-        "model", "bounds", "p_chain", "t_chain",
-        "_products", "_solvers", "_thresholds", "_staircase",
+        "model", "bounds", "p_chain", "t_chain", "_products", "_solvers",
+        "_thresholds", "_staircase", "_searches", "_degrees",
     )
 
     def __init__(self, model: ValuationModel, bounds: SearchBounds) -> None:
         self.model, self.bounds = model, bounds
         self.p_chain: list[PJump] = []
         self.t_chain: list[TJump] = []
-        self._products, self._solvers = {}, {}
+        self._products, self._solvers, self._searches = {}, {}, {}
         self._thresholds, self._staircase = None, (None, (), (), ((),))
+        self._degrees = None
 
     @property
     def basis(self):
@@ -305,6 +326,11 @@ class JumpState(Record):
         """The ambient image of poly_of(vec): the product of member images."""
         return self._product(vec, "image", self.model.ambient_vars)
 
+    def lead_of(self, vec: PairVec) -> LaurentPoly:
+        """The initial term of image_of(vec), the product of the members'
+        stored ones: the valuation is monomial on the ambient ring."""
+        return self._product(vec, "_lead", self.model.ambient_vars)
+
     def _product(self, vec: PairVec, form: str, vars_) -> LaurentPoly:
         """The product of the members' ``form`` fields raised to vec."""
         # checked first: a product cached past the chains would outlive them
@@ -322,25 +348,22 @@ class JumpState(Record):
         self._products[key] = out
         return out
 
-    def binomial(
-        self, lhs: PairVec, rhs: PairVec
-    ) -> tuple[Fraction, LaurentPoly, LaurentPoly, Value]:
-        """(scalar, ring form, image, value) of lhs - scalar*rhs, each new
-        member of both chains, the scalar the residue ratio that cancels the
-        two monomials' initial terms.  The value, read off the image, is
-        zero when the ring form vanishes and must otherwise rise above
-        lhs's; the ring form is for the zero test and the report."""
-        lhs_img = self.image_of(lhs)
-        rhs_img = self.image_of(rhs)
-        scalar = self.model.residue_ratio(lhs_img, rhs_img)
+    def binomial(self, lhs: PairVec, rhs: PairVec) -> tuple:
+        """(scalar, ring form, image, initial term, value) of lhs -
+        scalar*rhs, each new member of both chains, the scalar the residue
+        ratio of the two monomials' initial terms (``lead_of``).  The value,
+        read off the image's one scan, is zero (the term None) when the
+        ring form vanishes and must otherwise rise above lhs's."""
+        scalar = self.model.residue_ratio(self.lead_of(lhs), self.lead_of(rhs))
         poly = self.poly_of(lhs) - self.poly_of(rhs).scale(scalar)
-        image = lhs_img - rhs_img.scale(scalar)
+        image = self.image_of(lhs) - self.image_of(rhs).scale(scalar)
         if poly.is_zero():
-            return scalar, poly, image, self.basis.zero()
-        value = self.model.nu(image)
+            return scalar, poly, image, None, self.basis.zero()
+        lead = self.model.initial_term(image)
+        value = self.model.nu(lead)
         if not value > self.value_of(lhs):
             raise InternalConsistencyError("a new member's value did not rise")
-        return scalar, poly, image, value
+        return scalar, poly, image, lead, value
 
     def coordinates(self, k: int, i: int) -> list[tuple[str, int, Value]]:
         """The exponent layout every search over the chains uses: p_1..p_k,
@@ -377,38 +400,52 @@ class JumpState(Record):
         """The build's one solver over the values of coordinates(k, i)."""
         return self._solver(tuple(val for *_, val in self.coordinates(k, i)))
 
-    def search(self, k: int, i: int, held=()) -> tuple:
-        """(rows, solver, leads) of a chain search over coordinates(k, i):
-        the rows, the build's solver over their values, and every lead the
-        search may not dominate, as count vectors over the rows.  The leads
-        are q on p_j for each first-chain power q*e_j and the minimal
+    def search(self, k: int, i: int, held=()) -> Search:
+        """The chain search over coordinates(k, i) and every lead it may not
+        dominate: q on p_j for each first-chain power q*e_j and the minimal
         vectors of the processed positions, read off the records, then a
         unit lead on the row of each second-chain member in held.  A lead
         with an entry off the rows is left out, a vanished member's e_j
         among them (a zero value gets no row), so only the records of
-        p_1..p_k and t_1..t_i are read."""
+        p_1..p_k and t_1..t_i are read.  The search without held is kept
+        per k with what it read, the q of p_1..p_k and the status of
+        t_1..t_i, and a search at a larger i over the same records grows
+        from it by the later records' leads; held ones go on a copy."""
         rows = self.coordinates(k, i)
-        keys = [(kind, idx) for kind, idx, _ in rows]
-        leads = [{("p", r.index): r.q} for r in self.p_chain[:k] if r.q is not None]
-        for rec in self.t_chain[:i]:
-            if rec.status == "ok":
-                leads += (
-                    {(kind, j): c for kind, part in (("p", v.p), ("t", v.t))
-                     for j, c in enumerate(part, 1) if c}
-                    for v in rec.D.members
-                )
-        leads += ({("t", j): 1} for j in held)
-        on = set(keys)
-        counts = [
-            tuple(d.get(key, 0) for key in keys) for d in leads if d.keys() <= on
-        ]
-        return rows, self._solver(tuple(val for *_, val in rows)), counts
+        marks = (*(r.q for r in self.p_chain[:k]),
+                 *(r.status for r in self.t_chain[:i]))
+        last, base = self._searches.get(k, ((), None))
+        if base is None or marks[: len(last)] != last:
+            last, base = (), Search([], None, (), {})
+        place = {row[:2]: r for r, row in enumerate(rows)}
+        if len(last) < len(marks):
+            vecs = [] if last else [PairVec((0,) * (r.index - 1) + (r.q,), ())
+                                    for r in self.p_chain[:k] if r.q]
+            vecs += [v for r in self.t_chain[max(len(last) - k, 0):i]
+                     if r.status == "ok" for v in r.D.members]
+            new = []
+            for v in vecs:
+                at = {place.get((kind, j)): c for kind, part in (("p", v.p), ("t", v.t))
+                      for j, c in enumerate(part, 1) if c}
+                if None not in at:
+                    new.append(tuple(at.get(r, 0) for r in range(len(rows))))
+            pad = (0,) * (len(rows) - len(base.rows))
+            base = Search(rows, self._solver(tuple(val for *_, val in rows)),
+                          (*(lead + pad for lead in base.leads), *new),
+                          file_leads(new, len(rows), base.ends))
+            self._searches[k] = (marks, base)
+        units = tuple(tuple(int(r == place[("t", j)]) for r in range(len(rows)))
+                      for j in held if ("t", j) in place)
+        if not units:
+            return base
+        return Search(base.rows, base.solver, base.leads + units,
+                      file_leads(units, len(rows), base.ends))
 
     def rewrite(self, alpha: Value, k: int, i: int) -> PairVec:
         """The canonical rewrite of alpha (``irreducible_decompose``) over
         the rows of coordinates(k, i), cut by the chain's leads on them."""
-        rows, solver, leads = self.search(k, i)
-        return vec_over(rows, irreducible_decompose(alpha, solver, leads))
+        got = self.search(k, i)
+        return vec_over(got.rows, irreducible_decompose(alpha, got.solver, got.ends))
 
     def pushing_set(self, i: int) -> GeneratorSet:
         """Position i's D set (``minimal_pushing_set``): minimal irreducible
@@ -423,7 +460,8 @@ class JumpState(Record):
         if s is None or rec.gamma.is_zero():
             raise ValueError(f"position {i} is zero or has no group multiple")
         skipped = [r.index for r in self.t_chain[: i - 1] if r.status == "skipped"]
-        rows, solver, leads = self.search(m, i - 1, held=skipped)
+        got = self.search(m, i - 1, held=skipped)
+        rows, solver, leads = got.rows, got.solver, got.leads
         keys = tuple(row[:2] for row in rows)
         cap = self.bounds.d_coord_cap
         # grow the last staircase if cap, leading rows and padded leads carry over
@@ -446,10 +484,13 @@ class JumpState(Record):
 # -- first chain ------------------------------------------------------------
 
 
-def _seed(model: ValuationModel, name: str):
-    """A ring variable's poly, image and value, the fields of its record."""
+def _seed(cls, index: int, model: ValuationModel, name: str):
+    """The chain record of a ring variable, its value read off its image's
+    initial term."""
     image = model.images[name]
-    return LaurentPoly.variable(RING_VARS, name), image, model.nu(image)
+    lead = model.initial_term(image)
+    poly = LaurentPoly.variable(RING_VARS, name)
+    return cls(index, poly, image, model.nu(lead), lead=lead)
 
 
 def build_p_chain(
@@ -467,8 +508,8 @@ def build_p_chain(
     state = JumpState(model=model, bounds=bounds)
     # the first member never has a finite group multiple: the group below
     # it is trivial, so its slot in rewrites is unrestricted
-    state.p_chain.append(PJump(1, *_seed(model, "x")))
-    state.p_chain.append(PJump(2, *_seed(model, "y")))
+    state.p_chain.append(_seed(PJump, 1, model, "x"))
+    state.p_chain.append(_seed(PJump, 2, model, "y"))
     while True:
         rec = state.p_chain[-1]
         i = rec.index
@@ -481,14 +522,14 @@ def build_p_chain(
             q * rec.beta, state.semigroup_solver(i - 1, 0), [r.q for r in below]
         )
         power = PairVec((0,) * (i - 1) + (q,), ())
-        rec.lam, nxt, image, beta = state.binomial(power, PairVec(L, ()))
+        rec.lam, nxt, image, lead, beta = state.binomial(power, PairVec(L, ()))
         if len(state.p_chain) >= DEFAULT_P_CAP:
             break
         if nxt.is_zero():
             raise InternalConsistencyError(
                 "chain member vanished; the value data is degenerate"
             )
-        state.p_chain.append(PJump(i + 1, nxt, image, beta))
+        state.p_chain.append(PJump(i + 1, nxt, image, beta, lead=lead))
     return state
 
 
@@ -498,11 +539,11 @@ def build_p_chain(
 def _create_member(state: JumpState, i: int, vec: PairVec) -> None:
     """Append the chain member created from one minimal vector at i."""
     LN = state.rewrite(state.value_of(vec), state.t_chain[i - 1].m, i - 1)
-    mu, poly, image, gamma = state.binomial(vec, LN)
+    mu, poly, image, lead, gamma = state.binomial(vec, LN)
     index = len(state.t_chain) + 1
-    state.t_chain.append(
-        TJump(index, poly, image, gamma, parent=(i, vec), mu=mu, LN=LN)
-    )
+    state.t_chain.append(TJump(
+        index, poly, image, gamma, parent=(i, vec), mu=mu, LN=LN, lead=lead
+    ))
 
 
 def _process_position(state: JumpState, i: int) -> None:
@@ -540,7 +581,7 @@ def build_t_chain(state: JumpState) -> JumpState:
     chain holds max_t_index members.  As this reads the records, a finished
     state is a fixed point, and a raised cap goes on as a fresh build would."""
     if not state.t_chain:
-        state.t_chain.append(TJump(1, *_seed(state.model, "z")))
+        state.t_chain.append(_seed(TJump, 1, state.model, "z"))
     made = Counter(rec.parent[0] for rec in state.t_chain if rec.parent)
     # members created while the loop runs are appended to the list it
     # walks, so they are reached in turn

@@ -86,10 +86,9 @@ class _ThresholdIndex(Record):
 
     Entries are numbered by ascending value, then total weight, then
     lexicographically, the order of a query's answer: ``entries[r]``
-    holds the counts of entry r and ``row_of[r]`` its row k.  The entries
-    of ``values[i]`` are numbered from ``starts[i]`` up to ``starts[i +
-    1]``.  ``vecs`` keeps the PairVec of each entry a query has
-    returned, by number.
+    holds the counts of entry r.  The entries of ``values[i]`` are
+    numbered from ``starts[i]`` up to ``starts[i + 1]``.  ``vecs`` keeps
+    the PairVec of each entry a query has returned, by number.
 
     Two fields are derived from the rest: ``_span``, the largest row
     value (zero for no rows), and ``_lowered``.  Entry r's value less its
@@ -100,7 +99,7 @@ class _ThresholdIndex(Record):
     # __weakref__ lets a test see that a replaced index is freed
     __slots__ = (
         "rows", "top", "zero", "values", "den", "highs", "lows", "starts",
-        "entries", "row_of", "vecs", "_span", "_lowered", "__weakref__",
+        "entries", "vecs", "_span", "_lowered", "__weakref__",
     )
 
     def __init__(
@@ -114,14 +113,13 @@ class _ThresholdIndex(Record):
         lows: list[int],
         starts: Sequence[int],
         entries: list[tuple[int, ...]],
-        row_of: Sequence[int],
         vecs: dict[int, PairVec],
         span: Value,
         lowered: Sequence[int],
     ) -> None:
         self.rows, self.top, self.zero, self.values = rows, top, zero, values
         self.den, self.highs, self.lows, self.starts = den, highs, lows, starts
-        self.entries, self.row_of, self.vecs = entries, row_of, vecs
+        self.entries, self.vecs = entries, vecs
         self._span, self._lowered = span, lowered
 
     @classmethod
@@ -155,9 +153,9 @@ class _ThresholdIndex(Record):
         canonical-parent enumeration (Avis and Fukuda, "Reverse search
         for enumeration", 1996).
         """
-        # starts, row_of and lowered are int64 arrays: a list would hold
-        # one int object per value or entry; imported here, where an index
-        # is built, so that importing valgen does not load the module
+        # starts and lowered are int64 arrays: a list would hold one int
+        # object per value or entry; imported here, where an index is
+        # built, so that importing valgen does not load the module
         from array import array
 
         den, steps = over_common_den(
@@ -213,16 +211,13 @@ class _ThresholdIndex(Record):
         values: list[Value] = []
         starts = array("q", [0])
         entries: list[tuple[int, ...]] = []
-        row_of = array("q")
         lowered = array("q")
         for value, diff, got in groups:
             values.append(value)
             group = graded_sorted(got)
             entries += group
-            for counts in group:
-                k = got[counts]
-                row_of.append(k)
-                lowered.append(ranks.get(tuple(map(sub, diff, steps[k])), -1))
+            lowered.extend(ranks.get(tuple(map(sub, diff, steps[got[c]])), -1)
+                           for c in group)
             starts.append(len(entries))
         bounds = [value.bounds_over(den) for value in values]
         lows = [lo for lo, _ in bounds]
@@ -230,8 +225,8 @@ class _ThresholdIndex(Record):
         zero = state.basis.zero()
         span = rows[rank[-1][0]][2] if rank else zero
         return cls(
-            rows, top, zero, values, den, highs, lows, starts, entries,
-            row_of, {}, span, lowered,
+            rows, top, zero, values, den, highs, lows, starts, entries, {},
+            span, lowered,
         )
 
     def locate(self, value: Value, right: bool = False, start: int = 0) -> int:
@@ -367,17 +362,16 @@ def redundancy_certificate(
     if below.contains(rec.gamma) is None:
         return RedundancyCertificate(target, "not_eligible")
     # the member's own row is held: a rewrite of it may not use it
-    rows, lookup, leads = state.search(
-        len(state.p_chain), len(state.t_chain), held=[target]
-    )
-    hi = rec.gamma + value_slack
-    degs = []
-    for kind, idx, _ in rows:
-        chain = state.p_chain if kind == "p" else state.t_chain
-        d = chain[idx - 1].poly.total_degree()
-        if d is None:
+    search = state.search(len(state.p_chain), len(state.t_chain), held=[target])
+    rows, hi = search.rows, rec.gamma + value_slack
+    # the rows' degrees, kept on the state while its full-chain rows last
+    if state._degrees is None or state._degrees[0] is not rows:
+        chains = {"p": state.p_chain, "t": state.t_chain}
+        degs = [chains[kind][i - 1].poly.total_degree() for kind, i, _ in rows]
+        if None in degs:
             raise InternalConsistencyError("zero member in coordinate rows")
-        degs.append(d)
+        state._degrees = (rows, degs)
+    degs = state._degrees[1]
 
     combo: list[tuple[Fraction, PairVec]] = []
     # the remainder, kept in ambient form only: validate_model's Jacobian
@@ -395,13 +389,12 @@ def redundancy_certificate(
         prev = val
         if val > hi:
             return RedundancyCertificate(target, "undecided")
-        counts = lookup.contains(val, leads, degs, degree_cap)
+        counts = search.solver.contains(val, search.ends, degs, degree_cap)
         if counts is None:
             return RedundancyCertificate(target, "undecided")
         pick = vec_over(rows, counts)
-        pick_img = state.image_of(pick)
-        mu = state.model.residue_ratio(lead, pick_img)
-        g = g - pick_img.scale(mu)
+        mu = state.model.residue_ratio(lead, state.lead_of(pick))
+        g = g - state.image_of(pick).scale(mu)
         combo.append((mu, pick))
     return RedundancyCertificate(target, "certified", tuple(combo))
 
@@ -460,26 +453,22 @@ def generating_sequence_detail(
         for j, cert in survey.items()
         if cert.status in ("not_eligible", "undecided")
     )
-    certified = not state.flags.truncated
-    if any(cert.status == "undecided" for cert in survey.values()):
-        certified = False
+    certified = not state.flags.truncated and all(
+        cert.status != "undecided" for cert in survey.values()
+    )
     kept_values = [state.p_chain[i - 1].beta for i in kept_p]
     kept_values.extend(state.t_chain[j - 1].gamma for j in kept_t)
-    if certified:
-        minimal = minimal_semigroup_generators(kept_values)
-        if sorted(kept_values) != list(minimal):
-            certified = False
-    if certified:
-        # a rewrite leaning on a dropped member would leave the kept set
-        # short of generating, so insist every combination stays inside it
-        kept = set(kept_t)
-        for cert in survey.values():
-            if cert.status != "certified":
-                continue
-            for _, vec in cert.combo:
-                for pos, c in enumerate(vec.t):
-                    if c and pos + 1 not in kept:
-                        certified = False
+    certified = certified and sorted(kept_values) == list(
+        minimal_semigroup_generators(kept_values)
+    )
+    # a rewrite leaning on a dropped member would leave the kept set
+    # short of generating, so insist every combination stays inside it
+    certified = certified and all(
+        pos in kept_t
+        for cert in survey.values() if cert.status == "certified"
+        for _, vec in cert.combo
+        for pos, c in enumerate(vec.t, 1) if c
+    )
     return SequenceReport(kept_p, kept_t, certified)
 
 
@@ -503,27 +492,17 @@ def gr_presentation(state: JumpState) -> tuple[GrRelation, ...]:
     One relation per jump of the first chain and one per creation of the
     second, including creations whose member vanished.
     """
-    out: list[GrRelation] = []
-    for rec in state.p_chain:
-        if rec.q is None:
-            continue
-        lhs = PairVec((0,) * (rec.index - 1) + (rec.q,), ())
-        rhs = PairVec(rec.L_vec, ())
+    sides = [
+        (PairVec((0,) * (r.index - 1) + (r.q,), ()), PairVec(r.L_vec, ()), r.lam)
+        for r in state.p_chain if r.q is not None
+    ]
+    sides += [(r.parent[1], r.LN, r.mu) for r in state.t_chain if r.parent]
+    for lhs, rhs, scalar in sides:
         if state.value_of(lhs) != state.value_of(rhs):
             raise InternalConsistencyError("relation sides disagree in value")
-        if rec.lam == 0:
+        if scalar == 0:
             raise InternalConsistencyError("vanishing scalar in a relation")
-        out.append(GrRelation(lhs, rhs, rec.lam))
-    for rec in state.t_chain:
-        if rec.parent is None:
-            continue
-        _, vec = rec.parent
-        if state.value_of(vec) != state.value_of(rec.LN):
-            raise InternalConsistencyError("relation sides disagree in value")
-        if rec.mu == 0:
-            raise InternalConsistencyError("vanishing scalar in a relation")
-        out.append(GrRelation(vec, rec.LN, rec.mu))
-    return tuple(out)
+    return tuple(GrRelation(*side) for side in sides)
 
 
 # -- semigroup slices ---------------------------------------------------------

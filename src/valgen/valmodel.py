@@ -11,17 +11,21 @@ the residues the chain construction divides by.
 
 The model keeps its ambient values once more, as integer numerator
 columns over one common denominator.  The value of a monomial is then a
-few integer dot products, and ``nu`` and ``initial_term`` share one scan
-over the exponents read off the polynomial's keys (``exponents``) that
-keeps the running minimum as integer numerators and builds a single
-Value, for the result.  The scan places each term by a 64-bit enclosure
-summed from per-variable enclosures and compares numerators exactly only
-when two enclosures overlap.
+few integer dot products.  ``nu`` and ``initial_term`` each make one
+scan (``_scan``) over the exponents read off the polynomial's keys
+(``exponents``) that keeps the running minimum as integer numerators;
+a monomial is its own initial term, unscanned.  The scan places each
+term by a 64-bit enclosure summed from per-variable enclosures and
+compares numerators exactly only when two enclosures overlap.
 
 Substitution is a ring homomorphism, so a build never expands a chain
 member: each chain record keeps its ambient image next to its ring form,
 and the image of a product of members is the product of their images.
-``expand`` keeps no cache; ``substitute`` uses only the ring operators.
+The valuation is monomial, so likewise a record keeps its image's
+initial term, scanned once when the member is made, and its value is
+read off that term; ``residue_ratio`` gets products of those terms
+(``JumpState.lead_of``).  ``expand`` keeps no cache; ``substitute`` uses
+only the ring operators.
 """
 from __future__ import annotations
 
@@ -86,17 +90,10 @@ class ValuationModel(Frozen):
         except ValueError:
             den, scaled, columns = 1, (), None
         bounds = [int_vec_bounds(v, basis.radicands, FIXED_BITS) for v in scaled]
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "ambient_vars", ambient_vars)
-        object.__setattr__(self, "ambient_values", ambient_values)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(
-            self,
-            "_enclosures",
-            (tuple(lo for lo, _ in bounds), tuple(hi - lo for lo, hi in bounds)),
-        )
+        enclosures = tuple(lo for lo, _ in bounds), tuple(hi - lo for lo, hi in bounds)
+        fields = basis, ambient_vars, ambient_values, images, den, columns, enclosures
+        for name, field in zip(self.__slots__, fields):
+            object.__setattr__(self, name, field)
 
     def __hash__(self) -> int:
         return hash((self.basis, self.ambient_vars, self.ambient_values))
@@ -174,6 +171,8 @@ class ValuationModel(Frozen):
     def initial_term(self, f: LaurentPoly) -> LaurentPoly:
         """The unique smallest-value ambient monomial of f, with coefficient."""
         g = self.expand(f)
+        if g.is_monomial():
+            return g
         if g.is_zero():
             raise ValuationOfZeroError("the zero polynomial has no initial term")
         at, _, tied = self._scan(g)

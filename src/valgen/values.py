@@ -439,25 +439,17 @@ class Value(Frozen):
 
     def exact_str(self) -> str:
         """Canonical text, e.g. ``2*sqrt(2) - 1`` or ``5/3``."""
-        coeffs = self.coeffs
-        parts: list[tuple[int, str]] = []  # (sign, magnitude text)
-        for c, r in zip(coeffs[1:], self.basis.radicands[1:]):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if mag == 1:
-                text = f"sqrt({r})"
-            else:
-                text = f"{decimal_str(mag)}*sqrt({r})"
-            parts.append((1 if c > 0 else -1, text))
-        c0 = coeffs[0]
-        if c0 != 0 or not parts:
-            parts.append((1 if c0 >= 0 else -1, decimal_str(abs(c0))))
-        first_sign, first_text = parts[0]
-        out = ("-" if first_sign < 0 else "") + first_text
-        for sign_, text in parts[1:]:
-            out += (" - " if sign_ < 0 else " + ") + text
-        return out
+        c0, *coeffs = self.coeffs
+        # (coefficient, magnitude text): the radical terms, then the rational
+        parts = [
+            (c, f"sqrt({r})" if abs(c) == 1 else f"{decimal_str(abs(c))}*sqrt({r})")
+            for c, r in zip(coeffs, self.basis.radicands[1:]) if c
+        ]
+        if c0 or not parts:
+            parts.append((c0, decimal_str(abs(c0))))
+        # the first term carries its sign alone: "-" or nothing
+        out = "".join((" - " if c < 0 else " + ") + text for c, text in parts)
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     def approx_str(self, digits: int = 12) -> str:
         """Deterministic decimal approximation to ``digits`` significant digits."""

@@ -151,6 +151,23 @@ def on_rows(vecs, rows):
     return out
 
 
+def unfiled(ends, n):
+    """The count vectors over n generators a filed lead table
+    (``grouplat.file_leads``) holds, each rebuilt from the index it is
+    filed at and its head.  A lead must be filed at its first nonzero
+    entry, the last the search fixes, so its head lies after it."""
+    out = []
+    for k, filed in ends.items():
+        for head, c in filed:
+            assert c > 0 and all(i > k and h > 0 for i, h in head), (k, head)
+            vec = [0] * n
+            vec[k] = c
+            for i, h in head:
+                vec[i] = h
+            out.append(tuple(vec))
+    return out
+
+
 def chain_rows(state):
     """(kind, index, value) for every chain coordinate with nonzero value."""
     rows = [("p", r.index, r.beta) for r in state.p_chain]

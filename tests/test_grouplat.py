@@ -37,6 +37,7 @@ from valgen.grouplat import (
     staircase,
 )
 from valgen.jumpseq import vec_over
+from valgen.outputs import redundancy_survey
 from valgen.cli import load_config, parse_config
 from valgen.values import combination
 
@@ -714,6 +715,34 @@ def test_example_build_search_stays_small():
     solvers = build_example()._solvers.values()
     assert sum(s.queries for s in solvers) == 253
     assert sum(s.nodes for s in solvers) == 1_291
+
+
+def solver_work(st):
+    """(queries, nodes) summed over every solver of a state."""
+    solvers = st._solvers.values()
+    return sum(s.queries for s in solvers), sum(s.nodes for s in solvers)
+
+
+@pytest.mark.parametrize("which, build, survey", [
+    ("example", (253, 1_291), (50, 792)),
+    ("tower.json", (1_710, 4_865), (137, 6_064)),
+    ("113/4", (283, 1_912), (89, 2_010)),
+])
+def test_survey_search_stays_small(which, build, survey):
+    # the solver work of the build and then of the redundancy survey, as
+    # (queries, nodes): the worked example, tests/tower.json and the
+    # example at the ceiling 113/4.  Each chain search is set up once and
+    # its leads filed once, which moves none of these: the numbers are
+    # pinned, not bounded, so a count that moves means the search changed.
+    if which == "tower.json":
+        model, bounds, _, _ = load_config(str(TOWER))
+        st = build_state(model, bounds=bounds)
+    else:
+        st = build_example(None if which == "example" else which)
+    assert solver_work(st) == build
+    redundancy_survey(st)
+    queries, nodes = solver_work(st)
+    assert (queries - build[0], nodes - build[1]) == survey
 
 
 def test_heavy_build_grows_its_search_set_up(monkeypatch):

@@ -142,8 +142,8 @@ def test_a_vanished_first_chain_member_is_refused(monkeypatch):
     binomial = jumpseq.JumpState.binomial
 
     def vanishing(self, lhs, rhs):
-        scalar, poly, image, value = binomial(self, lhs, rhs)
-        return scalar, poly.scale(0), image, value
+        scalar, poly, image, lead, value = binomial(self, lhs, rhs)
+        return scalar, poly.scale(0), image, lead, value
 
     monkeypatch.setattr(jumpseq.JumpState, "binomial", vanishing)
     with pytest.raises(InternalConsistencyError, match="chain member vanished"):
@@ -293,19 +293,19 @@ def test_search_leads_read_the_chain_records(state, second_state, monkeypatch):
     # a power of the first chain: y - x has q = 1 in the second model
     assert second_state.p_chain[1].q == 1
     rows = second_state.coordinates(3, 1)
-    assert second_state.search(3, 1)[2] == [(0, 1, 0, 0)]
+    assert second_state.search(3, 1).leads == ((0, 1, 0, 0),)
     # a vanished member: position 11 of the worked example gets no row, so
     # its e_11 is never on the rows and adds no lead
     assert state.t_chain[10].poly.is_zero()
     assert PairVec((), (0,) * 10 + (1,)) in oracles.relation_leads(state)
     rows = state.coordinates(2, len(state.t_chain))
     assert ("t", 11) not in [(kind, idx) for kind, idx, _ in rows]
-    assert Counter(state.search(2, len(state.t_chain))[2]) == reference(state, rows)
+    assert Counter(state.search(2, len(state.t_chain)).leads) == reference(state, rows)
     # a minimal vector of a processed position, x*z at position 1, and no
     # D member past t_1 on the rows of coordinates(2, 1)
     assert state.t_chain[0].D.members == (PairVec((1,), (1,)),)
     rows = state.coordinates(2, 1)
-    got = state.search(2, 1)[2]
+    got = state.search(2, 1).leads
     assert (1, 0, 1) in got
     assert Counter(got) == reference(state, rows)
     past = [v for v in oracles.relation_leads(state) if len(v.t) > 1]
@@ -316,11 +316,18 @@ def test_search_leads_read_the_chain_records(state, second_state, monkeypatch):
     assert rec.status == "skipped" and rec.D is None
     rows = state.coordinates(2, len(state.t_chain))
     t16 = rows.index(("t", 16, rec.gamma))
-    leads = state.search(2, len(state.t_chain))[2]
+    leads = state.search(2, len(state.t_chain)).leads
     assert not any(lead[t16] for lead in leads)
     stray = PairVec((1,), (0,) * 15 + (1,))
     monkeypatch.setattr(rec, "D", jumpseq.GeneratorSet((stray,), True))
-    assert state.search(2, len(state.t_chain))[2] == leads
+    assert state.search(2, len(state.t_chain)).leads == leads
+    # a kept search is grown or read again only while the statuses it read
+    # stand: a position no longer "ok" takes its minimal vectors out
+    done = state.t_chain[0]
+    assert done.status == "ok" and done.D.members
+    monkeypatch.setattr(done, "status", "skipped")
+    got = state.search(2, len(state.t_chain)).leads
+    assert Counter(got) == reference(state, rows) and len(got) < len(leads)
 
 
 def test_value_bookkeeping(state):
@@ -503,7 +510,7 @@ def test_coordinate_rows_round_trip(request, which):
             # a lead with an entry off the rows: a zero position's e_j, a
             # q*e_j beyond p_k, or a D member past t_i
             want = oracles.on_rows(leads, rows)
-            assert Counter(st.search(k, i)[2]) == Counter(want), (k, i)
+            assert Counter(st.search(k, i).leads) == Counter(want), (k, i)
             kept += len(want)
             left_out += len(leads) - len(want)
     assert kept and left_out
@@ -518,7 +525,9 @@ def test_every_chain_search_gets_the_leads_of_the_records(monkeypatch, which):
     # relation leads of the records on the rows (oracles.relation_leads)
     # plus a unit lead on the row of each held member: none for a rewrite,
     # each member skipped below a D search, the surveyed member for its
-    # picks.  A D search receives its leads as their staircase cover.
+    # picks.  A D search receives its leads as their staircase cover, a
+    # rewrite and a pick as the filed table search returned, which holds
+    # the same leads (oracles.unfiled).
     returned, at, checked = [], {}, Counter()
 
     def want(rows, held):
@@ -547,14 +556,16 @@ def test_every_chain_search_gets_the_leads_of_the_records(monkeypatch, which):
 
     def searched(st, k, i, held=()):
         got = search(st, k, i, held)
-        returned.append(got[2])
+        returned.append(got)
+        assert Counter(oracles.unfiled(got.ends, len(got.rows))) == Counter(got.leads)
         return got
 
     decompose = jumpseq.irreducible_decompose
 
     def rewritten(alpha, solver, leads):
         rows, held = expected("rewrite")
-        assert leads is returned[-1] and Counter(leads) == want(rows, held)
+        assert leads is returned[-1].ends
+        assert Counter(oracles.unfiled(leads, len(rows))) == want(rows, held)
         checked["rewrite"] += 1
         return decompose(alpha, solver, leads)
 
@@ -562,8 +573,8 @@ def test_every_chain_search_gets_the_leads_of_the_records(monkeypatch, which):
 
     def pushed(step, solver, cover, layer_cap, cap):
         rows, held = expected("d")
-        assert Counter(returned[-1]) == want(rows, held)
-        fresh = staircase([()], returned[-1], len(rows), cap)
+        assert Counter(returned[-1].leads) == want(rows, held)
+        fresh = staircase([()], returned[-1].leads, len(rows), cap)
         assert sorted(cover) == sorted(fresh)
         checked["d"] += 1
         return pushing(step, solver, cover, layer_cap, cap)
@@ -574,7 +585,8 @@ def test_every_chain_search_gets_the_leads_of_the_records(monkeypatch, which):
         # irreducible_decompose asks with leads too, inside a rewrite
         if cut and at.get("kind") == "pick":
             rows, held = expected("pick")
-            assert cut[0] is returned[-1] and Counter(cut[0]) == want(rows, held)
+            assert cut[0] is returned[-1].ends
+            assert Counter(oracles.unfiled(cut[0], len(rows))) == want(rows, held)
             checked["pick"] += 1
         return contains(solver, alpha, *cut)
 
@@ -604,6 +616,25 @@ def test_every_chain_search_gets_the_leads_of_the_records(monkeypatch, which):
         assert checked == Counter()
     else:
         assert checked["rewrite"] and checked["d"] and checked["pick"], checked
+
+
+@pytest.mark.parametrize("which", ["example", "tower.json"])
+def test_stored_initial_terms_are_those_of_the_images(which):
+    # each member keeps its image's initial term, and the initial term of
+    # a product the build or the survey read is the product of the
+    # members' stored ones (the valuation is monomial): every one equals a
+    # fresh scan of the product's image
+    st = build_state(*corpus_model(which))
+    redundancy_survey(st)
+    for rec in st.p_chain + st.t_chain:
+        want = None if rec.image.is_zero() else st.model.initial_term(rec.image)
+        assert rec._lead == want
+    stored = {key[1:]: term for key, term in st._products.items()
+              if key[0] == "_lead"}
+    assert len(stored) > 50
+    for (p, t), term in stored.items():
+        image = st.image_of(PairVec(p, t))
+        assert term.is_monomial() and term == st.model.initial_term(image)
 
 
 def test_polynomials_realize_their_values(state):

@@ -236,12 +236,22 @@ def test_walk_decides_one_sign_per_entry(monkeypatch, second_state):
     assert len(calls) == len(index.entries) + 1
 
 
+def rows_of(index):
+    """{counts: k} per entry of an index, k the entry's least-valued
+    nonzero row: the first with a nonzero count in a stable sort of the
+    rows by value, the order the walk ranks its moves in."""
+    order = sorted(range(len(index.rows)), key=lambda k: index.rows[k][2])
+    return {
+        counts: next(k for k in order if counts[k]) for counts in index.entries
+    }
+
+
 def lowered_diffs(index, sigma):
     """Per entry of an index over RANK_ROWS: its value - sigma, and its
     value less its row's - sigma, as numerators over 1, as are sigma and
     the rows."""
     out = []
-    for counts, k in zip(index.entries, index.row_of):
+    for counts, k in rows_of(index).items():
         value = [-a for a in sigma]
         for c, row in zip(counts, RANK_ROWS):
             value = [a + c * b for a, b in zip(value, row)]
@@ -258,7 +268,7 @@ def within(vec, bits):
 def test_minimality_test_on_near_ties(fallbacks):
     index = near_tie_index()
     want = entries_by_definition()
-    assert dict(zip(index.entries, index.row_of)) == want
+    assert rows_of(index) == want
     # both kinds of entry: below the threshold, and above it by a near tie
     assert max(map(sum, want)) == 2
     # the rank test: a minimal generator at sigma reaches it, and its
@@ -289,7 +299,7 @@ def test_minimality_test_fails_under_a_mutant(monkeypatch):
     want = list(index.minimal(sigma))
     monkeypatch.setattr(outputs, "sign_within", trusts_a)
     index = near_tie_index()
-    assert dict(zip(index.entries, index.row_of)) != entries_by_definition()
+    assert rows_of(index) != entries_by_definition()
     # the rank test trusting the fixed-point sum in place of the exact path
     monkeypatch.setattr(values, "int_vec_sign", trusts_a)
     assert list(index.minimal(sigma)) != want

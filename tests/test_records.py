@@ -234,7 +234,7 @@ def test_reprs_name_the_fields(state, second_state):
     index = threshold_index(second_state)
     assert repr(index) == fields_repr(
         index, "rows", "top", "zero", "values", "den", "highs", "lows", "starts",
-        "entries", "row_of", "vecs",
+        "entries", "vecs",
     )
 
 

@@ -277,3 +277,27 @@ def test_values_of_another_basis_construct_but_do_not_scan():
     assert any("different radical basis" in p for p in validate_model(model))
     with pytest.raises(ValueError):
         model.nu(model.images["x"])
+
+
+def test_example_scans_each_member_image_once(monkeypatch):
+    # loading the worked example, building it and deriving its outputs
+    # scan 108 polynomials of 1,781 terms in all.  A member's image is
+    # scanned once, when the member is made, and a survey remainder once
+    # per step; residues are read off stored initial terms, monomials that
+    # initial_term returns unscanned.  Reading residues off the images of
+    # member products scanned 201 polynomials of 4,040 terms.  Pinned, not
+    # bounded.
+    from valgen.cli import derive_outputs
+    from valgen.jumpseq import build_state
+
+    scanned = []
+    scan = ValuationModel._scan
+
+    def counting(self, g):
+        scanned.append(len(g.terms))
+        return scan(self, g)
+
+    monkeypatch.setattr(ValuationModel, "_scan", counting)
+    model, bounds, outputs, _ = parsed_example()
+    derive_outputs(build_state(model, bounds=bounds), outputs)
+    assert (len(scanned), sum(scanned)) == (108, 1_781)
